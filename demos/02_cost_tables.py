@@ -7,7 +7,7 @@ Run: python demos/02_cost_tables.py
 """
 
 from fusedconv import analyze, conv3d_latency, parse_plan, time_ms, traffic_bytes
-from fusedconv.costmodel import _group_conv_dsp
+from fusedconv.costmodel import group_costs
 from fusedconv.networks import VGG7_DEFAULT_DPAR, vgg_prefix_7
 
 MB = 1_000_000
@@ -27,7 +27,7 @@ def main():
 
     print(f"DSP multipliers (w^2 x d_par per conv, max over fused groups)")
     first_group = parse_plan("0-2|3|4|5|6", net, dpar)
-    print(f"  conv1_1+conv1_2+pool1 group: {_group_conv_dsp(net, first_group, (0, 2))}"
+    print(f"  conv1_1+conv1_2+pool1 group: {group_costs(first_group, net)[0].dsp}"
           f"  (reference 605)")
     report = analyze(fused, net)
     print(f"  full fusion, d_par {VGG7_DEFAULT_DPAR}: {report.dsp}  (reference 2907)")

@@ -17,8 +17,8 @@ import sys
 import time
 
 from . import __version__, costmodel, dse
-from .config import (InternalError, NetworkSpec, ParseError, ValidationError,
-                     dpar_to_text, parse_network, parse_plan, plan_to_text)
+from .config import (FusionPlan, InternalError, NetworkSpec, ParseError,
+                     ValidationError, dpar_to_text, parse_network, parse_plan, plan_to_text)
 from .dataflow import TraceWriter, simulate_plan
 from .datagen import generate_tensor, generate_weights
 from .fileio import (canonical_json, network_digest, read_tensor, read_weights,
@@ -233,7 +233,7 @@ def cmd_dse(args) -> int:
         "dsp_max": args.dsp_max,
         "bytes_per_value": args.bytes_per_value,
         "plans_evaluated": len(points),
-        "infeasible": [{"plan": "|".join(f"{a}-{b}" for a, b in groups),
+        "infeasible": [{"plan": plan_to_text(FusionPlan(groups, ())),
                         "reason": reason} for groups, reason in infeasible],
         "pareto_front": [{"plan": plan_to_text(p.plan),
                           "depth_parallel": list(p.plan.depth_parallel),

@@ -132,33 +132,32 @@ class NetworkSpec:
         if not self.layers:
             raise ValidationError("layers nonempty: network must contain at least one layer")
         object.__setattr__(self, "layers", tuple(self.layers))
-        dims = self.input_dims
+        dims = [self.input_dims]
         for i, layer in enumerate(self.layers):
             if isinstance(layer, ConvSpec) and layer.declared_depth is not None:
-                if layer.declared_depth != dims.depth:
+                if layer.declared_depth != dims[-1].depth:
                     raise ValidationError(
                         f"layer {i}: declared input depth {layer.declared_depth} "
-                        f"does not match derived depth {dims.depth}")
+                        f"does not match derived depth {dims[-1].depth}")
             try:
-                dims = output_dims(dims, layer)
+                dims.append(output_dims(dims[-1], layer))
             except GeometryError as e:
                 raise GeometryError(f"layer {i}: {e}") from None
+        # Derived once here; plain attributes stay out of ==, hash and repr.
+        object.__setattr__(self, "_dims", tuple(dims))
+        object.__setattr__(self, "_conv_indices", tuple(
+            i for i, l in enumerate(self.layers) if isinstance(l, ConvSpec)))
 
     def layer_dims(self) -> list:
         """Output dims after each layer, chained from the network input."""
-        out = []
-        dims = self.input_dims
-        for layer in self.layers:
-            dims = output_dims(dims, layer)
-            out.append(dims)
-        return out
+        return list(self._dims[1:])
 
     def layer_input_dims(self) -> list:
         """Input dims seen by each layer."""
-        return [self.input_dims] + self.layer_dims()[:-1]
+        return list(self._dims[:-1])
 
     def conv_indices(self) -> list:
-        return [i for i, l in enumerate(self.layers) if isinstance(l, ConvSpec)]
+        return list(self._conv_indices)
 
 
 @dataclass(frozen=True)
@@ -175,11 +174,14 @@ class FusionPlan:
     def n_groups(self) -> int:
         return len(self.groups)
 
-    def group_of_layer(self, layer_index: int) -> int:
-        for gi, (a, b) in enumerate(self.groups):
-            if a <= layer_index <= b:
-                return gi
-        raise InternalError(f"layer {layer_index} not covered by plan")
+
+def check_pipeline_pool(layer: PoolSpec) -> None:
+    """The pipeline pool stage keeps one row of running maxima, which cannot
+    serve vertically overlapping windows, so it needs window <= stride."""
+    if layer.window > layer.stride:
+        raise ValidationError(
+            f"pipeline pool stage requires window <= stride, got "
+            f"{layer.window} > {layer.stride}")
 
 
 def validate_plan(plan: FusionPlan, net: NetworkSpec) -> FusionPlan:
@@ -200,9 +202,11 @@ def validate_plan(plan: FusionPlan, net: NetworkSpec) -> FusionPlan:
         raise ValidationError(
             f"plan: {len(plan.depth_parallel)} depth-parallel values for "
             f"{len(conv_idx)} conv layers")
-    in_dims = net.layer_input_dims()
+    for layer in net.layers:
+        if isinstance(layer, PoolSpec):
+            check_pipeline_pool(layer)
     for dp, li in zip(plan.depth_parallel, conv_idx):
-        depth = in_dims[li].depth
+        depth = net._dims[li].depth
         if dp < 1 or dp > depth:
             raise ValidationError(
                 f"plan: layer {li} depth-parallel {dp} outside [1, {depth}]")
@@ -212,16 +216,8 @@ def validate_plan(plan: FusionPlan, net: NetworkSpec) -> FusionPlan:
     return plan
 
 
-def serial_groups(plan: FusionPlan, net: NetworkSpec) -> dict:
-    """Map conv layer index -> serial depth group count g = depth / d_par."""
-    in_dims = net.layer_input_dims()
-    return {li: in_dims[li].depth // dp
-            for dp, li in zip(plan.depth_parallel, net.conv_indices())}
-
-
 def full_depth_parallel(net: NetworkSpec) -> tuple:
-    in_dims = net.layer_input_dims()
-    return tuple(in_dims[i].depth for i in net.conv_indices())
+    return tuple(net._dims[i].depth for i in net._conv_indices)
 
 
 # --- document parsing -------------------------------------------------------

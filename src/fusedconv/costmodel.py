@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import ConvSpec, Dims, FusionPlan, NetworkSpec, ValidationError, \
-    serial_groups, validate_plan
+    validate_plan
 
 BRAM_BLOCK_BITS = 18_432
 DEFAULT_FREQUENCY_MHZ = 120.0
@@ -54,72 +54,114 @@ def steady_cycles(layer: ConvSpec, out_dims: Dims, g: int) -> int:
     return out_dims.height * out_dims.width * layer.filters * g
 
 
-def _group_conv_dsp(net: NetworkSpec, plan: FusionPlan, group) -> int:
-    conv_idx = net.conv_indices()
-    dsp = 0
-    a, b = group
-    for li in range(a, b + 1):
-        layer = net.layers[li]
-        if isinstance(layer, ConvSpec):
-            dp = plan.depth_parallel[conv_idx.index(li)]
-            dsp += layer.kernel * layer.kernel * dp
-    return dsp
+@dataclass(frozen=True)
+class GroupCost:
+    """Modeled cost of one fused group; every plan figure is a fold over these."""
+    dsp: int            # multipliers: w^2 * d_par summed over the group's convs
+    buffer_bits: int
+    buffer_blocks: int
+    steady_cycles: int  # the slowest conv's steady cycles, 0 without a conv
+    stream_cycles: int  # cycles to stream the group input, one position per cycle
+    fill_cycles: int
+
+    @property
+    def bottleneck(self) -> int:
+        return max(self.steady_cycles, self.stream_cycles)
+
+
+def _blocks(bits: int) -> int:
+    return -(-bits // BRAM_BLOCK_BITS)
+
+
+def _layer_buffers(layer, in_dims: Dims, out_dims: Dims):
+    """(bits, blocks) of the buffers backing one layer: a conv's line buffer,
+    one filter bank per tap position and an output-assembly row, or a pool
+    row; blocks use a per-buffer ceiling at 18,432-bit granularity."""
+    if isinstance(layer, ConvSpec):
+        taps = layer.kernel * layer.kernel
+        line = layer.kernel * (in_dims.width + 2 * layer.pad) * in_dims.depth * 32
+        bank = layer.filters * in_dims.depth * 32
+        assembly = out_dims.width * layer.filters * 32
+        return (line + taps * bank + assembly,
+                _blocks(line) + taps * _blocks(bank) + _blocks(assembly))
+    row = out_dims.width * in_dims.depth * 32
+    return row, _blocks(row)
+
+
+def _conv_parallelism(plan: FusionPlan, net: NetworkSpec) -> dict:
+    """Map conv layer index -> (d_par, serial depth group count g = depth / d_par)."""
+    dims_in = net.layer_input_dims()
+    return {li: (dp, dims_in[li].depth // dp)
+            for dp, li in zip(plan.depth_parallel, net.conv_indices())}
+
+
+def group_costs(plan: FusionPlan, net: NetworkSpec) -> list:
+    """One GroupCost per group of an already validated plan, in plan order.
+
+    Fill latency is charged for every stage at the per-element period of
+    whatever feeds it: k*g of the producing conv, 1 at the group input,
+    unchanged through a pool.
+    """
+    dims_in = net.layer_input_dims()
+    dims_out = net.layer_dims()
+    par = _conv_parallelism(plan, net)
+    costs = []
+    for a, b in plan.groups:
+        dsp = bits = blocks = steady = fill = 0
+        period = 1
+        for li in range(a, b + 1):
+            layer = net.layers[li]
+            lb, lk = _layer_buffers(layer, dims_in[li], dims_out[li])
+            bits += lb
+            blocks += lk
+            w_in = dims_in[li].width
+            if isinstance(layer, ConvSpec):
+                dp, g = par[li]
+                dsp += layer.kernel * layer.kernel * dp
+                steady = max(steady, steady_cycles(layer, dims_out[li], g))
+                fill += (layer.kernel - 1) * (w_in + 2 * layer.pad) * period \
+                    + layer.kernel + conv3d_latency(layer.kernel, dp)
+                period = layer.filters * g
+            else:
+                fill += layer.window * w_in * period
+        costs.append(GroupCost(dsp, bits, blocks, steady,
+                               dims_in[a].height * dims_in[a].width, fill))
+    return costs
+
+
+def _plan_totals(costs) -> tuple:
+    """(dsp, buffer bits, buffer blocks, estimated cycles) of a plan. Hardware
+    is rebuilt (reused) between groups, so DSP and buffers are those of the
+    widest group (buffers: the first group with the most bits); the estimate
+    sums each group's bottleneck and fills."""
+    widest = max(costs, key=lambda c: c.buffer_bits)
+    return (max(c.dsp for c in costs), widest.buffer_bits, widest.buffer_blocks,
+            sum(c.bottleneck + c.fill_cycles for c in costs))
 
 
 def dsp_count(plan: FusionPlan, net: NetworkSpec) -> int:
-    """Multipliers only: w^2 * d_par per conv layer, summed per group, max over groups.
-
-    Hardware is rebuilt (reused) between groups, so the plan needs only the
-    widest group's multiplier complement.
-    """
+    """Multipliers only: w^2 * d_par per conv layer, summed per group, max over groups."""
     validate_plan(plan, net)
-    return max(_group_conv_dsp(net, plan, grp) for grp in plan.groups)
-
-
-def _layer_buffers(net: NetworkSpec, li: int):
-    """Buffer list [(name, bits)] backing one layer."""
-    layer = net.layers[li]
-    in_dims = net.layer_input_dims()[li]
-    out_dims = net.layer_dims()[li]
-    if isinstance(layer, ConvSpec):
-        w = layer.kernel
-        line = w * (in_dims.width + 2 * layer.pad) * in_dims.depth * 32
-        bufs = [("line", line)]
-        bank_bits = layer.filters * in_dims.depth * 32
-        for b in range(w * w):
-            bufs.append((f"filter{b}", bank_bits))
-        bufs.append(("assembly", out_dims.width * layer.filters * 32))
-        return bufs
-    return [("poolrow", out_dims.width * in_dims.depth * 32)]
+    return _plan_totals(group_costs(plan, net))[0]
 
 
 def buffer_bits(plan: FusionPlan, net: NetworkSpec):
-    """On-chip storage model. Returns (bits, blocks): max over groups of the
-    summed line buffers, filter banks (one bank per filter tap position),
-    output-assembly rows, and pool rows; blocks use a per-buffer ceiling at
-    18,432-bit granularity."""
+    """On-chip storage model. Returns (bits, blocks) of the widest group."""
     validate_plan(plan, net)
-    best_bits = 0
-    best_blocks = 0
-    for a, b in plan.groups:
-        bits = 0
-        blocks = 0
-        for li in range(a, b + 1):
-            for _, sz in _layer_buffers(net, li):
-                bits += sz
-                blocks += -(-sz // BRAM_BLOCK_BITS)
-        if bits > best_bits:
-            best_bits, best_blocks = bits, blocks
-    return best_bits, best_blocks
+    return _plan_totals(group_costs(plan, net))[1:3]
 
 
-def weight_values(net: NetworkSpec) -> int:
-    total = 0
-    in_dims = net.layer_input_dims()
-    for li in net.conv_indices():
-        layer = net.layers[li]
-        total += layer.filters * layer.kernel * layer.kernel * in_dims[li].depth
-    return total
+def steady_bottleneck(plan: FusionPlan, net: NetworkSpec) -> int:
+    """Throughput floor of a plan: per group, the slowest conv's steady cycles
+    (at least the cycles to stream the group input), summed over groups."""
+    validate_plan(plan, net)
+    return sum(c.bottleneck for c in group_costs(plan, net))
+
+
+def end_to_end_estimate(plan: FusionPlan, net: NetworkSpec) -> int:
+    """Analytical cycle estimate: steady_bottleneck plus every stage's fill."""
+    validate_plan(plan, net)
+    return _plan_totals(group_costs(plan, net))[3]
 
 
 def traffic_bytes(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
@@ -137,7 +179,6 @@ def traffic_bytes(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
     validate_plan(plan, net)
     dims_in = net.layer_input_dims()
     dims_out = net.layer_dims()
-    g_of = serial_groups(plan, net)
 
     inputs = 0
     outputs = 0
@@ -146,64 +187,17 @@ def traffic_bytes(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
         outputs += dims_out[b].volume
 
     weights = 0
-    for li in net.conv_indices():
+    for li, (_, g) in _conv_parallelism(plan, net).items():
         layer = net.layers[li]
         vals = layer.filters * layer.kernel * layer.kernel * dims_in[li].depth
         if reread_weights_per_depth_group:
-            vals *= g_of[li]
+            vals *= g
         weights += vals
 
     return {"inputs": inputs * bytes_per_value,
             "outputs": outputs * bytes_per_value,
             "weights": weights * bytes_per_value,
             "total": (inputs + outputs + weights) * bytes_per_value}
-
-
-def steady_bottleneck(plan: FusionPlan, net: NetworkSpec) -> int:
-    """Throughput floor of a plan: per group, the slowest conv's steady cycles
-    (at least the cycles to stream the group input), summed over groups."""
-    validate_plan(plan, net)
-    dims_in = net.layer_input_dims()
-    dims_out = net.layer_dims()
-    g_of = serial_groups(plan, net)
-    total = 0
-    for a, b in plan.groups:
-        worst = dims_in[a].height * dims_in[a].width
-        for li in range(a, b + 1):
-            layer = net.layers[li]
-            if isinstance(layer, ConvSpec):
-                s = steady_cycles(layer, dims_out[li], g_of[li])
-                if s > worst:
-                    worst = s
-        total += worst
-    return total
-
-
-def end_to_end_estimate(plan: FusionPlan, net: NetworkSpec) -> int:
-    """Analytical cycle estimate: per group, the bottleneck conv's steady
-    cycles (floored by the cycles needed just to stream the group input)
-    plus every stage's fill latency, charged at the per-element period of
-    whatever feeds it (k*g of the producing conv, 1 at the group input,
-    unchanged through a pool)."""
-    validate_plan(plan, net)
-    dims_in = net.layer_input_dims()
-    g_of = serial_groups(plan, net)
-    conv_idx = net.conv_indices()
-
-    fills = 0
-    for a, b in plan.groups:
-        period = 1
-        for li in range(a, b + 1):
-            layer = net.layers[li]
-            w_in = dims_in[li].width
-            if isinstance(layer, ConvSpec):
-                dp = plan.depth_parallel[conv_idx.index(li)]
-                fills += (layer.kernel - 1) * (w_in + 2 * layer.pad) * period \
-                    + layer.kernel + conv3d_latency(layer.kernel, dp)
-                period = layer.filters * g_of[li]
-            else:
-                fills += layer.window * w_in * period
-    return steady_bottleneck(plan, net) + fills
 
 
 def time_ms(cycles: int, frequency_mhz: float = DEFAULT_FREQUENCY_MHZ) -> float:
@@ -238,24 +232,22 @@ def analyze(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
             frequency_mhz: float = DEFAULT_FREQUENCY_MHZ,
             reread_weights_per_depth_group: bool = False) -> CostReport:
     """Assemble the full analytical report for one plan."""
-    validate_plan(plan, net)
-    g_of = serial_groups(plan, net)
+    traffic = traffic_bytes(plan, net, bytes_per_value,
+                            reread_weights_per_depth_group)  # validates the plan
     dims_in = net.layer_input_dims()
     dims_out = net.layer_dims()
-    conv_idx = net.conv_indices()
+    par = _conv_parallelism(plan, net)
 
     per_layer = []
     for li, layer in enumerate(net.layers):
-        bufs = _layer_buffers(net, li)
-        bits = sum(sz for _, sz in bufs)
-        blocks = sum(-(-sz // BRAM_BLOCK_BITS) for _, sz in bufs)
+        bits, blocks = _layer_buffers(layer, dims_in[li], dims_out[li])
         if isinstance(layer, ConvSpec):
-            dp = plan.depth_parallel[conv_idx.index(li)]
+            dp, g = par[li]
             per_layer.append({
                 "layer": li, "type": "conv",
-                "depth_parallel": dp, "serial_groups": g_of[li],
+                "depth_parallel": dp, "serial_groups": g,
                 "latency_cycles": conv3d_latency(layer.kernel, dp),
-                "steady_cycles": steady_cycles(layer, dims_out[li], g_of[li]),
+                "steady_cycles": steady_cycles(layer, dims_out[li], g),
                 "dsp": layer.kernel * layer.kernel * dp,
                 "buffer_bits": bits, "buffer_blocks": blocks})
         else:
@@ -265,16 +257,14 @@ def analyze(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
                 "steady_cycles": dims_in[li].height * dims_in[li].width,
                 "dsp": 0, "buffer_bits": bits, "buffer_blocks": blocks})
 
-    est = end_to_end_estimate(plan, net)
-    bits, blocks = buffer_bits(plan, net)
+    dsp, bits, blocks, est = _plan_totals(group_costs(plan, net))
     return CostReport(
         per_layer=per_layer,
         total_estimated_cycles=est,
         milliseconds=time_ms(est, frequency_mhz),
         frequency_mhz=frequency_mhz,
-        dsp=dsp_count(plan, net),
+        dsp=dsp,
         buffer_bits=bits,
         buffer_blocks=blocks,
-        traffic=traffic_bytes(plan, net, bytes_per_value,
-                              reread_weights_per_depth_group),
+        traffic=traffic,
         bytes_per_value=bytes_per_value)

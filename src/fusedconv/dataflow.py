@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConvSpec, Dims, FusionPlan, InternalError, NetworkSpec, PoolSpec, \
-    ValidationError, output_dims, validate_plan
+    ValidationError, check_pipeline_pool, output_dims, validate_plan
 from .costmodel import conv3d_latency
 from .fixedpoint import I32_MAX, I32_MIN
 from .golden import FilterBank, Tensor3D
@@ -387,10 +387,7 @@ class PoolStage:
     overlapping vertical windows)."""
 
     def __init__(self, spec: PoolSpec, in_dims: Dims, trace=None, name="pool"):
-        if spec.window > spec.stride:
-            raise ValidationError(
-                f"pipeline pool stage requires window <= stride, got "
-                f"{spec.window} > {spec.stride}")
+        check_pipeline_pool(spec)
         self.name = name
         self.out_dims = output_dims(in_dims, spec)
         self.h_in, self.w_in = in_dims.height, in_dims.width

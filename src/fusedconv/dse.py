@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import costmodel
-from .config import ConvSpec, FusionPlan, NetworkSpec, ValidationError, \
-    full_depth_parallel, plan_to_text, serial_groups, validate_plan
+from .config import FusionPlan, NetworkSpec, ValidationError, full_depth_parallel, \
+    plan_to_text, validate_plan
 from .costmodel import ResourceBudget
 
 ENUMERATION_LIMIT = 20
@@ -46,17 +46,8 @@ def enumerate_plans(n_layers: int) -> list:
     return out
 
 
-def _group_bottleneck(net: NetworkSpec, plan: FusionPlan, group) -> int:
-    g_of = serial_groups(plan, net)
-    dims_out = net.layer_dims()
-    worst = 0
-    for li in range(group[0], group[1] + 1):
-        layer = net.layers[li]
-        if isinstance(layer, ConvSpec):
-            s = costmodel.steady_cycles(layer, dims_out[li], g_of[li])
-            if s > worst:
-                worst = s
-    return worst
+class BudgetError(ValidationError):
+    """No depth-parallelism assignment fits a plan in the DSP budget."""
 
 
 def assign_depth_parallelism(groups, net: NetworkSpec,
@@ -71,27 +62,24 @@ def assign_depth_parallelism(groups, net: NetworkSpec,
     plan = validate_plan(FusionPlan(tuple(groups), tuple(dpar)), net)
 
     while True:
-        worst_gi = max(range(len(plan.groups)),
-                       key=lambda gi: costmodel._group_conv_dsp(net, plan, plan.groups[gi]))
-        worst = costmodel._group_conv_dsp(net, plan, plan.groups[worst_gi])
-        if worst <= budget.dsp_max:
+        costs = costmodel.group_costs(plan, net)
+        gi = max(range(len(costs)), key=lambda i: costs[i].dsp)
+        if costs[gi].dsp <= budget.dsp_max:
             return plan
-        group = plan.groups[worst_gi]
-        base = _group_bottleneck(net, plan, group)
-        best = None  # (increase, -layer_index, conv_pos)
+        group = plan.groups[gi]
+        best = None  # ((increase, -layer_index), conv_pos)
         for pos, li in enumerate(conv_idx):
             if not (group[0] <= li <= group[1]) or dpar[pos] % 2 != 0:
                 continue
             trial = list(dpar)
             trial[pos] //= 2
-            trial_plan = FusionPlan(plan.groups, tuple(trial))
-            increase = _group_bottleneck(net, trial_plan, group) - base
-            key = (increase, -li)
+            trial_cost = costmodel.group_costs(FusionPlan(plan.groups, tuple(trial)), net)[gi]
+            key = (trial_cost.steady_cycles - costs[gi].steady_cycles, -li)
             if best is None or key < best[0]:
                 best = (key, pos)
         if best is None:
-            raise ValidationError(
-                f"infeasible budget: group {group} needs {worst} DSP with no "
+            raise BudgetError(
+                f"infeasible budget: group {group} needs {costs[gi].dsp} DSP with no "
                 f"layer left to decompose (budget {budget.dsp_max})")
         dpar[best[1]] //= 2
         plan = FusionPlan(plan.groups, tuple(dpar))
@@ -99,14 +87,11 @@ def assign_depth_parallelism(groups, net: NetworkSpec,
 
 def evaluate_plan(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
                   reread_weights_per_depth_group: bool = False) -> PlanPoint:
-    bits, _ = costmodel.buffer_bits(plan, net)
-    return PlanPoint(
-        plan=plan,
-        dsp=costmodel.dsp_count(plan, net),
-        traffic_bytes=costmodel.traffic_bytes(
-            plan, net, bytes_per_value, reread_weights_per_depth_group)["total"],
-        est_cycles=costmodel.end_to_end_estimate(plan, net),
-        buffer_bits=bits)
+    cost = costmodel.analyze(plan, net, bytes_per_value,
+                             reread_weights_per_depth_group=reread_weights_per_depth_group)
+    return PlanPoint(plan=plan, dsp=cost.dsp, traffic_bytes=cost.traffic["total"],
+                     est_cycles=cost.total_estimated_cycles,
+                     buffer_bits=cost.buffer_bits)
 
 
 def pareto_front(points) -> list:
@@ -143,7 +128,7 @@ def sweep(net: NetworkSpec, budget: ResourceBudget, bytes_per_value: int = 4,
     for groups in enumerate_plans(len(net.layers)):
         try:
             plan = assign_depth_parallelism(groups, net, budget)
-        except ValidationError as e:
+        except BudgetError as e:
             infeasible.append((groups, str(e)))
             continue
         points.append(evaluate_plan(plan, net, bytes_per_value,

@@ -34,6 +34,8 @@ def write_tensor(path, t: Tensor3D) -> None:
 def read_tensor(path) -> Tensor3D:
     with open(path, "rb") as fh:
         blob = fh.read()
+    if len(blob) < 17:
+        raise ParseError(f"{path}: tensor header needs 17 bytes, got {len(blob)}")
     if blob[:4] != TENSOR_MAGIC:
         raise ParseError(f"{path}: bad tensor magic {blob[:4]!r}")
     if blob[4] != TENSOR_VERSION:

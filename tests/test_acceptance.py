@@ -15,7 +15,7 @@ from fusedconv.config import FusionPlan, full_depth_parallel, parse_plan, \
     serialize_network, validate_plan
 from fusedconv.costmodel import (ResourceBudget, conv3d_latency, dsp_count,
                                  end_to_end_estimate, steady_bottleneck, time_ms,
-                                 traffic_bytes, _group_conv_dsp)
+                                 traffic_bytes, group_costs)
 from fusedconv.dataflow import simulate_plan
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.dse import enumerate_plans, pareto_front, sweep
@@ -112,7 +112,7 @@ def test_criterion_4_dsp_accounting():
     net = vgg_prefix_7()
     dpar = ",".join(str(x) for x in VGG7_DEFAULT_DPAR)
     two_layer_group = parse_plan("0-2|3|4|5|6", net, dpar)
-    group_dsp = _group_conv_dsp(net, two_layer_group, (0, 2))
+    group_dsp = group_costs(two_layer_group, net)[0].dsp
     full = dsp_count(parse_plan("0-6", net, dpar), net)
     with criterion(4, f"DSP: first fused group {group_dsp} within 0.5% of the "
                       f"measured 605; full fusion {full} == 2907"):

@@ -233,3 +233,46 @@ def test_gen_requires_seed_and_source(tmp_path, capsys):
     assert main(["gen", "--seed", "1"]) == 1
     assert main(["gen", "--seed", "1", "--dims", "nonsense"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("length", range(17))
+def test_short_tensor_file_exits_1(workdir, capsys, length):
+    short = workdir / "short.dclf"
+    short.write_bytes((workdir / "input.dclf").read_bytes()[:length])
+    for cmd in ("golden", "simulate"):
+        assert main([cmd, "--network", str(workdir / "net.json"),
+                     "--input", str(short), "--weights", str(workdir / "weights.bin"),
+                     "--out", str(workdir / cmd)]) == 1
+    capsys.readouterr()
+
+
+def test_dse_infeasible_plans_use_plan_syntax(tmp_path, capsys):
+    from fusedconv.config import parse_plan, plan_to_text
+    from fusedconv.networks import vgg_prefix_7
+    net = vgg_prefix_7()
+    (tmp_path / "vgg.json").write_text(serialize_network(net))
+    assert main(["dse", "--network", str(tmp_path / "vgg.json"), "--dsp-max", "50",
+                 "--out", str(tmp_path / "d")]) == 0
+    capsys.readouterr()
+    infeasible = json.loads((tmp_path / "d" / "report.json").read_text())["infeasible"]
+    assert len(infeasible) == 4
+    for entry in infeasible:
+        assert plan_to_text(parse_plan(entry["plan"], net)) == entry["plan"]
+
+
+def test_overlapping_pool_refused_by_every_plan_command(tmp_path, capsys):
+    from fusedconv.config import ConvSpec, Dims, NetworkSpec, PoolSpec
+    net = NetworkSpec(Dims(9, 9, 2), (ConvSpec(3, 2, 1, 1, relu=True), PoolSpec(3, 2)))
+    (tmp_path / "n.json").write_text(serialize_network(net))
+    assert main(["gen", "--network", str(tmp_path / "n.json"), "--seed", "1",
+                 "--out", str(tmp_path)]) == 0
+    data = ["--input", str(tmp_path / "input.dclf"),
+            "--weights", str(tmp_path / "weights.bin")]
+    assert main(["golden", "--network", str(tmp_path / "n.json"),
+                 "--out", str(tmp_path / "g")] + data) == 0
+    capsys.readouterr()
+    for args in (["simulate"] + data, ["analyze"], ["dse"]):
+        assert main(args + ["--network", str(tmp_path / "n.json")]) == 2
+        err = capsys.readouterr().err
+        assert "requires window <= stride, got 3 > 2" in err
+        assert "DSP" not in err

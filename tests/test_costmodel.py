@@ -3,7 +3,7 @@ import pytest
 from fusedconv.config import ConvSpec, Dims, NetworkSpec, parse_plan
 from fusedconv.costmodel import (BRAM_BLOCK_BITS, analyze, buffer_bits, conv3d_latency,
                                  dsp_count, end_to_end_estimate, steady_cycles,
-                                 time_ms, traffic_bytes, _group_conv_dsp)
+                                 time_ms, traffic_bytes, group_costs)
 from fusedconv.networks import VGG7_DEFAULT_DPAR, vgg_prefix_7
 
 DPAR = ",".join(str(x) for x in VGG7_DEFAULT_DPAR)
@@ -55,7 +55,7 @@ def test_steady_cycles_examples():
 def test_dsp_examples(net, full_plan):
     assert dsp_count(full_plan, net) == 2907
     first_group = parse_plan("0-2|3|4|5|6", net, DPAR)
-    assert _group_conv_dsp(net, first_group, (0, 2)) == 603
+    assert group_costs(first_group, net)[0].dsp == 603
     one = NetworkSpec(Dims(4, 4, 1), (ConvSpec(1, 1),))
     assert dsp_count(parse_plan("0", one), one) == 1
 

@@ -5,8 +5,11 @@ import hashlib
 
 import pytest
 
+from fusedconv import config
 from fusedconv.cli import main
 from fusedconv.config import serialize_network
+from fusedconv.costmodel import ResourceBudget
+from fusedconv.dse import sweep
 from fusedconv.networks import small_test_network, vgg_prefix_7
 
 
@@ -71,3 +74,17 @@ def test_analyze_stdout_digests(nets, capsys, flags, stdout_sha):
     assert main(["analyze", "--network", str(nets["vgg7"])] + flags) == 0
     assert _sha(capsys.readouterr().out.encode()) == stdout_sha
 
+
+def test_sweep_reuses_network_geometry(monkeypatch):
+    net = vgg_prefix_7()
+    calls = []
+    real = config.output_dims
+
+    def counting(dims, layer):
+        calls.append(layer)
+        return real(dims, layer)
+
+    monkeypatch.setattr(config, "output_dims", counting)
+    points, infeasible = sweep(net, ResourceBudget(dsp_max=1000))
+    assert len(points) + len(infeasible) == 64
+    assert calls == []
