@@ -17,15 +17,17 @@ I32_MIN = -(1 << 31)
 def brute_force_conv(input_t, bank, spec, frac_bits=16):
     """Independently coded reference: explicit loop nest with inline
     truncating multiply and saturating accumulate, rows outer, columns
-    middle, depth inner. Verified by hand at one position: a 1x1x1 input
-    of 0.5 against a single-tap filter of 0.5 gives (32768*32768)>>16
-    = 16384 = 0.25."""
+    middle, depth inner. Returns (int32 outputs, clip count), one clip per
+    product or running sum that leaves the 32-bit range. Verified by hand at
+    one position: a 1x1x1 input of 0.5 against a single-tap filter of 0.5
+    gives (32768*32768)>>16 = 16384 = 0.25."""
     h, w_in, d = input_t.data.shape
     k, w = bank.data.shape[0], bank.data.shape[1]
     s, p = spec.stride, spec.pad
     oh = (h + 2 * p - w) // s + 1
     ow = (w_in + 2 * p - w) // s + 1
     out = np.zeros((oh, ow, k), dtype=np.int64)
+    clips = 0
     src = input_t.data
     flt = bank.data
     for r in range(oh):
@@ -40,12 +42,15 @@ def brute_force_conv(input_t, bank, spec, frac_bits=16):
                             continue
                         for ch in range(d):
                             prod = (int(src[rr, cc, ch]) * int(flt[f, kr, kc, ch])) >> frac_bits
+                            clips += not I32_MIN <= prod <= I32_MAX
                             prod = min(max(prod, I32_MIN), I32_MAX)
-                            acc = min(max(acc + prod, I32_MIN), I32_MAX)
+                            acc += prod
+                            clips += not I32_MIN <= acc <= I32_MAX
+                            acc = min(max(acc, I32_MIN), I32_MAX)
                 if spec.relu and acc < 0:
                     acc = 0
                 out[r, c, f] = acc
-    return out.astype(np.int32)
+    return out.astype(np.int32), clips
 
 
 def test_zero_pad_examples():
@@ -87,8 +92,10 @@ def test_conv_matches_independent_loop_nest(seed):
     bank = FilterBank(generate_tensor(
         Dims(spec.filters, 9, dims.depth), seed * 3 + 2)
         .data.reshape(spec.filters, 3, 3, dims.depth))
-    out, _ = conv_layer(t, bank, spec)
-    assert np.array_equal(out.data, brute_force_conv(t, bank, spec))
+    out, events = conv_layer(t, bank, spec)
+    ref, clips = brute_force_conv(t, bank, spec)
+    assert np.array_equal(out.data, ref)
+    assert events == clips
 
 
 def test_conv_saturating_partials_match_loop_nest():
@@ -99,8 +106,66 @@ def test_conv_saturating_partials_match_loop_nest():
     bank = FilterBank(flt)
     spec = ConvSpec(3, 1, 1, 1)
     out, sat = conv_layer(t, bank, spec)
+    ref, clips = brute_force_conv(t, bank, spec)
     assert sat > 0
-    assert np.array_equal(out.data, brute_force_conv(t, bank, spec))
+    assert np.array_equal(out.data, ref)
+    assert sat == clips
+
+
+def _full_range(shape, seed):
+    """Raw values spread over the whole int32 range."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(I32_MIN, I32_MAX, size=shape, endpoint=True).astype(np.int32)
+
+
+def _region_saturating_input():
+    # only windows touching the top-left corner see 1.5 * 2^30 products,
+    # whose running sums clip after two taps; elsewhere nothing saturates
+    data = generate_tensor(Dims(6, 6, 2), 41).data.copy()
+    data[:2, :2, :] = 0x4000_0000
+    weights = np.full((2, 3, 3, 2), 0x0001_8000, dtype=np.int32)  # 1.5
+    weights[1] = -weights[1]
+    return data, weights
+
+
+def _product_clip_input(sign):
+    # 0x7000_0000 x 8.0 leaves the 32-bit range in the product itself
+    data = np.full((4, 5, 2), sign * 0x7000_0000, dtype=np.int32)
+    weights = np.full((2, 3, 3, 2), 0x0008_0000, dtype=np.int32)
+    weights[1, 1] = 0  # a filter with some exact zero taps
+    return data, weights
+
+
+def _alternating_clip_input():
+    # products clip at both ends and cancel: I32_MAX + I32_MIN = -1 is exact,
+    # so the result depends on the sequential order of the clamps
+    data = np.full((5, 5, 2), 0x7000_0000, dtype=np.int32)
+    data[..., 1] = -0x7000_0000
+    weights = np.full((1, 3, 3, 2), 0x0008_0000, dtype=np.int32)
+    return data, weights
+
+
+@pytest.mark.parametrize("make, spec", [
+    (_region_saturating_input, ConvSpec(3, 2, 1, 1)),
+    (_region_saturating_input, ConvSpec(3, 2, 2, 0, relu=False)),
+    (lambda: _product_clip_input(+1), ConvSpec(3, 2, 1, 1, relu=False)),
+    (lambda: _product_clip_input(-1), ConvSpec(3, 2, 1, 1, relu=False)),
+    (lambda: _product_clip_input(-1), ConvSpec(3, 2, 2, 2)),
+    (_alternating_clip_input, ConvSpec(3, 1, 1, 1, relu=False)),
+    (lambda: (_full_range((5, 4, 3), 5), _full_range((2, 3, 3, 3), 6)),
+     ConvSpec(3, 2, 1, 1, relu=False)),
+    (lambda: (_full_range((6, 6, 4), 7), _full_range((3, 1, 1, 4), 8) >> 14),
+     ConvSpec(1, 3, 2, 0, relu=False)),
+], ids=["region", "region-stride2", "product-clip-pos", "product-clip-neg",
+        "product-clip-neg-pad2", "alternating", "full-range", "full-range-1x1"])
+def test_conv_clipping_inputs_match_loop_nest(make, spec):
+    data, weights = make()
+    t, bank = Tensor3D.from_array(data), FilterBank(weights)
+    out, events = conv_layer(t, bank, spec)
+    ref, clips = brute_force_conv(t, bank, spec)
+    assert clips > 0
+    assert np.array_equal(out.data, ref)
+    assert events == clips
 
 
 def test_maxpool_examples():
