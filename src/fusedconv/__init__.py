@@ -10,7 +10,7 @@ from .config import (ConvSpec, Dims, FixedPointFormat, FusionPlan, GeometryError
 from .costmodel import (CostReport, ResourceBudget, analyze, buffer_bits,
                         conv3d_latency, dsp_count, end_to_end_estimate,
                         steady_cycles, time_ms, traffic_bytes)
-from .dataflow import SimResult, simulate_group, simulate_plan, stream_input
+from .dataflow import SimResult, simulate_group, simulate_plan
 from .datagen import SeededGenerator, generate_tensor, generate_weights
 from .fixedpoint import fx_add_sat, fx_from_real, fx_mul, fx_relu, fx_to_real
 from .dse import (PlanPoint, assign_depth_parallelism, enumerate_plans,

@@ -95,38 +95,43 @@ def _conv_parallelism(plan: FusionPlan, net: NetworkSpec) -> dict:
             for dp, li in zip(plan.depth_parallel, net.conv_indices())}
 
 
-def group_costs(plan: FusionPlan, net: NetworkSpec) -> list:
-    """One GroupCost per group of an already validated plan, in plan order.
+def group_cost(group, depth_parallel, net: NetworkSpec) -> GroupCost:
+    """GroupCost of one group (a, b) of a validated plan whose per-conv
+    depth parallelism is depth_parallel.
 
     Fill latency is charged for every stage at the per-element period of
     whatever feeds it: k*g of the producing conv, 1 at the group input,
     unchanged through a pool.
     """
+    a, b = group
     dims_in = net.layer_input_dims()
     dims_out = net.layer_dims()
-    par = _conv_parallelism(plan, net)
-    costs = []
-    for a, b in plan.groups:
-        dsp = bits = blocks = steady = fill = 0
-        period = 1
-        for li in range(a, b + 1):
-            layer = net.layers[li]
-            lb, lk = _layer_buffers(layer, dims_in[li], dims_out[li])
-            bits += lb
-            blocks += lk
-            w_in = dims_in[li].width
-            if isinstance(layer, ConvSpec):
-                dp, g = par[li]
-                dsp += layer.kernel * layer.kernel * dp
-                steady = max(steady, steady_cycles(layer, dims_out[li], g))
-                fill += (layer.kernel - 1) * (w_in + 2 * layer.pad) * period \
-                    + layer.kernel + conv3d_latency(layer.kernel, dp)
-                period = layer.filters * g
-            else:
-                fill += layer.window * w_in * period
-        costs.append(GroupCost(dsp, bits, blocks, steady,
-                               dims_in[a].height * dims_in[a].width, fill))
-    return costs
+    dpar_of = dict(zip(net.conv_indices(), depth_parallel))
+    dsp = bits = blocks = steady = fill = 0
+    period = 1
+    for li in range(a, b + 1):
+        layer = net.layers[li]
+        lb, lk = _layer_buffers(layer, dims_in[li], dims_out[li])
+        bits += lb
+        blocks += lk
+        w_in = dims_in[li].width
+        if isinstance(layer, ConvSpec):
+            dp = dpar_of[li]
+            g = dims_in[li].depth // dp
+            dsp += layer.kernel * layer.kernel * dp
+            steady = max(steady, steady_cycles(layer, dims_out[li], g))
+            fill += (layer.kernel - 1) * (w_in + 2 * layer.pad) * period \
+                + layer.kernel + conv3d_latency(layer.kernel, dp)
+            period = layer.filters * g
+        else:
+            fill += layer.window * w_in * period
+    return GroupCost(dsp, bits, blocks, steady,
+                     dims_in[a].height * dims_in[a].width, fill)
+
+
+def group_costs(plan: FusionPlan, net: NetworkSpec) -> list:
+    """One GroupCost per group of an already validated plan, in plan order."""
+    return [group_cost(group, plan.depth_parallel, net) for group in plan.groups]
 
 
 def _plan_totals(costs) -> tuple:

@@ -27,26 +27,8 @@ import numpy as np
 from .config import ConvSpec, Dims, FusionPlan, InternalError, NetworkSpec, PoolSpec, \
     ValidationError, check_pipeline_pool, output_dims, validate_plan
 from .costmodel import conv3d_latency
-from .fixedpoint import I32_MAX, I32_MIN
+from .fixedpoint import I32_MAX, fx_clamp_count
 from .golden import FilterBank, Tensor3D
-
-
-def stream_input(t: Tensor3D):
-    """Yield the h*w depth-concatenated elements of a tensor in raster order."""
-    flat = t.data.reshape(-1, t.dims.depth)
-    for i in range(flat.shape[0]):
-        yield flat[i]
-
-
-def tensor_from_stream(dims: Dims, elements) -> Tensor3D:
-    arr = np.empty((dims.height * dims.width, dims.depth), dtype=np.int32)
-    n = 0
-    for el in elements:
-        arr[n] = el
-        n += 1
-    if n != dims.height * dims.width:
-        raise ValidationError(f"stream carried {n} elements for {dims}")
-    return Tensor3D(dims, arr.reshape(dims.height, dims.width, dims.depth))
 
 
 class TraceWriter:
@@ -257,31 +239,20 @@ class ConvEngine:
         return acc.astype(np.int32), events
 
     def _reduce_saturating(self, prod: np.ndarray):
-        """Checked path: clamp and count at every product, tree level, and
-        serial accumulation step."""
-        events = 0
-        if prod.max() > I32_MAX or prod.min() < I32_MIN:
-            events += int(np.count_nonzero((prod > I32_MAX) | (prod < I32_MIN)))
-            np.clip(prod, I32_MIN, I32_MAX, out=prod)
-        a = prod
+        """Checked path: clamp and count at every product, adder-tree level
+        and serial accumulation step. The taps of one depth group are
+        contiguous powers of two, channel planes outer, so one pairwise tree
+        over them is the tree over the 2-D taps followed by the tree over the
+        parallel channels."""
+        events = fx_clamp_count(prod)
+        a = prod.reshape(self.k, self.g, -1)
         while a.shape[-1] > 1:
             a = a[..., 0::2] + a[..., 1::2]
-            if a.max() > I32_MAX or a.min() < I32_MIN:
-                events += int(np.count_nonzero((a > I32_MAX) | (a < I32_MIN)))
-                np.clip(a, I32_MIN, I32_MAX, out=a)
-        a = a[..., 0]                       # (k, g, dpp)
-        while a.shape[-1] > 1:
-            a = a[..., 0::2] + a[..., 1::2]
-            if a.max() > I32_MAX or a.min() < I32_MIN:
-                events += int(np.count_nonzero((a > I32_MAX) | (a < I32_MIN)))
-                np.clip(a, I32_MIN, I32_MAX, out=a)
-        per_group = a[..., 0]               # (k, g)
-        acc = per_group[:, 0]
+            events += fx_clamp_count(a)
+        acc = a[:, 0, 0]
         for j in range(1, self.g):
-            acc = acc + per_group[:, j]
-            if acc.max() > I32_MAX or acc.min() < I32_MIN:
-                events += int(np.count_nonzero((acc > I32_MAX) | (acc < I32_MIN)))
-                np.clip(acc, I32_MIN, I32_MAX, out=acc)
+            acc = acc + a[:, j, 0]
+            events += fx_clamp_count(acc)
         return acc, events
 
     def put_window(self, win: np.ndarray):

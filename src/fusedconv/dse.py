@@ -60,29 +60,30 @@ def assign_depth_parallelism(groups, net: NetworkSpec,
     conv_idx = net.conv_indices()
     dpar = list(full_depth_parallel(net))
     plan = validate_plan(FusionPlan(tuple(groups), tuple(dpar)), net)
+    costs = costmodel.group_costs(plan, net)
 
     while True:
-        costs = costmodel.group_costs(plan, net)
         gi = max(range(len(costs)), key=lambda i: costs[i].dsp)
         if costs[gi].dsp <= budget.dsp_max:
-            return plan
+            return FusionPlan(plan.groups, tuple(dpar))
         group = plan.groups[gi]
-        best = None  # ((increase, -layer_index), conv_pos)
+        best = None  # ((increase, -layer_index), conv_pos, group cost)
         for pos, li in enumerate(conv_idx):
             if not (group[0] <= li <= group[1]) or dpar[pos] % 2 != 0:
                 continue
             trial = list(dpar)
             trial[pos] //= 2
-            trial_cost = costmodel.group_costs(FusionPlan(plan.groups, tuple(trial)), net)[gi]
+            # halving one layer's d_par changes only its own group's cost
+            trial_cost = costmodel.group_cost(group, trial, net)
             key = (trial_cost.steady_cycles - costs[gi].steady_cycles, -li)
             if best is None or key < best[0]:
-                best = (key, pos)
+                best = (key, pos, trial_cost)
         if best is None:
             raise BudgetError(
                 f"infeasible budget: group {group} needs {costs[gi].dsp} DSP with no "
                 f"layer left to decompose (budget {budget.dsp_max})")
         dpar[best[1]] //= 2
-        plan = FusionPlan(plan.groups, tuple(dpar))
+        costs[gi] = best[2]
 
 
 def evaluate_plan(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,

@@ -1,15 +1,18 @@
 """32-bit two's-complement fixed-point arithmetic for the simulated datapath.
 
-Raw values are plain Python ints. Multiplication truncates toward negative
-infinity (arithmetic right shift of the exact 64-bit product); addition
-saturates. The reference model and the pipeline simulator both implement
-exactly these semantics, which is what makes their comparison a bit-exact
-contract whenever nothing saturates.
+Raw values are plain Python ints, or int64 numpy arrays for the vectorized
+reductions. Multiplication truncates toward negative infinity (arithmetic
+right shift of the exact 64-bit product); addition saturates. The reference
+model and the pipeline simulator both implement exactly these semantics, and
+both clamp and count array values through fx_clamp_count, which is what
+makes their comparison a bit-exact contract whenever nothing saturates.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 I32_MIN = -(1 << 31)
 I32_MAX = (1 << 31) - 1
@@ -53,6 +56,16 @@ def fx_add_sat(a: int, b: int):
     if s < I32_MIN:
         return I32_MIN, True
     return s, False
+
+
+def fx_clamp_count(a: np.ndarray) -> int:
+    """Clamp a non-empty int64 array in place to the 32-bit range; return how
+    many of its values were out of range (one saturation event each)."""
+    if a.max() <= I32_MAX and a.min() >= I32_MIN:
+        return 0
+    n = int(np.count_nonzero(a > I32_MAX)) + int(np.count_nonzero(a < I32_MIN))
+    np.clip(a, I32_MIN, I32_MAX, out=a)
+    return n
 
 
 def fx_relu(a: int) -> int:

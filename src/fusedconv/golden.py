@@ -3,10 +3,12 @@
 Semantics of a conv output value: a sequential saturating sum, rows outer,
 columns middle, depth inner, of truncating fixed-point products, then an
 optional ReLU. The vectorized implementation reproduces that sequence
-bit-exactly: it checks every running partial with an exact int64 cumulative
-sum, and falls back to the literal sequential loop for the rare positions
-where a partial leaves the 32-bit range (saturating adds are not associative
-once they clamp).
+bit-exactly with the rule the pipeline's conv engine also uses: every running
+partial is bounded by the sum of absolute products, so where that bound is
+<= I32_MAX the plain sum is exact and nothing saturates. The positions over
+the bound (saturating adds are not associative once they clamp) take a
+saturating scan over the taps in sequential order, run across all of them at
+once, that clamps and counts every product and running sum.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConvSpec, Dims, NetworkSpec, PoolSpec, ValidationError, output_dims
-from .fixedpoint import I32_MAX, I32_MIN, fx_add_sat, fx_mul
+from .fixedpoint import I32_MAX, fx_add_sat, fx_clamp_count, fx_mul
 
 # keep the per-chunk product buffer around this many int64 values
 _CHUNK_BUDGET = 1 << 21
@@ -80,7 +82,8 @@ def zero_pad(t: Tensor3D, p: int) -> Tensor3D:
 
 
 def _conv_position_sequential(win: np.ndarray, filt: np.ndarray, frac_bits: int):
-    """Literal reference reduction for one output position. Returns (raw, events)."""
+    """Literal reference reduction for one output position, kept as the
+    specification conv_layer is tested against. Returns (raw, events)."""
     acc = 0
     events = 0
     w = win.shape[0]
@@ -117,35 +120,24 @@ def conv_layer(input_t: Tensor3D, filters: FilterBank, spec: ConvSpec,
 
     out = np.empty((oh, ow, k), dtype=np.int32)
     events = 0
-    fallback = []
-
     rows_per_chunk = max(1, _CHUNK_BUDGET // max(1, ow * k * taps))
     for r0 in range(0, oh, rows_per_chunk):
         r1 = min(oh, r0 + rows_per_chunk)
         win = windows[r0:r1].reshape(r1 - r0, ow, taps).astype(np.int64)
         # (rows, ow, 1, taps) * (k, taps) -> (rows, ow, k, taps)
         prod = (win[:, :, None, :] * filt64[None, None, :, :]) >> frac_bits
-        over_mul = (prod > I32_MAX) | (prod < I32_MIN)
-        n_over = int(np.count_nonzero(over_mul))
-        if n_over:
-            events += n_over
-            np.clip(prod, I32_MIN, I32_MAX, out=prod)
-        partial = np.cumsum(prod, axis=-1)
-        bad = np.any((partial > I32_MAX) | (partial < I32_MIN), axis=-1)
-        res = partial[..., -1]
-        if bad.any():
-            for (ri, ci, fi) in zip(*np.nonzero(bad)):
-                fallback.append((r0 + int(ri), int(ci), int(fi)))
-        out[r0:r1] = res.astype(np.int32)
-
-    for (r, c, f) in fallback:
-        win = padded[r * s:r * s + w, c * s:c * s + w, :]
-        raw, ev = _conv_position_sequential(win, filters.data[f], frac_bits)
-        # the fast path already counted this position's product clips
-        prods = (win.astype(np.int64) * filt64[f].reshape(w, w, d)) >> frac_bits
-        pre = int(np.count_nonzero((prods > I32_MAX) | (prods < I32_MIN)))
-        events += ev - pre
-        out[r, c, f] = raw
+        res = prod.sum(axis=-1)
+        over = np.abs(prod).sum(axis=-1) > I32_MAX
+        if over.any():
+            # taps outer, so each step adds one tap across all flagged positions
+            seq = np.ascontiguousarray(prod[over].T)
+            events += fx_clamp_count(seq)
+            acc = np.zeros(seq.shape[1], dtype=np.int64)
+            for tap in seq:
+                acc += tap
+                events += fx_clamp_count(acc)
+            res[over] = acc
+        out[r0:r1] = res
 
     if spec.relu:
         np.maximum(out, 0, out=out)

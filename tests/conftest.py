@@ -2,12 +2,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, PoolSpec, \
     output_dims, validate_plan
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.golden import FilterBank, Tensor3D
 from fusedconv.networks import small_test_network, reduced_vgg_prefix_7, vgg_prefix_7
+
+# property tests run a fixed example sequence, so tier-1 stays deterministic
+settings.register_profile("tier1", derandomize=True, database=None,
+                          max_examples=60, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -6,23 +6,12 @@ import pytest
 from fusedconv.config import ConvSpec, Dims, NetworkSpec, PoolSpec, ValidationError, \
     parse_plan
 from fusedconv.dataflow import (ConvEngine, ConvStage, LineBuffer, PoolStage,
-                                TraceWriter, simulate_group, simulate_plan,
-                                stream_input, tensor_from_stream)
+                                TraceWriter, simulate_group, simulate_plan)
 from fusedconv.datagen import generate_tensor, generate_weights
+from fusedconv.fixedpoint import fx_add_sat, fx_mul
 from fusedconv.golden import FilterBank, run_network
 
 from conftest import identity_bank, random_network, random_plan, tensor_from_reals
-
-
-def test_stream_roundtrip():
-    t = generate_tensor(Dims(5, 5, 3), seed=1)
-    elems = list(stream_input(t))
-    assert len(elems) == 25
-    assert all(e.shape == (3,) for e in elems)
-    rebuilt = tensor_from_stream(t.dims, elems)
-    assert rebuilt.equals(t)
-    single = generate_tensor(Dims(1, 1, 1), seed=2)
-    assert len(list(stream_input(single))) == 1
 
 
 # --- line buffer -------------------------------------------------------------
@@ -31,7 +20,7 @@ def test_stream_roundtrip():
 def feed_linebuffer(lb, tensor, cycles=None):
     """Stream one element per cycle with an always-ready consumer; collect
     (cycle, window copy) emissions."""
-    elems = list(stream_input(tensor))
+    elems = tensor.data.reshape(-1, tensor.dims.depth)
     out = []
     idx = 0
     total = cycles if cycles is not None else len(elems) + 64
@@ -159,11 +148,78 @@ def test_engine_window_value_matches_golden_reduction(small_net, small_data):
     assert np.array_equal(vec, outs[0].data[2, 2, :])
 
 
+def _tree_sum(vals):
+    """Pairwise saturating adder tree over vals zero padded to a power of
+    two. Returns (value, clip events)."""
+    level = vals + [0] * ((1 << (len(vals) - 1).bit_length()) - len(vals))
+    events = 0
+    while len(level) > 1:
+        nxt = []
+        for i in range(0, len(level), 2):
+            v, sat = fx_add_sat(level[i], level[i + 1])
+            events += sat
+            nxt.append(v)
+        level = nxt
+    return level[0], events
+
+
+def _engine_reference(win, filt, d_par, relu):
+    """Scalar tree-order reduction of one window, as the hardware sums it:
+    per channel a tree over the w*w products, per serial depth group a tree
+    over its d_par channels, then a saturating running sum over the groups."""
+    k, w, _, d = filt.shape
+    out, events = [], 0
+    for f in range(k):
+        acc = 0
+        for j in range(d // d_par):
+            planes = []
+            for ch in range(j * d_par, (j + 1) * d_par):
+                prods = []
+                for r in range(w):
+                    for c in range(w):
+                        p, sat = fx_mul(int(win[r, c, ch]), int(filt[f, r, c, ch]), 16)
+                        events += sat
+                        prods.append(p)
+                v, ev = _tree_sum(prods)
+                planes.append(v)
+                events += ev
+            v, ev = _tree_sum(planes)
+            events += ev
+            if j == 0:
+                acc = v
+            else:
+                acc, sat = fx_add_sat(acc, v)
+                events += sat
+        out.append(max(acc, 0) if relu else acc)
+    return out, events
+
+
+@pytest.mark.parametrize("k, w, d, d_par, shift, relu", [
+    (2, 3, 6, 6, 0, False), (2, 3, 6, 3, 4, True), (2, 3, 6, 2, 6, False),
+    (3, 3, 6, 1, 7, False), (2, 1, 4, 2, 2, False), (4, 3, 16, 4, 5, False),
+    (2, 3, 5, 5, 9, True)])
+def test_engine_saturating_reduction_matches_tree_reference(k, w, d, d_par, shift, relu):
+    rng = np.random.default_rng(k * 1000 + d * 10 + d_par)
+    full = np.iinfo(np.int32)
+    filt = rng.integers(full.min, full.max, (k, w, w, d), endpoint=True,
+                        dtype=np.int32) >> shift
+    win = rng.integers(full.min, full.max, (w, w, d), endpoint=True,
+                       dtype=np.int32) >> shift
+    eng = ConvEngine(FilterBank(filt), d_par, relu, 16)
+    eng.put_window(win)
+    vec, events, _ = eng.next_win
+    ref, ref_events = _engine_reference(win, filt, d_par, relu)
+    assert vec.tolist() == ref
+    assert events == ref_events
+    if shift <= 7:
+        assert events > 0
+
+
 # --- pool stage --------------------------------------------------------------
 
 
 def drive_pool(pool, tensor, cycles=400):
-    elems = list(stream_input(tensor))
+    elems = tensor.data.reshape(-1, tensor.dims.depth)
     idx = 0
     out = []
     for cyc in range(1, cycles):

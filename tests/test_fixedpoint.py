@@ -1,7 +1,9 @@
 import random
 
-from fusedconv.fixedpoint import (I32_MAX, I32_MIN, fx_add_sat, fx_from_real,
-                                  fx_mul, fx_relu, fx_to_real)
+import numpy as np
+
+from fusedconv.fixedpoint import (I32_MAX, I32_MIN, fx_add_sat, fx_clamp_count,
+                                  fx_from_real, fx_mul, fx_relu, fx_to_real)
 
 
 def test_from_real_identity_scaling():
@@ -93,3 +95,29 @@ def test_roundtrip_identity_on_representable():
     for _ in range(200):
         raw = rng.randint(I32_MIN, I32_MAX)
         assert fx_from_real(fx_to_real(raw)) == (raw, False)
+
+
+def test_clamp_count_in_range_is_untouched():
+    a = np.array([I32_MIN, -1, 0, 1, I32_MAX], dtype=np.int64)
+    before = a.copy()
+    assert fx_clamp_count(a) == 0
+    assert np.array_equal(a, before)
+
+
+def test_clamp_count_both_signs_in_place():
+    a = np.array([[I32_MAX + 1, 5, I32_MIN - 1],
+                  [1 << 40, -(1 << 40), I32_MIN]], dtype=np.int64)
+    view = a[:, ::2]  # a strided view is clamped in place too
+    assert fx_clamp_count(view) == 3
+    assert a.tolist() == [[I32_MAX, 5, I32_MIN], [I32_MAX, -(1 << 40), I32_MIN]]
+    assert fx_clamp_count(a) == 1
+    assert a[1, 1] == I32_MIN
+
+
+def test_clamp_count_matches_scalar_saturation():
+    rng = random.Random(5)
+    vals = [rng.randint(-(1 << 33), 1 << 33) for _ in range(300)]
+    a = np.array(vals, dtype=np.int64)
+    expect = [fx_add_sat(v, 0) for v in vals]
+    assert fx_clamp_count(a) == sum(sat for _, sat in expect)
+    assert a.tolist() == [v for v, _ in expect]

@@ -2,7 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from fusedconv import golden
 from fusedconv.config import ConvSpec, Dims, PoolSpec, ValidationError
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.golden import FilterBank, Tensor3D, conv_layer, maxpool_layer, \
@@ -164,6 +167,54 @@ def test_conv_clipping_inputs_match_loop_nest(make, spec):
     out, events = conv_layer(t, bank, spec)
     ref, clips = brute_force_conv(t, bank, spec)
     assert clips > 0
+    assert np.array_equal(out.data, ref)
+    assert events == clips
+
+
+def test_saturating_layer_needs_no_per_position_reference(monkeypatch):
+    # full-magnitude activations against unscaled weights in [-1, 1): nearly
+    # every output position of this 3x3, 16-deep layer clips
+    t = Tensor3D(Dims(16, 16, 16),
+                 generate_tensor(Dims(16, 16, 16), 3).data << 15)
+    bank = FilterBank(generate_tensor(Dims(16, 9, 16), 4).data.reshape(16, 3, 3, 16))
+    spec = ConvSpec(3, 16, 1, 1)
+    ref, clips = brute_force_conv(t, bank, spec)
+
+    def literal_reference(*args):
+        raise AssertionError("conv_layer ran the per-position reference")
+    monkeypatch.setattr(golden, "_conv_position_sequential", literal_reference)
+    out, events = conv_layer(t, bank, spec)
+    assert clips > 16 * 16 * 16
+    assert np.array_equal(out.data, ref)
+    assert events == clips
+
+
+def _int32_arrays(shape):
+    return hnp.arrays(np.int32, shape, elements=st.integers(I32_MIN, I32_MAX),
+                      fill=st.nothing())
+
+
+@st.composite
+def conv_cases(draw):
+    kernel = draw(st.sampled_from([1, 3]))
+    pad = draw(st.integers(0, kernel - 1))
+    h = draw(st.integers(max(1, kernel - 2 * pad), 6))
+    w = draw(st.integers(max(1, kernel - 2 * pad), 6))
+    d = draw(st.integers(1, 16))
+    spec = ConvSpec(kernel, draw(st.integers(1, 3)), draw(st.sampled_from([1, 2])),
+                    pad, draw(st.booleans()))
+    # a per-case shift mixes exact, partly and fully saturating layers
+    shift = draw(st.integers(0, 12))
+    data = draw(_int32_arrays((h, w, d))) >> shift
+    weights = draw(_int32_arrays((spec.filters, kernel, kernel, d)))
+    return Tensor3D.from_array(data), FilterBank(weights >> shift), spec
+
+
+@given(conv_cases())
+def test_conv_property_matches_loop_nest(case):
+    t, bank, spec = case
+    out, events = conv_layer(t, bank, spec)
+    ref, clips = brute_force_conv(t, bank, spec)
     assert np.array_equal(out.data, ref)
     assert events == clips
 
