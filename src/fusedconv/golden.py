@@ -129,11 +129,11 @@ def conv_layer(input_t: Tensor3D, filters: FilterBank, spec: ConvSpec,
         res = prod.sum(axis=-1)
         over = np.abs(prod).sum(axis=-1) > I32_MAX
         if over.any():
-            # taps outer, so each step adds one tap across all flagged positions
-            seq = np.ascontiguousarray(prod[over].T)
+            # (flagged positions, taps); each step adds one tap to all of them
+            seq = prod[over]
             events += fx_clamp_count(seq)
-            acc = np.zeros(seq.shape[1], dtype=np.int64)
-            for tap in seq:
+            acc = np.zeros(seq.shape[0], dtype=np.int64)
+            for tap in seq.T:
                 acc += tap
                 events += fx_clamp_count(acc)
             res[over] = acc

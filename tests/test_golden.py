@@ -169,6 +169,16 @@ def test_conv_clipping_inputs_match_loop_nest(make, spec):
     assert clips > 0
     assert np.array_equal(out.data, ref)
     assert events == clips
+    # the oracle's own literal specification agrees position by position
+    padded = zero_pad(t, spec.pad).data
+    w, s = spec.kernel, spec.stride
+    literal_events = 0
+    for (r, c, f), value in np.ndenumerate(out.data):
+        raw, ev = golden._conv_position_sequential(
+            padded[r * s:r * s + w, c * s:c * s + w], weights[f], 16)
+        assert value == (max(raw, 0) if spec.relu else raw)
+        literal_events += ev
+    assert literal_events == events
 
 
 def test_saturating_layer_needs_no_per_position_reference(monkeypatch):
