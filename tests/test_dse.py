@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, ValidationError, \
-    full_depth_parallel, validate_plan
+from fusedconv import costmodel
+from fusedconv.config import ConvSpec, Dims, FusionPlan, GeometryError, NetworkSpec, \
+    PoolSpec, ValidationError, full_depth_parallel, output_dims, validate_plan
 from fusedconv.costmodel import ResourceBudget, dsp_count, end_to_end_estimate
-from fusedconv.dse import (PlanPoint, assign_depth_parallelism, enumerate_plans,
-                           evaluate_plan, nested_chain, pareto_front, sweep)
+from fusedconv.dse import (BudgetError, PlanPoint, assign_depth_parallelism,
+                           enumerate_plans, evaluate_plan, nested_chain, pareto_front,
+                           sweep)
 from fusedconv.networks import vgg_prefix_7
 
 
@@ -141,3 +144,102 @@ def test_dpar_stays_power_of_two_times_odd_part(net):
             # halving-only: dp = depth / 2^j
             ratio = depth // dp
             assert ratio & (ratio - 1) == 0
+
+
+def test_infeasible_reason_names_widest_group_earliest_on_ties():
+    # depth 3 is odd, so every conv keeps d_par 3 at 27 DSP
+    net = NetworkSpec(Dims(8, 8, 3), (ConvSpec(3, 3, 1, 1),) * 5)
+    budget = ResourceBudget(dsp_max=50)
+    with pytest.raises(BudgetError, match=r"group \(2, 4\) needs 81 DSP"):
+        assign_depth_parallelism([(0, 1), (2, 4)], net, budget)
+    with pytest.raises(BudgetError, match=r"group \(0, 1\) needs 54 DSP"):
+        assign_depth_parallelism([(0, 1), (2, 3), (4, 4)], net, budget)
+
+
+def reference_assignment(groups, net, budget):
+    """The plan-level halving loop: while the widest group (earliest on ties)
+    exceeds the budget, halve the d_par of its layer whose halving least
+    increases the group's steady cycles, ties to the deepest layer."""
+    conv_idx = net.conv_indices()
+    dpar = list(full_depth_parallel(net))
+    plan = validate_plan(FusionPlan(tuple(groups), tuple(dpar)), net)
+    costs = costmodel.group_costs(plan, net)
+    while True:
+        gi = max(range(len(costs)), key=lambda i: costs[i].dsp)
+        if costs[gi].dsp <= budget.dsp_max:
+            return FusionPlan(plan.groups, tuple(dpar))
+        group = plan.groups[gi]
+        best = None
+        for pos, li in enumerate(conv_idx):
+            if not (group[0] <= li <= group[1]) or dpar[pos] % 2 != 0:
+                continue
+            trial = list(dpar)
+            trial[pos] //= 2
+            trial_cost = costmodel.group_cost(group, trial, net)
+            key = (trial_cost.steady_cycles - costs[gi].steady_cycles, -li)
+            if best is None or key < best[0]:
+                best = (key, pos, trial_cost)
+        if best is None:
+            raise BudgetError(
+                f"infeasible budget: group {group} needs {costs[gi].dsp} DSP with no "
+                f"layer left to decompose (budget {budget.dsp_max})")
+        dpar[best[1]] //= 2
+        costs[gi] = best[2]
+
+
+def reference_sweep(net, budget, bytes_per_value, reread):
+    points, infeasible = [], []
+    for groups in enumerate_plans(len(net.layers)):
+        try:
+            plan = reference_assignment(groups, net, budget)
+        except BudgetError as e:
+            infeasible.append((groups, str(e)))
+            continue
+        cost = costmodel.analyze(plan, net, bytes_per_value,
+                                 reread_weights_per_depth_group=reread)
+        points.append(PlanPoint(plan, cost.dsp, cost.traffic["total"],
+                                cost.total_estimated_cycles, cost.buffer_bits))
+    return points, infeasible
+
+
+@st.composite
+def dse_cases(draw):
+    """A small conv/pool network and a DSP budget no larger than its fully
+    fused group needs, so most draws halve or run out of layers to halve."""
+    dims = Dims(draw(st.integers(1, 12)), draw(st.integers(1, 12)),
+                draw(st.integers(1, 16)))
+    input_dims = dims
+    # powers of two halve all the way down; other counts stop at an odd part
+    filters = st.one_of(st.sampled_from([2, 4, 8, 16, 32, 64]), st.integers(1, 64))
+    layers = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.integers(0, 2)) < 2:
+            kernel = draw(st.sampled_from([1, 3, 5]))
+            layer = ConvSpec(kernel, draw(filters),
+                             draw(st.sampled_from([1, 2])),
+                             draw(st.integers(0, kernel // 2)))
+        else:
+            stride = draw(st.sampled_from([1, 2]))
+            layer = PoolSpec(draw(st.integers(1, stride)), stride)
+        try:
+            dims = output_dims(dims, layer)
+        except GeometryError:
+            continue
+        layers.append(layer)
+    net = NetworkSpec(input_dims, tuple(layers or [ConvSpec(1, 4)]))
+    fused = costmodel.group_cost((0, len(net.layers) - 1), full_depth_parallel(net), net)
+    return net, draw(st.integers(1, max(1, min(3600, fused.dsp))))
+
+
+@given(dse_cases(), st.sampled_from([1, 2, 4]), st.booleans())
+def test_sweep_matches_plan_level_reference(case, bytes_per_value, reread):
+    net, dsp_max = case
+    budget = ResourceBudget(dsp_max=dsp_max)
+    points, infeasible = sweep(net, budget, bytes_per_value, reread)
+    assert (points, infeasible) == reference_sweep(net, budget, bytes_per_value, reread)
+    for p in points:
+        cost = costmodel.analyze(p.plan, net, bytes_per_value,
+                                 reread_weights_per_depth_group=reread)
+        assert (p.dsp, p.traffic_bytes, p.est_cycles, p.buffer_bits) == \
+            (cost.dsp, cost.traffic["total"], cost.total_estimated_cycles,
+             cost.buffer_bits)

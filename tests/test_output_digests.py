@@ -42,7 +42,8 @@ DSE_PINS = [
      "8be8a23a14b4f2a0ca86410f078042d931b6c5b14140c7cc50697c1dcd27c7a9"),
     # 4 of the 64 plans are infeasible at this budget; the report lists them
     ("vgg7", ["--dsp-max", "50"],
-     "fa697d255192982988a6139de336ed51916d41f86f763e999b99189292d1e0fc", None),
+     "fa697d255192982988a6139de336ed51916d41f86f763e999b99189292d1e0fc",
+     "57f5e5d5fe875090d87753b2b53aae948e7d6ddc617c02c0e2f8d7b53dbcb519"),
 ]
 
 
@@ -54,8 +55,7 @@ def test_dse_output_digests(nets, tmp_path, capsys, net_name, flags, csv_sha,
                 + flags) == 0
     capsys.readouterr()
     assert _sha((out / "dse.csv").read_bytes()) == csv_sha
-    if report_sha is not None:
-        assert _sha((out / "report.json").read_bytes()) == report_sha
+    assert _sha((out / "report.json").read_bytes()) == report_sha
 
 
 ANALYZE_PINS = [
