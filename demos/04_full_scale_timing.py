@@ -10,8 +10,7 @@ Run: python demos/04_full_scale_timing.py [--seven-layer]
 import sys
 import time
 
-from fusedconv import parse_plan, simulate_plan, time_ms
-from fusedconv.costmodel import end_to_end_estimate
+from fusedconv import analyze, parse_plan, simulate_plan, time_ms
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.networks import VGG7_DEFAULT_DPAR, consecutive_convs, vgg_prefix_7
 
@@ -22,7 +21,7 @@ def run(net, plan, label, reference_ms):
     t0 = time.monotonic()
     sim = simulate_plan(net, tensor, banks, plan)
     wall = time.monotonic() - t0
-    est = end_to_end_estimate(plan, net)
+    est = analyze(plan, net).total_estimated_cycles
     print(f"{label}:")
     print(f"  simulated: {sim.end_to_end_cycles:,} cycles "
           f"= {time_ms(sim.end_to_end_cycles):.3f} ms at 120 MHz "

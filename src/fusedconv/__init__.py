@@ -7,12 +7,11 @@ from .config import (ConvSpec, Dims, FixedPointFormat, FusionPlan, GeometryError
                      InternalError, NetworkSpec, ParseError, PoolSpec, Q16_16,
                      ValidationError, full_depth_parallel, output_dims,
                      parse_network, parse_plan, plan_to_text, serialize_network)
-from .costmodel import (CostReport, ResourceBudget, analyze, buffer_bits,
-                        conv3d_latency, dsp_count, end_to_end_estimate,
+from .costmodel import (CostReport, ResourceBudget, analyze, conv3d_latency,
                         steady_cycles, time_ms, traffic_bytes)
 from .dataflow import SimResult, simulate_group, simulate_plan
 from .datagen import SeededGenerator, generate_tensor, generate_weights
 from .fixedpoint import fx_add_sat, fx_from_real, fx_mul, fx_relu, fx_to_real
 from .dse import (PlanPoint, assign_depth_parallelism, enumerate_plans,
-                  evaluate_plan, nested_chain, pareto_front, sweep)
+                  nested_chain, pareto_front, sweep)
 from .golden import FilterBank, Tensor3D, conv_layer, maxpool_layer, run_network, zero_pad

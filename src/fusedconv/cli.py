@@ -12,6 +12,7 @@ invariant breach.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -217,14 +218,11 @@ def cmd_dse(args) -> int:
                      f"{1 if expr in front_keys else 0}")
     csv_text = "\n".join(lines) + "\n"
 
-    by_groups = {}
-    for groups in dse.nested_chain(len(net.layers)):
-        match = [p for p in points if p.plan.groups == groups]
-        if match:
-            by_groups[len(groups)] = match[0]
-    chain = [{"groups": n, "plan": plan_to_text(p.plan), "dsp": p.dsp,
+    by_groups = {p.plan.groups: p for p in points}
+    chain = [{"groups": len(groups), "plan": plan_to_text(p.plan), "dsp": p.dsp,
               "traffic_bytes": p.traffic_bytes, "est_cycles": p.est_cycles}
-             for n, p in sorted(by_groups.items(), reverse=True)]
+             for groups in dse.nested_chain(len(net.layers))
+             if (p := by_groups.get(groups))]
 
     report = {
         "tool": {"name": "fusedconv", "version": __version__},
@@ -262,9 +260,16 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_cost_flags(p):
+    def frequency(text):  # a finite number > 0
+        value = float(text)
+        if not 0 < value < math.inf:
+            raise ValueError(text)
+        return value
+
+    def common_cost_flags(p, freq=True):
         p.add_argument("--bytes-per-value", type=int, default=4, choices=(1, 2, 4))
-        p.add_argument("--freq-mhz", type=float, default=120.0)
+        if freq:
+            p.add_argument("--freq-mhz", type=frequency, default=120.0)
         p.add_argument("--reread-weights-per-depth-group", action="store_true")
 
     p = sub.add_parser("gen", help="generate seeded tensor/weight files")
@@ -304,7 +309,7 @@ def build_parser() -> _Parser:
     p.add_argument("--network", required=True)
     p.add_argument("--dsp-max", type=int, default=costmodel.VIRTEX7_DSP)
     p.add_argument("--out")
-    common_cost_flags(p)
+    common_cost_flags(p, freq=False)
     p.set_defaults(func=cmd_dse)
     return parser
 

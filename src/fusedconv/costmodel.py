@@ -144,35 +144,10 @@ def _plan_totals(costs) -> tuple:
             sum(c.bottleneck + c.fill_cycles for c in costs))
 
 
-def dsp_count(plan: FusionPlan, net: NetworkSpec) -> int:
-    """Multipliers only: w^2 * d_par per conv layer, summed per group, max over groups."""
-    validate_plan(plan, net)
-    return _plan_totals(group_costs(plan, net))[0]
-
-
-def buffer_bits(plan: FusionPlan, net: NetworkSpec):
-    """On-chip storage model. Returns (bits, blocks) of the widest group."""
-    validate_plan(plan, net)
-    return _plan_totals(group_costs(plan, net))[1:3]
-
-
-def steady_bottleneck(plan: FusionPlan, net: NetworkSpec) -> int:
-    """Throughput floor of a plan: per group, the slowest conv's steady cycles
-    (at least the cycles to stream the group input), summed over groups."""
-    validate_plan(plan, net)
-    return sum(c.bottleneck for c in group_costs(plan, net))
-
-
-def end_to_end_estimate(plan: FusionPlan, net: NetworkSpec) -> int:
-    """Analytical cycle estimate: steady_bottleneck plus every stage's fill."""
-    validate_plan(plan, net)
-    return _plan_totals(group_costs(plan, net))[3]
-
-
 def traffic_bytes(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
                   reread_weights_per_depth_group: bool = False):
-    """Off-chip transfer accounting. Returns a dict itemized as
-    {inputs, outputs, weights, total} in bytes.
+    """Off-chip transfer accounting of an already validated plan. Returns a
+    dict itemized as {inputs, outputs, weights, total} in bytes.
 
     Every group streams its input volume in and its output volume out;
     weights are loaded once per group execution (they stay in on-chip banks
@@ -181,7 +156,6 @@ def traffic_bytes(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
     """
     if bytes_per_value not in (1, 2, 4):
         raise ValidationError("bytes_per_value must be 1, 2, or 4")
-    validate_plan(plan, net)
     dims_in = net.layer_input_dims()
     dims_out = net.layer_dims()
 
@@ -237,8 +211,8 @@ def analyze(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
             frequency_mhz: float = DEFAULT_FREQUENCY_MHZ,
             reread_weights_per_depth_group: bool = False) -> CostReport:
     """Assemble the full analytical report for one plan."""
-    traffic = traffic_bytes(plan, net, bytes_per_value,
-                            reread_weights_per_depth_group)  # validates the plan
+    validate_plan(plan, net)
+    traffic = traffic_bytes(plan, net, bytes_per_value, reread_weights_per_depth_group)
     dims_in = net.layer_input_dims()
     dims_out = net.layer_dims()
     par = _conv_parallelism(plan, net)

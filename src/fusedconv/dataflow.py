@@ -205,15 +205,9 @@ class ConvEngine:
         self.emq = deque()            # (first_adv, complete_adv, vec, window_index)
         self.windows_latched = 0
         self.scalars_emitted = 0
-        self.first_scalar_cycle = None
         self.saturation_events = 0
-        self.freeze_cycles = 0
         self.trace = trace
         self.name = name
-
-    @property
-    def slot_free(self) -> bool:
-        return self.next_win is None
 
     def _reduce(self, win: np.ndarray):
         """All k*g issue results for one window: per-plane adder tree over the
@@ -273,13 +267,10 @@ class ConvEngine:
             first, comp, vec, widx = emq[0]
             nxt = self.adv + 1
             if nxt == comp and not out_free:
-                self.freeze_cycles += 1
                 return None
             self.adv = nxt
             if nxt >= first:
                 self.scalars_emitted += 1
-                if self.first_scalar_cycle is None:
-                    self.first_scalar_cycle = cycle_no
                 if self.trace is not None:
                     self.trace.event(cycle_no, self.name, "emit", widx,
                                      f"f{nxt - first}")

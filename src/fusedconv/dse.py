@@ -50,49 +50,49 @@ class BudgetError(ValidationError):
     """No depth-parallelism assignment fits a plan in the DSP budget."""
 
 
+def _fit_group(group, net: NetworkSpec, budget: ResourceBudget):
+    """(d_par, GroupCost) of one group fitted alone. Iterative decomposition:
+    start from full depth parallelism and, while the group exceeds the DSP
+    budget, halve the d_par of its layer whose halving least increases the
+    group's steady cycles (ties to the deepest layer). Odd depths (3 at the
+    network input) are never split, so the fit may stay over budget. Layers
+    outside the group keep full depth parallelism."""
+    dpar = list(full_depth_parallel(net))
+    cost = costmodel.group_cost(group, dpar, net)
+    convs = [(pos, li) for pos, li in enumerate(net.conv_indices())
+             if group[0] <= li <= group[1]]
+    while cost.dsp > budget.dsp_max:
+        trials = []
+        for pos, li in convs:
+            if dpar[pos] % 2 == 0:
+                trial = list(dpar)
+                trial[pos] //= 2
+                trials.append((costmodel.group_cost(group, trial, net), -li, trial))
+        if not trials:
+            break
+        cost, _, dpar = min(trials, key=lambda t: (t[0].steady_cycles, t[1]))
+    return dpar, cost
+
+
+def _compose(groups, fits, budget: ResourceBudget) -> FusionPlan:
+    """The plan of groups from their fits: each layer takes the d_par of its
+    own group's fit, the per-layer minimum since a fit halves only its own
+    layers. Infeasible when the widest fit (earliest on ties) is over budget."""
+    widest = max(range(len(fits)), key=lambda i: fits[i][1].dsp)
+    if fits[widest][1].dsp > budget.dsp_max:
+        raise BudgetError(
+            f"infeasible budget: group {groups[widest]} needs {fits[widest][1].dsp} DSP "
+            f"with no layer left to decompose (budget {budget.dsp_max})")
+    return FusionPlan(tuple(groups), tuple(map(min, zip(*(d for d, _ in fits)))))
+
+
 def assign_depth_parallelism(groups, net: NetworkSpec,
                              budget: ResourceBudget) -> FusionPlan:
-    """Iterative decomposition: start from full depth parallelism and, while
-    the widest group exceeds the DSP budget, halve the d_par of the layer in
-    that group whose halving least increases the group's bottleneck steady
-    cycles (ties to the deepest layer). Odd depths (3 at the network input)
-    are never split."""
-    conv_idx = net.conv_indices()
-    dpar = list(full_depth_parallel(net))
-    plan = validate_plan(FusionPlan(tuple(groups), tuple(dpar)), net)
-    costs = costmodel.group_costs(plan, net)
-
-    while True:
-        gi = max(range(len(costs)), key=lambda i: costs[i].dsp)
-        if costs[gi].dsp <= budget.dsp_max:
-            return FusionPlan(plan.groups, tuple(dpar))
-        group = plan.groups[gi]
-        best = None  # ((increase, -layer_index), conv_pos, group cost)
-        for pos, li in enumerate(conv_idx):
-            if not (group[0] <= li <= group[1]) or dpar[pos] % 2 != 0:
-                continue
-            trial = list(dpar)
-            trial[pos] //= 2
-            # halving one layer's d_par changes only its own group's cost
-            trial_cost = costmodel.group_cost(group, trial, net)
-            key = (trial_cost.steady_cycles - costs[gi].steady_cycles, -li)
-            if best is None or key < best[0]:
-                best = (key, pos, trial_cost)
-        if best is None:
-            raise BudgetError(
-                f"infeasible budget: group {group} needs {costs[gi].dsp} DSP with no "
-                f"layer left to decompose (budget {budget.dsp_max})")
-        dpar[best[1]] //= 2
-        costs[gi] = best[2]
-
-
-def evaluate_plan(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
-                  reread_weights_per_depth_group: bool = False) -> PlanPoint:
-    cost = costmodel.analyze(plan, net, bytes_per_value,
-                             reread_weights_per_depth_group=reread_weights_per_depth_group)
-    return PlanPoint(plan=plan, dsp=cost.dsp, traffic_bytes=cost.traffic["total"],
-                     est_cycles=cost.total_estimated_cycles,
-                     buffer_bits=cost.buffer_bits)
+    """Fit each group of a plan to the DSP budget (see _fit_group) and
+    compose them; raises BudgetError if a group cannot fit."""
+    plan = validate_plan(FusionPlan(tuple(groups), full_depth_parallel(net)), net)
+    return _compose(plan.groups, [_fit_group(g, net, budget) for g in plan.groups],
+                    budget)
 
 
 def pareto_front(points) -> list:
@@ -118,20 +118,30 @@ def nested_chain(n_layers: int) -> list:
 
 def sweep(net: NetworkSpec, budget: ResourceBudget, bytes_per_value: int = 4,
           reread_weights_per_depth_group: bool = False):
-    """Evaluate every contiguous partition under the budget.
+    """Evaluate every contiguous partition under the budget. Each of the
+    n(n+1)/2 possible groups is fitted and priced once; a partition's figures
+    are folds over its groups' fits.
 
     Returns (points, infeasible) where points is a list of PlanPoint in
     enumeration order and infeasible a list of (groups, reason) for
     partitions the budget cannot accommodate.
     """
+    n = len(net.layers)
+    partitions = enumerate_plans(n)
+    validate_plan(FusionPlan(((0, n - 1),), full_depth_parallel(net)), net)
+    fits = {(a, b): _fit_group((a, b), net, budget)
+            for a in range(n) for b in range(a, n)}
     points = []
     infeasible = []
-    for groups in enumerate_plans(len(net.layers)):
+    for groups in partitions:
+        group_fits = [fits[g] for g in groups]
         try:
-            plan = assign_depth_parallelism(groups, net, budget)
+            plan = _compose(groups, group_fits, budget)
         except BudgetError as e:
             infeasible.append((groups, str(e)))
             continue
-        points.append(evaluate_plan(plan, net, bytes_per_value,
-                                    reread_weights_per_depth_group))
+        dsp, bits, _, est = costmodel._plan_totals([c for _, c in group_fits])
+        traffic = costmodel.traffic_bytes(plan, net, bytes_per_value,
+                                          reread_weights_per_depth_group)
+        points.append(PlanPoint(plan, dsp, traffic["total"], est, bits))
     return points, infeasible

@@ -13,8 +13,7 @@ import pytest
 from fusedconv.cli import main
 from fusedconv.config import FusionPlan, full_depth_parallel, parse_plan, \
     serialize_network, validate_plan
-from fusedconv.costmodel import (ResourceBudget, conv3d_latency, dsp_count,
-                                 end_to_end_estimate, steady_bottleneck, time_ms,
+from fusedconv.costmodel import (ResourceBudget, analyze, conv3d_latency, time_ms,
                                  traffic_bytes, group_costs)
 from fusedconv.dataflow import simulate_plan
 from fusedconv.datagen import generate_tensor, generate_weights
@@ -113,7 +112,7 @@ def test_criterion_4_dsp_accounting():
     dpar = ",".join(str(x) for x in VGG7_DEFAULT_DPAR)
     two_layer_group = parse_plan("0-2|3|4|5|6", net, dpar)
     group_dsp = group_costs(two_layer_group, net)[0].dsp
-    full = dsp_count(parse_plan("0-6", net, dpar), net)
+    full = analyze(parse_plan("0-6", net, dpar), net).dsp
     with criterion(4, f"DSP: first fused group {group_dsp} within 0.5% of the "
                       f"measured 605; full fusion {full} == 2907"):
         assert abs(group_dsp - 605) / 605 <= 0.005
@@ -253,8 +252,8 @@ def test_partition_sweep_cycle_bounds(reduced_sweep):
     net, _, sims = reduced_sweep
     for groups, sim in sims.items():
         plan = validate_plan(FusionPlan(groups, full_depth_parallel(net)), net)
-        assert sim.end_to_end_cycles >= steady_bottleneck(plan, net)
-        assert sim.end_to_end_cycles <= end_to_end_estimate(plan, net)
+        floor = sum(c.bottleneck for c in group_costs(plan, net))
+        assert floor <= sim.end_to_end_cycles <= analyze(plan, net).total_estimated_cycles
         for i in range(len(groups) - 1):
             merged = (groups[:i] + ((groups[i][0], groups[i + 1][1]),)
                       + groups[i + 2:])

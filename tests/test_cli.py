@@ -276,3 +276,26 @@ def test_overlapping_pool_refused_by_every_plan_command(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "requires window <= stride, got 3 > 2" in err
         assert "DSP" not in err
+
+
+@pytest.mark.parametrize("freq", ["0", "-5", "nan", "inf", "abc"])
+def test_bad_frequency_exits_1_before_any_work(workdir, capsys, monkeypatch, freq):
+    import fusedconv.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran with a rejected frequency")
+
+    monkeypatch.setattr(cli, "simulate_plan", unreachable)
+    data = ["--input", str(workdir / "input.dclf"),
+            "--weights", str(workdir / "weights.bin")]
+    for args in (["simulate"] + data, ["analyze"]):
+        assert main(args + ["--network", str(workdir / "net.json"),
+                            "--freq-mhz", freq]) == 1
+        err = capsys.readouterr().err
+        assert f"--freq-mhz: invalid frequency value: '{freq}'" in err
+
+
+def test_dse_has_no_frequency_flag(workdir, capsys):
+    assert main(["dse", "--network", str(workdir / "net.json"),
+                 "--freq-mhz", "120"]) == 1
+    assert "unrecognized arguments: --freq-mhz" in capsys.readouterr().err

@@ -1,9 +1,8 @@
 import pytest
 
 from fusedconv.config import ConvSpec, Dims, NetworkSpec, parse_plan
-from fusedconv.costmodel import (BRAM_BLOCK_BITS, analyze, buffer_bits, conv3d_latency,
-                                 dsp_count, end_to_end_estimate, steady_cycles,
-                                 time_ms, traffic_bytes, group_costs)
+from fusedconv.costmodel import (BRAM_BLOCK_BITS, analyze, conv3d_latency,
+                                 steady_cycles, time_ms, traffic_bytes, group_costs)
 from fusedconv.networks import VGG7_DEFAULT_DPAR, vgg_prefix_7
 
 DPAR = ",".join(str(x) for x in VGG7_DEFAULT_DPAR)
@@ -53,11 +52,11 @@ def test_steady_cycles_examples():
 
 
 def test_dsp_examples(net, full_plan):
-    assert dsp_count(full_plan, net) == 2907
+    assert analyze(full_plan, net).dsp == 2907
     first_group = parse_plan("0-2|3|4|5|6", net, DPAR)
     assert group_costs(first_group, net)[0].dsp == 603
     one = NetworkSpec(Dims(4, 4, 1), (ConvSpec(1, 1),))
-    assert dsp_count(parse_plan("0", one), one) == 1
+    assert analyze(parse_plan("0", one), one).dsp == 1
 
 
 def test_buffer_bits_components(net, full_plan):
@@ -73,14 +72,11 @@ def test_buffer_bits_components(net, full_plan):
     # 9 filter banks of 6144 bits round up to one block each
     assert conv1_1["buffer_blocks"] == \
         -(-line_bits // BRAM_BLOCK_BITS) + 9 + -(-assembly_bits // BRAM_BLOCK_BITS)
-    bits, blocks = buffer_bits(full_plan, net)
-    assert bits == sum(l["buffer_bits"] for l in report.per_layer)
+    assert report.buffer_bits == sum(l["buffer_bits"] for l in report.per_layer)
 
 
 def test_buffer_bits_max_over_groups(net, full_plan, split_plan):
-    full_bits, _ = buffer_bits(full_plan, net)
-    split_bits, _ = buffer_bits(split_plan, net)
-    assert split_bits < full_bits
+    assert analyze(split_plan, net).buffer_bits < analyze(full_plan, net).buffer_bits
 
 
 def test_traffic_reference_figures(net, full_plan, split_plan):
@@ -116,7 +112,7 @@ def test_merge_direction_monotonicity(net):
     cost = {}
     for groups in enumerate_plans(7):
         plan = parse_plan("|".join(f"{a}-{b}" for a, b in groups), net, DPAR)
-        cost[groups] = (dsp_count(plan, net), traffic_bytes(plan, net, 4)["total"])
+        cost[groups] = (analyze(plan, net).dsp, traffic_bytes(plan, net, 4)["total"])
     for groups, (dsp, traffic) in cost.items():
         for i in range(len(groups) - 1):
             merged = (groups[:i] + ((groups[i][0], groups[i + 1][1]),)
@@ -133,7 +129,7 @@ def test_time_ms_reference_conversions():
 
 def test_estimate_single_conv():
     net = NetworkSpec(Dims(224, 224, 3), (ConvSpec(3, 64, 1, 1, relu=True),))
-    est = end_to_end_estimate(parse_plan("0", net, "3"), net)
+    est = analyze(parse_plan("0", net, "3"), net).total_estimated_cycles
     # steady 3,211,264 + fill (2 * 226 * 1 + 3 + 63)
     assert est == 3_211_264 + 518
     assert abs(time_ms(est) - 26.76) < 0.01
@@ -143,8 +139,8 @@ def test_estimate_added_fused_layer_costs_one_fill():
     from fusedconv.networks import consecutive_convs
     one = consecutive_convs(1)
     two = consecutive_convs(2)
-    est1 = end_to_end_estimate(parse_plan("0", one, "3"), one)
-    est2 = end_to_end_estimate(parse_plan("0-1", two, "3,64"), two)
+    est1 = analyze(parse_plan("0", one, "3"), one).total_estimated_cycles
+    est2 = analyze(parse_plan("0-1", two, "3,64"), two).total_estimated_cycles
     extra = est2 - est1
     # second conv's fill at the 64-cycle upstream element period, plus its
     # own pipeline depth (64 parallel channels: 9 * (1 + 4 + 6) = 99)

@@ -4,10 +4,9 @@ from hypothesis import given, strategies as st
 from fusedconv import costmodel
 from fusedconv.config import ConvSpec, Dims, FusionPlan, GeometryError, NetworkSpec, \
     PoolSpec, ValidationError, full_depth_parallel, output_dims, validate_plan
-from fusedconv.costmodel import ResourceBudget, dsp_count, end_to_end_estimate
+from fusedconv.costmodel import ResourceBudget, analyze
 from fusedconv.dse import (BudgetError, PlanPoint, assign_depth_parallelism,
-                           enumerate_plans, evaluate_plan, nested_chain, pareto_front,
-                           sweep)
+                           enumerate_plans, nested_chain, pareto_front, sweep)
 from fusedconv.networks import vgg_prefix_7
 
 
@@ -35,7 +34,7 @@ def test_enumerated_partitions_are_valid(net):
 def test_assignment_reproduces_reference_dpar(net):
     plan = assign_depth_parallelism([(0, 6)], net, ResourceBudget(dsp_max=2907))
     assert plan.depth_parallel == (3, 64, 64, 128, 64)
-    assert dsp_count(plan, net) == 2907
+    assert analyze(plan, net).dsp == 2907
 
 
 def test_assignment_keeps_full_depth_when_budget_allows(net):
@@ -60,7 +59,6 @@ def test_assignment_cycles_monotone_in_budget(net):
     # throughput floor never improves. (The full estimate tracks it to within
     # the fill term: a halved d_par slightly shortens the channel adder tree,
     # so the estimate itself may dip by a few pipeline-depth cycles.)
-    from fusedconv.costmodel import steady_bottleneck
     prev = None
     prev_est = None
     for dsp_max in (3600, 2907, 2000, 1500, 1200, 800, 400, 200, 100, 50):
@@ -68,9 +66,10 @@ def test_assignment_cycles_monotone_in_budget(net):
             plan = assign_depth_parallelism([(0, 6)], net, ResourceBudget(dsp_max=dsp_max))
         except ValidationError:
             break
-        floor = steady_bottleneck(plan, net)
-        est = end_to_end_estimate(plan, net)
-        assert dsp_count(plan, net) <= dsp_max
+        floor = sum(c.bottleneck for c in costmodel.group_costs(plan, net))
+        report = analyze(plan, net)
+        est = report.total_estimated_cycles
+        assert report.dsp <= dsp_max
         assert est >= floor
         if prev is not None:
             assert floor >= prev
@@ -116,22 +115,21 @@ def test_nested_chain_monotone(net):
     chain = nested_chain(7)
     assert chain[0] == tuple((i, i) for i in range(7))
     assert chain[-1] == ((0, 6),)
-    pts = [evaluate_plan(validate_plan(
-        FusionPlan(groups, full_depth_parallel(net)), net), net)
-        for groups in chain]
-    for a, b in zip(pts, pts[1:]):
+    reports = [analyze(FusionPlan(groups, full_depth_parallel(net)), net)
+               for groups in chain]
+    for a, b in zip(reports, reports[1:]):
         assert b.dsp >= a.dsp
-        assert b.traffic_bytes <= a.traffic_bytes
+        assert b.traffic["total"] <= a.traffic["total"]
 
 
-def test_evaluate_plan_matches_costmodel(net):
-    from fusedconv.costmodel import buffer_bits, traffic_bytes
-    plan = validate_plan(FusionPlan(((0, 2), (3, 6)), full_depth_parallel(net)), net)
-    p = evaluate_plan(plan, net)
-    assert p.dsp == dsp_count(plan, net)
-    assert p.traffic_bytes == traffic_bytes(plan, net, 4)["total"]
-    assert p.est_cycles == end_to_end_estimate(plan, net)
-    assert p.buffer_bits == buffer_bits(plan, net)[0]
+def test_sweep_point_matches_analyze(net):
+    points, _ = sweep(net, ResourceBudget(dsp_max=1000))
+    p = next(p for p in points if p.plan.groups == ((0, 2), (3, 6)))
+    report = analyze(p.plan, net)
+    assert p.dsp == report.dsp == max(c.dsp for c in costmodel.group_costs(p.plan, net))
+    assert p.traffic_bytes == report.traffic["total"]
+    assert p.est_cycles == report.total_estimated_cycles
+    assert p.buffer_bits == report.buffer_bits
 
 
 def test_dpar_stays_power_of_two_times_odd_part(net):
