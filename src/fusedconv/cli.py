@@ -260,9 +260,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def frequency(text):  # a finite number > 0
+    def frequency(text):  # finite and >= 1 kHz, so time_ms <= cycles
         value = float(text)
-        if not 0 < value < math.inf:
+        if not (value * 1000.0 >= 1.0 and value < math.inf):
             raise ValueError(text)
         return value
 

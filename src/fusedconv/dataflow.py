@@ -15,6 +15,12 @@ conv layer has a single filter and no depth decomposition.
 
 Cycle accounting is exact: a group's cycle count is the stamp at which its
 last output element reached the collector, including pipeline flush.
+
+Most cycles are quiet: a conv engine holding a window for its k*g filter
+sweep moves only counters. When the source cannot feed the first stage, each
+stage reports how many upcoming cycles it stays quiet, and the clock jumps by
+the minimum, advancing those counters in closed form; every other cycle runs
+each stage's single-cycle `step`.
 """
 
 from __future__ import annotations
@@ -27,8 +33,10 @@ import numpy as np
 from .config import ConvSpec, Dims, FusionPlan, InternalError, NetworkSpec, PoolSpec, \
     ValidationError, check_pipeline_pool, output_dims, validate_plan
 from .costmodel import conv3d_latency
-from .fixedpoint import I32_MAX, fx_clamp_count
+from .fixedpoint import I32_MAX, fx_clamp_count, sum_is_exact
 from .golden import FilterBank, Tensor3D
+
+_FOREVER = 1 << 62  # quiet_for of a stage that waits on another stage
 
 
 class TraceWriter:
@@ -75,15 +83,15 @@ class LineBuffer:
         self._c_in = 0
         self.widx = 0
         self._winbuf = np.empty((self.w, self.w, self.d), dtype=np.int32)
-        self._threshold = 0
         self._set_threshold()
         self._rkey = (-1, -1)
         self._rval = False
 
     def _set_threshold(self):
-        """Accepted-element count at which the next raster window is complete."""
+        """Accepted-element count at which the next raster window is complete
+        (one past the last element once every window is out)."""
         if self.widx >= self.n_windows:
-            self._threshold = None
+            self._threshold = self.n_elems + 1
             return
         rho, gam = divmod(self.widx, self.w_out)
         r_last = rho * self.s - self.p + self.w - 1
@@ -138,8 +146,7 @@ class LineBuffer:
         fill state), then absorb the offered element. Returns the window
         (a reused buffer valid until the next cycle) or None."""
         out = None
-        t = self._threshold
-        if can_emit and t is not None and self.n_acc >= t:
+        if can_emit and self.n_acc >= self._threshold:
             out = self._build()
             self.widx += 1
             self._set_threshold()
@@ -195,6 +202,10 @@ class ConvEngine:
         self._wbuf = np.zeros((self.g, dpp, tp), dtype=np.int64)
         self._pbuf = np.empty((k, self.g, dpp, tp), dtype=np.int64)
         self._final_first = (self.g - 1) * k
+        # unpadded (k, w*w*d) taps, summed directly where sum_is_exact holds
+        self._flat = bank.data.reshape(k, -1).astype(np.int64)
+        self._flat_buf = np.empty_like(self._flat)
+        self._wsum = int(np.abs(self._flat).sum(axis=1).max())
 
         self.next_win = None          # precomputed (vec, sat_events, window_index)
         self.cur_vec = None
@@ -217,17 +228,23 @@ class ConvEngine:
         Every partial in that reduction is bounded in magnitude by the sum of
         absolute products, so when that bound stays in the 32-bit range the
         saturating reduction equals the plain exact sum and no per-level
-        checks are needed."""
-        self._wbuf[:, :self.d_par, :self.taps] = (
-            win.reshape(self.taps, self.d).T.reshape(self.g, self.d_par, self.taps))
-        prod = self._pbuf
-        np.multiply(self.filt, self._wbuf[None], out=prod)
-        prod >>= self.frac_bits
-        if int(np.abs(prod).sum(axis=(1, 2, 3)).max()) <= I32_MAX:
-            acc = prod.sum(axis=(1, 2, 3))
-            events = 0
+        checks are needed; a window passing sum_is_exact skips even that."""
+        events = 0
+        if sum_is_exact(max(int(win.max()), -int(win.min())), self._wsum,
+                        self._flat.shape[1], self.frac_bits):
+            prod = np.multiply(self._flat, win.reshape(-1), out=self._flat_buf)
+            prod >>= self.frac_bits
+            acc = prod.sum(axis=1)
         else:
-            acc, events = self._reduce_saturating(prod)
+            self._wbuf[:, :self.d_par, :self.taps] = (
+                win.reshape(self.taps, self.d).T.reshape(self.g, self.d_par, self.taps))
+            prod = self._pbuf
+            np.multiply(self.filt, self._wbuf[None], out=prod)
+            prod >>= self.frac_bits
+            if int(np.abs(prod).sum(axis=(1, 2, 3)).max()) <= I32_MAX:
+                acc = prod.sum(axis=(1, 2, 3))
+            else:
+                acc, events = self._reduce_saturating(prod)
         if self.relu:
             acc = np.maximum(acc, 0)
         return acc.astype(np.int32), events
@@ -303,6 +320,42 @@ class ConvEngine:
 
         return completed
 
+    def quiet_for(self, held: bool) -> int:
+        """Upcoming cycles with no latch, queued issue or completed element. A
+        held output freezes the engine at the completing scalar for good."""
+        if not self.cur_left:
+            q = _FOREVER if self.next_win is None else 0
+        elif self.issues_done <= self._final_first:
+            q = self._final_first - self.issues_done
+        else:
+            q = _FOREVER if self.next_win is None else self.cur_left
+        if not self.emq:
+            return q
+        c = self.emq[0][1] - self.adv - 1
+        if held:
+            return _FOREVER if c <= q else q
+        return min(q, c)
+
+    def skip(self, n: int, cycle_no: int, held: bool):
+        """Advance n quiet cycles in closed form; returns the emit trace
+        events among them when tracing."""
+        emq, adv0 = self.emq, self.adv
+        if held and emq:
+            n = min(n, emq[0][1] - adv0 - 1)
+        self.adv = adv0 + n
+        done = min(n, self.cur_left)
+        self.cur_left -= done
+        self.issues_done += done
+        if not emq:
+            return []
+        first, _, _, widx = emq[0]
+        lo = max(first, adv0 + 1)
+        self.scalars_emitted += max(0, adv0 + n + 1 - lo)
+        if self.trace is None:
+            return []
+        return [(cycle_no + a - adv0, self.name, "emit", widx, f"f{a - first}")
+                for a in range(lo, adv0 + n + 1)]
+
 
 class ConvStage:
     """Line buffer + conv engine + output-assembly register, element in,
@@ -335,6 +388,19 @@ class ConvStage:
             engine.put_window(win)
         if in_elem is not None and self.trace is not None:
             self.trace.event(cycle_no, f"{self.name}.lb", "accept", self.lb.n_acc - 1)
+
+    def quiet_for(self, blocked: bool) -> int:
+        """Upcoming quiet cycles, given whether downstream refuses elements."""
+        held = self.out is not None
+        if (held and not blocked) or (self.engine.next_win is None
+                                      and self.lb.n_acc >= self.lb._threshold):
+            return 0
+        return self.engine.quiet_for(held)
+
+    def skip(self, n: int, cycle_no: int):
+        if self.out is not None:
+            self.out_stall += n
+        return self.engine.skip(n, cycle_no, self.out is not None)
 
     @property
     def saturation_events(self):
@@ -423,6 +489,16 @@ class PoolStage:
         if self.trace is not None:
             self.trace.event(cycle_no, self.name, "accept", self.n_acc - 1)
 
+    def quiet_for(self, blocked: bool) -> int:
+        if self.out is not None:
+            return _FOREVER if blocked else 0
+        return 0 if self.pending else _FOREVER
+
+    def skip(self, n: int, cycle_no: int):
+        if self.out is not None:
+            self.out_stall += n
+        return []
+
 
 @dataclass
 class StageStamp:
@@ -487,17 +563,16 @@ def simulate_group(layers, input_t: Tensor3D, banks, d_pars, frac_bits: int = 16
     n_src = src.shape[0]
     src_idx = 0
 
-    captures = []
     counts = [0] * n_stages
-    for st in stages:
-        od = st.out_dims
-        captures.append(np.empty((od.height * od.width, od.depth), dtype=np.int32))
+    captures = [np.empty((st.out_dims.height * st.out_dims.width, st.out_dims.depth),
+                         dtype=np.int32) for st in stages]
     expected = [cap.shape[0] for cap in captures]
     remaining = n_stages
 
     stamps = [StageStamp(st.name) for st in stages]
     readys = [st.ready for st in stages]
     steps = [st.step for st in stages]
+    quiet = [st.quiet_for for st in stages]
 
     if max_cycles is None:
         budget = n_src
@@ -511,6 +586,22 @@ def simulate_group(layers, input_t: Tensor3D, banks, d_pars, frac_bits: int = 16
     pend = [None] * n_stages
     stage_range = list(range(n_stages))
     while remaining:
+        if src_idx == n_src or not readys[0]():
+            # nothing can enter: jump across the cycles in which no stage
+            # acts, within the budget so that a stuck pipeline still trips it
+            n = max_cycles - cycle
+            blocked = False
+            for i in range(n_stages - 1, -1, -1):
+                n = min(n, quiet[i](blocked))
+                if not n:
+                    break
+                blocked = not readys[i]()
+            if n:
+                emits = [e for st in stages for e in st.skip(n, cycle)]
+                emits.sort(key=lambda e: e[0])  # cycle first, then stage
+                for e in emits:
+                    trace.event(*e)
+                cycle += n
         cycle += 1
         if cycle > max_cycles:
             raise InternalError(
@@ -521,22 +612,19 @@ def simulate_group(layers, input_t: Tensor3D, banks, d_pars, frac_bits: int = 16
         for i in range(n_stages - 1, -1, -1):
             st = stages[i]
             o = st.out
+            consume[i] = False
             if o is not None:
                 if ready_down:
                     consume[i] = True
                     pend[i] = o
                 else:
-                    consume[i] = False
                     st.out_stall += 1
-            else:
-                consume[i] = False
             ready_down = readys[i]()
 
+        carried = None
         if ready_down and src_idx < n_src:
             carried = src[src_idx]
             src_idx += 1
-        else:
-            carried = None
 
         for i in stage_range:
             c = consume[i]

@@ -68,5 +68,12 @@ def fx_clamp_count(a: np.ndarray) -> int:
     return n
 
 
+def sum_is_exact(max_abs_x: int, max_abs_w_sum: int, taps: int, frac_bits: int) -> bool:
+    """True when no product or partial sum of `taps` truncating products x*w
+    can clamp, given |x| <= max_abs_x and sum |w| <= max_abs_w_sum (Python
+    ints: -2**31 has no int32 magnitude): |x*w >> f| <= (|x|*|w| >> f) + 1."""
+    return (max_abs_x * max_abs_w_sum >> frac_bits) + taps <= I32_MAX
+
+
 def fx_relu(a: int) -> int:
     return a if a > 0 else 0

@@ -5,10 +5,11 @@ columns middle, depth inner, of truncating fixed-point products, then an
 optional ReLU. The vectorized implementation reproduces that sequence
 bit-exactly with the rule the pipeline's conv engine also uses: every running
 partial is bounded by the sum of absolute products, so where that bound is
-<= I32_MAX the plain sum is exact and nothing saturates. The positions over
-the bound (saturating adds are not associative once they clamp) take a
-saturating scan over the taps in sequential order, run across all of them at
-once, that clamps and counts every product and running sum.
+<= I32_MAX the plain sum is exact and nothing saturates. A layer whose
+magnitudes pass fixedpoint.sum_is_exact needs no per-position bound at all.
+The positions over the bound (saturating adds are not associative once they
+clamp) take a saturating scan over the taps in sequential order, run across
+all of them at once, that clamps and counts every product and running sum.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConvSpec, Dims, NetworkSpec, PoolSpec, ValidationError, output_dims
-from .fixedpoint import I32_MAX, fx_add_sat, fx_clamp_count, fx_mul
+from .fixedpoint import I32_MAX, fx_add_sat, fx_clamp_count, fx_mul, sum_is_exact
 
 # keep the per-chunk product buffer around this many int64 values
 _CHUNK_BUDGET = 1 << 21
@@ -117,6 +118,8 @@ def conv_layer(input_t: Tensor3D, filters: FilterBank, spec: ConvSpec,
     # windows[r, c] is the w x w x d patch feeding output position (r, c)
     windows = np.lib.stride_tricks.sliding_window_view(padded, (w, w, d))[::s, ::s, 0]
     filt64 = filters.data.reshape(k, taps).astype(np.int64)
+    exact = sum_is_exact(max(int(padded.max()), -int(padded.min())),
+                         int(np.abs(filt64).sum(axis=1).max()), taps, frac_bits)
 
     out = np.empty((oh, ow, k), dtype=np.int32)
     events = 0
@@ -127,16 +130,17 @@ def conv_layer(input_t: Tensor3D, filters: FilterBank, spec: ConvSpec,
         # (rows, ow, 1, taps) * (k, taps) -> (rows, ow, k, taps)
         prod = (win[:, :, None, :] * filt64[None, None, :, :]) >> frac_bits
         res = prod.sum(axis=-1)
-        over = np.abs(prod).sum(axis=-1) > I32_MAX
-        if over.any():
-            # (flagged positions, taps); each step adds one tap to all of them
-            seq = prod[over]
-            events += fx_clamp_count(seq)
-            acc = np.zeros(seq.shape[0], dtype=np.int64)
-            for tap in seq.T:
-                acc += tap
-                events += fx_clamp_count(acc)
-            res[over] = acc
+        if not exact:
+            over = np.abs(prod).sum(axis=-1) > I32_MAX
+            if over.any():
+                # (flagged positions, taps); each step adds one tap to all of them
+                seq = prod[over]
+                events += fx_clamp_count(seq)
+                acc = np.zeros(seq.shape[0], dtype=np.int64)
+                for tap in seq.T:
+                    acc += tap
+                    events += fx_clamp_count(acc)
+                res[over] = acc
         out[r0:r1] = res
 
     if spec.relu:

@@ -7,6 +7,7 @@ from hypothesis import settings
 from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, PoolSpec, \
     output_dims, validate_plan
 from fusedconv.datagen import generate_tensor, generate_weights
+from fusedconv.fixedpoint import I32_MAX, I32_MIN
 from fusedconv.golden import FilterBank, Tensor3D
 from fusedconv.networks import small_test_network, reduced_vgg_prefix_7, vgg_prefix_7
 
@@ -98,3 +99,27 @@ def tensor_from_reals(values, frac_bits: int = 16) -> Tensor3D:
     arr = np.asarray(values, dtype=np.float64)
     raw = np.round(arr * (1 << frac_bits)).astype(np.int64)
     return Tensor3D(Dims(*arr.shape), raw.astype(np.int32))
+
+
+def _exactness_edge(fill, center_only, weight=1 << 16):
+    """4x4x1 input of one value against a 3x3 filter of one weight, at every
+    tap or at the center tap only."""
+    data = np.full((4, 4, 1), fill, dtype=np.int32)
+    weights = np.zeros((1, 3, 3, 1), dtype=np.int32)
+    if center_only:
+        weights[0, 1, 1, 0] = weight
+    else:
+        weights[:] = weight
+    return data, weights
+
+
+EXACTNESS_EDGES = {
+    # |-2**31| needs more than int32: every running sum clips
+    "min-input": (_exactness_edge(I32_MIN, center_only=False), 8 * 4),
+    "min-weight": (_exactness_edge(1 << 16, center_only=False, weight=I32_MIN),
+                   8 * 4),
+    # (|x| * sum|w| >> 16) + 9 taps is I32_MAX exactly
+    "at-bound": (_exactness_edge(I32_MAX - 9, center_only=True), 0),
+    # one over the bound, and still nothing clips
+    "over-bound": (_exactness_edge(I32_MAX - 8, center_only=True), 0),
+}

@@ -278,7 +278,8 @@ def test_overlapping_pool_refused_by_every_plan_command(tmp_path, capsys):
         assert "DSP" not in err
 
 
-@pytest.mark.parametrize("freq", ["0", "-5", "nan", "inf", "abc"])
+@pytest.mark.parametrize("freq", ["0", "-5", "nan", "inf", "abc",
+                                  "1e-310", "1e-300", "0.0009"])
 def test_bad_frequency_exits_1_before_any_work(workdir, capsys, monkeypatch, freq):
     import fusedconv.cli as cli
 
@@ -293,6 +294,21 @@ def test_bad_frequency_exits_1_before_any_work(workdir, capsys, monkeypatch, fre
                             "--freq-mhz", freq]) == 1
         err = capsys.readouterr().err
         assert f"--freq-mhz: invalid frequency value: '{freq}'" in err
+
+
+def test_lowest_frequency_accepted(workdir, capsys):
+    # 0.001 MHz is 1 cycle per ms: the report's milliseconds equal its cycles
+    assert main(["analyze", "--network", str(workdir / "net.json"),
+                 "--freq-mhz", "0.001"]) == 0
+    cost = json.loads(capsys.readouterr().out)["cost"]
+    assert cost["milliseconds"] == cost["total_estimated_cycles"]
+    assert main(["simulate", "--network", str(workdir / "net.json"),
+                 "--input", str(workdir / "input.dclf"),
+                 "--weights", str(workdir / "weights.bin"),
+                 "--freq-mhz", "0.001", "--out", str(workdir / "run")]) == 0
+    report = json.loads((workdir / "run" / "report.json").read_text())
+    sim = report["simulation"]
+    assert sim["milliseconds"] == sim["end_to_end_cycles"]
 
 
 def test_dse_has_no_frequency_flag(workdir, capsys):

@@ -11,7 +11,8 @@ from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.fixedpoint import fx_add_sat, fx_mul
 from fusedconv.golden import FilterBank, run_network
 
-from conftest import identity_bank, random_network, random_plan, tensor_from_reals
+from conftest import EXACTNESS_EDGES, identity_bank, random_network, random_plan, \
+    tensor_from_reals
 
 
 # --- line buffer -------------------------------------------------------------
@@ -213,6 +214,17 @@ def test_engine_saturating_reduction_matches_tree_reference(k, w, d, d_par, shif
     assert events == ref_events
     if shift <= 7:
         assert events > 0
+
+
+@pytest.mark.parametrize("edge", EXACTNESS_EDGES)
+def test_engine_exactness_bound_edges_match_tree_reference(edge):
+    (data, weights), _ = EXACTNESS_EDGES[edge]
+    eng = ConvEngine(FilterBank(weights), 1, False, 16)
+    eng.put_window(data[:3, :3])
+    vec, events, _ = eng.next_win
+    ref, ref_events = _engine_reference(data[:3, :3], weights, 1, False)
+    assert vec.tolist() == ref
+    assert events == ref_events
 
 
 # --- pool stage --------------------------------------------------------------

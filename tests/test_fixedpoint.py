@@ -3,7 +3,8 @@ import random
 import numpy as np
 
 from fusedconv.fixedpoint import (I32_MAX, I32_MIN, fx_add_sat, fx_clamp_count,
-                                  fx_from_real, fx_mul, fx_relu, fx_to_real)
+                                  fx_from_real, fx_mul, fx_relu, fx_to_real,
+                                  sum_is_exact)
 
 
 def test_from_real_identity_scaling():
@@ -121,3 +122,30 @@ def test_clamp_count_matches_scalar_saturation():
     expect = [fx_add_sat(v, 0) for v in vals]
     assert fx_clamp_count(a) == sum(sat for _, sat in expect)
     assert a.tolist() == [v for v, _ in expect]
+
+
+def test_sum_is_exact_boundary():
+    # nine taps of I32_MAX - 9 against a single weight of 1.0 land on I32_MAX
+    assert sum_is_exact(I32_MAX - 9, 1 << 16, 9, 16)
+    assert not sum_is_exact(I32_MAX - 8, 1 << 16, 9, 16)
+    # the magnitude of -2**31 is 2**31: one product of it reaches the bound
+    assert not sum_is_exact(-I32_MIN, 1 << 16, 1, 16)
+    assert sum_is_exact(-I32_MIN, (1 << 16) - 1, 1, 16)
+
+
+def test_sum_is_exact_bounds_every_product_and_partial():
+    rng = random.Random(12)
+    held = 0
+    for _ in range(1000):
+        taps, frac = rng.randint(1, 40), rng.choice([0, 8, 16])
+        xs = [rng.randint(I32_MIN, I32_MAX) >> rng.randint(0, 31) for _ in range(taps)]
+        ws = [rng.randint(I32_MIN, I32_MAX) >> rng.randint(0, 31) for _ in range(taps)]
+        if not sum_is_exact(max(abs(x) for x in xs), sum(abs(w) for w in ws), taps, frac):
+            continue
+        held += 1
+        acc = 0
+        for x, w in zip(xs, ws):
+            p, sat_m = fx_mul(x, w, frac)
+            acc, sat_a = fx_add_sat(acc, p)
+            assert not sat_m and not sat_a
+    assert 50 < held < 1000

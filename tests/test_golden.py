@@ -11,7 +11,7 @@ from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.golden import FilterBank, Tensor3D, conv_layer, maxpool_layer, \
     run_network, zero_pad
 
-from conftest import identity_bank, tensor_from_reals
+from conftest import EXACTNESS_EDGES, identity_bank, tensor_from_reals
 
 I32_MAX = (1 << 31) - 1
 I32_MIN = -(1 << 31)
@@ -179,6 +179,17 @@ def test_conv_clipping_inputs_match_loop_nest(make, spec):
         assert value == (max(raw, 0) if spec.relu else raw)
         literal_events += ev
     assert literal_events == events
+
+
+@pytest.mark.parametrize("edge", EXACTNESS_EDGES)
+def test_conv_exactness_bound_edges_match_loop_nest(edge):
+    (data, weights), clips = EXACTNESS_EDGES[edge]
+    t, bank = Tensor3D.from_array(data), FilterBank(weights)
+    spec = ConvSpec(3, 1, 1, 0, relu=False)
+    out, events = conv_layer(t, bank, spec)
+    ref, ref_clips = brute_force_conv(t, bank, spec)
+    assert np.array_equal(out.data, ref)
+    assert events == ref_clips == clips
 
 
 def test_saturating_layer_needs_no_per_position_reference(monkeypatch):

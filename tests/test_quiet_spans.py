@@ -7,25 +7,28 @@ events, outputs or trace text comes from the jumps of the clock.
 """
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fusedconv import dataflow
 from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, PoolSpec, \
     output_dims, validate_plan
-from fusedconv.dataflow import GroupResult, StageStamp, TraceWriter, _build_stages, \
-    simulate_group
+from fusedconv.dataflow import ConvStage, GroupResult, StageStamp, TraceWriter, \
+    _build_stages, simulate_group
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.golden import FilterBank, Tensor3D
-from fusedconv.networks import reduced_vgg_prefix_7
+from fusedconv.networks import consecutive_convs, reduced_vgg_prefix_7
 
 
 def step_every_cycle(layers, input_t, banks, d_pars, frac_bits=16, trace=None,
                      layer_offset=0):
     """Reference group loop: transfers for a cycle are decided from the
     previous cycle's state (ready ripples upstream), then every stage steps
-    once, front to back, each passing its consumed element downstream."""
+    once, front to back, each passing its consumed element downstream.
+    Returns the group result and the stages."""
     stages = _build_stages(layers, input_t.dims, banks, d_pars, frac_bits,
                            trace, layer_offset)
     n_stages = len(stages)
@@ -75,17 +78,31 @@ def step_every_cycle(layers, input_t, banks, d_pars, frac_bits=16, trace=None,
     return GroupResult(output=outs[-1], layer_outputs=outs, cycles=stamps[-1].last_out,
                        stamps=stamps,
                        stall_cycles={st.name: st.out_stall for st in stages},
-                       saturation_events=sum(st.saturation_events for st in stages))
+                       saturation_events=sum(st.saturation_events for st in stages)), stages
+
+
+def engine_counters(stages):
+    return [(e.adv, e.issues_done, e.cur_left, e.scalars_emitted, e.windows_latched)
+            for e in (st.engine for st in stages if isinstance(st, ConvStage))]
 
 
 def assert_same_run(layers, input_t, banks, d_pars, layer_offset=0):
-    """Run both loops with a trace; assert every observable agrees. Returns
-    the simulator's result."""
+    """Run both loops with a trace; assert every observable, and the engines'
+    closed-form counters, agree. Returns the simulator's result."""
     got_trace, want_trace = io.StringIO(), io.StringIO()
-    got = simulate_group(layers, input_t, banks, d_pars, trace=TraceWriter(got_trace),
-                         layer_offset=layer_offset)
-    want = step_every_cycle(layers, input_t, banks, d_pars, trace=TraceWriter(want_trace),
-                            layer_offset=layer_offset)
+    built = []
+
+    def build(*args):
+        built.extend(_build_stages(*args))
+        return built
+
+    with mock.patch.object(dataflow, "_build_stages", build):
+        got = simulate_group(layers, input_t, banks, d_pars,
+                             trace=TraceWriter(got_trace), layer_offset=layer_offset)
+    want, want_stages = step_every_cycle(layers, input_t, banks, d_pars,
+                                         trace=TraceWriter(want_trace),
+                                         layer_offset=layer_offset)
+    assert engine_counters(built) == engine_counters(want_stages)
     assert got.cycles == want.cycles
     assert got.stamps == want.stamps
     assert got.stall_cycles == want.stall_cycles
@@ -173,3 +190,21 @@ def test_stalling_chain_matches_per_cycle_reference(d_par, stalls):
     res = assert_same_run(net.layers, generate_tensor(net.input_dims, 1),
                           generate_weights(net, 2), list(d_par))
     assert {k: v for k, v in res.stall_cycles.items() if v} == stalls
+
+
+def test_held_windows_skip_most_conv_steps(monkeypatch):
+    # a 64-filter conv holds each window for 64 cycles: only the cycles on
+    # which something moves may run the stage's step
+    net = consecutive_convs(1, input_hw=16)
+    step, calls = ConvStage.step, []
+
+    def counted(self, *args):
+        calls.append(self)
+        return step(self, *args)
+
+    monkeypatch.setattr(ConvStage, "step", counted)
+    res = simulate_group(net.layers, generate_tensor(net.input_dims, 1),
+                         generate_weights(net, 2), [3])
+    assert res.cycles == 16_467
+    assert len(calls) * 8 <= res.cycles
+    assert calls[0].engine.scalars_emitted == 16 * 16 * 64
