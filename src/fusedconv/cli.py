@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ParseError as e:
+    except (ParseError, UnicodeDecodeError) as e:  # the network file is not UTF-8 text
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

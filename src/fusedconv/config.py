@@ -17,6 +17,7 @@ comma-separated list with one value per conv layer in network order.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -37,6 +38,9 @@ class InternalError(RuntimeError):
     """Simulator invariant breach (maps to exit code 3)."""
 
 
+DIM_MAX = (1 << 32) - 1  # a tensor file header stores each dimension as u32
+
+
 @dataclass(frozen=True)
 class Dims:
     height: int
@@ -45,8 +49,13 @@ class Dims:
 
     def __post_init__(self):
         for name in ("height", "width", "depth"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"dims: {name} must be >= 1, got {getattr(self, name)}")
+            v = getattr(self, name)
+            if v < 1 or v > DIM_MAX:
+                bound = ">= 1" if v < 1 else f"<= {DIM_MAX}"
+                raise ValidationError(f"dims: {name} must be {bound}, got {v}")
+        if 4 * self.volume > sys.maxsize:
+            raise ValidationError(f"dims: {self.height}x{self.width}x{self.depth} is "
+                                  f"{4 * self.volume} bytes, more than an array can hold")
 
     @property
     def volume(self) -> int:
@@ -244,6 +253,8 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
 
 
 def parse_network(text: str) -> NetworkSpec:

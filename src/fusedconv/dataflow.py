@@ -16,6 +16,15 @@ conv layer has a single filter and no depth decomposition.
 Cycle accounting is exact: a group's cycle count is the stamp at which its
 last output element reached the collector, including pipeline flush.
 
+The schedule never reads a value: stages pass presence tokens and keep
+counters only. Two O(1) guards raise InternalError where it would lose data:
+a line buffer building a window whose oldest real element was overwritten,
+and a pool element landing in a row slot that has not drained. Windows leave
+a line buffer in raster order through a one-slot skid, so the engine latches
+them in raster order too. After a group's schedule has run, the datapath
+computes each layer's values once: conv_datapath in the engine's adder-tree
+order, with its saturation events, and pool_datapath as window maxima.
+
 Most cycles are quiet: a conv engine holding a window for its k*g filter
 sweep moves only counters. When the source cannot feed the first stage, each
 stage reports how many upcoming cycles it stays quiet, and the clock jumps by
@@ -37,6 +46,7 @@ from .fixedpoint import I32_MAX, fx_clamp_count, sum_is_exact
 from .golden import FilterBank, Tensor3D
 
 _FOREVER = 1 << 62  # quiet_for of a stage that waits on another stage
+_BATCH = 1 << 16    # int64 products per conv_datapath batch (512 KiB)
 
 
 class TraceWriter:
@@ -64,32 +74,32 @@ def _last_needing(x: int, pad: int, stride: int, n_out: int, w: int):
 
 
 class LineBuffer:
-    """w rows of padded width; emits the next raster-order window when all of
-    its real (non synthesized-padding) elements have arrived. Top and bottom
-    padding rows are synthesized at window-build time, never stored."""
+    """w rows of padded width, kept as counters: emits the next raster-order
+    window when all of its real (non synthesized-padding) elements have
+    arrived, and refuses an element that would overwrite a row slot still
+    needed by an unemitted window."""
 
     def __init__(self, in_dims: Dims, spec: ConvSpec):
-        self.h, self.w_in, self.d = in_dims.height, in_dims.width, in_dims.depth
-        self.w = spec.kernel
-        self.s = spec.stride
-        self.p = spec.pad
+        self.h, self.w_in = in_dims.height, in_dims.width
+        self.w, self.s, self.p = spec.kernel, spec.stride, spec.pad
         out = output_dims(in_dims, spec)
         self.h_out, self.w_out = out.height, out.width
         self.n_windows = out.height * out.width
         self.n_elems = self.h * self.w_in
-        self.ring = np.zeros((self.w, self.w_in + 2 * self.p, self.d), dtype=np.int32)
         self.n_acc = 0
         self._r_in = 0
         self._c_in = 0
         self.widx = 0
-        self._winbuf = np.empty((self.w, self.w, self.d), dtype=np.int32)
         self._set_threshold()
         self._rkey = (-1, -1)
         self._rval = False
 
     def _set_threshold(self):
         """Accepted-element count at which the next raster window is complete
-        (one past the last element once every window is out)."""
+        (one past the last element once every window is out), and the count
+        past which that window has lost data: its oldest real element, at
+        (r_top, c_lo), shares a row slot with element (r_top + w, c_lo), the
+        first of its elements to be overwritten."""
         if self.widx >= self.n_windows:
             self._threshold = self.n_elems + 1
             return
@@ -101,6 +111,8 @@ class LineBuffer:
         if c_last > self.w_in - 1:
             c_last = self.w_in - 1
         self._threshold = r_last * self.w_in + c_last + 1
+        r_top = max(0, rho * self.s - self.p)
+        self._overwritten = (r_top + self.w) * self.w_in + max(0, gam * self.s - self.p)
 
     def ready(self) -> bool:
         """Accepting the next element may not overwrite a row slot still
@@ -126,32 +138,18 @@ class LineBuffer:
             return True
         return self.widx > rho * self.w_out + gam
 
-    def _build(self):
-        rho, gam = divmod(self.widx, self.w_out)
-        win = self._winbuf
-        top = rho * self.s - self.p
-        c0 = gam * self.s
-        ring = self.ring
-        w = self.w
-        for i in range(w):
-            rr = top + i
-            if 0 <= rr < self.h:
-                win[i] = ring[rr % w, c0:c0 + w]
-            else:
-                win[i] = 0
-        return win
-
-    def cycle(self, elem, can_emit: bool):
+    def cycle(self, elem: bool, can_emit: bool) -> bool:
         """One clock: possibly emit the next window (decided on previous-cycle
-        fill state), then absorb the offered element. Returns the window
-        (a reused buffer valid until the next cycle) or None."""
-        out = None
-        if can_emit and self.n_acc >= self._threshold:
-            out = self._build()
+        fill state), then absorb the offered element. Returns whether a
+        window was emitted."""
+        emitted = can_emit and self.n_acc >= self._threshold
+        if emitted:
+            if self.n_acc > self._overwritten:
+                raise InternalError(
+                    f"line buffer overwrote window {self.widx} before emitting it")
             self.widx += 1
             self._set_threshold()
-        if elem is not None:
-            self.ring[self._r_in % self.w, self.p + self._c_in] = elem
+        if elem:
             self.n_acc += 1
             c = self._c_in + 1
             if c == self.w_in:
@@ -159,7 +157,7 @@ class LineBuffer:
                 self._r_in += 1
             else:
                 self._c_in = c
-        return out
+        return emitted
 
 
 class ConvEngine:
@@ -169,122 +167,49 @@ class ConvEngine:
     serial depth groups combine in a per-filter accumulator row; only the
     final group's scalars leave the engine, in filter order.
 
-    All k*g scalar values for a window are precomputed, in the adder-tree
-    order the hardware would use, when the window is latched; the per-cycle
-    work is pure schedule bookkeeping. Filter taps and channels are zero
-    padded to powers of two so the pairwise tree needs no per-call reshaping
-    (summing a zero can neither change a value nor saturate).
+    The engine carries window tokens, not values: its skid slot and emission
+    queue hold window indices. Windows are latched in raster order, so the
+    scalars a window yields are conv_datapath's values for that position,
+    computed once per layer after the schedule has run.
     """
 
-    def __init__(self, bank: FilterBank, d_par: int, relu: bool, frac_bits: int,
-                 trace=None, name=""):
-        k, w, d = bank.k, bank.kernel, bank.depth
-        if d % d_par != 0:
-            raise ValidationError(f"depth {d} not divisible by d_par {d_par}")
-        self.k = k
-        self.d = d
-        self.g = d // d_par
-        self.kg = k * self.g
-        self.d_par = d_par
-        self.taps = w * w
-        self.relu = relu
-        self.frac_bits = frac_bits
-        self.latency = conv3d_latency(w, d_par)
-        tp = 1 << (self.taps - 1).bit_length()
-        dpp = 1 << (d_par - 1).bit_length()
-        # (k, g, dpp, tp): taps grouped per serial depth group, channel planes
-        # outer, the w*w 2-D taps innermost, zero padded to power-of-two sizes
-        filt = np.zeros((k, self.g, dpp, tp), dtype=np.int64)
-        filt[:, :, :d_par, :self.taps] = (
-            bank.data.reshape(k, self.taps, d).transpose(0, 2, 1)
-            .reshape(k, self.g, d_par, self.taps))
-        self.filt = filt
-        self._wbuf = np.zeros((self.g, dpp, tp), dtype=np.int64)
-        self._pbuf = np.empty((k, self.g, dpp, tp), dtype=np.int64)
-        self._final_first = (self.g - 1) * k
-        # unpadded (k, w*w*d) taps, summed directly where sum_is_exact holds
-        self._flat = bank.data.reshape(k, -1).astype(np.int64)
-        self._flat_buf = np.empty_like(self._flat)
-        self._wsum = int(np.abs(self._flat).sum(axis=1).max())
-
-        self.next_win = None          # precomputed (vec, sat_events, window_index)
-        self.cur_vec = None
+    def __init__(self, spec: ConvSpec, depth: int, d_par: int, trace=None, name=""):
+        if depth % d_par != 0:
+            raise ValidationError(f"depth {depth} not divisible by d_par {d_par}")
+        self.k = spec.filters
+        self.g = depth // d_par
+        self.kg = self.k * self.g
+        self.latency = conv3d_latency(spec.kernel, d_par)
+        self._final_first = (self.g - 1) * self.k
+        self.next_win = None          # index of the window in the skid slot
         self.cur_win_idx = -1
         self.cur_left = 0
         self.issues_done = 0
         self.adv = 0
-        self.emq = deque()            # (first_adv, complete_adv, vec, window_index)
+        self.emq = deque()            # (first_adv, complete_adv, window_index)
         self.windows_latched = 0
         self.scalars_emitted = 0
-        self.saturation_events = 0
         self.trace = trace
         self.name = name
 
-    def _reduce(self, win: np.ndarray):
-        """All k*g issue results for one window: per-plane adder tree over the
-        2-D taps, tree over the parallel channels, saturating serial
-        accumulation across depth groups. Returns ((k,) int32, events).
-
-        Every partial in that reduction is bounded in magnitude by the sum of
-        absolute products, so when that bound stays in the 32-bit range the
-        saturating reduction equals the plain exact sum and no per-level
-        checks are needed; a window passing sum_is_exact skips even that."""
-        events = 0
-        if sum_is_exact(max(int(win.max()), -int(win.min())), self._wsum,
-                        self._flat.shape[1], self.frac_bits):
-            prod = np.multiply(self._flat, win.reshape(-1), out=self._flat_buf)
-            prod >>= self.frac_bits
-            acc = prod.sum(axis=1)
-        else:
-            self._wbuf[:, :self.d_par, :self.taps] = (
-                win.reshape(self.taps, self.d).T.reshape(self.g, self.d_par, self.taps))
-            prod = self._pbuf
-            np.multiply(self.filt, self._wbuf[None], out=prod)
-            prod >>= self.frac_bits
-            if int(np.abs(prod).sum(axis=(1, 2, 3)).max()) <= I32_MAX:
-                acc = prod.sum(axis=(1, 2, 3))
-            else:
-                acc, events = self._reduce_saturating(prod)
-        if self.relu:
-            acc = np.maximum(acc, 0)
-        return acc.astype(np.int32), events
-
-    def _reduce_saturating(self, prod: np.ndarray):
-        """Checked path: clamp and count at every product, adder-tree level
-        and serial accumulation step. The taps of one depth group are
-        contiguous powers of two, channel planes outer, so one pairwise tree
-        over them is the tree over the 2-D taps followed by the tree over the
-        parallel channels."""
-        events = fx_clamp_count(prod)
-        a = prod.reshape(self.k, self.g, -1)
-        while a.shape[-1] > 1:
-            a = a[..., 0::2] + a[..., 1::2]
-            events += fx_clamp_count(a)
-        acc = a[:, 0, 0]
-        for j in range(1, self.g):
-            acc = acc + a[:, j, 0]
-            events += fx_clamp_count(acc)
-        return acc, events
-
-    def put_window(self, win: np.ndarray):
-        """Latch a window into the skid slot, precomputing its k*g reduction."""
+    def latch(self):
+        """Take the line buffer's next window into the skid slot."""
         if self.next_win is not None:
             raise InternalError("window skid slot occupied")
-        vec, events = self._reduce(win)
-        self.next_win = (vec, events, self.windows_latched)
+        self.next_win = self.windows_latched
         self.windows_latched += 1
 
-    def cycle(self, out_free: bool, cycle_no: int = 0):
+    def cycle(self, out_free: bool, cycle_no: int = 0) -> bool:
         """One clock. The pipeline freezes (no advance, no issue) only when the
         scalar completing an output element would pop with the downstream
-        register occupied. Returns the completed (k,) element or None."""
+        register occupied. Returns whether an output element completed."""
         emq = self.emq
-        completed = None
+        completed = False
         if emq:
-            first, comp, vec, widx = emq[0]
+            first, comp, widx = emq[0]
             nxt = self.adv + 1
             if nxt == comp and not out_free:
-                return None
+                return False
             self.adv = nxt
             if nxt >= first:
                 self.scalars_emitted += 1
@@ -292,7 +217,7 @@ class ConvEngine:
                     self.trace.event(cycle_no, self.name, "emit", widx,
                                      f"f{nxt - first}")
                 if nxt == comp:
-                    completed = vec
+                    completed = True
                     emq.popleft()
         else:
             self.adv += 1
@@ -300,13 +225,12 @@ class ConvEngine:
         if self.cur_left == 0:
             nw = self.next_win
             if nw is not None:
-                self.cur_vec, sat, self.cur_win_idx = nw
+                self.cur_win_idx = nw
                 self.next_win = None
                 self.cur_left = self.kg
                 self.issues_done = 0
-                self.saturation_events += sat
                 if self.trace is not None:
-                    self.trace.event(cycle_no, self.name, "accept", self.cur_win_idx)
+                    self.trace.event(cycle_no, self.name, "accept", nw)
 
         left = self.cur_left
         if left > 0:
@@ -314,7 +238,7 @@ class ConvEngine:
                 adv = self.adv
                 emq.append((adv + self.latency,
                             adv + self.latency + self.k - 1,
-                            self.cur_vec, self.cur_win_idx))
+                            self.cur_win_idx))
             self.issues_done += 1
             self.cur_left = left - 1
 
@@ -348,7 +272,7 @@ class ConvEngine:
         self.issues_done += done
         if not emq:
             return []
-        first, _, _, widx = emq[0]
+        first, _, widx = emq[0]
         lo = max(first, adv0 + 1)
         self.scalars_emitted += max(0, adv0 + n + 1 - lo)
         if self.trace is None:
@@ -361,58 +285,50 @@ class ConvStage:
     """Line buffer + conv engine + output-assembly register, element in,
     depth-k element out."""
 
-    def __init__(self, spec: ConvSpec, in_dims: Dims, bank: FilterBank, d_par: int,
-                 frac_bits: int, trace=None, name="conv"):
+    def __init__(self, spec: ConvSpec, in_dims: Dims, d_par: int, trace=None, name="conv"):
         self.name = name
         self.out_dims = output_dims(in_dims, spec)
         self.lb = LineBuffer(in_dims, spec)
-        self.engine = ConvEngine(bank, d_par, spec.relu, frac_bits,
-                                 trace=trace, name=f"{name}.ce")
-        self.out = None
+        self.engine = ConvEngine(spec, in_dims.depth, d_par, trace, name=f"{name}.ce")
+        self.out = False
         self.out_stall = 0
         self.trace = trace
         self.ready = self.lb.ready  # acceptance is entirely the line buffer's call
 
-    def step(self, cycle_no: int, in_elem, out_consumed: bool):
+    def step(self, cycle_no: int, in_elem: bool, out_consumed: bool):
         if out_consumed:
-            self.out = None
+            self.out = False
             out_free = True
         else:
-            out_free = self.out is None
+            out_free = not self.out
         engine = self.engine
-        vec = engine.cycle(out_free, cycle_no)
-        if vec is not None:
-            self.out = vec
-        win = self.lb.cycle(in_elem, engine.next_win is None)
-        if win is not None:
-            engine.put_window(win)
-        if in_elem is not None and self.trace is not None:
+        if engine.cycle(out_free, cycle_no):
+            self.out = True
+        if self.lb.cycle(in_elem, engine.next_win is None):
+            engine.latch()
+        if in_elem and self.trace is not None:
             self.trace.event(cycle_no, f"{self.name}.lb", "accept", self.lb.n_acc - 1)
 
     def quiet_for(self, blocked: bool) -> int:
         """Upcoming quiet cycles, given whether downstream refuses elements."""
-        held = self.out is not None
-        if (held and not blocked) or (self.engine.next_win is None
-                                      and self.lb.n_acc >= self.lb._threshold):
+        if (self.out and not blocked) or (self.engine.next_win is None
+                                          and self.lb.n_acc >= self.lb._threshold):
             return 0
-        return self.engine.quiet_for(held)
+        return self.engine.quiet_for(self.out)
 
     def skip(self, n: int, cycle_no: int):
-        if self.out is not None:
+        if self.out:
             self.out_stall += n
-        return self.engine.skip(n, cycle_no, self.out is not None)
-
-    @property
-    def saturation_events(self):
-        return self.engine.saturation_events
+        return self.engine.skip(n, cycle_no, self.out)
 
 
 class PoolStage:
     """One row of running maxima, updated in raster order: the first element
-    landing in a slot opens it, later covered elements replace it with the
-    max; the pooled row drains serially once its last input row completes.
-    Requires window <= stride (a single physical row cannot serve
-    overlapping vertical windows)."""
+    landing in a slot opens it, later covered elements fold into it; the
+    pooled row drains serially once its last input row completes. The stage
+    keeps only the counters of that row; an element landing in a slot that
+    has not drained yet is an invariant breach. Requires window <= stride (a
+    single physical row cannot serve overlapping vertical windows)."""
 
     def __init__(self, spec: PoolSpec, in_dims: Dims, trace=None, name="pool"):
         check_pipeline_pool(spec)
@@ -423,16 +339,14 @@ class PoolStage:
         self.stride = spec.stride
         self.h_out, self.w_out = self.out_dims.height, self.out_dims.width
         self.n_elems = self.h_in * self.w_in
-        self.maxima = np.zeros((self.w_out, in_dims.depth), dtype=np.int32)
         self.n_acc = 0
         self._r_in = 0
         self._c_in = 0
         self.pending = False
         self.drain_pos = 0
-        self.out = None
+        self.out = False
         self.out_stall = 0
         self.trace = trace
-        self.saturation_events = 0
         self._rkey = (-1, -1, False)
         self._rval = False
 
@@ -455,17 +369,17 @@ class PoolStage:
             return True
         return not (self.pending and j >= self.drain_pos)
 
-    def step(self, cycle_no: int, in_elem, out_consumed: bool):
+    def step(self, cycle_no: int, in_elem: bool, out_consumed: bool):
         if out_consumed:
-            self.out = None
-        if self.out is None and self.pending:
-            self.out = self.maxima[self.drain_pos].copy()
+            self.out = False
+        if not self.out and self.pending:
+            self.out = True
             if self.trace is not None:
                 self.trace.event(cycle_no, self.name, "emit", self.drain_pos)
             self.drain_pos += 1
             if self.drain_pos == self.w_out:
                 self.pending = False
-        if in_elem is None:
+        if not in_elem:
             return
         r, c = self._r_in, self._c_in
         self.n_acc += 1
@@ -478,10 +392,9 @@ class PoolStage:
         c_out, cp = divmod(c, self.stride)
         if r_out < self.h_out and rp < self.window \
                 and c_out < self.w_out and cp < self.window:
-            if rp == 0 and cp == 0:
-                self.maxima[c_out] = in_elem
-            else:
-                np.maximum(self.maxima[c_out], in_elem, out=self.maxima[c_out])
+            if self.pending and c_out >= self.drain_pos:
+                raise InternalError(
+                    f"pool slot {c_out} overwritten before it drained")
             if rp == self.window - 1 and cp == self.window - 1 \
                     and c_out == self.w_out - 1:
                 self.pending = True
@@ -490,12 +403,12 @@ class PoolStage:
             self.trace.event(cycle_no, self.name, "accept", self.n_acc - 1)
 
     def quiet_for(self, blocked: bool) -> int:
-        if self.out is not None:
+        if self.out:
             return _FOREVER if blocked else 0
         return 0 if self.pending else _FOREVER
 
     def skip(self, n: int, cycle_no: int):
-        if self.out is not None:
+        if self.out:
             self.out_stall += n
         return []
 
@@ -530,15 +443,90 @@ class SimResult:
     saturation_events: int
 
 
-def _build_stages(layers, in_dims, banks, d_pars, frac_bits, trace, layer_offset):
+def conv_datapath(x: np.ndarray, bank: FilterBank, spec: ConvSpec, d_par: int,
+                  frac_bits: int):
+    """One conv layer's values, as the engine reduces each window. Returns
+    ((h_out, w_out, k) int32, saturation events).
+
+    Per filter and window: a pairwise adder tree over each channel's w*w
+    products, one over the d_par channels of each serial depth group (both
+    zero padded to powers of two), then a running sum over the groups, with
+    every product, node and sum clamped and counted. Each partial is bounded
+    by the sum of absolute products, so a window with that bound in the
+    32-bit range takes the plain sum, and a layer passing sum_is_exact needs
+    no bound. Windows go in raster order, in batches of about _BATCH
+    products; a batch's flagged windows run the tree together."""
+    k, w, _, d = bank.data.shape
+    s, p = spec.stride, spec.pad
+    g, taps = d // d_par, w * w * d
+    padded = np.pad(x, ((p, p), (p, p), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (w, w, d))[::s, ::s, 0]
+    oh, ow = windows.shape[:2]
+    filt = bank.data.reshape(k, taps).astype(np.int64)
+    exact = sum_is_exact(max(int(x.max()), -int(x.min())),
+                         int(np.abs(filt).sum(axis=1).max()), taps, frac_bits)
+    tp = 1 << (w * w - 1).bit_length()
+    dpp = 1 << (d_par - 1).bit_length()
+
+    out = np.empty((oh, ow, k), dtype=np.int32)
+    events = 0
+    per_pos = k * taps
+    cols = min(ow, max(1, _BATCH // per_pos))
+    rows = max(1, _BATCH // (ow * per_pos))
+    buf = np.empty(min(rows, oh) * cols * per_pos, dtype=np.int64)
+    for r0 in range(0, oh, rows):
+        for c0 in range(0, ow, cols):
+            win = windows[r0:r0 + rows, c0:c0 + cols]
+            nr, nc = win.shape[:2]
+            prod = buf[:nr * nc * per_pos].reshape(nr, nc, k, taps)
+            np.multiply(win.reshape(nr, nc, 1, taps), filt, out=prod)
+            prod >>= frac_bits
+            res = prod.sum(axis=-1)
+            if not exact:
+                # a float64 sum cannot wrap, and is exact while it stays <= I32_MAX
+                over = np.abs(prod).sum(axis=-1, dtype=np.float64) > I32_MAX
+                if over.any():
+                    # (window, filter) pairs over the bound, taps laid out
+                    # (g, dpp, tp): channel planes of a depth group outer, the
+                    # w*w taps inner, so one pairwise tree over a group's
+                    # dpp*tp taps is the tap tree followed by the plane tree
+                    tree = np.zeros((int(over.sum()), g, dpp, tp), dtype=np.int64)
+                    tree[:, :, :d_par, :w * w] = (
+                        prod[over].reshape(-1, w * w, g, d_par).transpose(0, 2, 3, 1))
+                    events += fx_clamp_count(tree)
+                    a = tree.reshape(len(tree), g, -1)
+                    while a.shape[-1] > 1:
+                        a = a[..., 0::2] + a[..., 1::2]
+                        events += fx_clamp_count(a)
+                    acc = a[:, 0, 0]
+                    for j in range(1, g):
+                        acc = acc + a[:, j, 0]
+                        events += fx_clamp_count(acc)
+                    res[over] = acc
+            out[r0:r0 + nr, c0:c0 + nc] = res
+    if spec.relu:
+        np.maximum(out, 0, out=out)
+    return out, events
+
+
+def pool_datapath(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
+    """One pool layer's values: the max over each window. Max is order-free,
+    so this is the row buffer's running max in raster order."""
+    out = output_dims(Dims(*x.shape), spec)
+    s = spec.stride
+    return np.maximum.reduce([x[a:a + (out.height - 1) * s + 1:s,
+                                b:b + (out.width - 1) * s + 1:s]
+                              for a in range(spec.window) for b in range(spec.window)])
+
+
+def _build_stages(layers, in_dims, d_pars, trace, layer_offset):
     stages = []
     dims = in_dims
     bi = 0
     for off, layer in enumerate(layers):
         name = f"l{layer_offset + off}"
         if isinstance(layer, ConvSpec):
-            stages.append(ConvStage(layer, dims, banks[bi], d_pars[bi],
-                                    frac_bits, trace, name=f"{name}.conv"))
+            stages.append(ConvStage(layer, dims, d_pars[bi], trace, name=f"{name}.conv"))
             bi += 1
         else:
             stages.append(PoolStage(layer, dims, trace, name=f"{name}.pool"))
@@ -552,21 +540,19 @@ def simulate_group(layers, input_t: Tensor3D, banks, d_pars, frac_bits: int = 16
     """Run one fused group: the input streams one element per cycle while the
     chain accepts, then flush cycles run until every stage has emitted its
     complete output (trailing rows a pool discards still flow through). The
-    group's cycle count is the stamp of the final stage's last element."""
+    group's cycle count is the stamp of the final stage's last element.
+
+    The schedule moves presence tokens only; once it has run, the datapath
+    computes each layer's values in turn."""
     if not layers:
         raise ValidationError("fused group must contain at least one layer")
-    stages = _build_stages(layers, input_t.dims, banks, d_pars, frac_bits,
-                           trace, layer_offset)
+    stages = _build_stages(layers, input_t.dims, d_pars, trace, layer_offset)
     n_stages = len(stages)
 
-    src = input_t.data.reshape(-1, input_t.dims.depth)
-    n_src = src.shape[0]
+    n_src = input_t.dims.height * input_t.dims.width
     src_idx = 0
 
-    counts = [0] * n_stages
-    captures = [np.empty((st.out_dims.height * st.out_dims.width, st.out_dims.depth),
-                         dtype=np.int32) for st in stages]
-    expected = [cap.shape[0] for cap in captures]
+    expected = [st.out_dims.height * st.out_dims.width for st in stages]
     remaining = n_stages
 
     stamps = [StageStamp(st.name) for st in stages]
@@ -576,14 +562,12 @@ def simulate_group(layers, input_t: Tensor3D, banks, d_pars, frac_bits: int = 16
 
     if max_cycles is None:
         budget = n_src
-        for st in stages:
-            per = st.engine.kg if isinstance(st, ConvStage) else 1
-            budget += st.out_dims.height * st.out_dims.width * per
+        for st, n_out in zip(stages, expected):
+            budget += n_out * (st.engine.kg if isinstance(st, ConvStage) else 1)
         max_cycles = 16 * budget + 100_000
 
     cycle = 0
     consume = [False] * n_stages
-    pend = [None] * n_stages
     stage_range = list(range(n_stages))
     while remaining:
         if src_idx == n_src or not readys[0]():
@@ -606,48 +590,45 @@ def simulate_group(layers, input_t: Tensor3D, banks, d_pars, frac_bits: int = 16
         if cycle > max_cycles:
             raise InternalError(
                 f"pipeline made no progress within {max_cycles} cycles "
-                f"(collected {counts[-1]}/{expected[-1]})")
+                f"(collected {stamps[-1].emitted}/{expected[-1]})")
 
         ready_down = True
         for i in range(n_stages - 1, -1, -1):
             st = stages[i]
-            o = st.out
             consume[i] = False
-            if o is not None:
+            if st.out:
                 if ready_down:
                     consume[i] = True
-                    pend[i] = o
                 else:
                     st.out_stall += 1
             ready_down = readys[i]()
 
-        carried = None
-        if ready_down and src_idx < n_src:
-            carried = src[src_idx]
-            src_idx += 1
+        carried = ready_down and src_idx < n_src
+        src_idx += carried
 
         for i in stage_range:
             c = consume[i]
             steps[i](cycle, carried, c)
             if c:
-                o = pend[i]
-                captures[i][counts[i]] = o
-                counts[i] += 1
-                if counts[i] == expected[i]:
-                    remaining -= 1
                 stamp = stamps[i]
                 if stamp.emitted == 0:
                     stamp.first_out = cycle
                 stamp.last_out = cycle
                 stamp.emitted += 1
-                carried = o
-            else:
-                carried = None
+                if stamp.emitted == expected[i]:
+                    remaining -= 1
+            carried = c
 
     layer_outputs = []
-    for st, cap in zip(stages, captures):
-        od = st.out_dims
-        layer_outputs.append(Tensor3D(od, cap.reshape(od.height, od.width, od.depth)))
+    x, events, bi = input_t.data, 0, 0
+    for layer, st in zip(layers, stages):
+        if isinstance(layer, ConvSpec):
+            x, ev = conv_datapath(x, banks[bi], layer, d_pars[bi], frac_bits)
+            events += ev
+            bi += 1
+        else:
+            x = pool_datapath(x, layer)
+        layer_outputs.append(Tensor3D(st.out_dims, x))
 
     return GroupResult(
         output=layer_outputs[-1],
@@ -655,7 +636,7 @@ def simulate_group(layers, input_t: Tensor3D, banks, d_pars, frac_bits: int = 16
         cycles=stamps[-1].last_out,
         stamps=stamps,
         stall_cycles={st.name: st.out_stall for st in stages},
-        saturation_events=sum(st.saturation_events for st in stages))
+        saturation_events=events)
 
 
 def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan,

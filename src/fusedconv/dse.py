@@ -3,6 +3,7 @@ traffic-vs-DSP trade-off curve."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import costmodel
@@ -20,10 +21,6 @@ class PlanPoint:
     traffic_bytes: int
     est_cycles: int
     buffer_bits: int
-
-    def dominates(self, other: "PlanPoint") -> bool:
-        return (self.dsp <= other.dsp and self.traffic_bytes <= other.traffic_bytes
-                and (self.dsp < other.dsp or self.traffic_bytes < other.traffic_bytes))
 
 
 def enumerate_plans(n_layers: int) -> list:
@@ -97,12 +94,20 @@ def assign_depth_parallelism(groups, net: NetworkSpec,
 
 def pareto_front(points) -> list:
     """Non-dominated points in the (dsp, traffic) objective pair, ordered by
-    ascending dsp (ties by traffic, then plan expression)."""
+    ascending dsp (ties by traffic, then plan expression). One pass over the
+    points in that order keeps a point when its traffic is the least at its
+    own dsp and below the least at every smaller dsp (Kung, Luccio and
+    Preparata, JACM 1975)."""
     if not points:
         raise ValidationError("pareto_front requires at least one point")
-    front = [p for p in points
-             if not any(q.dominates(p) for q in points)]
-    front.sort(key=lambda p: (p.dsp, p.traffic_bytes, plan_to_text(p.plan)))
+    front = []
+    below = least = math.inf  # least traffic at smaller dsp / at this dsp
+    dsp = None
+    for p in sorted(points, key=lambda p: (p.dsp, p.traffic_bytes, plan_to_text(p.plan))):
+        if p.dsp != dsp:
+            dsp, below, least = p.dsp, min(below, least), p.traffic_bytes
+        if p.traffic_bytes == least < below:
+            front.append(p)
     return front
 
 

@@ -131,7 +131,8 @@ def conv_layer(input_t: Tensor3D, filters: FilterBank, spec: ConvSpec,
         prod = (win[:, :, None, :] * filt64[None, None, :, :]) >> frac_bits
         res = prod.sum(axis=-1)
         if not exact:
-            over = np.abs(prod).sum(axis=-1) > I32_MAX
+            # a float64 sum cannot wrap, and is exact while it stays <= I32_MAX
+            over = np.abs(prod).sum(axis=-1, dtype=np.float64) > I32_MAX
             if over.any():
                 # (flagged positions, taps); each step adds one tap to all of them
                 seq = prod[over]

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fusedconv.cli import main
 from fusedconv.config import serialize_network
@@ -233,6 +238,83 @@ def test_gen_requires_seed_and_source(tmp_path, capsys):
     assert main(["gen", "--seed", "1"]) == 1
     assert main(["gen", "--seed", "1", "--dims", "nonsense"]) == 1
     capsys.readouterr()
+
+
+OVERSIZED = [(10 ** 30, 1, 1), (1 << 32, 1, 1), ((1 << 32) - 1, (1 << 32) - 1, 1)]
+
+
+@pytest.mark.parametrize("h, w, d", OVERSIZED)
+def test_oversized_dims_exit_2_before_allocating(tmp_path, capsys, monkeypatch, h, w, d):
+    # each dimension must fit the tensor header's u32 field, and the volume's
+    # 4-byte encoding an array's intp size
+    import fusedconv.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("generated a tensor for oversized dims")
+
+    monkeypatch.setattr(cli, "generate_tensor", unreachable)
+    assert main(["gen", "--dims", f"{h}x{w}x{d}", "--seed", "1",
+                 "--out", str(tmp_path)]) == 2
+    assert "error: dims: " in capsys.readouterr().err
+    doc = {"input": {"h": h, "w": w, "d": d},
+           "layers": [{"type": "conv", "kernel": 1, "filters": 1}]}
+    (tmp_path / "big.json").write_text(json.dumps(doc))
+    for args in (["gen", "--seed", "1", "--out", str(tmp_path)], ["analyze"], ["dse"]):
+        assert main(args + ["--network", str(tmp_path / "big.json")]) == 2
+        assert "error: dims: " in capsys.readouterr().err
+    assert not (tmp_path / "input.dclf").exists()
+
+
+INPUT_FILES = ("net.json", "input.dclf", "weights.bin")
+# per file: a well-formed header or document with oversized dimensions
+OVERSIZED_FILES = {
+    "net.json": json.dumps({"input": {"h": 10 ** 30, "w": 5, "d": 3},
+                            "layers": [{"type": "conv", "kernel": 3, "filters": 3}]}).encode(),
+    "input.dclf": b"DCLF\x01" + struct.pack("<III", (1 << 32) - 1, (1 << 32) - 1, 1),
+    "weights.bin": struct.pack("<III", (1 << 32) - 1, 3, 3),
+}
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """The small network's three input files, as bytes."""
+    path = tmp_path_factory.mktemp("pristine")
+    (path / "net.json").write_text(serialize_network(small_test_network()))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--network", str(path / "net.json"), "--seed", "1",
+                     "--out", str(path)]) == 0
+    return {name: (path / name).read_bytes() for name in INPUT_FILES}
+
+
+@given(which=st.sampled_from(INPUT_FILES),
+       how=st.sampled_from(["truncate", "pad", "garbage", "oversized"]),
+       cut=st.integers(0, 1 << 16),
+       # a document padded with whitespace alone would still be valid
+       junk=st.binary(min_size=1, max_size=64).filter(lambda b: b.strip(b" \t\r\n")))
+def test_mangled_input_files_exit_1_2_or_3(pristine, which, how, cut, junk):
+    blob = pristine[which].rstrip()
+    blob = {"truncate": blob[:cut % len(blob)], "pad": pristine[which] + junk,
+            "garbage": junk, "oversized": OVERSIZED_FILES[which]}[how]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name in INPUT_FILES:
+            paths[name] = Path(tmp) / name
+            paths[name].write_bytes(blob if name == which else pristine[name])
+        runs = [["golden", "--input", str(paths["input.dclf"]), "--weights",
+                 str(paths["weights.bin"]), "--out", str(Path(tmp) / "g")]]
+        if which == "net.json":
+            runs.append(["analyze"])
+        for args in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(args + ["--network", str(paths["net.json"])])
+            assert rc in (1, 2, 3), (args[0], which, how, blob[:40])
+            assert err.getvalue().startswith(("error: ", "internal error: "))
+
+
+def test_largest_header_dims_accepted():
+    from fusedconv.config import DIM_MAX, Dims
+    assert Dims(DIM_MAX, 1, 1).volume == DIM_MAX
 
 
 @pytest.mark.parametrize("length", range(17))

@@ -2,14 +2,16 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from fusedconv.config import ConvSpec, Dims, NetworkSpec, PoolSpec, ValidationError, \
-    parse_plan
+from fusedconv.config import ConvSpec, Dims, InternalError, NetworkSpec, PoolSpec, \
+    ValidationError, parse_plan
 from fusedconv.dataflow import (ConvEngine, ConvStage, LineBuffer, PoolStage,
-                                TraceWriter, simulate_group, simulate_plan)
+                                TraceWriter, _last_needing, conv_datapath, pool_datapath,
+                                simulate_group, simulate_plan)
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.fixedpoint import fx_add_sat, fx_mul
-from fusedconv.golden import FilterBank, run_network
+from fusedconv.golden import FilterBank, maxpool_layer, run_network
 
 from conftest import EXACTNESS_EDGES, identity_bank, random_network, random_plan, \
     tensor_from_reals
@@ -18,30 +20,40 @@ from conftest import EXACTNESS_EDGES, identity_bank, random_network, random_plan
 # --- line buffer -------------------------------------------------------------
 
 
-def feed_linebuffer(lb, tensor, cycles=None):
-    """Stream one element per cycle with an always-ready consumer; collect
-    (cycle, window copy) emissions."""
-    elems = tensor.data.reshape(-1, tensor.dims.depth)
+def feed_linebuffer(lb, n_elems):
+    """Stream one element per cycle with an always-ready consumer; return the
+    cycles on which windows were emitted."""
     out = []
     idx = 0
-    total = cycles if cycles is not None else len(elems) + 64
-    for cyc in range(1, total + 1):
-        elem = None
-        if idx < len(elems) and lb.ready():
-            elem = elems[idx]
-            idx += 1
-        win = lb.cycle(elem, can_emit=True)
-        if win is not None:
-            out.append((cyc, win.copy()))
+    for cyc in range(1, n_elems + 65):
+        elem = idx < n_elems and lb.ready()
+        idx += elem
+        if lb.cycle(elem, can_emit=True):
+            out.append(cyc)
     return out
+
+
+def datapath_windows(t, spec):
+    """The windows conv_datapath reduces, read back through one filter per
+    tap (weight 1.0 at that tap): (h_out, w_out, w, w, d)."""
+    w, d = spec.kernel, t.dims.depth
+    n = w * w * d
+    bank = np.zeros((n, n), dtype=np.int32)
+    np.fill_diagonal(bank, 1 << 16)
+    vals, events = conv_datapath(t.data, FilterBank(bank.reshape(n, w, w, d)),
+                                 spec, d, 16)
+    assert events == 0
+    return vals.reshape(vals.shape[0], vals.shape[1], w, w, d)
 
 
 def test_linebuffer_first_padded_window():
     t = generate_tensor(Dims(5, 5, 1), seed=4)
-    lb = LineBuffer(t.dims, ConvSpec(3, 1, 1, 1))
-    wins = feed_linebuffer(lb, t)
-    assert len(wins) == 25
-    cyc0, first = wins[0]
+    spec = ConvSpec(3, 1, 1, 1)
+    cycles = feed_linebuffer(LineBuffer(t.dims, spec), 25)
+    assert len(cycles) == 25
+    # data-complete once element (1,1) has arrived, emitted the cycle after
+    assert cycles[0] == 8
+    first = datapath_windows(t, spec)[0, 0]
     # window for output (0,0) covers rows/cols -1..1: 5 synthesized zeros
     # and the 4 interior values
     assert np.count_nonzero(first == 0) >= 5
@@ -51,58 +63,72 @@ def test_linebuffer_first_padded_window():
     assert first[1, 2, 0] == t.data[0, 1, 0]
     assert first[2, 1, 0] == t.data[1, 0, 0]
     assert first[2, 2, 0] == t.data[1, 1, 0]
-    # data-complete once element (1,1) has arrived, emitted the cycle after
-    assert cyc0 == 8
 
 
 def test_linebuffer_unpadded_window_count():
     t = generate_tensor(Dims(5, 5, 1), seed=6)
-    lb = LineBuffer(t.dims, ConvSpec(3, 1, 1, 0))
-    wins = feed_linebuffer(lb, t)
-    assert len(wins) == 9
+    spec = ConvSpec(3, 1, 1, 0)
+    assert len(feed_linebuffer(LineBuffer(t.dims, spec), 25)) == 9
     # window contents match direct slices
-    for i, (_, win) in enumerate(wins):
-        r, c = divmod(i, 3)
-        assert np.array_equal(win[:, :, 0], t.data[r:r + 3, c:c + 3, 0])
+    wins = datapath_windows(t, spec)
+    for r in range(3):
+        for c in range(3):
+            assert np.array_equal(wins[r, c, :, :, 0], t.data[r:r + 3, c:c + 3, 0])
 
 
 def test_linebuffer_steady_state_one_window_per_cycle():
     t = generate_tensor(Dims(10, 8, 2), seed=8)
-    lb = LineBuffer(t.dims, ConvSpec(3, 1, 1, 1))
-    wins = feed_linebuffer(lb, t)
-    assert len(wins) == 80
-    cycles = [c for c, _ in wins]
+    cycles = feed_linebuffer(LineBuffer(t.dims, ConvSpec(3, 1, 1, 1)), 80)
+    assert len(cycles) == 80
     # after the fill latency a new window exists every cycle
     assert cycles == list(range(cycles[0], cycles[0] + 80))
 
 
 def test_linebuffer_stride_two():
-    t = generate_tensor(Dims(7, 7, 1), seed=10)
-    lb = LineBuffer(t.dims, ConvSpec(3, 1, 2, 0))
-    wins = feed_linebuffer(lb, t)
-    assert len(wins) == 9
-    for i, (_, win) in enumerate(wins):
-        r, c = divmod(i, 3)
-        assert np.array_equal(win[:, :, 0], t.data[2 * r:2 * r + 3, 2 * c:2 * c + 3, 0])
+    t = generate_tensor(Dims(7, 7, 2), seed=10)
+    spec = ConvSpec(3, 1, 2, 0)
+    assert len(feed_linebuffer(LineBuffer(t.dims, spec), 49)) == 9
+    wins = datapath_windows(t, spec)
+    for r in range(3):
+        for c in range(3):
+            assert np.array_equal(wins[r, c], t.data[2 * r:2 * r + 3, 2 * c:2 * c + 3])
+
+
+def permissive_linebuffer_ready(self):
+    """LineBuffer._compute_ready with >= for >: it also admits the element
+    that overwrites the oldest element of the next window to emit."""
+    if self.n_acc >= self.n_elems:
+        return False
+    r_d = self._r_in - self.w
+    if r_d < 0:
+        return True
+    rho = _last_needing(r_d, self.p, self.s, self.h_out, self.w)
+    gam = _last_needing(self._c_in, self.p, self.s, self.w_out, self.w)
+    if rho is None or gam is None:
+        return True
+    return self.widx >= rho * self.w_out + gam
+
+
+def test_permissive_linebuffer_ready_trips_window_guard(monkeypatch, small_net, small_data):
+    tensor, banks = small_data
+    monkeypatch.setattr(LineBuffer, "_compute_ready", permissive_linebuffer_ready)
+    with pytest.raises(InternalError, match="overwrote window 6 before emitting it"):
+        simulate_group(small_net.layers, tensor, banks, [3, 3])
 
 
 # --- conv engine -------------------------------------------------------------
 
 
-def _engine(k=1, w=3, d=3, d_par=None, relu=False):
-    d_par = d_par or d
-    bank = FilterBank(generate_tensor(Dims(k, w * w, d), seed=31)
-                      .data.reshape(k, w, w, d))
-    return ConvEngine(bank, d_par, relu, 16), bank
+def _engine(k=1, w=3, d=3, d_par=None):
+    return ConvEngine(ConvSpec(w, k), d, d_par or d)
 
 
 def test_engine_latency_63_for_w3_d3():
-    eng, _ = _engine(k=1, w=3, d=3)
-    win = generate_tensor(Dims(3, 3, 3), seed=32).data
-    eng.put_window(win)
+    eng = _engine(k=1, w=3, d=3)
+    eng.latch()
     emitted_at = None
     for cyc in range(1, 200):
-        if eng.cycle(True, cyc) is not None:
+        if eng.cycle(True, cyc):
             emitted_at = cyc
             break
     # first issue happens on call 1; the scalar pops 63 cycles later
@@ -111,42 +137,39 @@ def test_engine_latency_63_for_w3_d3():
 
 
 def test_engine_latency_45_for_w3_d1():
-    eng, _ = _engine(k=1, w=3, d=3, d_par=1)
+    eng = _engine(k=1, w=3, d=3, d_par=1)
     assert eng.latency == 45
-    win = generate_tensor(Dims(3, 3, 3), seed=33).data
-    eng.put_window(win)
-    first = next(c for c in range(1, 300) if eng.cycle(True, c) is not None)
+    eng.latch()
+    first = next(c for c in range(1, 300) if eng.cycle(True, c))
     # issues for all 3 serial groups; the final group's scalar completes
     # 45 cycles after its own issue (issue 3 -> cycle 48)
     assert first == 3 + 45
 
 
 def test_engine_latency_9_for_w1_d1():
-    bank = FilterBank(generate_tensor(Dims(2, 1, 1), seed=34).data.reshape(2, 1, 1, 1))
-    eng = ConvEngine(bank, 1, False, 16)
-    assert eng.latency == 9
+    assert _engine(k=2, w=1, d=1).latency == 9
 
 
 def test_engine_idle_without_windows_emits_nothing():
-    eng, _ = _engine(k=2, w=3, d=2, d_par=2)
+    eng = _engine(k=2, w=3, d=2, d_par=2)
     for cyc in range(1, 1001):
-        assert eng.cycle(True, cyc) is None
+        assert not eng.cycle(True, cyc)
     assert eng.scalars_emitted == 0
+
+
+def test_engine_skid_slot_holds_one_window():
+    eng = _engine()
+    eng.latch()
+    with pytest.raises(InternalError, match="skid slot occupied"):
+        eng.latch()
 
 
 def test_engine_window_value_matches_golden_reduction(small_net, small_data):
     tensor, banks = small_data
-    eng = ConvEngine(banks[0], 3, True, 16)
-    # feed the fully padded window for output (2,2): interior of the input
-    win = tensor.data[1:4, 1:4, :]
-    eng.put_window(np.ascontiguousarray(win))
-    vec = None
-    for cyc in range(1, 300):
-        vec = eng.cycle(True, cyc)
-        if vec is not None:
-            break
+    vals, events = conv_datapath(tensor.data, banks[0], small_net.layers[0], 3, 16)
     outs, _ = run_network(small_net, tensor, banks)
-    assert np.array_equal(vec, outs[0].data[2, 2, :])
+    assert events == 0
+    assert np.array_equal(vals, outs[0].data)
 
 
 def _tree_sum(vals):
@@ -164,7 +187,7 @@ def _tree_sum(vals):
     return level[0], events
 
 
-def _engine_reference(win, filt, d_par, relu):
+def _engine_reference(win, filt, d_par, relu, frac_bits=16):
     """Scalar tree-order reduction of one window, as the hardware sums it:
     per channel a tree over the w*w products, per serial depth group a tree
     over its d_par channels, then a saturating running sum over the groups."""
@@ -178,7 +201,8 @@ def _engine_reference(win, filt, d_par, relu):
                 prods = []
                 for r in range(w):
                     for c in range(w):
-                        p, sat = fx_mul(int(win[r, c, ch]), int(filt[f, r, c, ch]), 16)
+                        p, sat = fx_mul(int(win[r, c, ch]), int(filt[f, r, c, ch]),
+                                        frac_bits)
                         events += sat
                         prods.append(p)
                 v, ev = _tree_sum(prods)
@@ -195,6 +219,13 @@ def _engine_reference(win, filt, d_par, relu):
     return out, events
 
 
+def _one_window(win, filt, d_par, relu):
+    """conv_datapath on an input exactly one window in size."""
+    vals, events = conv_datapath(win, FilterBank(filt),
+                                 ConvSpec(filt.shape[1], filt.shape[0], relu=relu), d_par, 16)
+    return vals[0, 0].tolist(), events
+
+
 @pytest.mark.parametrize("k, w, d, d_par, shift, relu", [
     (2, 3, 6, 6, 0, False), (2, 3, 6, 3, 4, True), (2, 3, 6, 2, 6, False),
     (3, 3, 6, 1, 7, False), (2, 1, 4, 2, 2, False), (4, 3, 16, 4, 5, False),
@@ -206,11 +237,9 @@ def test_engine_saturating_reduction_matches_tree_reference(k, w, d, d_par, shif
                         dtype=np.int32) >> shift
     win = rng.integers(full.min, full.max, (w, w, d), endpoint=True,
                        dtype=np.int32) >> shift
-    eng = ConvEngine(FilterBank(filt), d_par, relu, 16)
-    eng.put_window(win)
-    vec, events, _ = eng.next_win
+    vals, events = _one_window(win, filt, d_par, relu)
     ref, ref_events = _engine_reference(win, filt, d_par, relu)
-    assert vec.tolist() == ref
+    assert vals == ref
     assert events == ref_events
     if shift <= 7:
         assert events > 0
@@ -219,67 +248,141 @@ def test_engine_saturating_reduction_matches_tree_reference(k, w, d, d_par, shif
 @pytest.mark.parametrize("edge", EXACTNESS_EDGES)
 def test_engine_exactness_bound_edges_match_tree_reference(edge):
     (data, weights), _ = EXACTNESS_EDGES[edge]
-    eng = ConvEngine(FilterBank(weights), 1, False, 16)
-    eng.put_window(data[:3, :3])
-    vec, events, _ = eng.next_win
+    vals, events = _one_window(data[:3, :3], weights, 1, False)
     ref, ref_events = _engine_reference(data[:3, :3], weights, 1, False)
-    assert vec.tolist() == ref
+    assert vals == ref
+    assert events == ref_events
+
+
+@pytest.mark.parametrize("frac_bits", [0, 1, 4])
+def test_engine_bound_does_not_wrap_at_small_frac_bits(frac_bits):
+    # 18 products of (-2**31)**2 >> frac_bits: their absolute sum passes the
+    # int64 range, and every one of them clips
+    win = np.full((3, 3, 2), -(1 << 31), dtype=np.int32)
+    filt = np.full((1, 3, 3, 2), -(1 << 31), dtype=np.int32)
+    vals, events = conv_datapath(win, FilterBank(filt), ConvSpec(3, 1), 2, frac_bits)
+    ref, ref_events = _engine_reference(win, filt, 2, False, frac_bits)
+    assert vals[0, 0].tolist() == ref == [(1 << 31) - 1]
+    assert events == ref_events >= 18
+
+
+@st.composite
+def datapath_cases(draw):
+    """One conv layer: kernel 1 or 3, stride 1 or 2, any pad, depth 1-8, any
+    d_par divisor, and magnitudes from exact to fully saturating."""
+    kernel = draw(st.sampled_from([1, 3]))
+    spec = ConvSpec(kernel, draw(st.integers(1, 3)), draw(st.integers(1, 2)),
+                    draw(st.integers(0, kernel - 1)), draw(st.booleans()))
+    dims = Dims(draw(st.integers(kernel, 5)), draw(st.integers(kernel, 5)),
+                draw(st.integers(1, 8)))
+    d_par = draw(st.sampled_from([x for x in range(1, dims.depth + 1)
+                                  if dims.depth % x == 0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shift = draw(st.sampled_from([0, 2, 4, 6, 8, 12, 16]))
+    full = np.iinfo(np.int32)
+    x = rng.integers(full.min, full.max, (dims.height, dims.width, dims.depth),
+                     endpoint=True, dtype=np.int32) >> shift
+    filt = rng.integers(full.min, full.max, (spec.filters, kernel, kernel, dims.depth),
+                        endpoint=True, dtype=np.int32) >> shift
+    return x, filt, spec, d_par
+
+
+@given(datapath_cases())
+def test_conv_datapath_matches_tree_reference_per_window(case):
+    x, filt, spec, d_par = case
+    vals, events = conv_datapath(x, FilterBank(filt), spec, d_par, 16)
+    w, s, p = spec.kernel, spec.stride, spec.pad
+    padded = np.pad(x, ((p, p), (p, p), (0, 0)))
+    ref_events = 0
+    for r in range(vals.shape[0]):
+        for c in range(vals.shape[1]):
+            ref, ev = _engine_reference(padded[r * s:r * s + w, c * s:c * s + w],
+                                        filt, d_par, spec.relu)
+            assert vals[r, c].tolist() == ref
+            ref_events += ev
     assert events == ref_events
 
 
 # --- pool stage --------------------------------------------------------------
 
 
-def drive_pool(pool, tensor, cycles=400):
-    elems = tensor.data.reshape(-1, tensor.dims.depth)
+def drive_pool(pool, n_elems, cycles=400):
+    """Stream elements while the pool accepts and consume every output at
+    once; return the cycles on which outputs were taken."""
     idx = 0
     out = []
     for cyc in range(1, cycles):
-        consumed = pool.out is not None
-        elem = None
-        if idx < len(elems) and pool.ready():
-            elem = elems[idx]
-            idx += 1
+        consumed = pool.out
+        elem = idx < n_elems and pool.ready()
+        idx += elem
         if consumed:
-            out.append((cyc, pool.out.copy()))
+            out.append(cyc)
         pool.step(cyc, elem, consumed)
     return out
 
 
 def test_pool_single_window_max():
     t = tensor_from_reals([[[1.0], [2.0]], [[3.0], [4.0]]])
-    pool = PoolStage(PoolSpec(2, 2), t.dims)
-    out = drive_pool(pool, t, cycles=16)
+    spec = PoolSpec(2, 2)
+    out = drive_pool(PoolStage(spec, t.dims), 4, cycles=16)
     assert len(out) == 1
-    cyc, elem = out[0]
-    assert elem[0] == 4 << 16
     # the second input row completes on cycle 4; pooled value next cycles
-    assert cyc >= 5
+    assert out[0] >= 5
+    assert pool_datapath(t.data, spec).tolist() == [[[4 << 16]]]
 
 
 def test_pool_constant_rows():
     t = tensor_from_reals(np.full((4, 6, 3), 0.25))
-    pool = PoolStage(PoolSpec(2, 2), t.dims)
-    out = drive_pool(pool, t)
-    assert len(out) == 6
-    assert all(np.all(e == (1 << 14)) for _, e in out)
+    spec = PoolSpec(2, 2)
+    assert len(drive_pool(PoolStage(spec, t.dims), 24)) == 6
+    assert np.all(pool_datapath(t.data, spec) == (1 << 14))
 
 
 def test_pool_row_emitted_per_two_input_rows():
     t = generate_tensor(Dims(2, 224, 4), seed=50)
-    pool = PoolStage(PoolSpec(2, 2), t.dims)
-    out = drive_pool(pool, t, cycles=800)
-    assert len(out) == 112
+    spec = PoolSpec(2, 2)
+    assert len(drive_pool(PoolStage(spec, t.dims), 448, cycles=800)) == 112
     expect = np.maximum(
         np.maximum(t.data[0, 0::2], t.data[0, 1::2]),
         np.maximum(t.data[1, 0::2], t.data[1, 1::2]))
-    got = np.stack([e for _, e in out])
-    assert np.array_equal(got, expect)
+    assert np.array_equal(pool_datapath(t.data, spec)[0], expect)
+
+
+def test_pool_datapath_skips_uncovered_rows_and_columns():
+    # window 2 < stride 3: rows and columns 2, 5, ... belong to no window
+    t = generate_tensor(Dims(7, 8, 2), seed=51)
+    got = pool_datapath(t.data, PoolSpec(2, 3))
+    want = maxpool_layer(t, PoolSpec(2, 3))
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want.data)
 
 
 def test_pool_rejects_overlapping_windows():
     with pytest.raises(ValidationError, match="window <= stride"):
         PoolStage(PoolSpec(3, 2), Dims(6, 6, 1))
+
+
+def permissive_pool_ready(self):
+    """PoolStage._compute_ready with > for >=: it also admits an element
+    landing in the next slot to drain."""
+    if self.n_acc >= self.n_elems:
+        return False
+    r, c = self._r_in, self._c_in
+    if r // self.stride >= self.h_out or r % self.stride >= self.window:
+        return True
+    j = c // self.stride
+    if j >= self.w_out or c % self.stride >= self.window:
+        return True
+    return not (self.pending and j > self.drain_pos)
+
+
+def test_permissive_pool_ready_trips_drain_guard(monkeypatch, reduced7):
+    # this chain holds its first pool's output while the pool's next row
+    # arrives, so a permissive pool lands an element on an undrained slot
+    monkeypatch.setattr(PoolStage, "_compute_ready", permissive_pool_ready)
+    with pytest.raises(InternalError, match="overwritten before it drained"):
+        simulate_group(reduced7.layers, generate_tensor(reduced7.input_dims, 1),
+                       generate_weights(reduced7, 2), [3, 8, 8, 1, 16])
 
 
 # --- fused pipeline ----------------------------------------------------------
@@ -404,11 +507,10 @@ def test_serial_depth_groups_emit_in_final_sweep_only():
 def test_engine_issue_stalls_when_no_input():
     # a stage that never receives elements issues no windows and emits nothing
     net = NetworkSpec(Dims(6, 6, 2), (ConvSpec(3, 2, 1, 1),))
-    bank = generate_weights(net, 3)[0]
-    stage = ConvStage(net.layers[0], net.input_dims, bank, 2, 16)
+    stage = ConvStage(net.layers[0], net.input_dims, 2)
     for cyc in range(1, 2000):
-        stage.step(cyc, None, stage.out is not None)
-        assert stage.out is None
+        stage.step(cyc, False, stage.out)
+        assert not stage.out
     assert stage.engine.windows_latched == 0
 
 

@@ -3,7 +3,8 @@ from hypothesis import given, strategies as st
 
 from fusedconv import costmodel
 from fusedconv.config import ConvSpec, Dims, FusionPlan, GeometryError, NetworkSpec, \
-    PoolSpec, ValidationError, full_depth_parallel, output_dims, validate_plan
+    PoolSpec, ValidationError, full_depth_parallel, output_dims, plan_to_text, \
+    validate_plan
 from fusedconv.costmodel import ResourceBudget, analyze
 from fusedconv.dse import (BudgetError, PlanPoint, assign_depth_parallelism,
                            enumerate_plans, nested_chain, pareto_front, sweep)
@@ -87,6 +88,26 @@ def test_pareto_front_single_and_pair():
     assert pareto_front([a, b]) == [a, b]  # mutually non-dominating
     c = PlanPoint(plan, dsp=25, traffic_bytes=60, est_cycles=1, buffer_bits=1)
     assert pareto_front([a, b, c]) == [a, b]  # c dominated by b
+
+
+def quadratic_front(points):
+    """Reference front: every point no other point dominates, compared pair
+    by pair, in (dsp, traffic, plan expression) order."""
+    def dominates(q, p):
+        return (q.dsp <= p.dsp and q.traffic_bytes <= p.traffic_bytes
+                and (q.dsp < p.dsp or q.traffic_bytes < p.traffic_bytes))
+    front = [p for p in points if not any(dominates(q, p) for q in points)]
+    return sorted(front, key=lambda p: (p.dsp, p.traffic_bytes, plan_to_text(p.plan)))
+
+
+@given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 7)),
+                min_size=1, max_size=40))
+def test_pareto_front_matches_quadratic_reference(triples):
+    # small ranges force ties in dsp, in traffic and in both; equal plans
+    # give duplicate points
+    plans = [FusionPlan(g, ()) for g in enumerate_plans(4)]
+    points = [PlanPoint(plans[i], dsp, traffic, 1, 1) for dsp, traffic, i in triples]
+    assert pareto_front(points) == quadratic_front(points)
 
 
 def test_pareto_front_idempotent(net):

@@ -192,6 +192,19 @@ def test_conv_exactness_bound_edges_match_loop_nest(edge):
     assert events == ref_clips == clips
 
 
+@pytest.mark.parametrize("frac_bits", [0, 1, 4])
+def test_conv_bound_does_not_wrap_at_small_frac_bits(frac_bits):
+    # 18 products of (-2**31)**2 >> frac_bits: their absolute sum passes the
+    # int64 range, and every one of them clips
+    t = Tensor3D.from_array(np.full((3, 3, 2), I32_MIN, dtype=np.int32))
+    bank = FilterBank(np.full((1, 3, 3, 2), I32_MIN, dtype=np.int32))
+    spec = ConvSpec(3, 1, 1, 0)
+    out, events = conv_layer(t, bank, spec, frac_bits)
+    ref, clips = brute_force_conv(t, bank, spec, frac_bits)
+    assert out.data.item() == ref.item() == I32_MAX
+    assert events == clips >= 18
+
+
 def test_saturating_layer_needs_no_per_position_reference(monkeypatch):
     # full-magnitude activations against unscaled weights in [-1, 1): nearly
     # every output position of this 3x3, 16-deep layer clips

@@ -1,9 +1,11 @@
 """simulate_group against a clock that steps every single cycle.
 
-`step_every_cycle` is the simulator's group loop as it was before quiet spans
-were skipped: it calls every stage's `step` on every cycle. It drives the
-same stage classes, so any difference in cycles, stamps, stalls, saturation
-events, outputs or trace text comes from the jumps of the clock.
+`step_every_cycle` is the simulator's schedule loop as it was before quiet
+spans were skipped: it calls every stage's `step` on every cycle. It drives
+the same stage classes, so any difference in cycles, stamps, stalls or trace
+text comes from the jumps of the clock. Values are not the schedule's: the
+datapath computes them after it, and the tests of conv_datapath and
+pool_datapath check them.
 """
 
 import io
@@ -16,69 +18,51 @@ from hypothesis import given, strategies as st
 from fusedconv import dataflow
 from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, PoolSpec, \
     output_dims, validate_plan
-from fusedconv.dataflow import ConvStage, GroupResult, StageStamp, TraceWriter, \
-    _build_stages, simulate_group
+from fusedconv.dataflow import ConvStage, StageStamp, TraceWriter, _build_stages, \
+    simulate_group
 from fusedconv.datagen import generate_tensor, generate_weights
-from fusedconv.golden import FilterBank, Tensor3D
+from fusedconv.golden import FilterBank, Tensor3D, run_network
 from fusedconv.networks import consecutive_convs, reduced_vgg_prefix_7
 
 
-def step_every_cycle(layers, input_t, banks, d_pars, frac_bits=16, trace=None,
-                     layer_offset=0):
-    """Reference group loop: transfers for a cycle are decided from the
+def step_every_cycle(layers, in_dims, d_pars, trace=None, layer_offset=0):
+    """Reference schedule loop: transfers for a cycle are decided from the
     previous cycle's state (ready ripples upstream), then every stage steps
-    once, front to back, each passing its consumed element downstream.
-    Returns the group result and the stages."""
-    stages = _build_stages(layers, input_t.dims, banks, d_pars, frac_bits,
-                           trace, layer_offset)
+    once, front to back, each passing its consumed token downstream.
+    Returns the stamps, the stall cycles and the stages."""
+    stages = _build_stages(layers, in_dims, d_pars, trace, layer_offset)
     n_stages = len(stages)
-    src = input_t.data.reshape(-1, input_t.dims.depth)
+    n_src = in_dims.height * in_dims.width
     src_idx = 0
-    captures = [np.empty((st.out_dims.height * st.out_dims.width, st.out_dims.depth),
-                         dtype=np.int32) for st in stages]
-    counts = [0] * n_stages
     remaining = n_stages
     stamps = [StageStamp(st.name) for st in stages]
     cycle = 0
     while remaining:
         cycle += 1
         consume = [False] * n_stages
-        pend = [None] * n_stages
         ready_down = True
         for i in range(n_stages - 1, -1, -1):
             st = stages[i]
-            if st.out is not None:
+            if st.out:
                 if ready_down:
                     consume[i] = True
-                    pend[i] = st.out
                 else:
                     st.out_stall += 1
             ready_down = st.ready()
-        carried = None
-        if ready_down and src_idx < src.shape[0]:
-            carried = src[src_idx]
-            src_idx += 1
+        carried = ready_down and src_idx < n_src
+        src_idx += carried
         for i, st in enumerate(stages):
             st.step(cycle, carried, consume[i])
-            carried = None
-            if consume[i]:
-                carried = pend[i]
-                captures[i][counts[i]] = carried
-                counts[i] += 1
-                if counts[i] == captures[i].shape[0]:
-                    remaining -= 1
+            carried = consume[i]
+            if carried:
                 stamp = stamps[i]
                 if stamp.emitted == 0:
                     stamp.first_out = cycle
                 stamp.last_out = cycle
                 stamp.emitted += 1
-    outs = [Tensor3D(st.out_dims, cap.reshape(st.out_dims.height, st.out_dims.width,
-                                              st.out_dims.depth))
-            for st, cap in zip(stages, captures)]
-    return GroupResult(output=outs[-1], layer_outputs=outs, cycles=stamps[-1].last_out,
-                       stamps=stamps,
-                       stall_cycles={st.name: st.out_stall for st in stages},
-                       saturation_events=sum(st.saturation_events for st in stages)), stages
+                if stamp.emitted == st.out_dims.height * st.out_dims.width:
+                    remaining -= 1
+    return stamps, {st.name: st.out_stall for st in stages}, stages
 
 
 def engine_counters(stages):
@@ -87,8 +71,8 @@ def engine_counters(stages):
 
 
 def assert_same_run(layers, input_t, banks, d_pars, layer_offset=0):
-    """Run both loops with a trace; assert every observable, and the engines'
-    closed-form counters, agree. Returns the simulator's result."""
+    """Run both loops with a trace; assert every schedule observable, and the
+    engines' closed-form counters, agree. Returns the simulator's result."""
     got_trace, want_trace = io.StringIO(), io.StringIO()
     built = []
 
@@ -99,16 +83,13 @@ def assert_same_run(layers, input_t, banks, d_pars, layer_offset=0):
     with mock.patch.object(dataflow, "_build_stages", build):
         got = simulate_group(layers, input_t, banks, d_pars,
                              trace=TraceWriter(got_trace), layer_offset=layer_offset)
-    want, want_stages = step_every_cycle(layers, input_t, banks, d_pars,
-                                         trace=TraceWriter(want_trace),
-                                         layer_offset=layer_offset)
+    stamps, stalls, want_stages = step_every_cycle(layers, input_t.dims, d_pars,
+                                                   trace=TraceWriter(want_trace),
+                                                   layer_offset=layer_offset)
     assert engine_counters(built) == engine_counters(want_stages)
-    assert got.cycles == want.cycles
-    assert got.stamps == want.stamps
-    assert got.stall_cycles == want.stall_cycles
-    assert got.saturation_events == want.saturation_events
-    for a, b in zip(got.layer_outputs, want.layer_outputs, strict=True):
-        assert a.equals(b)
+    assert got.cycles == stamps[-1].last_out
+    assert got.stamps == stamps
+    assert got.stall_cycles == stalls
     assert got_trace.getvalue() == want_trace.getvalue()
     return got
 
@@ -169,15 +150,22 @@ def pipeline_cases(draw):
 
 @given(pipeline_cases())
 def test_simulate_group_matches_per_cycle_reference(case):
-    net, plan, cur, banks = case
+    net, plan, tensor, banks = case
     conv_idx = net.conv_indices()
     dpar_of = dict(zip(conv_idx, plan.depth_parallel))
+    cur, outs, events = tensor, [], 0
     for a, b in plan.groups:
         members = [li for li in range(a, b + 1) if li in dpar_of]
         res = assert_same_run(net.layers[a:b + 1], cur,
                               [banks[conv_idx.index(li)] for li in members],
                               [dpar_of[li] for li in members], layer_offset=a)
         cur = res.output
+        outs += res.layer_outputs
+        events += res.saturation_events
+    want, want_events = run_network(net, tensor, banks)
+    if events == want_events == 0:
+        for got, ref in zip(outs, want, strict=True):
+            assert got.equals(ref)
 
 
 @pytest.mark.parametrize("d_par, stalls", [
