@@ -11,7 +11,7 @@ from .costmodel import (CostReport, ResourceBudget, analyze, conv3d_latency,
                         steady_cycles, time_ms, traffic_bytes)
 from .dataflow import SimResult, simulate_group, simulate_plan
 from .datagen import SeededGenerator, generate_tensor, generate_weights
-from .fixedpoint import fx_add_sat, fx_from_real, fx_mul, fx_relu, fx_to_real
+from .fixedpoint import fx_add_sat, fx_mul
 from .dse import (PlanPoint, assign_depth_parallelism, enumerate_plans,
                   nested_chain, pareto_front, sweep)
-from .golden import FilterBank, Tensor3D, conv_layer, maxpool_layer, run_network, zero_pad
+from .golden import FilterBank, Tensor3D, conv_layer, maxpool_layer, run_network

@@ -137,7 +137,7 @@ def cmd_simulate(args) -> int:
 
     golden_outputs, golden_sat = run_network(net, tensor, banks)
     golden_match = sim.output.equals(golden_outputs[-1])
-    if sim.saturation_events == 0 and not golden_match:
+    if sim.saturation_events == golden_sat == 0 and not golden_match:
         raise InternalError("zero saturation events but simulator output "
                             "differs from the layer-by-layer reference")
 

@@ -22,8 +22,9 @@ a line buffer building a window whose oldest real element was overwritten,
 and a pool element landing in a row slot that has not drained. Windows leave
 a line buffer in raster order through a one-slot skid, so the engine latches
 them in raster order too. After a group's schedule has run, the datapath
-computes each layer's values once: conv_datapath in the engine's adder-tree
-order, with its saturation events, and pool_datapath as window maxima.
+computes each layer's values once: conv_datapath runs golden's product pass
+and reduces the values that may clamp in the engine's adder-tree order,
+counting saturation events; a pool layer's values are golden.maxpool_layer's.
 
 Most cycles are quiet: a conv engine holding a window for its k*g filter
 sweep moves only counters. When the source cannot feed the first stage, each
@@ -42,11 +43,11 @@ import numpy as np
 from .config import ConvSpec, Dims, FusionPlan, InternalError, NetworkSpec, PoolSpec, \
     ValidationError, check_pipeline_pool, output_dims, validate_plan
 from .costmodel import conv3d_latency
-from .fixedpoint import I32_MAX, fx_clamp_count, sum_is_exact
-from .golden import FilterBank, Tensor3D
+from .fixedpoint import fx_clamp_count
+from .golden import FilterBank, Tensor3D, conv_values, maxpool_layer
 
-_FOREVER = 1 << 62  # quiet_for of a stage that waits on another stage
-_BATCH = 1 << 16    # int64 products per conv_datapath batch (512 KiB)
+_FOREVER = 1 << 62     # quiet_for of a stage that waits on another stage
+_TREE_NODES = 1 << 16  # int64 leaves per adder-tree chunk (512 KiB)
 
 
 class TraceWriter:
@@ -448,75 +449,42 @@ def conv_datapath(x: np.ndarray, bank: FilterBank, spec: ConvSpec, d_par: int,
     """One conv layer's values, as the engine reduces each window. Returns
     ((h_out, w_out, k) int32, saturation events).
 
-    Per filter and window: a pairwise adder tree over each channel's w*w
+    golden.conv_values runs the product pass and takes the plain sum wherever
+    nothing can clamp. The values over its bound take the engine's order: per
+    filter and window, a pairwise adder tree over each channel's w*w
     products, one over the d_par channels of each serial depth group (both
     zero padded to powers of two), then a running sum over the groups, with
-    every product, node and sum clamped and counted. Each partial is bounded
-    by the sum of absolute products, so a window with that bound in the
-    32-bit range takes the plain sum, and a layer passing sum_is_exact needs
-    no bound. Windows go in raster order, in batches of about _BATCH
-    products; a batch's flagged windows run the tree together."""
+    every product, node and sum clamped and counted."""
     k, w, _, d = bank.data.shape
-    s, p = spec.stride, spec.pad
-    g, taps = d // d_par, w * w * d
-    padded = np.pad(x, ((p, p), (p, p), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (w, w, d))[::s, ::s, 0]
-    oh, ow = windows.shape[:2]
-    filt = bank.data.reshape(k, taps).astype(np.int64)
-    exact = sum_is_exact(max(int(x.max()), -int(x.min())),
-                         int(np.abs(filt).sum(axis=1).max()), taps, frac_bits)
+    g = d // d_par
     tp = 1 << (w * w - 1).bit_length()
     dpp = 1 << (d_par - 1).bit_length()
+    n = max(1, _TREE_NODES // (g * dpp * tp))
 
-    out = np.empty((oh, ow, k), dtype=np.int32)
-    events = 0
-    per_pos = k * taps
-    cols = min(ow, max(1, _BATCH // per_pos))
-    rows = max(1, _BATCH // (ow * per_pos))
-    buf = np.empty(min(rows, oh) * cols * per_pos, dtype=np.int64)
-    for r0 in range(0, oh, rows):
-        for c0 in range(0, ow, cols):
-            win = windows[r0:r0 + rows, c0:c0 + cols]
-            nr, nc = win.shape[:2]
-            prod = buf[:nr * nc * per_pos].reshape(nr, nc, k, taps)
-            np.multiply(win.reshape(nr, nc, 1, taps), filt, out=prod)
-            prod >>= frac_bits
-            res = prod.sum(axis=-1)
-            if not exact:
-                # a float64 sum cannot wrap, and is exact while it stays <= I32_MAX
-                over = np.abs(prod).sum(axis=-1, dtype=np.float64) > I32_MAX
-                if over.any():
-                    # (window, filter) pairs over the bound, taps laid out
-                    # (g, dpp, tp): channel planes of a depth group outer, the
-                    # w*w taps inner, so one pairwise tree over a group's
-                    # dpp*tp taps is the tap tree followed by the plane tree
-                    tree = np.zeros((int(over.sum()), g, dpp, tp), dtype=np.int64)
-                    tree[:, :, :d_par, :w * w] = (
-                        prod[over].reshape(-1, w * w, g, d_par).transpose(0, 2, 3, 1))
-                    events += fx_clamp_count(tree)
-                    a = tree.reshape(len(tree), g, -1)
-                    while a.shape[-1] > 1:
-                        a = a[..., 0::2] + a[..., 1::2]
-                        events += fx_clamp_count(a)
-                    acc = a[:, 0, 0]
-                    for j in range(1, g):
-                        acc = acc + a[:, j, 0]
-                        events += fx_clamp_count(acc)
-                    res[over] = acc
-            out[r0:r0 + nr, c0:c0 + nc] = res
-    if spec.relu:
-        np.maximum(out, 0, out=out)
-    return out, events
+    def adder_tree(prod):
+        # taps laid out (g, dpp, tp): channel planes of a depth group outer,
+        # the w*w taps inner, so one pairwise tree over a group's dpp*tp taps
+        # is the tap tree followed by the plane tree
+        vals = np.empty(len(prod), dtype=np.int64)
+        events = 0
+        for i in range(0, len(prod), n):
+            part = prod[i:i + n]
+            tree = np.zeros((len(part), g, dpp, tp), dtype=np.int64)
+            tree[:, :, :d_par, :w * w] = (
+                part.reshape(-1, w * w, g, d_par).transpose(0, 2, 3, 1))
+            events += fx_clamp_count(tree)
+            a = tree.reshape(len(part), g, -1)
+            while a.shape[-1] > 1:
+                a = a[..., 0::2] + a[..., 1::2]
+                events += fx_clamp_count(a)
+            acc = a[:, 0, 0]
+            for j in range(1, g):
+                acc = acc + a[:, j, 0]
+                events += fx_clamp_count(acc)
+            vals[i:i + n] = acc
+        return vals, events
 
-
-def pool_datapath(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
-    """One pool layer's values: the max over each window. Max is order-free,
-    so this is the row buffer's running max in raster order."""
-    out = output_dims(Dims(*x.shape), spec)
-    s = spec.stride
-    return np.maximum.reduce([x[a:a + (out.height - 1) * s + 1:s,
-                                b:b + (out.width - 1) * s + 1:s]
-                              for a in range(spec.window) for b in range(spec.window)])
+    return conv_values(x, bank.data, spec, frac_bits, adder_tree)
 
 
 def _build_stages(layers, in_dims, d_pars, trace, layer_offset):
@@ -620,15 +588,16 @@ def simulate_group(layers, input_t: Tensor3D, banks, d_pars, frac_bits: int = 16
             carried = c
 
     layer_outputs = []
-    x, events, bi = input_t.data, 0, 0
+    cur, events, bi = input_t, 0, 0
     for layer, st in zip(layers, stages):
         if isinstance(layer, ConvSpec):
-            x, ev = conv_datapath(x, banks[bi], layer, d_pars[bi], frac_bits)
+            x, ev = conv_datapath(cur.data, banks[bi], layer, d_pars[bi], frac_bits)
+            cur = Tensor3D(st.out_dims, x)
             events += ev
             bi += 1
         else:
-            x = pool_datapath(x, layer)
-        layer_outputs.append(Tensor3D(st.out_dims, x))
+            cur = maxpool_layer(cur, layer)
+        layer_outputs.append(cur)
 
     return GroupResult(
         output=layer_outputs[-1],
@@ -652,7 +621,6 @@ def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan
     if len(weights) != len(conv_idx):
         raise ValidationError(
             f"{len(weights)} filter banks supplied for {len(conv_idx)} conv layers")
-    dpar_of = dict(zip(conv_idx, plan.depth_parallel))
 
     cur = input_t
     layer_outputs = []
@@ -660,13 +628,14 @@ def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan
     stamps_per_group = []
     stalls = {}
     saturation = 0
+    ci = 0  # conv layers before the group
     for a, b in plan.groups:
         group_layers = net.layers[a:b + 1]
-        group_banks = [weights[conv_idx.index(li)]
-                       for li in range(a, b + 1) if li in dpar_of]
-        group_dpars = [dpar_of[li] for li in range(a, b + 1) if li in dpar_of]
-        res = simulate_group(group_layers, cur, group_banks, group_dpars,
+        n_conv = sum(isinstance(layer, ConvSpec) for layer in group_layers)
+        res = simulate_group(group_layers, cur, weights[ci:ci + n_conv],
+                             plan.depth_parallel[ci:ci + n_conv],
                              net.fmt.frac_bits, trace, layer_offset=a)
+        ci += n_conv
         cur = res.output
         layer_outputs.extend(res.layer_outputs)
         cycles_per_group.append(res.cycles)

@@ -10,33 +10,10 @@ makes their comparison a bit-exact contract whenever nothing saturates.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 I32_MIN = -(1 << 31)
 I32_MAX = (1 << 31) - 1
-
-
-def fx_from_real(x: float, frac_bits: int = 16):
-    """Quantize a real number: round half away from zero, then saturate.
-
-    Returns (raw, saturated).
-    """
-    scaled = x * float(1 << frac_bits)
-    if scaled >= 0:
-        raw = math.floor(scaled + 0.5)
-    else:
-        raw = math.ceil(scaled - 0.5)
-    if raw > I32_MAX:
-        return I32_MAX, True
-    if raw < I32_MIN:
-        return I32_MIN, True
-    return raw, False
-
-
-def fx_to_real(raw: int, frac_bits: int = 16) -> float:
-    return raw / float(1 << frac_bits)
 
 
 def fx_mul(a: int, b: int, frac_bits: int = 16):
@@ -74,6 +51,3 @@ def sum_is_exact(max_abs_x: int, max_abs_w_sum: int, taps: int, frac_bits: int) 
     ints: -2**31 has no int32 magnitude): |x*w >> f| <= (|x|*|w| >> f) + 1."""
     return (max_abs_x * max_abs_w_sum >> frac_bits) + taps <= I32_MAX
 
-
-def fx_relu(a: int) -> int:
-    return a if a > 0 else 0

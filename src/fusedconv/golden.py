@@ -2,14 +2,17 @@
 
 Semantics of a conv output value: a sequential saturating sum, rows outer,
 columns middle, depth inner, of truncating fixed-point products, then an
-optional ReLU. The vectorized implementation reproduces that sequence
-bit-exactly with the rule the pipeline's conv engine also uses: every running
-partial is bounded by the sum of absolute products, so where that bound is
-<= I32_MAX the plain sum is exact and nothing saturates. A layer whose
-magnitudes pass fixedpoint.sum_is_exact needs no per-position bound at all.
-The positions over the bound (saturating adds are not associative once they
-clamp) take a saturating scan over the taps in sequential order, run across
-all of them at once, that clamps and counts every product and running sum.
+optional ReLU.
+
+conv_values is the one product pass, shared with the simulator's conv
+datapath; the two differ only in how they reduce the values that may clamp.
+Every running partial is bounded by the sum of absolute products, so where
+that bound is <= I32_MAX the plain sum is exact in any order and nothing
+saturates. A layer whose magnitudes pass fixedpoint.sum_is_exact needs no
+per-value bound at all. The values over the bound (saturating adds are not
+associative once they clamp) go to the caller's reduction: for the oracle, a
+saturating scan over the taps in sequential order, run across all of them at
+once, that clamps and counts every product and running sum.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConvSpec, Dims, NetworkSpec, PoolSpec, ValidationError, output_dims
-from .fixedpoint import I32_MAX, fx_add_sat, fx_clamp_count, fx_mul, sum_is_exact
+from .fixedpoint import I32_MAX, fx_clamp_count, sum_is_exact
 
-# keep the per-chunk product buffer around this many int64 values
-_CHUNK_BUDGET = 1 << 21
+_BATCH = 1 << 16  # int64 products per plain-sum batch (512 KiB)
+_GROUP = 1 << 21  # int64 products per group handed to a reduction
 
 
 @dataclass(eq=False)
@@ -37,11 +40,6 @@ class Tensor3D:
             raise ValidationError(f"tensor shape {self.data.shape} != dims {expect}")
         if self.data.dtype != np.int32:
             raise ValidationError(f"tensor dtype must be int32, got {self.data.dtype}")
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "Tensor3D":
-        arr = np.ascontiguousarray(arr, dtype=np.int32)
-        return cls(Dims(*arr.shape), arr)
 
     def equals(self, other: "Tensor3D") -> bool:
         return self.dims == other.dims and bool(np.array_equal(self.data, other.data))
@@ -71,31 +69,76 @@ class FilterBank:
         return self.data.shape[3]
 
 
-def zero_pad(t: Tensor3D, p: int) -> Tensor3D:
-    if p < 0:
-        raise ValidationError("pad must be >= 0")
-    if p == 0:
-        return t
-    h, w, d = t.data.shape
-    out = np.zeros((h + 2 * p, w + 2 * p, d), dtype=np.int32)
-    out[p:p + h, p:p + w, :] = t.data
-    return Tensor3D(Dims(h + 2 * p, w + 2 * p, d), out)
-
-
-def _conv_position_sequential(win: np.ndarray, filt: np.ndarray, frac_bits: int):
-    """Literal reference reduction for one output position, kept as the
-    specification conv_layer is tested against. Returns (raw, events)."""
-    acc = 0
-    events = 0
-    w = win.shape[0]
-    d = win.shape[2]
-    for r in range(w):
-        for c in range(w):
-            for ch in range(d):
-                p, sat_m = fx_mul(int(win[r, c, ch]), int(filt[r, c, ch]), frac_bits)
-                acc, sat_a = fx_add_sat(acc, p)
-                events += sat_m + sat_a
+def _sequential_sum(prod: np.ndarray):
+    """The oracle's order: each row of an (n, taps) int64 product array
+    becomes a saturating running sum over its taps, all rows at once, with
+    every product and partial clamped and counted. Returns (values, events)."""
+    events = fx_clamp_count(prod)
+    acc = np.zeros(len(prod), dtype=np.int64)
+    for tap in prod.T:
+        acc += tap
+        events += fx_clamp_count(acc)
     return acc, events
+
+
+def conv_values(x: np.ndarray, filt: np.ndarray, spec: ConvSpec, frac_bits: int,
+                reduce_over):
+    """One conv layer's values from an (h, w, d) int32 input and a (k, w, w, d)
+    int32 filter array. Returns ((h_out, w_out, k) int32, saturation events).
+
+    Windows go in raster order, in batches of about _BATCH products, and every
+    value takes the plain sum. Unless the layer passes sum_is_exact, the
+    (window, filter) pairs whose sum of absolute products passes I32_MAX are
+    collected; afterwards their products, (n, taps) int64 in row, column,
+    depth order, are rebuilt in groups of about _GROUP and replaced by
+    reduce_over(prod) -> (values, events)."""
+    k, w, _, d = filt.shape
+    s, p = spec.stride, spec.pad
+    taps = w * w * d
+    padded = np.pad(x, ((p, p), (p, p), (0, 0)))
+    # windows[r, c] is the w x w x d patch feeding output position (r, c)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (w, w, d))[::s, ::s, 0]
+    oh, ow = windows.shape[:2]
+    filt64 = filt.reshape(k, taps).astype(np.int64)
+    exact = sum_is_exact(max(int(x.max()), -int(x.min())),
+                         int(np.abs(filt64).sum(axis=1).max()), taps, frac_bits)
+
+    out = np.empty((oh, ow, k), dtype=np.int32)
+    flagged = []
+    per_pos = k * taps
+    cols = min(ow, max(1, _BATCH // per_pos))
+    rows = max(1, _BATCH // (ow * per_pos))
+    buf = np.empty(min(rows, oh) * cols * per_pos, dtype=np.int64)
+    for r0 in range(0, oh, rows):
+        for c0 in range(0, ow, cols):
+            win = windows[r0:r0 + rows, c0:c0 + cols]
+            nr, nc = win.shape[:2]
+            prod = buf[:nr * nc * per_pos].reshape(nr, nc, k, taps)
+            np.multiply(win.reshape(nr, nc, 1, taps), filt64, out=prod)
+            prod >>= frac_bits
+            out[r0:r0 + nr, c0:c0 + nc] = prod.sum(axis=-1)
+            if not exact:
+                # a float64 sum cannot wrap, and is exact while it stays <= I32_MAX
+                r, c, f = np.nonzero(np.abs(prod).sum(axis=-1, dtype=np.float64) > I32_MAX)
+                if len(f):
+                    flagged.append((r + r0, c + c0, f))
+
+    events = 0
+    if flagged:
+        r, c, f = (np.concatenate(a) for a in zip(*flagged))
+        n = max(1, _GROUP // taps)
+        for i in range(0, len(f), n):
+            ri, ci, fi = r[i:i + n], c[i:i + n], f[i:i + n]
+            prod = filt64[fi]
+            prod *= windows[ri, ci].reshape(len(fi), taps)
+            prod >>= frac_bits
+            vals, ev = reduce_over(prod)
+            out[ri, ci, fi] = vals
+            events += ev
+
+    if spec.relu:
+        np.maximum(out, 0, out=out)
+    return out, events
 
 
 def conv_layer(input_t: Tensor3D, filters: FilterBank, spec: ConvSpec,
@@ -108,45 +151,9 @@ def conv_layer(input_t: Tensor3D, filters: FilterBank, spec: ConvSpec,
     if filters.depth != input_t.dims.depth:
         raise ValidationError(
             f"filter depth {filters.depth} != input depth {input_t.dims.depth}")
-
-    out_dims = output_dims(input_t.dims, spec)
-    oh, ow, k = out_dims.height, out_dims.width, out_dims.depth
-    w, s, d = spec.kernel, spec.stride, input_t.dims.depth
-    taps = w * w * d
-
-    padded = zero_pad(input_t, spec.pad).data
-    # windows[r, c] is the w x w x d patch feeding output position (r, c)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (w, w, d))[::s, ::s, 0]
-    filt64 = filters.data.reshape(k, taps).astype(np.int64)
-    exact = sum_is_exact(max(int(padded.max()), -int(padded.min())),
-                         int(np.abs(filt64).sum(axis=1).max()), taps, frac_bits)
-
-    out = np.empty((oh, ow, k), dtype=np.int32)
-    events = 0
-    rows_per_chunk = max(1, _CHUNK_BUDGET // max(1, ow * k * taps))
-    for r0 in range(0, oh, rows_per_chunk):
-        r1 = min(oh, r0 + rows_per_chunk)
-        win = windows[r0:r1].reshape(r1 - r0, ow, taps).astype(np.int64)
-        # (rows, ow, 1, taps) * (k, taps) -> (rows, ow, k, taps)
-        prod = (win[:, :, None, :] * filt64[None, None, :, :]) >> frac_bits
-        res = prod.sum(axis=-1)
-        if not exact:
-            # a float64 sum cannot wrap, and is exact while it stays <= I32_MAX
-            over = np.abs(prod).sum(axis=-1, dtype=np.float64) > I32_MAX
-            if over.any():
-                # (flagged positions, taps); each step adds one tap to all of them
-                seq = prod[over]
-                events += fx_clamp_count(seq)
-                acc = np.zeros(seq.shape[0], dtype=np.int64)
-                for tap in seq.T:
-                    acc += tap
-                    events += fx_clamp_count(acc)
-                res[over] = acc
-        out[r0:r1] = res
-
-    if spec.relu:
-        np.maximum(out, 0, out=out)
-    return Tensor3D(out_dims, out), events
+    out, events = conv_values(input_t.data, filters.data, spec, frac_bits,
+                              _sequential_sum)
+    return Tensor3D(output_dims(input_t.dims, spec), out), events
 
 
 def maxpool_layer(input_t: Tensor3D, spec: PoolSpec) -> Tensor3D:

@@ -90,6 +90,29 @@ def test_identity_conv_golden_output_equals_input(tmp_path):
     assert out == inp
 
 
+def test_tree_and_oracle_saturating_differently_exits_0(tmp_path):
+    # the adder tree sums (2**31-1 + 0) + (1 + -1) without a clamp, the
+    # oracle's running sum clamps at + 1: outputs differ, but only the oracle
+    # counts a saturation event, so this is no internal error
+    import numpy as np
+    from fusedconv.config import ConvSpec, Dims, NetworkSpec
+    from fusedconv.fileio import write_tensor
+    from fusedconv.golden import FilterBank, Tensor3D
+    net = NetworkSpec(Dims(1, 1, 4), (ConvSpec(1, 1, relu=False),))
+    (tmp_path / "net.json").write_text(serialize_network(net))
+    write_tensor(tmp_path / "input.dclf", Tensor3D(
+        net.input_dims, np.array([[[2**31 - 1, 0, 1, -1]]], dtype=np.int32)))
+    write_weights(tmp_path / "weights.bin",
+                  [FilterBank(np.full((1, 1, 1, 4), 1 << 16, dtype=np.int32))])
+    assert main(["simulate", "--network", str(tmp_path / "net.json"),
+                 "--input", str(tmp_path / "input.dclf"),
+                 "--weights", str(tmp_path / "weights.bin"),
+                 "--out", str(tmp_path / "sim")]) == 0
+    sim = json.loads((tmp_path / "sim" / "report.json").read_text())["simulation"]
+    assert sim["golden_match"] is False
+    assert sim["saturation_events"] == 0
+
+
 def test_truncated_weights_reports_byte_counts(workdir, capsys):
     blob = (workdir / "weights.bin").read_bytes()
     (workdir / "weights.bin").write_bytes(blob[:len(blob) // 2])

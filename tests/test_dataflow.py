@@ -7,14 +7,14 @@ from hypothesis import given, strategies as st
 from fusedconv.config import ConvSpec, Dims, InternalError, NetworkSpec, PoolSpec, \
     ValidationError, parse_plan
 from fusedconv.dataflow import (ConvEngine, ConvStage, LineBuffer, PoolStage,
-                                TraceWriter, _last_needing, conv_datapath, pool_datapath,
+                                TraceWriter, _last_needing, conv_datapath,
                                 simulate_group, simulate_plan)
 from fusedconv.datagen import generate_tensor, generate_weights
-from fusedconv.fixedpoint import fx_add_sat, fx_mul
-from fusedconv.golden import FilterBank, maxpool_layer, run_network
+from fusedconv.golden import FilterBank, run_network
 
 from conftest import EXACTNESS_EDGES, identity_bank, random_network, random_plan, \
     tensor_from_reals
+from reference import engine_reference
 
 
 # --- line buffer -------------------------------------------------------------
@@ -172,53 +172,6 @@ def test_engine_window_value_matches_golden_reduction(small_net, small_data):
     assert np.array_equal(vals, outs[0].data)
 
 
-def _tree_sum(vals):
-    """Pairwise saturating adder tree over vals zero padded to a power of
-    two. Returns (value, clip events)."""
-    level = vals + [0] * ((1 << (len(vals) - 1).bit_length()) - len(vals))
-    events = 0
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level), 2):
-            v, sat = fx_add_sat(level[i], level[i + 1])
-            events += sat
-            nxt.append(v)
-        level = nxt
-    return level[0], events
-
-
-def _engine_reference(win, filt, d_par, relu, frac_bits=16):
-    """Scalar tree-order reduction of one window, as the hardware sums it:
-    per channel a tree over the w*w products, per serial depth group a tree
-    over its d_par channels, then a saturating running sum over the groups."""
-    k, w, _, d = filt.shape
-    out, events = [], 0
-    for f in range(k):
-        acc = 0
-        for j in range(d // d_par):
-            planes = []
-            for ch in range(j * d_par, (j + 1) * d_par):
-                prods = []
-                for r in range(w):
-                    for c in range(w):
-                        p, sat = fx_mul(int(win[r, c, ch]), int(filt[f, r, c, ch]),
-                                        frac_bits)
-                        events += sat
-                        prods.append(p)
-                v, ev = _tree_sum(prods)
-                planes.append(v)
-                events += ev
-            v, ev = _tree_sum(planes)
-            events += ev
-            if j == 0:
-                acc = v
-            else:
-                acc, sat = fx_add_sat(acc, v)
-                events += sat
-        out.append(max(acc, 0) if relu else acc)
-    return out, events
-
-
 def _one_window(win, filt, d_par, relu):
     """conv_datapath on an input exactly one window in size."""
     vals, events = conv_datapath(win, FilterBank(filt),
@@ -238,7 +191,7 @@ def test_engine_saturating_reduction_matches_tree_reference(k, w, d, d_par, shif
     win = rng.integers(full.min, full.max, (w, w, d), endpoint=True,
                        dtype=np.int32) >> shift
     vals, events = _one_window(win, filt, d_par, relu)
-    ref, ref_events = _engine_reference(win, filt, d_par, relu)
+    ref, ref_events = engine_reference(win, filt, d_par, relu)
     assert vals == ref
     assert events == ref_events
     if shift <= 7:
@@ -249,7 +202,7 @@ def test_engine_saturating_reduction_matches_tree_reference(k, w, d, d_par, shif
 def test_engine_exactness_bound_edges_match_tree_reference(edge):
     (data, weights), _ = EXACTNESS_EDGES[edge]
     vals, events = _one_window(data[:3, :3], weights, 1, False)
-    ref, ref_events = _engine_reference(data[:3, :3], weights, 1, False)
+    ref, ref_events = engine_reference(data[:3, :3], weights, 1, False)
     assert vals == ref
     assert events == ref_events
 
@@ -261,7 +214,7 @@ def test_engine_bound_does_not_wrap_at_small_frac_bits(frac_bits):
     win = np.full((3, 3, 2), -(1 << 31), dtype=np.int32)
     filt = np.full((1, 3, 3, 2), -(1 << 31), dtype=np.int32)
     vals, events = conv_datapath(win, FilterBank(filt), ConvSpec(3, 1), 2, frac_bits)
-    ref, ref_events = _engine_reference(win, filt, 2, False, frac_bits)
+    ref, ref_events = engine_reference(win, filt, 2, False, frac_bits)
     assert vals[0, 0].tolist() == ref == [(1 << 31) - 1]
     assert events == ref_events >= 18
 
@@ -296,7 +249,7 @@ def test_conv_datapath_matches_tree_reference_per_window(case):
     ref_events = 0
     for r in range(vals.shape[0]):
         for c in range(vals.shape[1]):
-            ref, ev = _engine_reference(padded[r * s:r * s + w, c * s:c * s + w],
+            ref, ev = engine_reference(padded[r * s:r * s + w, c * s:c * s + w],
                                         filt, d_par, spec.relu)
             assert vals[r, c].tolist() == ref
             ref_events += ev
@@ -321,6 +274,11 @@ def drive_pool(pool, n_elems, cycles=400):
     return out
 
 
+def simulated_pool(t, spec):
+    """A pool layer's values as simulate_group produces them."""
+    return simulate_group([spec], t, [], []).output.data
+
+
 def test_pool_single_window_max():
     t = tensor_from_reals([[[1.0], [2.0]], [[3.0], [4.0]]])
     spec = PoolSpec(2, 2)
@@ -328,14 +286,14 @@ def test_pool_single_window_max():
     assert len(out) == 1
     # the second input row completes on cycle 4; pooled value next cycles
     assert out[0] >= 5
-    assert pool_datapath(t.data, spec).tolist() == [[[4 << 16]]]
+    assert simulated_pool(t, spec).tolist() == [[[4 << 16]]]
 
 
 def test_pool_constant_rows():
     t = tensor_from_reals(np.full((4, 6, 3), 0.25))
     spec = PoolSpec(2, 2)
     assert len(drive_pool(PoolStage(spec, t.dims), 24)) == 6
-    assert np.all(pool_datapath(t.data, spec) == (1 << 14))
+    assert np.all(simulated_pool(t, spec) == (1 << 14))
 
 
 def test_pool_row_emitted_per_two_input_rows():
@@ -345,16 +303,18 @@ def test_pool_row_emitted_per_two_input_rows():
     expect = np.maximum(
         np.maximum(t.data[0, 0::2], t.data[0, 1::2]),
         np.maximum(t.data[1, 0::2], t.data[1, 1::2]))
-    assert np.array_equal(pool_datapath(t.data, spec)[0], expect)
+    assert np.array_equal(simulated_pool(t, spec)[0], expect)
 
 
 def test_pool_datapath_skips_uncovered_rows_and_columns():
     # window 2 < stride 3: rows and columns 2, 5, ... belong to no window
     t = generate_tensor(Dims(7, 8, 2), seed=51)
-    got = pool_datapath(t.data, PoolSpec(2, 3))
-    want = maxpool_layer(t, PoolSpec(2, 3))
-    assert got.flags.c_contiguous
-    assert np.array_equal(got, want.data)
+    got = simulated_pool(t, PoolSpec(2, 3))
+    assert got.shape == (2, 3, 2)
+    for r in range(2):
+        for c in range(3):
+            window = t.data[3 * r:3 * r + 2, 3 * c:3 * c + 2]
+            assert np.array_equal(got[r, c], window.max(axis=(0, 1)))
 
 
 def test_pool_rejects_overlapping_windows():

@@ -2,32 +2,12 @@ import random
 
 import numpy as np
 
-from fusedconv.fixedpoint import (I32_MAX, I32_MIN, fx_add_sat, fx_clamp_count,
-                                  fx_from_real, fx_mul, fx_relu, fx_to_real,
-                                  sum_is_exact)
-
-
-def test_from_real_identity_scaling():
-    assert fx_from_real(1.0) == (0x0001_0000, False)
-    assert fx_from_real(0.0) == (0, False)
-
-
-def test_from_real_saturates_above_range():
-    # Q16.16 max representable is 32767.9999847; 40000 clamps to the top code
-    raw, sat = fx_from_real(40000.0)
-    assert raw == 0x7FFF_FFFF and sat
-    raw, sat = fx_from_real(-40000.0)
-    assert raw == I32_MIN and sat
-
-
-def test_from_real_rounds_half_away_from_zero():
-    assert fx_from_real(0.1) == (6554, False)   # 6553.6 rounds up
-    assert fx_from_real(-0.1) == (-6554, False)
+from fusedconv.fixedpoint import I32_MAX, I32_MIN, fx_add_sat, fx_clamp_count, fx_mul, \
+    sum_is_exact
 
 
 def test_mul_exact_cases():
-    a, _ = fx_from_real(1.5)
-    b, _ = fx_from_real(2.0)
+    a, b = 0x0001_8000, 0x0002_0000  # 1.5 and 2.0 in Q16.16
     assert fx_mul(a, b) == (0x0003_0000, False)
     assert fx_mul(a, 0) == (0, False)
     assert fx_mul(-a, 0) == (0, False)
@@ -35,26 +15,17 @@ def test_mul_exact_cases():
 
 def test_mul_truncates():
     # 0.1 * 0.1: (6554 * 6554) >> 16 = 655, not the 656 rounding would give
-    a, _ = fx_from_real(0.1)
     assert (6554 * 6554) >> 16 == 655
-    assert fx_mul(a, a) == (655, False)
+    assert fx_mul(6554, 6554) == (655, False)
 
 
 def test_add_cases():
-    one, _ = fx_from_real(1.0)
+    one = 0x0001_0000
     assert fx_add_sat(one, -one) == (0, False)
     assert fx_add_sat(I32_MAX, 1) == (I32_MAX, True)
     assert fx_add_sat(I32_MIN, -1) == (I32_MIN, True)
-    a, _ = fx_from_real(2.25)
-    b, _ = fx_from_real(3.5)
-    s, sat = fx_add_sat(a, b)
-    assert fx_to_real(s) == 5.75 and not sat
-
-
-def test_relu():
-    assert fx_relu(fx_from_real(-2.5)[0]) == 0
-    assert fx_relu(fx_from_real(2.5)[0]) == fx_from_real(2.5)[0]
-    assert fx_relu(0) == 0
+    # 2.25 + 3.5 = 5.75
+    assert fx_add_sat(0x0002_4000, 0x0003_8000) == (0x0005_C000, False)
 
 
 def test_commutativity_on_raw_patterns():
@@ -89,13 +60,6 @@ def test_addition_associative_when_unsaturated():
             level = nxt
         assert clean
         assert level[0] == seq
-
-
-def test_roundtrip_identity_on_representable():
-    rng = random.Random(3)
-    for _ in range(200):
-        raw = rng.randint(I32_MIN, I32_MAX)
-        assert fx_from_real(fx_to_real(raw)) == (raw, False)
 
 
 def test_clamp_count_in_range_is_untouched():

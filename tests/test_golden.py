@@ -5,67 +5,35 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fusedconv import golden
+from fusedconv import dataflow, golden
 from fusedconv.config import ConvSpec, Dims, PoolSpec, ValidationError
+from fusedconv.dataflow import conv_datapath
 from fusedconv.datagen import generate_tensor, generate_weights
-from fusedconv.golden import FilterBank, Tensor3D, conv_layer, maxpool_layer, \
-    run_network, zero_pad
+from fusedconv.golden import FilterBank, Tensor3D, conv_layer, maxpool_layer, run_network
 
 from conftest import EXACTNESS_EDGES, identity_bank, tensor_from_reals
+from reference import brute_force_conv, conv_position_sequential, engine_reference, \
+    tensor_from_array
 
 I32_MAX = (1 << 31) - 1
 I32_MIN = -(1 << 31)
 
 
-def brute_force_conv(input_t, bank, spec, frac_bits=16):
-    """Independently coded reference: explicit loop nest with inline
-    truncating multiply and saturating accumulate, rows outer, columns
-    middle, depth inner. Returns (int32 outputs, clip count), one clip per
-    product or running sum that leaves the 32-bit range. Verified by hand at
-    one position: a 1x1x1 input of 0.5 against a single-tap filter of 0.5
-    gives (32768*32768)>>16 = 16384 = 0.25."""
-    h, w_in, d = input_t.data.shape
-    k, w = bank.data.shape[0], bank.data.shape[1]
-    s, p = spec.stride, spec.pad
-    oh = (h + 2 * p - w) // s + 1
-    ow = (w_in + 2 * p - w) // s + 1
-    out = np.zeros((oh, ow, k), dtype=np.int64)
-    clips = 0
-    src = input_t.data
-    flt = bank.data
-    for r in range(oh):
-        for c in range(ow):
-            for f in range(k):
-                acc = 0
-                for kr in range(w):
-                    for kc in range(w):
-                        rr = r * s - p + kr
-                        cc = c * s - p + kc
-                        if rr < 0 or rr >= h or cc < 0 or cc >= w_in:
-                            continue
-                        for ch in range(d):
-                            prod = (int(src[rr, cc, ch]) * int(flt[f, kr, kc, ch])) >> frac_bits
-                            clips += not I32_MIN <= prod <= I32_MAX
-                            prod = min(max(prod, I32_MIN), I32_MAX)
-                            acc += prod
-                            clips += not I32_MIN <= acc <= I32_MAX
-                            acc = min(max(acc, I32_MIN), I32_MAX)
-                if spec.relu and acc < 0:
-                    acc = 0
-                out[r, c, f] = acc
-    return out.astype(np.int32), clips
-
-
 def test_zero_pad_examples():
+    # one filter per tap (weight 1.0 there) reads every window back: the pad
+    # ring is zeros, the interior the input
     t = tensor_from_reals(np.ones((5, 5, 3)))
-    assert zero_pad(t, 0) is t
-    padded = zero_pad(t, 1)
-    assert padded.dims == Dims(7, 7, 3)
-    for ch in range(3):
-        plane = padded.data[:, :, ch]
-        assert np.count_nonzero(plane == 0) == 24
-    zeros = Tensor3D(Dims(2, 2, 1), np.zeros((2, 2, 1), dtype=np.int32))
-    assert not zero_pad(zeros, 2).data.any()
+    bank = FilterBank(np.eye(27, dtype=np.int32).reshape(27, 3, 3, 3) << 16)
+    out, events = conv_layer(t, bank, ConvSpec(3, 27, 1, 1, relu=False))
+    windows = out.data.reshape(5, 5, 3, 3, 3)
+    assert events == 0
+    assert np.count_nonzero(windows[0, 0] == 0) == 5 * 3
+    assert np.count_nonzero(windows[2, 2] == 0) == 0
+    padded = np.zeros((7, 7, 3), dtype=np.int32)
+    padded[1:6, 1:6] = t.data
+    for r in range(5):
+        for c in range(5):
+            assert np.array_equal(windows[r, c], padded[r:r + 3, c:c + 3])
 
 
 def test_identity_kernel_preserves_input():
@@ -163,18 +131,19 @@ def _alternating_clip_input():
         "product-clip-neg-pad2", "alternating", "full-range", "full-range-1x1"])
 def test_conv_clipping_inputs_match_loop_nest(make, spec):
     data, weights = make()
-    t, bank = Tensor3D.from_array(data), FilterBank(weights)
+    t, bank = tensor_from_array(data), FilterBank(weights)
     out, events = conv_layer(t, bank, spec)
     ref, clips = brute_force_conv(t, bank, spec)
     assert clips > 0
     assert np.array_equal(out.data, ref)
     assert events == clips
     # the oracle's own literal specification agrees position by position
-    padded = zero_pad(t, spec.pad).data
+    p = spec.pad
+    padded = np.pad(data, ((p, p), (p, p), (0, 0)))
     w, s = spec.kernel, spec.stride
     literal_events = 0
     for (r, c, f), value in np.ndenumerate(out.data):
-        raw, ev = golden._conv_position_sequential(
+        raw, ev = conv_position_sequential(
             padded[r * s:r * s + w, c * s:c * s + w], weights[f], 16)
         assert value == (max(raw, 0) if spec.relu else raw)
         literal_events += ev
@@ -184,7 +153,7 @@ def test_conv_clipping_inputs_match_loop_nest(make, spec):
 @pytest.mark.parametrize("edge", EXACTNESS_EDGES)
 def test_conv_exactness_bound_edges_match_loop_nest(edge):
     (data, weights), clips = EXACTNESS_EDGES[edge]
-    t, bank = Tensor3D.from_array(data), FilterBank(weights)
+    t, bank = tensor_from_array(data), FilterBank(weights)
     spec = ConvSpec(3, 1, 1, 0, relu=False)
     out, events = conv_layer(t, bank, spec)
     ref, ref_clips = brute_force_conv(t, bank, spec)
@@ -196,7 +165,7 @@ def test_conv_exactness_bound_edges_match_loop_nest(edge):
 def test_conv_bound_does_not_wrap_at_small_frac_bits(frac_bits):
     # 18 products of (-2**31)**2 >> frac_bits: their absolute sum passes the
     # int64 range, and every one of them clips
-    t = Tensor3D.from_array(np.full((3, 3, 2), I32_MIN, dtype=np.int32))
+    t = tensor_from_array(np.full((3, 3, 2), I32_MIN, dtype=np.int32))
     bank = FilterBank(np.full((1, 3, 3, 2), I32_MIN, dtype=np.int32))
     spec = ConvSpec(3, 1, 1, 0)
     out, events = conv_layer(t, bank, spec, frac_bits)
@@ -205,7 +174,7 @@ def test_conv_bound_does_not_wrap_at_small_frac_bits(frac_bits):
     assert events == clips >= 18
 
 
-def test_saturating_layer_needs_no_per_position_reference(monkeypatch):
+def test_saturating_layer_needs_no_per_position_reference():
     # full-magnitude activations against unscaled weights in [-1, 1): nearly
     # every output position of this 3x3, 16-deep layer clips
     t = Tensor3D(Dims(16, 16, 16),
@@ -213,14 +182,64 @@ def test_saturating_layer_needs_no_per_position_reference(monkeypatch):
     bank = FilterBank(generate_tensor(Dims(16, 9, 16), 4).data.reshape(16, 3, 3, 16))
     spec = ConvSpec(3, 16, 1, 1)
     ref, clips = brute_force_conv(t, bank, spec)
-
-    def literal_reference(*args):
-        raise AssertionError("conv_layer ran the per-position reference")
-    monkeypatch.setattr(golden, "_conv_position_sequential", literal_reference)
     out, events = conv_layer(t, bank, spec)
     assert clips > 16 * 16 * 16
     assert np.array_equal(out.data, ref)
     assert events == clips
+
+
+def _scattered_saturating_input():
+    # three hot spots of 2^30 against weights of +-1.5: the windows covering
+    # one of them are over the exactness bound, the windows between them not
+    data = generate_tensor(Dims(7, 8, 2), 43).data.copy()
+    for r, c in ((0, 0), (3, 5), (6, 1)):
+        data[r, c] = 0x4000_0000
+    weights = np.full((2, 3, 3, 2), 0x0001_8000, dtype=np.int32)
+    weights[1] = -weights[1]
+    weights[1, 0, 0, 1] = 0x0000_8000
+    return tensor_from_array(data), FilterBank(weights)
+
+
+@pytest.mark.parametrize("spec", [ConvSpec(3, 2, 1, 1, relu=False),
+                                  ConvSpec(3, 2, 2, 0, relu=False)], ids=["pad1", "stride2"])
+@pytest.mark.parametrize("d_par", [1, 2])
+def test_conv_values_groups_span_batches(monkeypatch, spec, d_par):
+    # one window per plain-sum batch, two values per reduction group and per
+    # adder-tree chunk: the flagged values cross every boundary
+    taps = 18
+    monkeypatch.setattr(golden, "_BATCH", 2 * taps)
+    monkeypatch.setattr(golden, "_GROUP", 2 * taps)
+    monkeypatch.setattr(dataflow, "_TREE_NODES", 64)
+    groups = []
+
+    def spy(reduce):
+        def wrapped(prod):
+            groups.append(len(prod))
+            return reduce(prod)
+        return wrapped
+    monkeypatch.setattr(golden, "_sequential_sum", spy(golden._sequential_sum))
+    t, bank = _scattered_saturating_input()
+
+    out, events = conv_layer(t, bank, spec)
+    ref, clips = brute_force_conv(t, bank, spec)
+    assert clips > 0
+    assert np.array_equal(out.data, ref)
+    assert events == clips
+    assert len(groups) > 2 and max(groups) == 2
+    flagged = sum(groups)
+    assert flagged < out.data.size
+
+    vals, events = conv_datapath(t.data, bank, spec, d_par, 16)
+    w, s, p = spec.kernel, spec.stride, spec.pad
+    padded = np.pad(t.data, ((p, p), (p, p), (0, 0)))
+    ref_events = 0
+    for r in range(vals.shape[0]):
+        for c in range(vals.shape[1]):
+            ref, ev = engine_reference(padded[r * s:r * s + w, c * s:c * s + w],
+                                       bank.data, d_par, spec.relu)
+            assert vals[r, c].tolist() == ref
+            ref_events += ev
+    assert events == ref_events > 0
 
 
 def _int32_arrays(shape):
@@ -241,7 +260,7 @@ def conv_cases(draw):
     shift = draw(st.integers(0, 12))
     data = draw(_int32_arrays((h, w, d))) >> shift
     weights = draw(_int32_arrays((spec.filters, kernel, kernel, d)))
-    return Tensor3D.from_array(data), FilterBank(weights >> shift), spec
+    return tensor_from_array(data), FilterBank(weights >> shift), spec
 
 
 @given(conv_cases())

@@ -4,8 +4,8 @@
 spans were skipped: it calls every stage's `step` on every cycle. It drives
 the same stage classes, so any difference in cycles, stamps, stalls or trace
 text comes from the jumps of the clock. Values are not the schedule's: the
-datapath computes them after it, and the tests of conv_datapath and
-pool_datapath check them.
+datapath computes them after it, and the tests of conv_datapath and of the
+pool values check them.
 """
 
 import io
@@ -21,8 +21,10 @@ from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, PoolSpec, 
 from fusedconv.dataflow import ConvStage, StageStamp, TraceWriter, _build_stages, \
     simulate_group
 from fusedconv.datagen import generate_tensor, generate_weights
-from fusedconv.golden import FilterBank, Tensor3D, run_network
+from fusedconv.golden import FilterBank, run_network
 from fusedconv.networks import consecutive_convs, reduced_vgg_prefix_7
+
+from reference import tensor_from_array
 
 
 def step_every_cycle(layers, in_dims, d_pars, trace=None, layer_offset=0):
@@ -141,7 +143,7 @@ def pipeline_cases(draw):
     def raw(shape):
         return rng.integers(full.min, full.max, shape, endpoint=True, dtype=np.int32) >> shift
 
-    tensor = Tensor3D.from_array(raw((dims.height, dims.width, dims.depth)))
+    tensor = tensor_from_array(raw((dims.height, dims.width, dims.depth)))
     banks = [FilterBank(raw((net.layers[li].filters, net.layers[li].kernel,
                              net.layers[li].kernel, din[li].depth)))
              for li in net.conv_indices()]
