@@ -25,6 +25,8 @@ them in raster order too. After a group's schedule has run, the datapath
 computes each layer's values once: conv_datapath runs golden's product pass
 and reduces the values that may clamp in the engine's adder-tree order,
 counting saturation events; a pool layer's values are golden.maxpool_layer's.
+Given a golden.ConvPasses record, the datapath keeps each conv layer's
+product pass there, for the oracle's check of the same layer to reuse.
 
 Most cycles are quiet: a conv engine holding a window for its k*g filter
 sweep moves only counters. When the source cannot feed the first stage, each
@@ -44,7 +46,7 @@ from .config import ConvSpec, Dims, FusionPlan, InternalError, NetworkSpec, Pool
     ValidationError, check_pipeline_pool, output_dims, validate_plan
 from .costmodel import conv3d_latency
 from .fixedpoint import fx_clamp_count
-from .golden import FilterBank, Tensor3D, conv_values, maxpool_layer
+from .golden import ConvPasses, FilterBank, Tensor3D, conv_values, maxpool_layer
 
 _FOREVER = 1 << 62     # quiet_for of a stage that waits on another stage
 _TREE_NODES = 1 << 16  # int64 leaves per adder-tree chunk (512 KiB)
@@ -445,7 +447,7 @@ class SimResult:
 
 
 def conv_datapath(x: np.ndarray, bank: FilterBank, spec: ConvSpec, d_par: int,
-                  frac_bits: int):
+                  frac_bits: int, passes: ConvPasses = None):
     """One conv layer's values, as the engine reduces each window. Returns
     ((h_out, w_out, k) int32, saturation events).
 
@@ -484,7 +486,7 @@ def conv_datapath(x: np.ndarray, bank: FilterBank, spec: ConvSpec, d_par: int,
             vals[i:i + n] = acc
         return vals, events
 
-    return conv_values(x, bank.data, spec, frac_bits, adder_tree)
+    return conv_values(x, bank.data, spec, frac_bits, adder_tree, passes)
 
 
 def _build_stages(layers, in_dims, d_pars, trace, layer_offset):
@@ -504,14 +506,14 @@ def _build_stages(layers, in_dims, d_pars, trace, layer_offset):
 
 def simulate_group(layers, input_t: Tensor3D, banks, d_pars, frac_bits: int = 16,
                    trace=None, layer_offset: int = 0,
-                   max_cycles: int = None) -> GroupResult:
+                   max_cycles: int = None, passes: ConvPasses = None) -> GroupResult:
     """Run one fused group: the input streams one element per cycle while the
     chain accepts, then flush cycles run until every stage has emitted its
     complete output (trailing rows a pool discards still flow through). The
     group's cycle count is the stamp of the final stage's last element.
 
     The schedule moves presence tokens only; once it has run, the datapath
-    computes each layer's values in turn."""
+    computes each layer's values in turn, through `passes` if given."""
     if not layers:
         raise ValidationError("fused group must contain at least one layer")
     stages = _build_stages(layers, input_t.dims, d_pars, trace, layer_offset)
@@ -591,7 +593,8 @@ def simulate_group(layers, input_t: Tensor3D, banks, d_pars, frac_bits: int = 16
     cur, events, bi = input_t, 0, 0
     for layer, st in zip(layers, stages):
         if isinstance(layer, ConvSpec):
-            x, ev = conv_datapath(cur.data, banks[bi], layer, d_pars[bi], frac_bits)
+            x, ev = conv_datapath(cur.data, banks[bi], layer, d_pars[bi], frac_bits,
+                                  passes)
             cur = Tensor3D(st.out_dims, x)
             events += ev
             bi += 1
@@ -609,10 +612,11 @@ def simulate_group(layers, input_t: Tensor3D, banks, d_pars, frac_bits: int = 16
 
 
 def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan,
-                  trace=None) -> SimResult:
+                  trace=None, passes: ConvPasses = None) -> SimResult:
     """Run the plan's groups sequentially; each group boundary round-trips a
     full tensor (the traffic model charges it; transfer cycles are not
-    simulated). Total cycles are the sum of group cycles."""
+    simulated). Total cycles are the sum of group cycles. Product passes
+    go through `passes`, if given."""
     validate_plan(plan, net)
     if input_t.dims != net.input_dims:
         raise ValidationError(
@@ -634,7 +638,8 @@ def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan
         n_conv = sum(isinstance(layer, ConvSpec) for layer in group_layers)
         res = simulate_group(group_layers, cur, weights[ci:ci + n_conv],
                              plan.depth_parallel[ci:ci + n_conv],
-                             net.fmt.frac_bits, trace, layer_offset=a)
+                             net.fmt.frac_bits, trace, layer_offset=a,
+                             passes=passes)
         ci += n_conv
         cur = res.output
         layer_outputs.extend(res.layer_outputs)

@@ -41,7 +41,9 @@ def fx_clamp_count(a: np.ndarray) -> int:
     if a.max() <= I32_MAX and a.min() >= I32_MIN:
         return 0
     n = int(np.count_nonzero(a > I32_MAX)) + int(np.count_nonzero(a < I32_MIN))
-    np.clip(a, I32_MIN, I32_MAX, out=a)
+    # np.clip would look up the integer limits on every call
+    np.minimum(a, I32_MAX, out=a)
+    np.maximum(a, I32_MIN, out=a)
     return n
 
 

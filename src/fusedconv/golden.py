@@ -13,6 +13,14 @@ per-value bound at all. The values over the bound (saturating adds are not
 associative once they clamp) go to the caller's reduction: for the oracle, a
 saturating scan over the taps in sequential order, run across all of them at
 once, that clamps and counts every product and running sum.
+
+`simulate` reduces every conv layer twice, in the simulator's order and then
+in the oracle's, from the same input, filters, spec and frac_bits. A
+ConvPasses record that lives for that one command keeps each layer's output
+and flagged pairs, so the second reduction computes no plain sum again: it
+starts from a copy of that output and rebuilds only the flagged products. A
+pass is reused only when everything its values depend on matches, so a layer
+fed other values computes its own.
 """
 
 from __future__ import annotations
@@ -81,28 +89,48 @@ def _sequential_sum(prod: np.ndarray):
     return acc, events
 
 
-def conv_values(x: np.ndarray, filt: np.ndarray, spec: ConvSpec, frac_bits: int,
-                reduce_over):
-    """One conv layer's values from an (h, w, d) int32 input and a (k, w, w, d)
-    int32 filter array. Returns ((h_out, w_out, k) int32, saturation events).
+class ConvPasses:
+    """The conv product passes of one command, kept so that a second
+    reduction of the same layer computes no plain sum again.
 
-    Windows go in raster order, in batches of about _BATCH products, and every
-    value takes the plain sum. Unless the layer passes sum_is_exact, the
-    (window, filter) pairs whose sum of absolute products passes I32_MAX are
-    collected; afterwards their products, (n, taps) int64 in row, column,
-    depth order, are rebuilt in groups of about _GROUP and replaced by
-    reduce_over(prod) -> (values, events)."""
-    k, w, _, d = filt.shape
-    s, p = spec.stride, spec.pad
-    taps = w * w * d
-    padded = np.pad(x, ((p, p), (p, p), (0, 0)))
-    # windows[r, c] is the w x w x d patch feeding output position (r, c)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (w, w, d))[::s, ::s, 0]
+    A pass is reused only on an exact match of everything its values depend
+    on: equal input values, the same filter array object, the ConvSpec and
+    frac_bits. It holds its first caller's input and output arrays, not
+    copies, so neither may be written to afterwards. The output is already
+    reduced and ReLU'd, which a later caller may start from: it overwrites
+    every flagged value with its own reduction, and ReLU leaves the others
+    as they are. A kept pass serves one later match; `shared` counts those."""
+
+    def __init__(self):
+        self._kept = []  # (x, filt, spec, frac_bits, output, flagged)
+        self.shared = 0
+
+    def find(self, x: np.ndarray, filt: np.ndarray, spec: ConvSpec, frac_bits: int):
+        """A copy of the matching kept pass's output and its flagged pairs,
+        or None."""
+        for i, (kx, kfilt, kspec, kbits, out, flagged) in enumerate(self._kept):
+            if kfilt is filt and kspec == spec and kbits == frac_bits \
+                    and np.array_equal(kx, x):
+                del self._kept[i]
+                self.shared += 1
+                return out.copy(), flagged
+        return None
+
+    def keep(self, x: np.ndarray, filt: np.ndarray, spec: ConvSpec, frac_bits: int,
+             out: np.ndarray, flagged: list):
+        self._kept.append((x, filt, spec, frac_bits, out, flagged))
+
+
+def _plain_pass(windows: np.ndarray, filt64: np.ndarray, x: np.ndarray,
+                frac_bits: int):
+    """Every value's plain sum, windows in raster order in batches of about
+    _BATCH products, and, unless the layer passes sum_is_exact, a list of
+    per-batch (rows, columns, filters) of the pairs whose sum of absolute
+    products passes I32_MAX."""
     oh, ow = windows.shape[:2]
-    filt64 = filt.reshape(k, taps).astype(np.int64)
+    k, taps = filt64.shape
     exact = sum_is_exact(max(int(x.max()), -int(x.min())),
                          int(np.abs(filt64).sum(axis=1).max()), taps, frac_bits)
-
     out = np.empty((oh, ow, k), dtype=np.int32)
     flagged = []
     per_pos = k * taps
@@ -122,7 +150,28 @@ def conv_values(x: np.ndarray, filt: np.ndarray, spec: ConvSpec, frac_bits: int,
                 r, c, f = np.nonzero(np.abs(prod).sum(axis=-1, dtype=np.float64) > I32_MAX)
                 if len(f):
                     flagged.append((r + r0, c + c0, f))
+    return out, flagged
 
+
+def conv_values(x: np.ndarray, filt: np.ndarray, spec: ConvSpec, frac_bits: int,
+                reduce_over, passes: ConvPasses = None):
+    """One conv layer's values from an (h, w, d) int32 input and a (k, w, w, d)
+    int32 filter array. Returns ((h_out, w_out, k) int32, saturation events).
+
+    Every value takes the plain sum of _plain_pass, or the value of the
+    matching pass kept in `passes`; a pass not found there is kept. The
+    flagged (window, filter) pairs' products, (n, taps) int64 in row, column,
+    depth order, are then rebuilt in groups of about _GROUP and replaced by
+    reduce_over(prod) -> (values, events)."""
+    k, w, _, d = filt.shape
+    s, p = spec.stride, spec.pad
+    taps = w * w * d
+    padded = np.pad(x, ((p, p), (p, p), (0, 0)))
+    # windows[r, c] is the w x w x d patch feeding output position (r, c)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (w, w, d))[::s, ::s, 0]
+    filt64 = filt.reshape(k, taps).astype(np.int64)
+    kept = passes.find(x, filt, spec, frac_bits) if passes is not None else None
+    out, flagged = kept or _plain_pass(windows, filt64, x, frac_bits)
     events = 0
     if flagged:
         r, c, f = (np.concatenate(a) for a in zip(*flagged))
@@ -138,12 +187,15 @@ def conv_values(x: np.ndarray, filt: np.ndarray, spec: ConvSpec, frac_bits: int,
 
     if spec.relu:
         np.maximum(out, 0, out=out)
+    if passes is not None and kept is None:
+        passes.keep(x, filt, spec, frac_bits, out, flagged)
     return out, events
 
 
 def conv_layer(input_t: Tensor3D, filters: FilterBank, spec: ConvSpec,
-               frac_bits: int = 16):
-    """Fixed-point 3-D convolution. Returns (Tensor3D, saturation_events)."""
+               frac_bits: int = 16, passes: ConvPasses = None):
+    """Fixed-point 3-D convolution. Returns (Tensor3D, saturation_events).
+    With `passes`, a matching product pass kept there is reused."""
     if filters.kernel != spec.kernel or filters.k != spec.filters:
         raise ValidationError(
             f"filter bank ({filters.k}, {filters.kernel}) does not match "
@@ -152,7 +204,7 @@ def conv_layer(input_t: Tensor3D, filters: FilterBank, spec: ConvSpec,
         raise ValidationError(
             f"filter depth {filters.depth} != input depth {input_t.dims.depth}")
     out, events = conv_values(input_t.data, filters.data, spec, frac_bits,
-                              _sequential_sum)
+                              _sequential_sum, passes)
     return Tensor3D(output_dims(input_t.dims, spec), out), events
 
 
@@ -168,8 +220,10 @@ def maxpool_layer(input_t: Tensor3D, spec: PoolSpec) -> Tensor3D:
     return Tensor3D(out_dims, np.ascontiguousarray(pooled, dtype=np.int32))
 
 
-def run_network(net: NetworkSpec, input_t: Tensor3D, weights: list):
-    """Evaluate strictly layer by layer. Returns (list of Tensor3D, saturation_events)."""
+def run_network(net: NetworkSpec, input_t: Tensor3D, weights: list,
+                passes: ConvPasses = None):
+    """Evaluate strictly layer by layer. Returns (list of Tensor3D, saturation_events).
+    With `passes`, each conv layer reuses a matching product pass kept there."""
     if input_t.dims != net.input_dims:
         raise ValidationError(
             f"input tensor dims {input_t.dims} != network input {net.input_dims}")
@@ -184,7 +238,7 @@ def run_network(net: NetworkSpec, input_t: Tensor3D, weights: list):
     wi = 0
     for layer in net.layers:
         if isinstance(layer, ConvSpec):
-            cur, ev = conv_layer(cur, weights[wi], layer, net.fmt.frac_bits)
+            cur, ev = conv_layer(cur, weights[wi], layer, net.fmt.frac_bits, passes)
             events += ev
             wi += 1
         else:

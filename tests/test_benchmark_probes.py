@@ -1,4 +1,5 @@
-"""The benchmark's probes still reach the code they time.
+"""The benchmark's probes still reach the code they time, and its passes
+still pass their checks.
 
 perfbench/tracing.py wraps functions by (module, attribute) and skips a name
 that no longer exists without a word, so a rename would leave its metrics
@@ -9,6 +10,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from fusedconv import cli
 from fusedconv.config import FusionPlan
 from fusedconv.dataflow import simulate_plan
 from fusedconv.golden import run_network
@@ -16,15 +20,16 @@ from fusedconv.golden import run_network
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_tracing():
+def _load(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("tracing")
+workloads = _load("workloads")
 TARGETS = {name: (module, path)
            for name, module, path in tracing.PROBES + tracing.PASS_LAYERS}
 
@@ -56,3 +61,27 @@ def test_oracle_conv_spans_come_from_the_oracle_alone(small_net, small_data):
     calls = [tracer.totals(tracer.spans_of_pass(p))["golden.conv_layer"][0]
              for p in (0, 1)]
     assert calls == [0, len(small_net.conv_indices())]
+
+
+@pytest.mark.parametrize("name", [name for name, wl in workloads.WORKLOADS.items()
+                                  if isinstance(wl, workloads.SimulateWorkload)])
+def test_simulate_workload_pass_passes_its_check(tmp_path, name):
+    # one benchmark pass as perfbench/run.py makes it: the end-to-end probes
+    # with run_network's result kept, plus the oracle's conv spans, which
+    # the benchmark books to conv layers by their order
+    wl = workloads.WORKLOADS[name]
+    wl.setup(str(tmp_path / "in"), 1)
+    tracer = tracing.Tracer()
+    bindings = tracer.install(tracing.PROBES, keep_results=("golden.run_network",))
+    bindings += tracer.install([("golden.conv_layer", *TARGETS["golden.conv_layer"])])
+    out = str(tmp_path / "out")
+    try:
+        tracer.current_pass = 0
+        assert cli.main(wl.argv(str(tmp_path / "in"), out)) == 0
+    finally:
+        tracer.current_pass = None
+        tracer.uninstall(bindings)
+    assert wl.check(out, tracer.results, {}) == []
+    totals = tracer.totals(tracer.spans_of_pass(0))
+    assert totals["golden.run_network"][0] == 1
+    assert totals["golden.conv_layer"][0] == len(wl.net.conv_indices())

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from fusedconv import golden
 from fusedconv.cli import main
 from fusedconv.config import serialize_network
 from fusedconv.datagen import SeededGenerator
@@ -154,6 +156,27 @@ def test_simulate_repeated_byte_identical(workdir, capsys):
                      (workdir / sub / "final.dclf").read_bytes()))
     assert outs[0] == outs[1]
     assert stdouts[0] == stdouts[1]
+
+
+def test_simulate_runs_each_conv_product_pass_once(workdir, monkeypatch):
+    # the exactness pre-bound opens every product pass
+    calls = []
+    real = golden.sum_is_exact
+    monkeypatch.setattr(golden, "sum_is_exact",
+                        lambda *args: calls.append(args) or real(*args))
+    assert main(["simulate", "--network", str(workdir / "net.json"),
+                 "--input", str(workdir / "input.dclf"),
+                 "--weights", str(workdir / "weights.bin")]) == 0
+    assert len(calls) == len(small_test_network().conv_indices())
+
+
+def test_simulate_elapsed_line_splits_simulator_and_oracle(workdir, capsys):
+    assert main(["simulate", "--network", str(workdir / "net.json"),
+                 "--input", str(workdir / "input.dclf"),
+                 "--weights", str(workdir / "weights.bin"), "--plan", "0|1-2"]) == 0
+    assert re.fullmatch(r"elapsed: \d+\.\d\ds \(simulate_plan \d+\.\d\ds, "
+                        r"oracle \d+\.\d\ds, 2 of 2 conv passes shared\)\n",
+                        capsys.readouterr().err)
 
 
 def test_simulate_report_roundtrips(workdir):

@@ -10,7 +10,7 @@ from fusedconv.dataflow import (ConvEngine, ConvStage, LineBuffer, PoolStage,
                                 TraceWriter, _last_needing, conv_datapath,
                                 simulate_group, simulate_plan)
 from fusedconv.datagen import generate_tensor, generate_weights
-from fusedconv.golden import FilterBank, run_network
+from fusedconv.golden import ConvPasses, FilterBank, Tensor3D, run_network
 
 from conftest import EXACTNESS_EDGES, identity_bank, random_network, random_plan, \
     tensor_from_reals
@@ -379,6 +379,67 @@ def test_simulate_plan_merging_groups_never_costs_cycles(small_net, small_data):
     assert cycles["0|1-2"] <= cycles["0|1|2"]
     assert cycles["0-2"] <= cycles["0-1|2"]
     assert cycles["0-2"] <= cycles["0|1-2"]
+
+
+@st.composite
+def shared_pass_cases(draw):
+    """A random conv/pool net and plan, with any d_par divisor per conv
+    layer, and magnitudes from exact to fully saturating."""
+    net = random_network(draw(st.integers(0, 2 ** 16)))
+    plan = random_plan(net, draw(st.integers(0, 2 ** 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shift = draw(st.sampled_from([0, 4, 8, 12, 16, 20]))
+    full = np.iinfo(np.int32)
+
+    def values(shape):
+        return rng.integers(full.min, full.max, shape, endpoint=True,
+                            dtype=np.int32) >> shift
+    dims = net.input_dims
+    tensor = Tensor3D(dims, values((dims.height, dims.width, dims.depth)))
+    din = net.layer_input_dims()
+    banks = [FilterBank(values((net.layers[i].filters, net.layers[i].kernel,
+                                net.layers[i].kernel, din[i].depth)))
+             for i in net.conv_indices()]
+    return net, plan, tensor, banks
+
+
+def _oracle_with_and_without_shared_passes(net, plan, tensor, banks):
+    passes = ConvPasses()
+    sim = simulate_plan(net, tensor, banks, plan, passes=passes)
+    sim_values = [t.data.copy() for t in sim.layer_outputs]
+    shared = run_network(net, tensor, banks, passes)
+    alone = run_network(net, tensor, banks)
+    assert shared[1] == alone[1]
+    assert len(shared[0]) == len(alone[0])
+    for a, b in zip(shared[0], alone[0]):
+        assert a.equals(b)
+    # reusing a pass leaves the simulator's values as they were
+    for t, values in zip(sim.layer_outputs, sim_values):
+        assert np.array_equal(t.data, values)
+    return sim, alone[0], passes.shared
+
+
+@given(shared_pass_cases())
+def test_oracle_on_the_simulators_passes_equals_the_oracle_alone(case):
+    _oracle_with_and_without_shared_passes(*case)
+
+
+def test_shared_passes_after_a_diverging_layer_are_not_reused():
+    # a saturating first layer on which the adder tree and the sequential
+    # scan disagree: the second layer's inputs differ, so only one of the
+    # two passes is shared
+    net = NetworkSpec(Dims(9, 8, 4), (ConvSpec(3, 8, 2, 1, relu=True),
+                                      ConvSpec(1, 4, 1, 0, relu=False)))
+    rng = np.random.default_rng(9)
+    full = np.iinfo(np.int32)
+    tensor = Tensor3D(net.input_dims, rng.integers(full.min, full.max, (9, 8, 4),
+                                                   dtype=np.int32))
+    banks = [FilterBank(rng.integers(full.min, full.max, shape, dtype=np.int32))
+             for shape in ((8, 3, 3, 4), (4, 1, 1, 8))]
+    sim, golden_outs, shared = _oracle_with_and_without_shared_passes(
+        net, parse_plan("0-1", net, "4,8"), tensor, banks)
+    assert not sim.layer_outputs[0].equals(golden_outs[0])
+    assert shared == 1
 
 
 def test_determinism_identical_runs(small_net, small_data):

@@ -79,6 +79,12 @@ def test_clamp_count_both_signs_in_place():
     assert a[1, 1] == I32_MIN
 
 
+def test_clamp_count_at_and_one_past_each_limit():
+    a = np.array([I32_MIN - 1, I32_MIN, I32_MAX, I32_MAX + 1], dtype=np.int64)
+    assert fx_clamp_count(a) == 2
+    assert a.tolist() == [I32_MIN, I32_MIN, I32_MAX, I32_MAX]
+
+
 def test_clamp_count_matches_scalar_saturation():
     rng = random.Random(5)
     vals = [rng.randint(-(1 << 33), 1 << 33) for _ in range(300)]

@@ -9,7 +9,8 @@ from fusedconv import dataflow, golden
 from fusedconv.config import ConvSpec, Dims, PoolSpec, ValidationError
 from fusedconv.dataflow import conv_datapath
 from fusedconv.datagen import generate_tensor, generate_weights
-from fusedconv.golden import FilterBank, Tensor3D, conv_layer, maxpool_layer, run_network
+from fusedconv.golden import ConvPasses, FilterBank, Tensor3D, conv_layer, maxpool_layer, \
+    run_network
 
 from conftest import EXACTNESS_EDGES, identity_bank, tensor_from_reals
 from reference import brute_force_conv, conv_position_sequential, engine_reference, \
@@ -327,6 +328,21 @@ def test_run_network_validates_bank_count(small_net, small_data):
     tensor, banks = small_data
     with pytest.raises(ValidationError):
         run_network(small_net, tensor, banks[:1])
+
+
+def test_conv_pass_reused_only_on_an_exact_match(small_net, small_data):
+    tensor, banks = small_data
+    spec = small_net.layers[0]
+    bumped = tensor.data.copy()
+    bumped[2, 3, 1] += 1
+    for t, bank, hits in ((tensor, FilterBank(banks[0].data.copy()), 0),
+                          (Tensor3D(tensor.dims, bumped), banks[0], 0),
+                          (Tensor3D(tensor.dims, tensor.data.copy()), banks[0], 1)):
+        passes = ConvPasses()
+        conv_layer(tensor, banks[0], spec, passes=passes)
+        got, _ = conv_layer(t, bank, spec, passes=passes)
+        assert passes.shared == hits
+        assert got.equals(conv_layer(t, bank, spec)[0])
 
 
 def test_conv_linear_over_unsaturating_inputs():
