@@ -3,8 +3,10 @@
 These mirror the accelerator's structure without running the simulator:
 multipliers map to DSP slices (w^2 per channel processed in parallel), adders
 to logic fabric, and on-chip storage to 18,432-bit block granularity. The
-end-to-end estimate charges every stage's fill latency serially, which makes
-it a conservative ceiling for the simulator's better-overlapped schedule.
+end-to-end estimate charges every stage's fill latency serially. The
+simulator overlaps fills, so it usually finishes below the estimate, but not
+always: a conv-pool-conv group can run past its bottleneck plus the fills
+charged here without a stall.
 """
 
 from __future__ import annotations

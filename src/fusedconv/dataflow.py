@@ -16,17 +16,20 @@ conv layer has a single filter and no depth decomposition.
 Cycle accounting is exact: a group's cycle count is the stamp at which its
 last output element reached the collector, including pipeline flush.
 
-The schedule never reads a value: stages pass presence tokens and keep
-counters only. Two O(1) guards raise InternalError where it would lose data:
-a line buffer building a window whose oldest real element was overwritten,
-and a pool element landing in a row slot that has not drained. Windows leave
-a line buffer in raster order through a one-slot skid, so the engine latches
-them in raster order too. After a group's schedule has run, the datapath
-computes each layer's values once: conv_datapath runs golden's product pass
-and reduces the values that may clamp in the engine's adder-tree order,
-counting saturation events; a pool layer's values are golden.maxpool_layer's.
-Given a golden.ConvPasses record, the datapath keeps each conv layer's
-product pass there, for the oracle's check of the same layer to reuse.
+The schedule never reads a value, so simulate_group takes layer dims and
+d_par, not data: stages pass presence tokens and keep counters only. Two
+O(1) guards raise InternalError where it would lose data: a line buffer
+building a window whose oldest real element was overwritten, and a pool
+element landing in a row slot that has not drained. Windows leave a line
+buffer in raster order through a one-slot skid, so the engine latches them
+in raster order too. Values do not depend on the schedule or on group
+boundaries: once every group's schedule has run, simulate_plan computes each
+layer's values once, through golden.walk_layers, the layer loop the oracle
+also runs. conv_datapath runs golden's product pass and reduces the values
+that may clamp in the engine's adder-tree order, counting saturation events;
+a pool layer's values are golden.maxpool_layer's. Given a golden.ConvPasses
+record, the datapath keeps each conv layer's product pass there, for the
+oracle's check of the same layer to reuse.
 
 Most cycles are quiet: a conv engine holding a window for its k*g filter
 sweep moves only counters. When the source cannot feed the first stage, each
@@ -46,7 +49,8 @@ from .config import ConvSpec, Dims, FusionPlan, InternalError, NetworkSpec, Pool
     ValidationError, check_pipeline_pool, output_dims, validate_plan
 from .costmodel import conv3d_latency
 from .fixedpoint import fx_clamp_count
-from .golden import ConvPasses, FilterBank, Tensor3D, conv_values, maxpool_layer
+from .golden import ConvPasses, FilterBank, Tensor3D, check_inputs, conv_values, \
+    walk_layers
 
 _FOREVER = 1 << 62     # quiet_for of a stage that waits on another stage
 _TREE_NODES = 1 << 16  # int64 leaves per adder-tree chunk (512 KiB)
@@ -426,12 +430,10 @@ class StageStamp:
 
 @dataclass
 class GroupResult:
-    output: Tensor3D
-    layer_outputs: list
+    """One group's schedule: its cycle count, stamps and stalls per stage."""
     cycles: int
     stamps: list
     stall_cycles: dict
-    saturation_events: int
 
 
 @dataclass
@@ -504,22 +506,20 @@ def _build_stages(layers, in_dims, d_pars, trace, layer_offset):
     return stages
 
 
-def simulate_group(layers, input_t: Tensor3D, banks, d_pars, frac_bits: int = 16,
-                   trace=None, layer_offset: int = 0,
-                   max_cycles: int = None, passes: ConvPasses = None) -> GroupResult:
-    """Run one fused group: the input streams one element per cycle while the
-    chain accepts, then flush cycles run until every stage has emitted its
-    complete output (trailing rows a pool discards still flow through). The
-    group's cycle count is the stamp of the final stage's last element.
-
-    The schedule moves presence tokens only; once it has run, the datapath
-    computes each layer's values in turn, through `passes` if given."""
+def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
+                   layer_offset: int = 0) -> GroupResult:
+    """Run one fused group's schedule on an in_dims input: the input streams
+    one element per cycle while the chain accepts, then flush cycles run
+    until every stage has emitted its complete output (trailing rows a pool
+    discards still flow through). The group's cycle count is the stamp of
+    the final stage's last element. Only presence tokens move, so no value
+    is read or computed here."""
     if not layers:
         raise ValidationError("fused group must contain at least one layer")
-    stages = _build_stages(layers, input_t.dims, d_pars, trace, layer_offset)
+    stages = _build_stages(layers, in_dims, d_pars, trace, layer_offset)
     n_stages = len(stages)
 
-    n_src = input_t.dims.height * input_t.dims.width
+    n_src = in_dims.height * in_dims.width
     src_idx = 0
 
     expected = [st.out_dims.height * st.out_dims.width for st in stages]
@@ -530,11 +530,10 @@ def simulate_group(layers, input_t: Tensor3D, banks, d_pars, frac_bits: int = 16
     steps = [st.step for st in stages]
     quiet = [st.quiet_for for st in stages]
 
-    if max_cycles is None:
-        budget = n_src
-        for st, n_out in zip(stages, expected):
-            budget += n_out * (st.engine.kg if isinstance(st, ConvStage) else 1)
-        max_cycles = 16 * budget + 100_000
+    budget = n_src
+    for st, n_out in zip(stages, expected):
+        budget += n_out * (st.engine.kg if isinstance(st, ConvStage) else 1)
+    max_cycles = 16 * budget + 100_000
 
     cycle = 0
     consume = [False] * n_stages
@@ -589,70 +588,45 @@ def simulate_group(layers, input_t: Tensor3D, banks, d_pars, frac_bits: int = 16
                     remaining -= 1
             carried = c
 
-    layer_outputs = []
-    cur, events, bi = input_t, 0, 0
-    for layer, st in zip(layers, stages):
-        if isinstance(layer, ConvSpec):
-            x, ev = conv_datapath(cur.data, banks[bi], layer, d_pars[bi], frac_bits,
-                                  passes)
-            cur = Tensor3D(st.out_dims, x)
-            events += ev
-            bi += 1
-        else:
-            cur = maxpool_layer(cur, layer)
-        layer_outputs.append(cur)
-
     return GroupResult(
-        output=layer_outputs[-1],
-        layer_outputs=layer_outputs,
         cycles=stamps[-1].last_out,
         stamps=stamps,
-        stall_cycles={st.name: st.out_stall for st in stages},
-        saturation_events=events)
+        stall_cycles={st.name: st.out_stall for st in stages})
 
 
 def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan,
                   trace=None, passes: ConvPasses = None) -> SimResult:
-    """Run the plan's groups sequentially; each group boundary round-trips a
-    full tensor (the traffic model charges it; transfer cycles are not
-    simulated). Total cycles are the sum of group cycles. Product passes
-    go through `passes`, if given."""
+    """Run the plan's group schedules in turn; each group boundary
+    round-trips a full tensor (the traffic model charges it; transfer cycles
+    are not simulated). Total cycles are the sum of group cycles. Values do
+    not depend on group boundaries, so every layer's values then come from
+    one golden.walk_layers over the network, each conv layer's from
+    conv_datapath at its d_par, with product passes kept in `passes`, if
+    given."""
     validate_plan(plan, net)
-    if input_t.dims != net.input_dims:
-        raise ValidationError(
-            f"input tensor dims {input_t.dims} != network input {net.input_dims}")
-    conv_idx = net.conv_indices()
-    if len(weights) != len(conv_idx):
-        raise ValidationError(
-            f"{len(weights)} filter banks supplied for {len(conv_idx)} conv layers")
-
-    cur = input_t
-    layer_outputs = []
-    cycles_per_group = []
-    stamps_per_group = []
-    stalls = {}
-    saturation = 0
+    check_inputs(net, input_t, weights)
+    in_dims = net.layer_input_dims()
+    groups = []
     ci = 0  # conv layers before the group
     for a, b in plan.groups:
-        group_layers = net.layers[a:b + 1]
-        n_conv = sum(isinstance(layer, ConvSpec) for layer in group_layers)
-        res = simulate_group(group_layers, cur, weights[ci:ci + n_conv],
-                             plan.depth_parallel[ci:ci + n_conv],
-                             net.fmt.frac_bits, trace, layer_offset=a,
-                             passes=passes)
+        n_conv = sum(isinstance(layer, ConvSpec) for layer in net.layers[a:b + 1])
+        groups.append(simulate_group(net.layers[a:b + 1], in_dims[a],
+                                     plan.depth_parallel[ci:ci + n_conv], trace,
+                                     layer_offset=a))
         ci += n_conv
-        cur = res.output
-        layer_outputs.extend(res.layer_outputs)
-        cycles_per_group.append(res.cycles)
-        stamps_per_group.append(res.stamps)
-        stalls.update(res.stall_cycles)
-        saturation += res.saturation_events
 
+    def datapath(t, bank, spec, i):
+        x, events = conv_datapath(t.data, bank, spec, plan.depth_parallel[i],
+                                  net.fmt.frac_bits, passes)
+        return Tensor3D(output_dims(t.dims, spec), x), events
+
+    layer_outputs, events = walk_layers(net, input_t, weights, datapath)
+    cycles_per_group = [g.cycles for g in groups]
     return SimResult(
-        output=cur,
+        output=layer_outputs[-1],
         layer_outputs=layer_outputs,
         cycles_per_group=cycles_per_group,
         end_to_end_cycles=sum(cycles_per_group),
-        stamps_per_group=stamps_per_group,
-        stall_cycles=stalls,
-        saturation_events=saturation)
+        stamps_per_group=[g.stamps for g in groups],
+        stall_cycles={name: n for g in groups for name, n in g.stall_cycles.items()},
+        saturation_events=events)

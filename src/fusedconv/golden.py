@@ -14,6 +14,8 @@ associative once they clamp) go to the caller's reduction: for the oracle, a
 saturating scan over the taps in sequential order, run across all of them at
 once, that clamps and counts every product and running sum.
 
+walk_layers is the one layer loop that computes values: the oracle runs it
+with conv_layer, the simulator with its engine-order conv_datapath. So
 `simulate` reduces every conv layer twice, in the simulator's order and then
 in the oracle's, from the same input, filters, spec and frac_bits. A
 ConvPasses record that lives for that one command keeps each layer's output
@@ -220,10 +222,8 @@ def maxpool_layer(input_t: Tensor3D, spec: PoolSpec) -> Tensor3D:
     return Tensor3D(out_dims, np.ascontiguousarray(pooled, dtype=np.int32))
 
 
-def run_network(net: NetworkSpec, input_t: Tensor3D, weights: list,
-                passes: ConvPasses = None):
-    """Evaluate strictly layer by layer. Returns (list of Tensor3D, saturation_events).
-    With `passes`, each conv layer reuses a matching product pass kept there."""
+def check_inputs(net: NetworkSpec, input_t: Tensor3D, weights: list):
+    """Raise ValidationError unless `input_t` and the filter bank count fit `net`."""
     if input_t.dims != net.input_dims:
         raise ValidationError(
             f"input tensor dims {input_t.dims} != network input {net.input_dims}")
@@ -232,16 +232,31 @@ def run_network(net: NetworkSpec, input_t: Tensor3D, weights: list,
         raise ValidationError(
             f"{len(weights)} filter banks supplied for {len(conv_idx)} conv layers")
 
+
+def walk_layers(net: NetworkSpec, input_t: Tensor3D, weights: list, conv):
+    """Evaluate strictly layer by layer, from inputs that passed check_inputs.
+    The i-th conv layer runs conv(input Tensor3D, weights[i], spec, i) ->
+    (Tensor3D, saturation events). Returns (list of Tensor3D, saturation events)."""
     outputs = []
     events = 0
     cur = input_t
     wi = 0
     for layer in net.layers:
         if isinstance(layer, ConvSpec):
-            cur, ev = conv_layer(cur, weights[wi], layer, net.fmt.frac_bits, passes)
+            cur, ev = conv(cur, weights[wi], layer, wi)
             events += ev
             wi += 1
         else:
             cur = maxpool_layer(cur, layer)
         outputs.append(cur)
     return outputs, events
+
+
+def run_network(net: NetworkSpec, input_t: Tensor3D, weights: list,
+                passes: ConvPasses = None):
+    """The oracle: walk_layers with conv_layer. Returns (list of Tensor3D,
+    saturation_events). With `passes`, each conv layer reuses a matching
+    product pass kept there."""
+    check_inputs(net, input_t, weights)
+    return walk_layers(net, input_t, weights, lambda t, bank, spec, _: conv_layer(
+        t, bank, spec, net.fmt.frac_bits, passes))

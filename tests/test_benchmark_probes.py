@@ -85,3 +85,34 @@ def test_simulate_workload_pass_passes_its_check(tmp_path, name):
     totals = tracer.totals(tracer.spans_of_pass(0))
     assert totals["golden.run_network"][0] == 1
     assert totals["golden.conv_layer"][0] == len(wl.net.conv_indices())
+
+
+def test_no_value_is_computed_inside_a_schedule(tmp_path):
+    # the benchmark's dataflow.loop_self_s and loop_ns_per_cycle read the
+    # dataflow.simulate_group spans: they time the schedule alone only while
+    # no value is computed under one. Pool values come from
+    # golden.maxpool_layer for the simulator and the oracle alike.
+    wl = workloads.WORKLOADS["vgg7-28"]
+    wl.setup(str(tmp_path / "in"), 1)
+    tracer = tracing.Tracer()
+    bindings = tracer.install(tracing.PROBES)
+    bindings += tracer.install([(name, *TARGETS[name]) for name in
+                                ("dataflow.simulate_group", "golden.maxpool_layer")])
+    try:
+        tracer.current_pass = 0
+        assert cli.main(wl.argv(str(tmp_path / "in"), str(tmp_path / "out"))) == 0
+    finally:
+        tracer.current_pass = None
+        tracer.uninstall(bindings)
+    spans = tracer.spans_of_pass(0)
+    totals = tracer.totals(spans)
+    assert totals["dataflow.simulate_group"][0] == 1
+    # two pool layers, each run by the simulator and by the oracle
+    assert totals["golden.maxpool_layer"][0] == 4
+    schedule = tracer.intern("dataflow.simulate_group")
+    for i in spans:
+        if tracer.names[tracer.name_id[i]] == "golden.maxpool_layer":
+            j = tracer.parent[i]
+            while j >= 0:
+                assert tracer.name_id[j] != schedule
+                j = tracer.parent[j]

@@ -1,8 +1,11 @@
 import pytest
 
-from fusedconv.config import ConvSpec, Dims, NetworkSpec, parse_plan
+from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, parse_plan, \
+    plan_to_text, validate_plan
 from fusedconv.costmodel import (BRAM_BLOCK_BITS, analyze, conv3d_latency,
                                  steady_cycles, time_ms, traffic_bytes, group_costs)
+from fusedconv.dataflow import simulate_group
+from fusedconv.dse import enumerate_plans
 from fusedconv.networks import VGG7_DEFAULT_DPAR, vgg_prefix_7
 
 DPAR = ",".join(str(x) for x in VGG7_DEFAULT_DPAR)
@@ -158,3 +161,35 @@ def test_analyze_report_structure(net, full_plan):
     assert d["milliseconds"] == time_ms(d["total_estimated_cycles"])
     assert [l["type"] for l in d["per_layer"]] == \
         ["conv", "conv", "maxpool", "conv", "conv", "maxpool", "conv"]
+
+
+# partitions whose simulated cycles pass analyze's estimate, at 28x28 (and
+# at 224x224 too); in both, the 4-6 group (conv, pool, conv) takes longer
+# than its bottleneck plus the fills the model charges, with no stall
+ESTIMATE_EXCEEDED = {"0|1|2-3|4-6": (158_369, 157_139),
+                     "0|1|2|3|4-6": (159_081, 157_923)}
+
+
+def test_schedule_cycles_between_floor_and_estimate_on_vgg7_28():
+    # every partition of the 28x28 VGG-7 prefix at VGG7_DEFAULT_DPAR, through
+    # the schedule alone; a plan's cycles are the sum of its groups', and a
+    # group's do not depend on the rest of the plan, so each runs once
+    net = vgg_prefix_7(input_hw=28)
+    din = net.layer_input_dims()
+    dpar_of = dict(zip(net.conv_indices(), VGG7_DEFAULT_DPAR))
+    cycles = {}
+    exceeded = {}
+    plans = enumerate_plans(len(net.layers))
+    assert len(plans) == 64
+    for groups in plans:
+        for a, b in groups:
+            if (a, b) not in cycles:
+                d_pars = [dpar_of[i] for i in range(a, b + 1) if i in dpar_of]
+                cycles[a, b] = simulate_group(net.layers[a:b + 1], din[a], d_pars).cycles
+        plan = validate_plan(FusionPlan(groups, VGG7_DEFAULT_DPAR), net)
+        simulated = sum(cycles[g] for g in groups)
+        assert sum(c.bottleneck for c in group_costs(plan, net)) <= simulated
+        estimate = analyze(plan, net).total_estimated_cycles
+        if simulated > estimate:
+            exceeded[plan_to_text(plan)] = (simulated, estimate)
+    assert exceeded == ESTIMATE_EXCEEDED

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fusedconv.config import ConvSpec, Dims, InternalError, NetworkSpec, PoolSpec, \
-    ValidationError, parse_plan
+from fusedconv import dataflow, golden
+from fusedconv.config import ConvSpec, Dims, FusionPlan, InternalError, NetworkSpec, \
+    PoolSpec, ValidationError, parse_plan
 from fusedconv.dataflow import (ConvEngine, ConvStage, LineBuffer, PoolStage,
                                 TraceWriter, _last_needing, conv_datapath,
                                 simulate_group, simulate_plan)
@@ -109,11 +110,19 @@ def permissive_linebuffer_ready(self):
     return self.widx >= rho * self.w_out + gam
 
 
-def test_permissive_linebuffer_ready_trips_window_guard(monkeypatch, small_net, small_data):
-    tensor, banks = small_data
+def test_permissive_linebuffer_ready_trips_window_guard(monkeypatch, small_net):
     monkeypatch.setattr(LineBuffer, "_compute_ready", permissive_linebuffer_ready)
     with pytest.raises(InternalError, match="overwrote window 6 before emitting it"):
-        simulate_group(small_net.layers, tensor, banks, [3, 3])
+        simulate_group(small_net.layers, small_net.input_dims, [3, 3])
+
+
+def test_refusing_linebuffer_trips_the_cycle_budget(monkeypatch, small_net):
+    # a line buffer that never accepts stalls the whole chain: the clock
+    # jumps to the derived cycle budget and the loop gives up there
+    monkeypatch.setattr(LineBuffer, "_compute_ready", lambda self: False)
+    with pytest.raises(InternalError, match=r"no progress within \d+ cycles "
+                                            r"\(collected 0/4\)"):
+        simulate_group(small_net.layers, small_net.input_dims, [3, 3])
 
 
 # --- conv engine -------------------------------------------------------------
@@ -275,8 +284,9 @@ def drive_pool(pool, n_elems, cycles=400):
 
 
 def simulated_pool(t, spec):
-    """A pool layer's values as simulate_group produces them."""
-    return simulate_group([spec], t, [], []).output.data
+    """A pool layer's values as simulate_plan produces them."""
+    net = NetworkSpec(t.dims, (spec,))
+    return simulate_plan(net, t, [], parse_plan("0", net)).output.data
 
 
 def test_pool_single_window_max():
@@ -341,8 +351,7 @@ def test_permissive_pool_ready_trips_drain_guard(monkeypatch, reduced7):
     # arrives, so a permissive pool lands an element on an undrained slot
     monkeypatch.setattr(PoolStage, "_compute_ready", permissive_pool_ready)
     with pytest.raises(InternalError, match="overwritten before it drained"):
-        simulate_group(reduced7.layers, generate_tensor(reduced7.input_dims, 1),
-                       generate_weights(reduced7, 2), [3, 8, 8, 1, 16])
+        simulate_group(reduced7.layers, reduced7.input_dims, [3, 8, 8, 1, 16])
 
 
 # --- fused pipeline ----------------------------------------------------------
@@ -351,11 +360,48 @@ def test_permissive_pool_ready_trips_drain_guard(monkeypatch, reduced7):
 def test_simulate_group_matches_golden(small_net, small_data):
     tensor, banks = small_data
     outs, _ = run_network(small_net, tensor, banks)
-    res = simulate_group(small_net.layers, tensor, banks, [3, 3])
-    assert res.output.equals(outs[-1])
-    for got, want in zip(res.layer_outputs, outs):
+    sim = simulate_plan(small_net, tensor, banks, parse_plan("0-2", small_net))
+    assert sim.output.equals(outs[-1])
+    for got, want in zip(sim.layer_outputs, outs, strict=True):
         assert got.equals(want)
+    res = simulate_group(small_net.layers, small_net.input_dims, [3, 3])
     assert res.cycles == res.stamps[-1].last_out
+    assert [res.cycles] == sim.cycles_per_group
+    assert [res.stamps] == sim.stamps_per_group
+
+
+@pytest.mark.parametrize("d_par, cycles", [((3, 1, 1, 1, 1), 86_837),
+                                           ((3, 8, 8, 1, 16), 68_271)])
+def test_simulate_group_computes_no_value(monkeypatch, reduced7, d_par, cycles):
+    def no_values(*args, **kwargs):
+        raise AssertionError("the schedule computed a value")
+
+    monkeypatch.setattr(dataflow, "conv_datapath", no_values)
+    monkeypatch.setattr(golden, "maxpool_layer", no_values)
+    assert simulate_group(reduced7.layers, reduced7.input_dims, d_par).cycles == cycles
+
+
+@pytest.mark.parametrize("run", ["simulate_plan", "run_network"])
+@pytest.mark.parametrize("bad, message", [
+    ("shape", r"input tensor dims .* != network input"),
+    ("banks", "1 filter banks supplied for 2 conv layers")])
+def test_bad_inputs_fail_before_any_schedule(monkeypatch, small_net, small_data,
+                                             run, bad, message):
+    def no_schedule(*args, **kwargs):
+        raise AssertionError("a schedule ran")
+
+    monkeypatch.setattr(dataflow, "simulate_group", no_schedule)
+    tensor, banks = small_data
+    if bad == "shape":
+        tensor = generate_tensor(Dims(5, 4, 3), 1)
+    else:
+        banks = banks[:1]
+    args = (small_net, tensor, banks)
+    with pytest.raises(ValidationError, match=message):
+        if run == "simulate_plan":
+            simulate_plan(*args, parse_plan("0-2", small_net))
+        else:
+            run_network(*args)
 
 
 def test_simulate_plan_fusion_preserves_semantics(small_net, small_data):
@@ -416,6 +462,16 @@ def _oracle_with_and_without_shared_passes(net, plan, tensor, banks):
     # reusing a pass leaves the simulator's values as they were
     for t, values in zip(sim.layer_outputs, sim_values):
         assert np.array_equal(t.data, values)
+    # values do not depend on group boundaries, saturating or not
+    singles = simulate_plan(net, tensor, banks, FusionPlan(
+        tuple((i, i) for i in range(len(net.layers))), plan.depth_parallel))
+    assert singles.saturation_events == sim.saturation_events
+    for a, b in zip(singles.layer_outputs, sim.layer_outputs, strict=True):
+        assert a.equals(b)
+    # with no event on either side, every layer is the oracle's
+    if sim.saturation_events == alone[1] == 0:
+        for a, b in zip(sim.layer_outputs, alone[0], strict=True):
+            assert a.equals(b)
     return sim, alone[0], passes.shared
 
 

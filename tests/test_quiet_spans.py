@@ -3,15 +3,14 @@
 `step_every_cycle` is the simulator's schedule loop as it was before quiet
 spans were skipped: it calls every stage's `step` on every cycle. It drives
 the same stage classes, so any difference in cycles, stamps, stalls or trace
-text comes from the jumps of the clock. Values are not the schedule's: the
-datapath computes them after it, and the tests of conv_datapath and of the
-pool values check them.
+text comes from the jumps of the clock. The schedule takes dims, not data:
+values come after it, from golden.walk_layers, and the tests of
+conv_datapath, of the pool values and of simulate_plan check them.
 """
 
 import io
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,11 +19,7 @@ from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, PoolSpec, 
     output_dims, validate_plan
 from fusedconv.dataflow import ConvStage, StageStamp, TraceWriter, _build_stages, \
     simulate_group
-from fusedconv.datagen import generate_tensor, generate_weights
-from fusedconv.golden import FilterBank, run_network
 from fusedconv.networks import consecutive_convs, reduced_vgg_prefix_7
-
-from reference import tensor_from_array
 
 
 def step_every_cycle(layers, in_dims, d_pars, trace=None, layer_offset=0):
@@ -72,7 +67,7 @@ def engine_counters(stages):
             for e in (st.engine for st in stages if isinstance(st, ConvStage))]
 
 
-def assert_same_run(layers, input_t, banks, d_pars, layer_offset=0):
+def assert_same_run(layers, in_dims, d_pars, layer_offset=0):
     """Run both loops with a trace; assert every schedule observable, and the
     engines' closed-form counters, agree. Returns the simulator's result."""
     got_trace, want_trace = io.StringIO(), io.StringIO()
@@ -83,9 +78,9 @@ def assert_same_run(layers, input_t, banks, d_pars, layer_offset=0):
         return built
 
     with mock.patch.object(dataflow, "_build_stages", build):
-        got = simulate_group(layers, input_t, banks, d_pars,
+        got = simulate_group(layers, in_dims, d_pars,
                              trace=TraceWriter(got_trace), layer_offset=layer_offset)
-    stamps, stalls, want_stages = step_every_cycle(layers, input_t.dims, d_pars,
+    stamps, stalls, want_stages = step_every_cycle(layers, in_dims, d_pars,
                                                    trace=TraceWriter(want_trace),
                                                    layer_offset=layer_offset)
     assert engine_counters(built) == engine_counters(want_stages)
@@ -98,8 +93,7 @@ def assert_same_run(layers, input_t, banks, d_pars, layer_offset=0):
 
 @st.composite
 def pipeline_cases(draw):
-    """A random conv/pool net, a random plan with any d_par divisor, and data
-    whose magnitude ranges from exact to fully saturating."""
+    """A random conv/pool net and a random plan with any d_par divisor."""
     dims = Dims(draw(st.integers(4, 12)), draw(st.integers(4, 12)), draw(st.integers(1, 8)))
     layers, cur, filters = [], dims, 1
     for _ in range(draw(st.integers(2, 4))):
@@ -135,39 +129,18 @@ def pipeline_cases(draw):
     dpar = tuple(draw(st.sampled_from([x for x in range(din[li].depth, 0, -1)
                                        if din[li].depth % x == 0]))
                  for li in net.conv_indices())
-    plan = validate_plan(FusionPlan(tuple(groups), dpar), net)
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    shift = draw(st.integers(0, 16))
-    full = np.iinfo(np.int32)
-
-    def raw(shape):
-        return rng.integers(full.min, full.max, shape, endpoint=True, dtype=np.int32) >> shift
-
-    tensor = tensor_from_array(raw((dims.height, dims.width, dims.depth)))
-    banks = [FilterBank(raw((net.layers[li].filters, net.layers[li].kernel,
-                             net.layers[li].kernel, din[li].depth)))
-             for li in net.conv_indices()]
-    return net, plan, tensor, banks
+    return net, validate_plan(FusionPlan(tuple(groups), dpar), net)
 
 
 @given(pipeline_cases())
 def test_simulate_group_matches_per_cycle_reference(case):
-    net, plan, tensor, banks = case
-    conv_idx = net.conv_indices()
-    dpar_of = dict(zip(conv_idx, plan.depth_parallel))
-    cur, outs, events = tensor, [], 0
+    net, plan = case
+    din = net.layer_input_dims()
+    dpar_of = dict(zip(net.conv_indices(), plan.depth_parallel))
     for a, b in plan.groups:
-        members = [li for li in range(a, b + 1) if li in dpar_of]
-        res = assert_same_run(net.layers[a:b + 1], cur,
-                              [banks[conv_idx.index(li)] for li in members],
-                              [dpar_of[li] for li in members], layer_offset=a)
-        cur = res.output
-        outs += res.layer_outputs
-        events += res.saturation_events
-    want, want_events = run_network(net, tensor, banks)
-    if events == want_events == 0:
-        for got, ref in zip(outs, want, strict=True):
-            assert got.equals(ref)
+        assert_same_run(net.layers[a:b + 1], din[a],
+                        [dpar_of[li] for li in range(a, b + 1) if li in dpar_of],
+                        layer_offset=a)
 
 
 @pytest.mark.parametrize("d_par, stalls", [
@@ -177,8 +150,7 @@ def test_simulate_group_matches_per_cycle_reference(case):
 def test_stalling_chain_matches_per_cycle_reference(d_par, stalls):
     # a fast stage feeding a slow one is held for most of the run
     net = reduced_vgg_prefix_7()
-    res = assert_same_run(net.layers, generate_tensor(net.input_dims, 1),
-                          generate_weights(net, 2), list(d_par))
+    res = assert_same_run(net.layers, net.input_dims, list(d_par))
     assert {k: v for k, v in res.stall_cycles.items() if v} == stalls
 
 
@@ -193,8 +165,7 @@ def test_held_windows_skip_most_conv_steps(monkeypatch):
         return step(self, *args)
 
     monkeypatch.setattr(ConvStage, "step", counted)
-    res = simulate_group(net.layers, generate_tensor(net.input_dims, 1),
-                         generate_weights(net, 2), [3])
+    res = simulate_group(net.layers, net.input_dims, [3])
     assert res.cycles == 16_467
     assert len(calls) * 8 <= res.cycles
     assert calls[0].engine.scalars_emitted == 16 * 16 * 64
