@@ -122,7 +122,8 @@ def cmd_simulate(args) -> int:
     reduce the same conv product passes, so each layer's products are
     computed once: the oracle reuses a pass the simulator kept only where
     the layer's input values, filter bank, spec and frac_bits all match.
-    stderr gets the seconds of each and how many passes the oracle reused."""
+    stderr gets the seconds of the simulator's schedule, of its value walk
+    and of the oracle, and how many passes the oracle reused."""
     t0 = time.monotonic()
     net = _load_network(args.network)
     tensor = read_tensor(args.input)
@@ -135,7 +136,6 @@ def cmd_simulate(args) -> int:
         trace_fh = open(args.trace, "w")
         trace = TraceWriter(trace_fh)
     passes = ConvPasses()
-    t_sim = time.monotonic()
     try:
         sim = simulate_plan(net, tensor, banks, plan, trace=trace, passes=passes)
     finally:
@@ -182,8 +182,8 @@ def cmd_simulate(args) -> int:
           f"({ms:.3f} ms at {args.freq_mhz:g} MHz)")
     print(f"  golden match: {golden_match}  saturation events: {sim.saturation_events}")
     print(f"  output digest: {report['simulation']['output_digest']}")
-    print(f"elapsed: {time.monotonic() - t0:.2f}s (simulate_plan "
-          f"{t_oracle - t_sim:.2f}s, oracle {t_done - t_oracle:.2f}s, "
+    print(f"elapsed: {time.monotonic() - t0:.2f}s (schedule {sim.seconds[0]:.2f}s, "
+          f"values {sim.seconds[1]:.2f}s, oracle {t_done - t_oracle:.2f}s, "
           f"{passes.shared} of {len(net.conv_indices())} conv passes shared)",
           file=sys.stderr)
     return 0

@@ -40,8 +40,9 @@ each stage's single-cycle `step`.
 
 from __future__ import annotations
 
+import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -446,6 +447,8 @@ class SimResult:
     stamps_per_group: list
     stall_cycles: dict
     saturation_events: int
+    # wall seconds of the group schedules and of the value walk; not results
+    seconds: tuple = field(compare=False, repr=False)
 
 
 def conv_datapath(x: np.ndarray, bank: FilterBank, spec: ConvSpec, d_par: int,
@@ -529,6 +532,7 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
     readys = [st.ready for st in stages]
     steps = [st.step for st in stages]
     quiet = [st.quiet_for for st in stages]
+    skips = [st.skip for st in stages]
 
     budget = n_src
     for st, n_out in zip(stages, expected):
@@ -549,12 +553,15 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
                 if not n:
                     break
                 blocked = not readys[i]()
-            if n:
-                emits = [e for st in stages for e in st.skip(n, cycle)]
+            if n and trace is None:
+                for skip in skips:
+                    skip(n, cycle)
+            elif n:
+                emits = [e for skip in skips for e in skip(n, cycle)]
                 emits.sort(key=lambda e: e[0])  # cycle first, then stage
                 for e in emits:
                     trace.event(*e)
-                cycle += n
+            cycle += n
         cycle += 1
         if cycle > max_cycles:
             raise InternalError(
@@ -606,6 +613,7 @@ def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan
     validate_plan(plan, net)
     check_inputs(net, input_t, weights)
     in_dims = net.layer_input_dims()
+    t0 = time.monotonic()
     groups = []
     ci = 0  # conv layers before the group
     for a, b in plan.groups:
@@ -620,6 +628,7 @@ def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan
                                   net.fmt.frac_bits, passes)
         return Tensor3D(output_dims(t.dims, spec), x), events
 
+    t1 = time.monotonic()
     layer_outputs, events = walk_layers(net, input_t, weights, datapath)
     cycles_per_group = [g.cycles for g in groups]
     return SimResult(
@@ -629,4 +638,5 @@ def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan
         end_to_end_cycles=sum(cycles_per_group),
         stamps_per_group=[g.stamps for g in groups],
         stall_cycles={name: n for g in groups for name, n in g.stall_cycles.items()},
-        saturation_events=events)
+        saturation_events=events,
+        seconds=(t1 - t0, time.monotonic() - t1))

@@ -1,8 +1,10 @@
 """32-bit two's-complement fixed-point arithmetic for the simulated datapath.
 
-Raw values are plain Python ints, or int64 numpy arrays for the vectorized
-reductions. Multiplication truncates toward negative infinity (arithmetic
-right shift of the exact 64-bit product); addition saturates. The reference
+Raw values are plain Python ints, or numpy arrays for the vectorized
+reductions: int32 products where products_fit_int32 proves every product
+of a layer fits, int64 elsewhere and in every clamping reduction.
+Multiplication truncates toward negative infinity (arithmetic right shift
+of the exact product); addition saturates. The reference
 model and the pipeline simulator both implement exactly these semantics, and
 both clamp and count array values through fx_clamp_count, which is what
 makes their comparison a bit-exact contract whenever nothing saturates.
@@ -53,3 +55,19 @@ def sum_is_exact(max_abs_x: int, max_abs_w_sum: int, taps: int, frac_bits: int) 
     ints: -2**31 has no int32 magnitude): |x*w >> f| <= (|x|*|w| >> f) + 1."""
     return (max_abs_x * max_abs_w_sum >> frac_bits) + taps <= I32_MAX
 
+
+def products_fit_int32(max_abs_x: int, max_abs_w: int) -> bool:
+    """True when a conv layer's product pass may run in int32, given |x| <=
+    max_abs_x and |w| <= max_abs_w as Python ints (so an input of -2**31
+    counts as 2**31). The pass then multiplies, shifts and sums in int32:
+    - every product is exact, since |x*w| <= max_abs_x*max_abs_w <= I32_MAX,
+      so none is -2**31 and the flag test's np.abs cannot wrap;
+    - numpy's arithmetic shift floors alike in both widths, a shift by 32
+      included (0 or -1), so the shifted products equal the int64 ones;
+    - in a layer that passes sum_is_exact, every partial sum is bounded by
+      that bound, <= I32_MAX;
+    - in any other layer, an unflagged value's partial sums are bounded by
+      its absolute sum, which the flag test found <= I32_MAX;
+    - a flagged value's plain sum may wrap, and is always overwritten by
+      the reduction of its products rebuilt in int64."""
+    return max_abs_x * max_abs_w <= I32_MAX

@@ -12,7 +12,10 @@ saturates. A layer whose magnitudes pass fixedpoint.sum_is_exact needs no
 per-value bound at all. The values over the bound (saturating adds are not
 associative once they clamp) go to the caller's reduction: for the oracle, a
 saturating scan over the taps in sequential order, run across all of them at
-once, that clamps and counts every product and running sum.
+once, that clamps and counts every product and running sum. The plain pass
+runs in int32 where the layer's largest input and weight magnitudes pass
+fixedpoint.products_fit_int32, in int64 elsewhere; its values and flags are
+the same in both widths, and the flagged products are rebuilt in int64.
 
 walk_layers is the one layer loop that computes values: the oracle runs it
 with conv_layer, the simulator with its engine-order conv_datapath. So
@@ -32,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConvSpec, Dims, NetworkSpec, PoolSpec, ValidationError, output_dims
-from .fixedpoint import I32_MAX, fx_clamp_count, sum_is_exact
+from .fixedpoint import I32_MAX, fx_clamp_count, products_fit_int32, sum_is_exact
 
-_BATCH = 1 << 16  # int64 products per plain-sum batch (512 KiB)
+_BATCH = 1 << 16  # products per plain-sum batch (256 KiB in int32, 512 in int64)
 _GROUP = 1 << 21  # int64 products per group handed to a reduction
 
 
@@ -123,30 +126,37 @@ class ConvPasses:
         self._kept.append((x, filt, spec, frac_bits, out, flagged))
 
 
-def _plain_pass(windows: np.ndarray, filt64: np.ndarray, x: np.ndarray,
+def _plain_pass(windows: np.ndarray, filt: np.ndarray, x: np.ndarray,
                 frac_bits: int):
     """Every value's plain sum, windows in raster order in batches of about
     _BATCH products, and, unless the layer passes sum_is_exact, a list of
     per-batch (rows, columns, filters) of the pairs whose sum of absolute
-    products passes I32_MAX."""
+    products passes I32_MAX. `filt` is the (k, taps) int32 filter array; the
+    products, shifts and sums run in int32 where products_fit_int32 holds,
+    in int64 elsewhere."""
     oh, ow = windows.shape[:2]
-    k, taps = filt64.shape
-    exact = sum_is_exact(max(int(x.max()), -int(x.min())),
-                         int(np.abs(filt64).sum(axis=1).max()), taps, frac_bits)
+    k, taps = filt.shape
+    max_x = max(int(x.max()), -int(x.min()))
+    max_w = max(int(filt.max()), -int(filt.min()))
+    exact = sum_is_exact(max_x, int(np.abs(filt, dtype=np.int64).sum(axis=1).max()),
+                         taps, frac_bits)
+    dtype = np.int32 if products_fit_int32(max_x, max_w) else np.int64
+    filt = filt.astype(dtype, copy=False)  # the int32 pass multiplies by the view
     out = np.empty((oh, ow, k), dtype=np.int32)
     flagged = []
     per_pos = k * taps
     cols = min(ow, max(1, _BATCH // per_pos))
     rows = max(1, _BATCH // (ow * per_pos))
-    buf = np.empty(min(rows, oh) * cols * per_pos, dtype=np.int64)
+    buf = np.empty(min(rows, oh) * cols * per_pos, dtype=dtype)
     for r0 in range(0, oh, rows):
         for c0 in range(0, ow, cols):
             win = windows[r0:r0 + rows, c0:c0 + cols]
             nr, nc = win.shape[:2]
             prod = buf[:nr * nc * per_pos].reshape(nr, nc, k, taps)
-            np.multiply(win.reshape(nr, nc, 1, taps), filt64, out=prod)
+            np.multiply(win.reshape(nr, nc, 1, taps), filt, out=prod)
             prod >>= frac_bits
-            out[r0:r0 + nr, c0:c0 + nc] = prod.sum(axis=-1)
+            # a flagged value's sum may wrap: it is overwritten
+            out[r0:r0 + nr, c0:c0 + nc] = prod.sum(axis=-1, dtype=dtype)
             if not exact:
                 # a float64 sum cannot wrap, and is exact while it stays <= I32_MAX
                 r, c, f = np.nonzero(np.abs(prod).sum(axis=-1, dtype=np.float64) > I32_MAX)
@@ -171,11 +181,12 @@ def conv_values(x: np.ndarray, filt: np.ndarray, spec: ConvSpec, frac_bits: int,
     padded = np.pad(x, ((p, p), (p, p), (0, 0)))
     # windows[r, c] is the w x w x d patch feeding output position (r, c)
     windows = np.lib.stride_tricks.sliding_window_view(padded, (w, w, d))[::s, ::s, 0]
-    filt64 = filt.reshape(k, taps).astype(np.int64)
+    flat = filt.reshape(k, taps)
     kept = passes.find(x, filt, spec, frac_bits) if passes is not None else None
-    out, flagged = kept or _plain_pass(windows, filt64, x, frac_bits)
+    out, flagged = kept or _plain_pass(windows, flat, x, frac_bits)
     events = 0
     if flagged:
+        filt64 = flat.astype(np.int64)
         r, c, f = (np.concatenate(a) for a in zip(*flagged))
         n = max(1, _GROUP // taps)
         for i in range(0, len(f), n):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fusedconv import cli
+from fusedconv import cli, golden
 from fusedconv.config import FusionPlan
 from fusedconv.dataflow import simulate_plan
 from fusedconv.golden import run_network
@@ -85,6 +85,26 @@ def test_simulate_workload_pass_passes_its_check(tmp_path, name):
     totals = tracer.totals(tracer.spans_of_pass(0))
     assert totals["golden.run_network"][0] == 1
     assert totals["golden.conv_layer"][0] == len(wl.net.conv_indices())
+
+
+@pytest.mark.parametrize("name, int32", [("vgg7-28", True), ("conv1_1-56", True),
+                                         ("saturating", False)])
+def test_which_workloads_run_the_product_pass_in_int32(tmp_path, monkeypatch, name, int32):
+    # generated data keeps every product of a layer within int32; the
+    # saturating workload's full-magnitude data does not, so it bypasses the
+    # int32 pass. The oracle reuses the simulator's passes, so each conv
+    # layer decides once.
+    wl = workloads.WORKLOADS[name]
+    wl.setup(str(tmp_path / "in"), 1)
+    decisions = []
+    fits = golden.products_fit_int32
+
+    def spy(max_abs_x, max_abs_w):
+        decisions.append(fits(max_abs_x, max_abs_w))
+        return decisions[-1]
+    monkeypatch.setattr(golden, "products_fit_int32", spy)
+    assert cli.main(wl.argv(str(tmp_path / "in"), str(tmp_path / "out"))) == 0
+    assert decisions == [int32] * len(wl.net.conv_indices())
 
 
 def test_no_value_is_computed_inside_a_schedule(tmp_path):

@@ -3,7 +3,7 @@ import random
 import numpy as np
 
 from fusedconv.fixedpoint import I32_MAX, I32_MIN, fx_add_sat, fx_clamp_count, fx_mul, \
-    sum_is_exact
+    products_fit_int32, sum_is_exact
 
 
 def test_mul_exact_cases():
@@ -119,3 +119,19 @@ def test_sum_is_exact_bounds_every_product_and_partial():
             acc, sat_a = fx_add_sat(acc, p)
             assert not sat_m and not sat_a
     assert 50 < held < 1000
+
+
+def test_products_fit_int32_boundary():
+    # I32_MAX is prime, so 1 x I32_MAX is its only factorization
+    fit = [(1, I32_MAX), (I32_MAX, 1), (2, I32_MAX // 2), (46340, 46340), (-I32_MIN, 0)]
+    # 2**31 = I32_MAX + 1, from either side; 46341**2 passes I32_MAX by 4,634
+    over = [(1, -I32_MIN), (-I32_MIN, 1), (2, 1 << 30), (1 << 16, 1 << 15),
+            (46341, 46341), (I32_MAX, 2)]
+    assert all(products_fit_int32(a, b) for a, b in fit)
+    assert not any(products_fit_int32(a, b) for a, b in over)
+    for a, b in fit:
+        # the largest products of either sign are exact in int32
+        xs = np.array([max(-a, I32_MIN), min(a, I32_MAX)], dtype=np.int32)
+        ws = np.array([-b, b], dtype=np.int32)
+        assert np.array_equal(np.multiply.outer(xs, ws),
+                              np.multiply.outer(xs.astype(np.int64), ws))

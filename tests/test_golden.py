@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -231,16 +232,27 @@ def test_conv_values_groups_span_batches(monkeypatch, spec, d_par):
     assert flagged < out.data.size
 
     vals, events = conv_datapath(t.data, bank, spec, d_par, 16)
+    ref, ref_events = _engine_reference_layer(t, bank, spec, d_par, 16)
+    assert vals.tolist() == ref
+    assert events == ref_events > 0
+
+
+def _engine_reference_layer(t, bank, spec, d_par, frac_bits):
+    """engine_reference at every window: (nested lists of values, events)."""
     w, s, p = spec.kernel, spec.stride, spec.pad
     padded = np.pad(t.data, ((p, p), (p, p), (0, 0)))
-    ref_events = 0
-    for r in range(vals.shape[0]):
-        for c in range(vals.shape[1]):
-            ref, ev = engine_reference(padded[r * s:r * s + w, c * s:c * s + w],
-                                       bank.data, d_par, spec.relu)
-            assert vals[r, c].tolist() == ref
-            ref_events += ev
-    assert events == ref_events > 0
+    oh = (padded.shape[0] - w) // s + 1
+    ow = (padded.shape[1] - w) // s + 1
+    rows, events = [], 0
+    for r in range(oh):
+        row = []
+        for c in range(ow):
+            vals, ev = engine_reference(padded[r * s:r * s + w, c * s:c * s + w],
+                                        bank.data, d_par, spec.relu, frac_bits)
+            row.append(vals)
+            events += ev
+        rows.append(row)
+    return rows, events
 
 
 def _int32_arrays(shape):
@@ -271,6 +283,60 @@ def test_conv_property_matches_loop_nest(case):
     ref, clips = brute_force_conv(t, bank, spec)
     assert np.array_equal(out.data, ref)
     assert events == clips
+
+
+def _bounded_array(draw, shape, m):
+    """An int32 array of `shape` with every |value| <= m and one of them
+    exactly m (as -2**31 where m is 2**31), mostly at the extremes."""
+    lo, hi = max(-m, I32_MIN), min(m, I32_MAX)
+    arr = draw(hnp.arrays(np.int64, shape, fill=st.nothing(),
+                          elements=st.sampled_from([lo, hi, 0]) | st.integers(lo, hi)))
+    at = draw(st.tuples(*(st.integers(0, n - 1) for n in shape)))
+    arr[at] = lo if hi < m or draw(st.booleans()) else hi
+    return arr.astype(np.int32)
+
+
+@st.composite
+def int32_boundary_cases(draw):
+    """A conv layer whose largest input magnitude times its largest weight
+    magnitude is I32_MAX, I32_MAX + 1 or just either side of I32_MAX: for a
+    drawn a, b is I32_MAX // a (the largest product that fits) or one more
+    (the smallest that does not). a = 1, 2**k and 2**31 land on I32_MAX or
+    on I32_MAX + 1 exactly; either side may be the input."""
+    a = draw(st.sampled_from([1, 2, 1 << 15, 1 << 16, 46340, I32_MAX, 1 << 31])
+             | st.integers(1, 1 << 31))
+    b = I32_MAX // a + draw(st.integers(0, 1))
+    mx, mw = (b, a) if draw(st.booleans()) else (a, b)
+    kernel = draw(st.sampled_from([1, 3]))
+    pad = draw(st.integers(0, kernel - 1))
+    h = draw(st.integers(max(1, kernel - 2 * pad), 5))
+    w = draw(st.integers(max(1, kernel - 2 * pad), 5))
+    d = draw(st.sampled_from([2, 3, 4]))
+    spec = ConvSpec(kernel, draw(st.integers(1, 2)), draw(st.sampled_from([1, 2])),
+                    pad, draw(st.booleans()))
+    x = _bounded_array(draw, (h, w, d), mx)
+    weights = _bounded_array(draw, (spec.filters, kernel, kernel, d), mw)
+    frac_bits = draw(st.sampled_from([0, 1, 16, 31, 32]))
+    return tensor_from_array(x), FilterBank(weights), spec, frac_bits, (mx, mw)
+
+
+@given(int32_boundary_cases())
+def test_conv_at_the_int32_product_bound_matches_references(case):
+    t, bank, spec, frac_bits, magnitudes = case
+    with mock.patch.object(golden, "products_fit_int32",
+                           wraps=golden.products_fit_int32) as spy:
+        out, events = conv_layer(t, bank, spec, frac_bits)
+        ref, clips = brute_force_conv(t, bank, spec, frac_bits)
+        assert np.array_equal(out.data, ref)
+        assert events == clips
+        d = t.dims.depth
+        for d_par in (1, d):
+            vals, events = conv_datapath(t.data, bank, spec, d_par, frac_bits)
+            ref, ref_events = _engine_reference_layer(t, bank, spec, d_par, frac_bits)
+            assert vals.tolist() == ref
+            assert events == ref_events
+    # each pass asked with the layer's magnitudes as Python ints
+    assert spy.call_args_list == [mock.call(*magnitudes)] * 3
 
 
 def test_maxpool_examples():
