@@ -3,8 +3,9 @@
 the serial stream into one window per cycle, the engine holds each window for
 the 64-filter sweep, so the layer is pinned at 224*224*64 steady cycles plus
 a small fill. The simulator jumps its clock across the quiet cycles of each
-sweep and computes the values once per layer after the schedule, so the
-~3.2M simulated cycles take one to two seconds of wall time.
+sweep, fast-forwards whole rows once the pipeline repeats itself row after
+row, and computes the values once per layer after the schedule, so the
+~3.2M simulated cycles take well under a second of wall time.
 
 Run: python demos/04_full_scale_timing.py [--seven-layer]
 """
@@ -44,7 +45,7 @@ def main():
         net = vgg_prefix_7()
         dpar = ",".join(str(x) for x in VGG7_DEFAULT_DPAR)
         run(net, parse_plan("0-6", net, dpar),
-            "seven layers fully fused (about 20 s of wall time)", "41.95")
+            "seven layers fully fused (about 5 s of wall time)", "41.95")
     else:
         print("pass --seven-layer to also run the fully fused 7-layer stack")
 

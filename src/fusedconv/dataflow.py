@@ -1,28 +1,22 @@
 """Cycle-driven simulation of the fused line-buffer pipeline.
 
-One fused group is a chain of stages clocked by a single global counter:
+One fused group is a chain of stages (see stages.py) clocked by a single
+global counter:
 
     input stream -> [line buffer -> conv engine -> assembler] per conv layer
                  -> [pool row buffer] per pool layer -> collector
 
-Elements are depth-concatenated positions (all channel values of one spatial
-location). Every stage advances at most one element per cycle under a
-ready/valid handshake; transfer decisions for a cycle are taken from
-previous-cycle state (ready ripples from the sink upstream, data moves
-downstream), so evaluation order cannot change results. Ripple within a
-stage is combinational, which is what sustains one window per cycle when a
-conv layer has a single filter and no depth decomposition.
+Transfer decisions for a cycle are taken from previous-cycle state (ready
+ripples from the sink upstream, data moves downstream), so evaluation order
+cannot change results. Ripple within a stage is combinational, which is
+what sustains one window per cycle when a conv layer has a single filter and
+no depth decomposition.
 
 Cycle accounting is exact: a group's cycle count is the stamp at which its
 last output element reached the collector, including pipeline flush.
 
 The schedule never reads a value, so simulate_group takes layer dims and
-d_par, not data: stages pass presence tokens and keep counters only. Two
-O(1) guards raise InternalError where it would lose data: a line buffer
-building a window whose oldest real element was overwritten, and a pool
-element landing in a row slot that has not drained. Windows leave a line
-buffer in raster order through a one-slot skid, so the engine latches them
-in raster order too. Values do not depend on the schedule or on group
+d_par, not data. Values do not depend on the schedule or on group
 boundaries: once every group's schedule has run, simulate_plan computes each
 layer's values once, through golden.walk_layers, the layer loop the oracle
 also runs. conv_datapath runs golden's product pass and reduces the values
@@ -31,29 +25,36 @@ a pool layer's values are golden.maxpool_layer's. Given a golden.ConvPasses
 record, the datapath keeps each conv layer's product pass there, for the
 oracle's check of the same layer to reuse.
 
-Most cycles are quiet: a conv engine holding a window for its k*g filter
-sweep moves only counters. When the source cannot feed the first stage, each
-stage reports how many upcoming cycles it stays quiet, and the clock jumps by
-the minimum, advancing those counters in closed form; every other cycle runs
-each stage's single-cycle `step`.
+The clock takes two shortcuts; every other cycle runs each stage's
+single-cycle `step`. Most cycles are quiet: a conv engine holding a window
+for its k*g filter sweep moves only counters. When the source cannot feed
+the first stage, each stage reports how many upcoming cycles it stays
+quiet, and the clock jumps by the minimum, advancing those counters in
+closed form. And between its top and bottom boundary rows the pipeline is
+row-periodic: every P source rows, P the group's strides multiplied, each
+stage repeats the same counter changes. At each source-row boundary in the
+rows where no stage's boundary clamp can act, the clock compares the state
+with the state P rows earlier; once it is that state translated by one
+period, the clock jumps whole periods at once (_fast_forward). Neither
+shortcut changes a cycle count, stamp or stall. A traced run takes only the
+first, and lists the events of the cycles it crosses.
 """
-
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConvSpec, Dims, FusionPlan, InternalError, NetworkSpec, PoolSpec, \
-    ValidationError, check_pipeline_pool, output_dims, validate_plan
-from .costmodel import conv3d_latency
+from .config import ConvSpec, Dims, FusionPlan, InternalError, NetworkSpec, \
+    ValidationError, output_dims, validate_plan
 from .fixedpoint import fx_clamp_count
 from .golden import ConvPasses, FilterBank, Tensor3D, check_inputs, conv_values, \
     walk_layers
+from .stages import ConvStage, PoolStage
 
-_FOREVER = 1 << 62     # quiet_for of a stage that waits on another stage
 _TREE_NODES = 1 << 16  # int64 leaves per adder-tree chunk (512 KiB)
 
 
@@ -68,357 +69,6 @@ class TraceWriter:
             self.fh.write(f"{cycle} {stage} {kind} {position} {detail}\n")
         else:
             self.fh.write(f"{cycle} {stage} {kind} {position}\n")
-
-
-def _last_needing(x: int, pad: int, stride: int, n_out: int, w: int):
-    """Index of the last output row/column whose window covers coordinate x,
-    or None if no window covers it."""
-    idx = (x + pad) // stride
-    if idx >= n_out:
-        idx = n_out - 1
-    if x > idx * stride - pad + w - 1:
-        return None
-    return idx
-
-
-class LineBuffer:
-    """w rows of padded width, kept as counters: emits the next raster-order
-    window when all of its real (non synthesized-padding) elements have
-    arrived, and refuses an element that would overwrite a row slot still
-    needed by an unemitted window."""
-
-    def __init__(self, in_dims: Dims, spec: ConvSpec):
-        self.h, self.w_in = in_dims.height, in_dims.width
-        self.w, self.s, self.p = spec.kernel, spec.stride, spec.pad
-        out = output_dims(in_dims, spec)
-        self.h_out, self.w_out = out.height, out.width
-        self.n_windows = out.height * out.width
-        self.n_elems = self.h * self.w_in
-        self.n_acc = 0
-        self._r_in = 0
-        self._c_in = 0
-        self.widx = 0
-        self._set_threshold()
-        self._rkey = (-1, -1)
-        self._rval = False
-
-    def _set_threshold(self):
-        """Accepted-element count at which the next raster window is complete
-        (one past the last element once every window is out), and the count
-        past which that window has lost data: its oldest real element, at
-        (r_top, c_lo), shares a row slot with element (r_top + w, c_lo), the
-        first of its elements to be overwritten."""
-        if self.widx >= self.n_windows:
-            self._threshold = self.n_elems + 1
-            return
-        rho, gam = divmod(self.widx, self.w_out)
-        r_last = rho * self.s - self.p + self.w - 1
-        if r_last > self.h - 1:
-            r_last = self.h - 1
-        c_last = gam * self.s - self.p + self.w - 1
-        if c_last > self.w_in - 1:
-            c_last = self.w_in - 1
-        self._threshold = r_last * self.w_in + c_last + 1
-        r_top = max(0, rho * self.s - self.p)
-        self._overwritten = (r_top + self.w) * self.w_in + max(0, gam * self.s - self.p)
-
-    def ready(self) -> bool:
-        """Accepting the next element may not overwrite a row slot still
-        needed by an unemitted window."""
-        key = (self.n_acc, self.widx)
-        if key == self._rkey:
-            return self._rval
-        self._rkey = key
-        self._rval = v = self._compute_ready()
-        return v
-
-    def _compute_ready(self) -> bool:
-        if self.n_acc >= self.n_elems:
-            return False
-        r_d = self._r_in - self.w
-        if r_d < 0:
-            return True
-        rho = _last_needing(r_d, self.p, self.s, self.h_out, self.w)
-        if rho is None:
-            return True
-        gam = _last_needing(self._c_in, self.p, self.s, self.w_out, self.w)
-        if gam is None:
-            return True
-        return self.widx > rho * self.w_out + gam
-
-    def cycle(self, elem: bool, can_emit: bool) -> bool:
-        """One clock: possibly emit the next window (decided on previous-cycle
-        fill state), then absorb the offered element. Returns whether a
-        window was emitted."""
-        emitted = can_emit and self.n_acc >= self._threshold
-        if emitted:
-            if self.n_acc > self._overwritten:
-                raise InternalError(
-                    f"line buffer overwrote window {self.widx} before emitting it")
-            self.widx += 1
-            self._set_threshold()
-        if elem:
-            self.n_acc += 1
-            c = self._c_in + 1
-            if c == self.w_in:
-                self._c_in = 0
-                self._r_in += 1
-            else:
-                self._c_in = c
-        return emitted
-
-
-class ConvEngine:
-    """Holds one window for k*g cycles (filters swept per serial depth group,
-    groups outermost) while an abstract pipeline of depth conv3d_latency
-    turns one issue per cycle into one scalar per cycle. Partial sums across
-    serial depth groups combine in a per-filter accumulator row; only the
-    final group's scalars leave the engine, in filter order.
-
-    The engine carries window tokens, not values: its skid slot and emission
-    queue hold window indices. Windows are latched in raster order, so the
-    scalars a window yields are conv_datapath's values for that position,
-    computed once per layer after the schedule has run.
-    """
-
-    def __init__(self, spec: ConvSpec, depth: int, d_par: int, trace=None, name=""):
-        if depth % d_par != 0:
-            raise ValidationError(f"depth {depth} not divisible by d_par {d_par}")
-        self.k = spec.filters
-        self.g = depth // d_par
-        self.kg = self.k * self.g
-        self.latency = conv3d_latency(spec.kernel, d_par)
-        self._final_first = (self.g - 1) * self.k
-        self.next_win = None          # index of the window in the skid slot
-        self.cur_win_idx = -1
-        self.cur_left = 0
-        self.issues_done = 0
-        self.adv = 0
-        self.emq = deque()            # (first_adv, complete_adv, window_index)
-        self.windows_latched = 0
-        self.scalars_emitted = 0
-        self.trace = trace
-        self.name = name
-
-    def latch(self):
-        """Take the line buffer's next window into the skid slot."""
-        if self.next_win is not None:
-            raise InternalError("window skid slot occupied")
-        self.next_win = self.windows_latched
-        self.windows_latched += 1
-
-    def cycle(self, out_free: bool, cycle_no: int = 0) -> bool:
-        """One clock. The pipeline freezes (no advance, no issue) only when the
-        scalar completing an output element would pop with the downstream
-        register occupied. Returns whether an output element completed."""
-        emq = self.emq
-        completed = False
-        if emq:
-            first, comp, widx = emq[0]
-            nxt = self.adv + 1
-            if nxt == comp and not out_free:
-                return False
-            self.adv = nxt
-            if nxt >= first:
-                self.scalars_emitted += 1
-                if self.trace is not None:
-                    self.trace.event(cycle_no, self.name, "emit", widx,
-                                     f"f{nxt - first}")
-                if nxt == comp:
-                    completed = True
-                    emq.popleft()
-        else:
-            self.adv += 1
-
-        if self.cur_left == 0:
-            nw = self.next_win
-            if nw is not None:
-                self.cur_win_idx = nw
-                self.next_win = None
-                self.cur_left = self.kg
-                self.issues_done = 0
-                if self.trace is not None:
-                    self.trace.event(cycle_no, self.name, "accept", nw)
-
-        left = self.cur_left
-        if left > 0:
-            if self.issues_done == self._final_first:
-                adv = self.adv
-                emq.append((adv + self.latency,
-                            adv + self.latency + self.k - 1,
-                            self.cur_win_idx))
-            self.issues_done += 1
-            self.cur_left = left - 1
-
-        return completed
-
-    def quiet_for(self, held: bool) -> int:
-        """Upcoming cycles with no latch, queued issue or completed element. A
-        held output freezes the engine at the completing scalar for good."""
-        if not self.cur_left:
-            q = _FOREVER if self.next_win is None else 0
-        elif self.issues_done <= self._final_first:
-            q = self._final_first - self.issues_done
-        else:
-            q = _FOREVER if self.next_win is None else self.cur_left
-        if not self.emq:
-            return q
-        c = self.emq[0][1] - self.adv - 1
-        if held:
-            return _FOREVER if c <= q else q
-        return min(q, c)
-
-    def skip(self, n: int, cycle_no: int, held: bool):
-        """Advance n quiet cycles in closed form; returns the emit trace
-        events among them when tracing."""
-        emq, adv0 = self.emq, self.adv
-        if held and emq:
-            n = min(n, emq[0][1] - adv0 - 1)
-        self.adv = adv0 + n
-        done = min(n, self.cur_left)
-        self.cur_left -= done
-        self.issues_done += done
-        if not emq:
-            return []
-        first, _, widx = emq[0]
-        lo = max(first, adv0 + 1)
-        self.scalars_emitted += max(0, adv0 + n + 1 - lo)
-        if self.trace is None:
-            return []
-        return [(cycle_no + a - adv0, self.name, "emit", widx, f"f{a - first}")
-                for a in range(lo, adv0 + n + 1)]
-
-
-class ConvStage:
-    """Line buffer + conv engine + output-assembly register, element in,
-    depth-k element out."""
-
-    def __init__(self, spec: ConvSpec, in_dims: Dims, d_par: int, trace=None, name="conv"):
-        self.name = name
-        self.out_dims = output_dims(in_dims, spec)
-        self.lb = LineBuffer(in_dims, spec)
-        self.engine = ConvEngine(spec, in_dims.depth, d_par, trace, name=f"{name}.ce")
-        self.out = False
-        self.out_stall = 0
-        self.trace = trace
-        self.ready = self.lb.ready  # acceptance is entirely the line buffer's call
-
-    def step(self, cycle_no: int, in_elem: bool, out_consumed: bool):
-        if out_consumed:
-            self.out = False
-            out_free = True
-        else:
-            out_free = not self.out
-        engine = self.engine
-        if engine.cycle(out_free, cycle_no):
-            self.out = True
-        if self.lb.cycle(in_elem, engine.next_win is None):
-            engine.latch()
-        if in_elem and self.trace is not None:
-            self.trace.event(cycle_no, f"{self.name}.lb", "accept", self.lb.n_acc - 1)
-
-    def quiet_for(self, blocked: bool) -> int:
-        """Upcoming quiet cycles, given whether downstream refuses elements."""
-        if (self.out and not blocked) or (self.engine.next_win is None
-                                          and self.lb.n_acc >= self.lb._threshold):
-            return 0
-        return self.engine.quiet_for(self.out)
-
-    def skip(self, n: int, cycle_no: int):
-        if self.out:
-            self.out_stall += n
-        return self.engine.skip(n, cycle_no, self.out)
-
-
-class PoolStage:
-    """One row of running maxima, updated in raster order: the first element
-    landing in a slot opens it, later covered elements fold into it; the
-    pooled row drains serially once its last input row completes. The stage
-    keeps only the counters of that row; an element landing in a slot that
-    has not drained yet is an invariant breach. Requires window <= stride (a
-    single physical row cannot serve overlapping vertical windows)."""
-
-    def __init__(self, spec: PoolSpec, in_dims: Dims, trace=None, name="pool"):
-        check_pipeline_pool(spec)
-        self.name = name
-        self.out_dims = output_dims(in_dims, spec)
-        self.h_in, self.w_in = in_dims.height, in_dims.width
-        self.window = spec.window
-        self.stride = spec.stride
-        self.h_out, self.w_out = self.out_dims.height, self.out_dims.width
-        self.n_elems = self.h_in * self.w_in
-        self.n_acc = 0
-        self._r_in = 0
-        self._c_in = 0
-        self.pending = False
-        self.drain_pos = 0
-        self.out = False
-        self.out_stall = 0
-        self.trace = trace
-        self._rkey = (-1, -1, False)
-        self._rval = False
-
-    def ready(self) -> bool:
-        key = (self.n_acc, self.drain_pos, self.pending)
-        if key == self._rkey:
-            return self._rval
-        self._rkey = key
-        self._rval = v = self._compute_ready()
-        return v
-
-    def _compute_ready(self) -> bool:
-        if self.n_acc >= self.n_elems:
-            return False
-        r, c = self._r_in, self._c_in
-        if r // self.stride >= self.h_out or r % self.stride >= self.window:
-            return True
-        j = c // self.stride
-        if j >= self.w_out or c % self.stride >= self.window:
-            return True
-        return not (self.pending and j >= self.drain_pos)
-
-    def step(self, cycle_no: int, in_elem: bool, out_consumed: bool):
-        if out_consumed:
-            self.out = False
-        if not self.out and self.pending:
-            self.out = True
-            if self.trace is not None:
-                self.trace.event(cycle_no, self.name, "emit", self.drain_pos)
-            self.drain_pos += 1
-            if self.drain_pos == self.w_out:
-                self.pending = False
-        if not in_elem:
-            return
-        r, c = self._r_in, self._c_in
-        self.n_acc += 1
-        if c + 1 == self.w_in:
-            self._c_in = 0
-            self._r_in = r + 1
-        else:
-            self._c_in = c + 1
-        r_out, rp = divmod(r, self.stride)
-        c_out, cp = divmod(c, self.stride)
-        if r_out < self.h_out and rp < self.window \
-                and c_out < self.w_out and cp < self.window:
-            if self.pending and c_out >= self.drain_pos:
-                raise InternalError(
-                    f"pool slot {c_out} overwritten before it drained")
-            if rp == self.window - 1 and cp == self.window - 1 \
-                    and c_out == self.w_out - 1:
-                self.pending = True
-                self.drain_pos = 0
-        if self.trace is not None:
-            self.trace.event(cycle_no, self.name, "accept", self.n_acc - 1)
-
-    def quiet_for(self, blocked: bool) -> int:
-        if self.out:
-            return _FOREVER if blocked else 0
-        return 0 if self.pending else _FOREVER
-
-    def skip(self, n: int, cycle_no: int):
-        if self.out:
-            self.out_stall += n
-        return []
 
 
 @dataclass
@@ -509,6 +159,48 @@ def _build_stages(layers, in_dims, d_pars, trace, layer_offset):
     return stages
 
 
+def _snapshot(cycle, stages, stamps):
+    """The schedule's state at the end of a cycle: per stage, state()'s
+    counters followed by the stamp's emitted count and last output cycle,
+    and the relative rest."""
+    snap = []
+    for st, stamp in zip(stages, stamps):
+        counters, rest = st.state()
+        snap.append((counters + (stamp.emitted, stamp.last_out), rest))
+    return cycle, snap
+
+
+def _fast_forward(old, new, stages, stamps, periods, max_cycles):
+    """Skip whole periods from snapshot `new`, given `old`, one period before
+    it. Skips nothing unless each stage's state is its old state translated
+    by one period, with every delta its row_period fixes, and no boundary
+    clamp acts from `old` up to the landing state. Then each cycle's
+    transition commutes with the translation, so m more periods land on the
+    state translated m times. Every counter only grows, so the counters of
+    `old` and of the landing state bound every value a decision reads on
+    the way. The landing cycle stays within the watchdog's max_cycles.
+    Returns (m, cycles per period)."""
+    (c0, snap0), (c1, snap1) = old, new
+    dc = c1 - c0
+    m = (max_cycles - c1) // dc
+    deltas = []
+    for (cnt0, rest0), (cnt1, rest1), (fixed, bounds) in zip(snap0, snap1, periods):
+        delta = tuple(b - a for a, b in zip(cnt0, cnt1))
+        if rest0 != rest1 or any(f is not None and f != d for f, d in zip(fixed, delta)):
+            return 0, dc
+        for i, lo, hi in bounds:
+            if cnt0[i] < lo:
+                return 0, dc
+            m = min(m, (hi - cnt1[i]) // delta[i])
+        deltas.append(delta)
+    if m > 0:
+        for st, stamp, delta in zip(stages, stamps, deltas):
+            st.translate(m, delta[:-2])
+            stamp.emitted += m * delta[-2]
+            stamp.last_out += m * delta[-1]
+    return max(m, 0), dc
+
+
 def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
                    layer_offset: int = 0) -> GroupResult:
     """Run one fused group's schedule on an in_dims input: the input streams
@@ -538,6 +230,28 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
     for st, n_out in zip(stages, expected):
         budget += n_out * (st.engine.kg if isinstance(st, ConvStage) else 1)
     max_cycles = 16 * budget + 100_000
+
+    # row-periodic fast-forward: a period is as many source rows as the
+    # group's strides multiply to; stage i takes period // S_i input rows of
+    # it, S_i the strides before it multiplied. Between the source rows
+    # lo and hi no stage's boundary clamp can act.
+    period = math.prod(layer.stride for layer in layers)
+    width = in_dims.width
+    periods, lo, hi, rows = [], 0, in_dims.height - 1, period
+    for st, layer, n_out in zip(stages, layers, expected):
+        fixed, bounds = st.row_period(rows)
+        _, r_lo, r_hi = bounds[0]
+        lo = max(lo, r_lo * (period // rows))
+        hi = min(hi, (r_hi + 1) * (period // rows) - 1)
+        rows //= layer.stride
+        periods.append((fixed + (rows * st.out_dims.width, None),
+                        bounds + ((len(fixed), 1, n_out - 1),)))
+    # snapshot rows lo to hi - period, and only if they span three periods,
+    # so that a jump skips one at least; never with a trace, which must
+    # list every event
+    probe_at = -1 if trace is not None or hi - lo < 3 * period else max(lo, 1) * width
+    last_probe = (hi - period) * width
+    history = deque(maxlen=period + 1)
 
     cycle = 0
     consume = [False] * n_stages
@@ -594,6 +308,20 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
                 if stamp.emitted == expected[i]:
                     remaining -= 1
             carried = c
+
+        if src_idx == probe_at:
+            # a source row is complete; only a carrying cycle gets here
+            history.append(_snapshot(cycle, stages, stamps))
+            probe_at += width
+            if len(history) > period:
+                m, dc = _fast_forward(history[0], history[-1], stages, stamps,
+                                      periods, max_cycles)
+                if m:
+                    cycle += m * dc
+                    src_idx += m * period * width
+                    probe_at = -1
+            if probe_at > last_probe:
+                probe_at = -1
 
     return GroupResult(
         cycles=stamps[-1].last_out,

@@ -23,12 +23,19 @@ TENSOR_MAGIC = b"DCLF"
 TENSOR_VERSION = 1
 
 
+def _le_bytes(arr: np.ndarray) -> memoryview:
+    """The array's values as the files store them, little-endian int32 in C
+    order: a view of the array itself when it is already laid out so, which
+    an int32 array on a little-endian host is, so no copy is made."""
+    return memoryview(np.ascontiguousarray(arr, dtype="<i4")).cast("B")
+
+
 def write_tensor(path, t: Tensor3D) -> None:
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(bytes([TENSOR_VERSION]))
         fh.write(struct.pack("<III", t.dims.height, t.dims.width, t.dims.depth))
-        fh.write(t.data.astype("<i4").tobytes())
+        fh.write(_le_bytes(t.data))
 
 
 def read_tensor(path) -> Tensor3D:
@@ -50,7 +57,8 @@ def read_tensor(path) -> Tensor3D:
 
 
 def tensor_digest(t: Tensor3D) -> str:
-    return hashlib.sha256(t.data.astype("<i4").tobytes()).hexdigest()
+    """SHA-256 of the tensor's values as a tensor file stores them."""
+    return hashlib.sha256(_le_bytes(t.data)).hexdigest()
 
 
 def write_weights(path, banks) -> None:

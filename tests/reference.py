@@ -3,12 +3,14 @@
 Each is a scalar loop over the public fixed-point primitives, written for
 clarity, not speed: the oracle's sequential order (`brute_force_conv`,
 `conv_position_sequential`) and the conv engine's adder-tree order
-(`engine_reference`).
+(`engine_reference`); and the test data drawn one SplitMix64 step at a time
+(`generate_tensor_scalar`, `generate_weights_scalar`).
 """
 
 import numpy as np
 
 from fusedconv.config import Dims
+from fusedconv.datagen import SeededGenerator
 from fusedconv.fixedpoint import I32_MAX, I32_MIN, fx_add_sat, fx_mul
 from fusedconv.golden import Tensor3D
 
@@ -118,3 +120,32 @@ def engine_reference(win, filt, d_par, relu, frac_bits=16):
                 events += sat
         out.append(max(acc, 0) if relu else acc)
     return out, events
+
+
+def scale_raw(raw: int, divisor: int) -> int:
+    """round-half-away-from-zero(raw / divisor) in pure integers."""
+    if raw >= 0:
+        return (2 * raw + divisor) // (2 * divisor)
+    return -((2 * -raw + divisor) // (2 * divisor))
+
+
+def generate_tensor_scalar(dims, seed):
+    """datagen.generate_tensor's values, one next_raw() at a time."""
+    gen = SeededGenerator(seed)
+    arr = np.array([gen.next_raw() for _ in range(dims.volume)], dtype=np.int32)
+    return arr.reshape(dims.height, dims.width, dims.depth)
+
+
+def generate_weights_scalar(net, seed):
+    """datagen.generate_weights' banks as arrays, one next_raw() and one
+    scale_raw() at a time, in network order from one stream."""
+    gen = SeededGenerator(seed)
+    banks = []
+    in_dims = net.layer_input_dims()
+    for li in net.conv_indices():
+        layer = net.layers[li]
+        w, d, k = layer.kernel, in_dims[li].depth, layer.filters
+        arr = np.array([scale_raw(gen.next_raw(), w * w * d)
+                        for _ in range(k * w * w * d)], dtype=np.int32)
+        banks.append(arr.reshape(k, w, w, d))
+    return banks

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Full-scale simulations (224x224 input) run once per network via module-scoped
-fixtures and are shared across criteria; the whole module runs in about a
-minute. Run with `pytest tests/test_acceptance.py -v -s` to see the
+fixtures and are shared across criteria; the whole module runs in about
+20 s. Run with `pytest tests/test_acceptance.py -v -s` to see the
 criterion lines as they complete.
 """
 

@@ -7,11 +7,10 @@ from hypothesis import given, strategies as st
 from fusedconv import dataflow, golden
 from fusedconv.config import ConvSpec, Dims, FusionPlan, InternalError, NetworkSpec, \
     PoolSpec, ValidationError, parse_plan
-from fusedconv.dataflow import (ConvEngine, ConvStage, LineBuffer, PoolStage,
-                                TraceWriter, _last_needing, conv_datapath,
-                                simulate_group, simulate_plan)
+from fusedconv.dataflow import TraceWriter, conv_datapath, simulate_group, simulate_plan
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.golden import ConvPasses, FilterBank, Tensor3D, run_network
+from fusedconv.stages import ConvEngine, ConvStage, LineBuffer, PoolStage, _last_needing
 
 from conftest import EXACTNESS_EDGES, identity_bank, random_network, random_plan, \
     tensor_from_reals

@@ -1,14 +1,19 @@
 """Byte pins on the `dse` and `analyze` outputs, so a refactor of the cost
-model or the sweep cannot move a report, a CSV row or a tie-break."""
+model or the sweep cannot move a report, a CSV row or a tie-break; and on
+`tensor_digest`, which `simulate` reports."""
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from fusedconv import config
 from fusedconv.cli import main
-from fusedconv.config import serialize_network
+from fusedconv.config import Dims, serialize_network
 from fusedconv.costmodel import ResourceBudget
+from fusedconv.datagen import generate_tensor
+from fusedconv.fileio import tensor_digest
+from fusedconv.golden import Tensor3D
 from fusedconv.dse import sweep
 from fusedconv.networks import small_test_network, vgg_prefix_7
 
@@ -88,3 +93,15 @@ def test_sweep_reuses_network_geometry(monkeypatch):
     points, infeasible = sweep(net, ResourceBudget(dsp_max=1000))
     assert len(points) + len(infeasible) == 64
     assert calls == []
+
+
+def test_tensor_digest_pins_and_views():
+    # the digest is of the little-endian bytes a tensor file stores: pinned
+    # on a generated tensor, and taken from a strided view's values
+    t = generate_tensor(Dims(4, 5, 3), 1)
+    assert tensor_digest(t) == \
+        "045c8f333f5679ba8a28e4499ed810ace0db516c7719d22f0c4c4dca2a0e57f9"
+    view = t.data[:, ::2, ::-1]
+    assert not view.flags.c_contiguous
+    assert tensor_digest(Tensor3D(Dims(*view.shape), view)) == \
+        _sha(np.ascontiguousarray(view).astype("<i4").tobytes())

@@ -1,9 +1,11 @@
 """simulate_group against a clock that steps every single cycle.
 
 `step_every_cycle` is the simulator's schedule loop as it was before quiet
-spans were skipped: it calls every stage's `step` on every cycle. It drives
-the same stage classes, so any difference in cycles, stamps, stalls or trace
-text comes from the jumps of the clock. The schedule takes dims, not data:
+spans were skipped and row-periodic stretches fast-forwarded: it calls every
+stage's `step` on every cycle. It drives the same stage classes, so any
+difference in cycles, stamps, stalls or trace text comes from the jumps of
+the clock. A traced run never fast-forwards, so the untraced runs check the
+row-periodic jumps. The schedule takes dims, not data:
 values come after it, from golden.walk_layers, and the tests of
 conv_datapath, of the pool values and of simulate_plan check them.
 """
@@ -12,14 +14,14 @@ import io
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fusedconv import dataflow
 from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, PoolSpec, \
     output_dims, validate_plan
-from fusedconv.dataflow import ConvStage, StageStamp, TraceWriter, _build_stages, \
-    simulate_group
+from fusedconv.dataflow import StageStamp, TraceWriter, _build_stages, simulate_group
 from fusedconv.networks import consecutive_convs, reduced_vgg_prefix_7
+from fusedconv.stages import ConvStage, PoolStage
 
 
 def step_every_cycle(layers, in_dims, d_pars, trace=None, layer_offset=0):
@@ -67,9 +69,10 @@ def engine_counters(stages):
             for e in (st.engine for st in stages if isinstance(st, ConvStage))]
 
 
-def assert_same_run(layers, in_dims, d_pars, layer_offset=0):
-    """Run both loops with a trace; assert every schedule observable, and the
-    engines' closed-form counters, agree. Returns the simulator's result."""
+def assert_same_run(layers, in_dims, d_pars, layer_offset=0, traced=True):
+    """Run both loops, with a trace or without; assert every schedule
+    observable, and the engines' closed-form counters, agree. Returns the
+    simulator's result."""
     got_trace, want_trace = io.StringIO(), io.StringIO()
     built = []
 
@@ -79,10 +82,11 @@ def assert_same_run(layers, in_dims, d_pars, layer_offset=0):
 
     with mock.patch.object(dataflow, "_build_stages", build):
         got = simulate_group(layers, in_dims, d_pars,
-                             trace=TraceWriter(got_trace), layer_offset=layer_offset)
-    stamps, stalls, want_stages = step_every_cycle(layers, in_dims, d_pars,
-                                                   trace=TraceWriter(want_trace),
-                                                   layer_offset=layer_offset)
+                             trace=TraceWriter(got_trace) if traced else None,
+                             layer_offset=layer_offset)
+    stamps, stalls, want_stages = step_every_cycle(
+        layers, in_dims, d_pars, trace=TraceWriter(want_trace) if traced else None,
+        layer_offset=layer_offset)
     assert engine_counters(built) == engine_counters(want_stages)
     assert got.cycles == stamps[-1].last_out
     assert got.stamps == stamps
@@ -143,15 +147,89 @@ def test_simulate_group_matches_per_cycle_reference(case):
                         layer_offset=a)
 
 
-@pytest.mark.parametrize("d_par, stalls", [
+STALLING_CHAINS = [
     ((3, 1, 1, 1, 1), {"l0.conv": 59689}),
     ((3, 8, 8, 1, 16), {"l0.conv": 36357, "l1.conv": 37477, "l2.pool": 42678,
-                        "l3.conv": 55441})])
+                        "l3.conv": 55441})]
+
+
+@pytest.mark.parametrize("d_par, stalls", STALLING_CHAINS)
 def test_stalling_chain_matches_per_cycle_reference(d_par, stalls):
     # a fast stage feeding a slow one is held for most of the run
     net = reduced_vgg_prefix_7()
     res = assert_same_run(net.layers, net.input_dims, list(d_par))
     assert {k: v for k, v in res.stall_cycles.items() if v} == stalls
+
+
+@pytest.mark.parametrize("d_par, stalls", STALLING_CHAINS)
+def test_stalling_chain_fast_forwards_like_per_cycle_reference(d_par, stalls):
+    # untraced, the schedule may fast-forward across the held rows too
+    net = reduced_vgg_prefix_7()
+    res = assert_same_run(net.layers, net.input_dims, list(d_par), traced=False)
+    assert {k: v for k, v in res.stall_cycles.items() if v} == stalls
+
+
+@st.composite
+def tall_chains(draw):
+    """A fused conv/pool chain over up to 40 rows, narrow enough for the
+    per-cycle reference: strides 1 and 2, pools, odd heights and any d_par
+    divisor."""
+    dims = Dims(draw(st.integers(6, 40)), draw(st.integers(3, 7)), draw(st.integers(1, 4)))
+    layers, cur, filters = [], dims, 1
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 2)) or cur.height < 2 or cur.width < 2:
+            kernel = draw(st.sampled_from([1, 3]))
+            filters = draw(st.integers(filters, 4))
+            spec = ConvSpec(kernel, filters, draw(st.sampled_from([1, 1, 2])),
+                            draw(st.integers(0, kernel - 1)))
+        else:
+            spec = PoolSpec(*draw(st.sampled_from([(2, 2), (3, 3), (2, 3)])))
+        try:
+            cur = output_dims(cur, spec)
+        except Exception:
+            continue
+        layers.append(spec)
+    if not layers:
+        layers = [ConvSpec(3, 2, 1, 1)]
+    net = NetworkSpec(dims, tuple(layers))
+    din = net.layer_input_dims()
+    d_pars = [draw(st.sampled_from([x for x in range(din[li].depth, 0, -1)
+                                    if din[li].depth % x == 0]))
+              for li in net.conv_indices()]
+    return net, d_pars
+
+
+# its engines' counters advance as the geometry says over a period before
+# their phase within a window settles: a jump must wait for that too
+DRIFTING_PHASE = (
+    NetworkSpec(Dims(20, 3, 1), (PoolSpec(2, 2), ConvSpec(1, 3), ConvSpec(1, 3))), [1, 1])
+
+
+@settings(max_examples=40)
+@example(DRIFTING_PHASE)
+@given(tall_chains())
+def test_row_periodic_jumps_match_per_cycle_reference(case):
+    net, d_pars = case
+    assert_same_run(net.layers, net.input_dims, d_pars, traced=False)
+
+
+def test_conv1_1_fast_forwards_its_periodic_rows(monkeypatch):
+    # conv1_1 at 56x56 repeats with a period of one row from row 3 on: with
+    # the stretch fast-forwarded, the stage steps on far fewer cycles than
+    # its 3136 windows' quiet spans alone allow (about 12,500 steps)
+    net = consecutive_convs(1, input_hw=56)
+    step, calls = ConvStage.step, []
+
+    def counted(self, *args):
+        calls.append(self)
+        return step(self, *args)
+
+    monkeypatch.setattr(ConvStage, "step", counted)
+    res = simulate_group(net.layers, net.input_dims, [3])
+    assert res.cycles == 200_827
+    assert len(calls) * 100 <= res.cycles
+    assert calls[0].engine.scalars_emitted == 56 * 56 * 64
+    assert res.stamps[0].emitted == 56 * 56
 
 
 def test_held_windows_skip_most_conv_steps(monkeypatch):
@@ -169,3 +247,44 @@ def test_held_windows_skip_most_conv_steps(monkeypatch):
     assert res.cycles == 16_467
     assert len(calls) * 8 <= res.cycles
     assert calls[0].engine.scalars_emitted == 16 * 16 * 64
+
+
+@pytest.mark.parametrize("kernel, stride, pad", [
+    (1, 1, 0), (3, 1, 0), (3, 1, 1), (3, 2, 1), (3, 3, 2), (5, 2, 2), (1, 2, 0)])
+@pytest.mark.parametrize("height", [5, 6, 9, 12])
+def test_row_period_bounds_are_the_clamp_free_rows(kernel, stride, pad, height):
+    # the fast-forward relies on these bounds: every value between them, and
+    # none outside, leaves each boundary clamp a stage reads it through idle
+    in_dims = Dims(height, 7, 1)
+    spec = ConvSpec(kernel, 2, stride, pad)
+    conv = ConvStage(spec, in_dims, 1)
+    out = conv.out_dims
+    (_, lo, hi), (_, w_lo, w_hi) = conv.row_period(stride)[1]
+
+    def row_clamped(r):  # the ready check's, on the next row to arrive
+        return r >= height or r - kernel < 0 \
+            or (r - kernel + pad) // stride >= out.height
+
+    def window_clamped(widx):  # _set_threshold's, on the next window
+        rho = widx // out.width
+        return widx >= out.height * out.width or rho * stride - pad < 0 \
+            or rho * stride - pad + kernel - 1 > height - 1
+
+    def assert_free_between(values, lo, hi):
+        if not values:  # a short input: no row escapes every clamp
+            assert lo > hi
+            return
+        assert values == list(range(values[0], values[-1] + 1))
+        assert (values[0], values[-1]) == (lo, hi)
+
+    assert_free_between([r for r in range(-2, height + 4) if not row_clamped(r)], lo, hi)
+    n = out.height * out.width
+    assert_free_between([i for i in range(n + out.width) if not window_clamped(i)],
+                        w_lo, w_hi)
+
+    if stride > 1:
+        pool = PoolStage(PoolSpec(min(kernel, stride), stride), in_dims)
+        (_, lo, hi), = pool.row_period(stride)[1]
+        h_out = pool.out_dims.height
+        assert_free_between([r for r in range(height + 4)
+                             if r < height and r // stride < h_out], lo, hi)
