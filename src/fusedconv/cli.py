@@ -54,6 +54,17 @@ def _write_report(out_dir, name, report: dict):
     return path
 
 
+def _report(command: str, net: NetworkSpec, plan: FusionPlan = None, **fields) -> dict:
+    """A report: the tool, command and network digest, then the plan, its
+    depth parallelism and the layer dims when a plan is given, then fields."""
+    head = {"tool": {"name": "fusedconv", "version": __version__},
+            "command": command, "network_digest": network_digest(net)}
+    if plan is not None:
+        head.update(plan=plan_to_text(plan), depth_parallel=list(plan.depth_parallel),
+                    layer_dims=_dims_list(net))
+    return {**head, **fields}
+
+
 def _dims_list(net: NetworkSpec):
     return [[d.height, d.width, d.depth] for d in net.layer_dims()]
 
@@ -96,14 +107,8 @@ def cmd_golden(args) -> int:
         path = os.path.join(out, f"layer{i:02d}.dclf")
         write_tensor(path, t)
         digests.append(tensor_digest(t))
-    report = {
-        "tool": {"name": "fusedconv", "version": __version__},
-        "command": "golden",
-        "network_digest": network_digest(net),
-        "layer_dims": _dims_list(net),
-        "layer_digests": digests,
-        "saturation_events": saturation,
-    }
+    report = _report("golden", net, layer_dims=_dims_list(net), layer_digests=digests,
+                     saturation_events=saturation)
     _write_report(out, "report.json", report)
     print(f"golden: {len(outputs)} layer tensors -> {out} "
           f"(saturation events: {saturation})")
@@ -152,27 +157,17 @@ def cmd_simulate(args) -> int:
     ms = costmodel.time_ms(sim.end_to_end_cycles, args.freq_mhz)
     cost = costmodel.analyze(plan, net, args.bytes_per_value, args.freq_mhz,
                              args.reread_weights_per_depth_group)
-    report = {
-        "tool": {"name": "fusedconv", "version": __version__},
-        "command": "simulate",
-        "network_digest": network_digest(net),
-        "plan": plan_to_text(plan),
-        "depth_parallel": list(plan.depth_parallel),
-        "layer_dims": _dims_list(net),
-        "simulation": {
-            "cycles_per_group": sim.cycles_per_group,
-            "end_to_end_cycles": sim.end_to_end_cycles,
-            "milliseconds": ms,
-            "frequency_mhz": args.freq_mhz,
-            "saturation_events": sim.saturation_events,
-            "golden_match": golden_match,
-            "stage_stamps": _stamps_dict(sim),
-            "stall_cycles": sim.stall_cycles,
-            "output_digest": tensor_digest(sim.output),
-            "layer_output_digests": [tensor_digest(t) for t in sim.layer_outputs],
-        },
-        "cost": cost.to_dict(),
-    }
+    report = _report("simulate", net, plan, cost=cost.to_dict(), simulation={
+        "cycles_per_group": sim.cycles_per_group,
+        "end_to_end_cycles": sim.end_to_end_cycles,
+        "milliseconds": ms,
+        "frequency_mhz": args.freq_mhz,
+        "saturation_events": sim.saturation_events,
+        "golden_match": golden_match,
+        "stage_stamps": _stamps_dict(sim),
+        "stall_cycles": sim.stall_cycles,
+        "output_digest": tensor_digest(sim.output),
+        "layer_output_digests": [tensor_digest(t) for t in sim.layer_outputs]})
     if args.out:
         out = _ensure_out(args.out)
         write_tensor(os.path.join(out, "final.dclf"), sim.output)
@@ -194,63 +189,50 @@ def cmd_analyze(args) -> int:
     plan = _plan_from_args(args, net)
     cost = costmodel.analyze(plan, net, args.bytes_per_value, args.freq_mhz,
                              args.reread_weights_per_depth_group)
-    report = {
-        "tool": {"name": "fusedconv", "version": __version__},
-        "command": "analyze",
-        "network_digest": network_digest(net),
-        "plan": plan_to_text(plan),
-        "depth_parallel": list(plan.depth_parallel),
-        "layer_dims": _dims_list(net),
-        "cost": cost.to_dict(),
-    }
-    text = canonical_json(report)
+    report = _report("analyze", net, plan, cost=cost.to_dict())
     if args.out:
-        out = _ensure_out(args.out)
-        _write_report(out, "report.json", report)
-    sys.stdout.write(text)
+        _write_report(_ensure_out(args.out), "report.json", report)
+    sys.stdout.write(canonical_json(report))
     return 0
 
 
 def cmd_dse(args) -> int:
+    t0 = time.monotonic()
     net = _load_network(args.network)
     budget = costmodel.ResourceBudget(dsp_max=args.dsp_max)
-    points, infeasible = dse.sweep(net, budget, args.bytes_per_value,
-                                   args.reread_weights_per_depth_group)
+    t_fit = time.monotonic()
+    fits = dse.fit_groups(net, budget, args.reread_weights_per_depth_group)
+    t_fold = time.monotonic()
+    points, infeasible = dse.fold_partitions(net, fits, budget, args.bytes_per_value)
     if not points:
         raise ValidationError("no feasible plan under the DSP budget")
+    t_front = time.monotonic()
     front = dse.pareto_front(points)
-    front_keys = {plan_to_text(p.plan) for p in front}
+    t_done = time.monotonic()
+    on_front = set(map(id, front))
+    text = {id(p): plan_to_text(p.plan) for p in points}
 
     lines = ["plan,groups,dsp,traffic_bytes,est_cycles,buffer_bits,pareto"]
-    for p in points:
-        expr = plan_to_text(p.plan)
-        lines.append(f"{expr},{p.plan.n_groups()},{p.dsp},{p.traffic_bytes},"
-                     f"{p.est_cycles},{p.buffer_bits},"
-                     f"{1 if expr in front_keys else 0}")
+    lines += [f"{text[id(p)]},{p.plan.n_groups()},{p.dsp},{p.traffic_bytes},"
+              f"{p.est_cycles},{p.buffer_bits},{int(id(p) in on_front)}" for p in points]
     csv_text = "\n".join(lines) + "\n"
 
     by_groups = {p.plan.groups: p for p in points}
-    chain = [{"groups": len(groups), "plan": plan_to_text(p.plan), "dsp": p.dsp,
+    chain = [{"groups": len(groups), "plan": text[id(p)], "dsp": p.dsp,
               "traffic_bytes": p.traffic_bytes, "est_cycles": p.est_cycles}
              for groups in dse.nested_chain(len(net.layers))
              if (p := by_groups.get(groups))]
 
-    report = {
-        "tool": {"name": "fusedconv", "version": __version__},
-        "command": "dse",
-        "network_digest": network_digest(net),
-        "dsp_max": args.dsp_max,
-        "bytes_per_value": args.bytes_per_value,
-        "plans_evaluated": len(points),
-        "infeasible": [{"plan": plan_to_text(FusionPlan(groups, ())),
-                        "reason": reason} for groups, reason in infeasible],
-        "pareto_front": [{"plan": plan_to_text(p.plan),
-                          "depth_parallel": list(p.plan.depth_parallel),
-                          "dsp": p.dsp, "traffic_bytes": p.traffic_bytes,
-                          "est_cycles": p.est_cycles,
-                          "buffer_bits": p.buffer_bits} for p in front],
-        "merge_chain": chain,
-    }
+    report = _report(
+        "dse", net, dsp_max=args.dsp_max, bytes_per_value=args.bytes_per_value,
+        plans_evaluated=len(points),
+        infeasible=[{"plan": plan_to_text(FusionPlan(groups, ())), "reason": reason}
+                    for groups, reason in infeasible],
+        pareto_front=[{"plan": text[id(p)], "depth_parallel": list(p.plan.depth_parallel),
+                       "dsp": p.dsp, "traffic_bytes": p.traffic_bytes,
+                       "est_cycles": p.est_cycles, "buffer_bits": p.buffer_bits}
+                      for p in front],
+        merge_chain=chain)
     if args.out:
         out = _ensure_out(args.out)
         with open(os.path.join(out, "dse.csv"), "w") as fh:
@@ -262,6 +244,8 @@ def cmd_dse(args) -> int:
           f"front of {len(front)} "
           f"(dsp {front[0].dsp}..{front[-1].dsp}, "
           f"traffic {front[-1].traffic_bytes}..{front[0].traffic_bytes} bytes)")
+    print(f"elapsed: {time.monotonic() - t0:.2f}s (fit {t_fold - t_fit:.2f}s, "
+          f"fold {t_front - t_fold:.2f}s, front {t_done - t_front:.2f}s)", file=sys.stderr)
     return 0
 
 
@@ -330,10 +314,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ParseError, UnicodeDecodeError) as e:  # the network file is not UTF-8 text
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    # UnicodeDecodeError: the network file is not UTF-8 text
+    except (ParseError, UnicodeDecodeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except ValidationError as e:

@@ -2,16 +2,17 @@
 
 These mirror the accelerator's structure without running the simulator:
 multipliers map to DSP slices (w^2 per channel processed in parallel), adders
-to logic fabric, and on-chip storage to 18,432-bit block granularity. The
-end-to-end estimate charges every stage's fill latency serially. The
-simulator overlaps fills, so it usually finishes below the estimate, but not
-always: a conv-pool-conv group can run past its bottleneck plus the fills
-charged here without a stall.
+to logic fabric, and on-chip storage to 18,432-bit block granularity. Each
+fused group is priced once, DRAM traffic included (GroupCost), and a plan's
+figures fold over its groups. The end-to-end estimate charges every stage's
+fill latency serially. The simulator overlaps fills, so it usually finishes
+below the estimate, but not always: a conv-pool-conv group can run past its
+bottleneck plus the fills charged here without a stall.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .config import ConvSpec, Dims, FusionPlan, NetworkSpec, ValidationError, \
     validate_plan
@@ -58,13 +59,17 @@ def steady_cycles(layer: ConvSpec, out_dims: Dims, g: int) -> int:
 
 @dataclass(frozen=True)
 class GroupCost:
-    """Modeled cost of one fused group; every plan figure is a fold over these."""
+    """Modeled cost of one fused group, the unit every plan figure folds over:
+    DSP and buffers are those of the widest group, cycles and traffic a sum."""
     dsp: int            # multipliers: w^2 * d_par summed over the group's convs
     buffer_bits: int
     buffer_blocks: int
     steady_cycles: int  # the slowest conv's steady cycles, 0 without a conv
     stream_cycles: int  # cycles to stream the group input, one position per cycle
     fill_cycles: int
+    input_values: int   # the group input volume, streamed in once
+    output_values: int  # the group output volume, streamed out once
+    weight_values: int  # every conv's weights, once or once per depth group
 
     @property
     def bottleneck(self) -> int:
@@ -90,26 +95,25 @@ def _layer_buffers(layer, in_dims: Dims, out_dims: Dims):
     return row, _blocks(row)
 
 
-def _conv_parallelism(plan: FusionPlan, net: NetworkSpec) -> dict:
-    """Map conv layer index -> (d_par, serial depth group count g = depth / d_par)."""
-    dims_in = net.layer_input_dims()
-    return {li: (dp, dims_in[li].depth // dp)
-            for dp, li in zip(plan.depth_parallel, net.conv_indices())}
-
-
-def group_cost(group, depth_parallel, net: NetworkSpec) -> GroupCost:
+def group_cost(group, depth_parallel, net: NetworkSpec,
+               reread_weights_per_depth_group: bool = False) -> GroupCost:
     """GroupCost of one group (a, b) of a validated plan whose per-conv
     depth parallelism is depth_parallel.
 
     Fill latency is charged for every stage at the per-element period of
     whatever feeds it: k*g of the producing conv, 1 at the group input,
     unchanged through a pool.
+
+    Off-chip, the group streams its input volume in and its output volume
+    out; weights are loaded once per group execution (they stay in on-chip
+    banks across the streamed input). With the re-read flag, a conv whose
+    depth is decomposed into g serial groups fetches its weights g times.
     """
     a, b = group
     dims_in = net.layer_input_dims()
     dims_out = net.layer_dims()
     dpar_of = dict(zip(net.conv_indices(), depth_parallel))
-    dsp = bits = blocks = steady = fill = 0
+    dsp = bits = blocks = steady = fill = weights = 0
     period = 1
     for li in range(a, b + 1):
         layer = net.layers[li]
@@ -125,60 +129,47 @@ def group_cost(group, depth_parallel, net: NetworkSpec) -> GroupCost:
             fill += (layer.kernel - 1) * (w_in + 2 * layer.pad) * period \
                 + layer.kernel + conv3d_latency(layer.kernel, dp)
             period = layer.filters * g
+            weights += layer.filters * layer.kernel * layer.kernel * dims_in[li].depth \
+                * (g if reread_weights_per_depth_group else 1)
         else:
             fill += layer.window * w_in * period
     return GroupCost(dsp, bits, blocks, steady,
-                     dims_in[a].height * dims_in[a].width, fill)
+                     dims_in[a].height * dims_in[a].width, fill,
+                     dims_in[a].volume, dims_out[b].volume, weights)
 
 
-def group_costs(plan: FusionPlan, net: NetworkSpec) -> list:
+def group_costs(plan: FusionPlan, net: NetworkSpec,
+                reread_weights_per_depth_group: bool = False) -> list:
     """One GroupCost per group of an already validated plan, in plan order."""
-    return [group_cost(group, plan.depth_parallel, net) for group in plan.groups]
+    return [group_cost(group, plan.depth_parallel, net, reread_weights_per_depth_group)
+            for group in plan.groups]
 
 
-def _plan_totals(costs) -> tuple:
-    """(dsp, buffer bits, buffer blocks, estimated cycles) of a plan. Hardware
-    is rebuilt (reused) between groups, so DSP and buffers are those of the
-    widest group (buffers: the first group with the most bits); the estimate
-    sums each group's bottleneck and fills."""
-    widest = max(costs, key=lambda c: c.buffer_bits)
-    return (max(c.dsp for c in costs), widest.buffer_bits, widest.buffer_blocks,
-            sum(c.bottleneck + c.fill_cycles for c in costs))
-
-
-def traffic_bytes(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
-                  reread_weights_per_depth_group: bool = False):
-    """Off-chip transfer accounting of an already validated plan. Returns a
-    dict itemized as {inputs, outputs, weights, total} in bytes.
-
-    Every group streams its input volume in and its output volume out;
-    weights are loaded once per group execution (they stay in on-chip banks
-    across the streamed input). With the re-read flag, a conv whose depth is
-    decomposed into g serial groups fetches its weights g times.
-    """
+def check_bytes_per_value(bytes_per_value: int) -> None:
     if bytes_per_value not in (1, 2, 4):
         raise ValidationError("bytes_per_value must be 1, 2, or 4")
-    dims_in = net.layer_input_dims()
-    dims_out = net.layer_dims()
 
-    inputs = 0
-    outputs = 0
-    for a, b in plan.groups:
-        inputs += dims_in[a].volume
-        outputs += dims_out[b].volume
 
-    weights = 0
-    for li, (_, g) in _conv_parallelism(plan, net).items():
-        layer = net.layers[li]
-        vals = layer.filters * layer.kernel * layer.kernel * dims_in[li].depth
-        if reread_weights_per_depth_group:
-            vals *= g
-        weights += vals
-
+def _traffic(costs, bytes_per_value: int) -> dict:
+    """Off-chip transfer of a plan from its GroupCosts, itemized as
+    {inputs, outputs, weights, total} in bytes."""
+    check_bytes_per_value(bytes_per_value)
+    inputs = sum(c.input_values for c in costs)
+    outputs = sum(c.output_values for c in costs)
+    weights = sum(c.weight_values for c in costs)
     return {"inputs": inputs * bytes_per_value,
             "outputs": outputs * bytes_per_value,
             "weights": weights * bytes_per_value,
             "total": (inputs + outputs + weights) * bytes_per_value}
+
+
+def traffic_bytes(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
+                  reread_weights_per_depth_group: bool = False):
+    """Off-chip transfer accounting of an already validated plan: the sum of
+    its groups' traffic (see group_cost), itemized as {inputs, outputs,
+    weights, total} in bytes."""
+    return _traffic(group_costs(plan, net, reread_weights_per_depth_group),
+                    bytes_per_value)
 
 
 def time_ms(cycles: int, frequency_mhz: float = DEFAULT_FREQUENCY_MHZ) -> float:
@@ -187,26 +178,20 @@ def time_ms(cycles: int, frequency_mhz: float = DEFAULT_FREQUENCY_MHZ) -> float:
 
 @dataclass
 class CostReport:
-    per_layer: list = field(default_factory=list)
-    total_estimated_cycles: int = 0
-    milliseconds: float = 0.0
-    frequency_mhz: float = DEFAULT_FREQUENCY_MHZ
-    dsp: int = 0
-    buffer_bits: int = 0
-    buffer_blocks: int = 0
-    traffic: dict = field(default_factory=dict)
-    bytes_per_value: int = 4
+    per_layer: list
+    total_estimated_cycles: int
+    milliseconds: float
+    frequency_mhz: float
+    dsp: int
+    buffer_bits: int
+    buffer_blocks: int
+    traffic: dict  # reported as traffic_bytes
+    bytes_per_value: int
 
     def to_dict(self) -> dict:
-        return {"per_layer": self.per_layer,
-                "total_estimated_cycles": self.total_estimated_cycles,
-                "milliseconds": self.milliseconds,
-                "frequency_mhz": self.frequency_mhz,
-                "dsp": self.dsp,
-                "buffer_bits": self.buffer_bits,
-                "buffer_blocks": self.buffer_blocks,
-                "traffic_bytes": self.traffic,
-                "bytes_per_value": self.bytes_per_value}
+        d = asdict(self)
+        d["traffic_bytes"] = d.pop("traffic")
+        return d
 
 
 def analyze(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
@@ -214,16 +199,18 @@ def analyze(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
             reread_weights_per_depth_group: bool = False) -> CostReport:
     """Assemble the full analytical report for one plan."""
     validate_plan(plan, net)
-    traffic = traffic_bytes(plan, net, bytes_per_value, reread_weights_per_depth_group)
+    costs = group_costs(plan, net, reread_weights_per_depth_group)
+    traffic = _traffic(costs, bytes_per_value)
     dims_in = net.layer_input_dims()
     dims_out = net.layer_dims()
-    par = _conv_parallelism(plan, net)
+    dpar_of = dict(zip(net.conv_indices(), plan.depth_parallel))
 
     per_layer = []
     for li, layer in enumerate(net.layers):
         bits, blocks = _layer_buffers(layer, dims_in[li], dims_out[li])
         if isinstance(layer, ConvSpec):
-            dp, g = par[li]
+            dp = dpar_of[li]
+            g = dims_in[li].depth // dp
             per_layer.append({
                 "layer": li, "type": "conv",
                 "depth_parallel": dp, "serial_groups": g,
@@ -238,14 +225,17 @@ def analyze(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
                 "steady_cycles": dims_in[li].height * dims_in[li].width,
                 "dsp": 0, "buffer_bits": bits, "buffer_blocks": blocks})
 
-    dsp, bits, blocks, est = _plan_totals(group_costs(plan, net))
+    # hardware is rebuilt (reused) between groups, so DSP and buffers are
+    # those of the widest group (buffers: the first group with the most bits)
+    widest = max(costs, key=lambda c: c.buffer_bits)
+    est = sum(c.bottleneck + c.fill_cycles for c in costs)
     return CostReport(
         per_layer=per_layer,
         total_estimated_cycles=est,
         milliseconds=time_ms(est, frequency_mhz),
         frequency_mhz=frequency_mhz,
-        dsp=dsp,
-        buffer_bits=bits,
-        buffer_blocks=blocks,
+        dsp=max(c.dsp for c in costs),
+        buffer_bits=widest.buffer_bits,
+        buffer_blocks=widest.buffer_blocks,
         traffic=traffic,
         bytes_per_value=bytes_per_value)

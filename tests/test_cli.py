@@ -259,6 +259,28 @@ def test_dse_rows_and_determinism(workdir, capsys):
     assert len(lines) == 1 + 4  # 2^(3-1) partitions of the 3-layer network
 
 
+def test_dse_elapsed_line_splits_fit_fold_and_front(workdir, capsys):
+    assert main(["dse", "--network", str(workdir / "net.json")]) == 0
+    assert re.fullmatch(r"elapsed: \d+\.\d\ds \(fit \d+\.\d\ds, fold \d+\.\d\ds, "
+                        r"front \d+\.\d\ds\)\n", capsys.readouterr().err)
+
+
+def test_dse_formats_each_plan_once(workdir, capsys, monkeypatch):
+    # one call per CSV row, plus the front's tie-break inside pareto_front
+    from fusedconv import cli, dse
+    calls = []
+    for module in (cli, dse):
+        real = module.plan_to_text
+        monkeypatch.setattr(module, "plan_to_text",
+                            lambda plan, real=real: calls.append(plan) or real(plan))
+    assert main(["dse", "--network", str(workdir / "net.json"),
+                 "--out", str(workdir / "d")]) == 0
+    capsys.readouterr()
+    report = json.loads((workdir / "d" / "report.json").read_text())
+    assert report["plans_evaluated"] == 4
+    assert len(calls) == 4 + len(report["pareto_front"])
+
+
 def test_dse_single_layer_network(tmp_path, capsys):
     from fusedconv.config import ConvSpec, Dims, NetworkSpec
     net = NetworkSpec(Dims(8, 8, 2), (ConvSpec(3, 4, 1, 1),))

@@ -26,6 +26,25 @@ def test_enumerate_counts():
         enumerate_plans(21)
 
 
+def bitmask_plans(n_layers):
+    """Reference order: one partition per cut bitmask, bit i a cut after
+    layer i, in ascending bitmask order."""
+    out = []
+    for cuts in range(1 << (n_layers - 1)):
+        groups, start = [], 0
+        for i in range(n_layers - 1):
+            if cuts & (1 << i):
+                groups.append((start, i))
+                start = i + 1
+        out.append(tuple(groups) + ((start, n_layers - 1),))
+    return out
+
+
+def test_enumeration_follows_cut_bitmask_order():
+    for n in range(1, 12):
+        assert enumerate_plans(n) == bitmask_plans(n)
+
+
 def test_enumerated_partitions_are_valid(net):
     for groups in enumerate_plans(7):
         plan = FusionPlan(groups, full_depth_parallel(net))
@@ -250,6 +269,37 @@ def dse_cases(draw):
     fused = costmodel.group_cost((0, len(net.layers) - 1), full_depth_parallel(net), net)
     cap = min(3600, fused.dsp) if draw(st.integers(0, 3)) < 3 else 3600
     return net, draw(st.integers(1, max(1, cap)))
+
+
+def vgg16_stack(n_layers):
+    """The first n_layers of VGG-16's 18-layer conv/pool stack at 224x224."""
+    layers = []
+    for filters, n_conv in ((64, 2), (128, 2), (256, 3), (512, 3), (512, 3)):
+        layers += [ConvSpec(3, filters, 1, 1, relu=True)] * n_conv
+        layers.append(PoolSpec(2, 2))
+    return NetworkSpec(Dims(224, 224, 3), tuple(layers[:n_layers]))
+
+
+@pytest.mark.parametrize("dsp_max,n_infeasible", [(3600, 0), (288, 0), (50, 74)])
+def test_sweep_matches_reference_on_vgg16_prefix(dsp_max, n_infeasible):
+    # 11 layers: fits that halve through several convs, ties in steady
+    # cycles across convs of equal work, and groups the budget cannot fit
+    net = vgg16_stack(11)
+    budget = ResourceBudget(dsp_max=dsp_max)
+    points, infeasible = sweep(net, budget)
+    assert len(points) + len(infeasible) == 1024
+    assert len(infeasible) == n_infeasible
+    assert (points, infeasible) == reference_sweep(net, budget, 4, False)
+
+
+def test_sweep_counts_on_vgg16_conv_stack():
+    points, infeasible = sweep(vgg16_stack(18), ResourceBudget())
+    assert (len(points), len(infeasible), len(pareto_front(points))) == (131_072, 0, 11)
+
+
+def test_sweep_refuses_unsupported_bytes_per_value(net):
+    with pytest.raises(ValidationError, match="bytes_per_value must be 1, 2, or 4"):
+        sweep(net, ResourceBudget(), bytes_per_value=3)
 
 
 @given(dse_cases(), st.sampled_from([1, 2, 4]), st.booleans())
