@@ -97,10 +97,15 @@ def cmd_gen(args) -> int:
 
 
 def cmd_golden(args) -> int:
+    """Run the oracle and write every layer's tensor and a report; stderr
+    gets the seconds of the oracle and of the writes."""
+    t0 = time.monotonic()
     net = _load_network(args.network)
     tensor = read_tensor(args.input)
     banks = read_weights(args.weights, net)
+    t_oracle = time.monotonic()
     outputs, saturation = run_network(net, tensor, banks)
+    t_write = time.monotonic()
     out = _ensure_out(args.out)
     digests = []
     for i, t in enumerate(outputs):
@@ -112,6 +117,9 @@ def cmd_golden(args) -> int:
     _write_report(out, "report.json", report)
     print(f"golden: {len(outputs)} layer tensors -> {out} "
           f"(saturation events: {saturation})")
+    t_done = time.monotonic()
+    print(f"elapsed: {t_done - t0:.2f}s (oracle {t_write - t_oracle:.2f}s, "
+          f"write {t_done - t_write:.2f}s)", file=sys.stderr)
     return 0
 
 
@@ -217,11 +225,9 @@ def cmd_dse(args) -> int:
               f"{p.est_cycles},{p.buffer_bits},{int(id(p) in on_front)}" for p in points]
     csv_text = "\n".join(lines) + "\n"
 
-    by_groups = {p.plan.groups: p for p in points}
-    chain = [{"groups": len(groups), "plan": text[id(p)], "dsp": p.dsp,
+    chain = [{"groups": p.plan.n_groups(), "plan": text[id(p)], "dsp": p.dsp,
               "traffic_bytes": p.traffic_bytes, "est_cycles": p.est_cycles}
-             for groups in dse.nested_chain(len(net.layers))
-             if (p := by_groups.get(groups))]
+             for p in dse.chain_points(points, len(net.layers))]
 
     report = _report(
         "dse", net, dsp_max=args.dsp_max, bytes_per_value=args.bytes_per_value,

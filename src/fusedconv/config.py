@@ -16,6 +16,7 @@ comma-separated list with one value per conv layer in network order.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -374,8 +375,15 @@ def parse_plan(text: str, net: NetworkSpec, dpar_text: Optional[str] = None) -> 
     return validate_plan(FusionPlan(groups=tuple(groups), depth_parallel=dpar), net)
 
 
+@functools.lru_cache(maxsize=1024)
+def _group_text(group) -> str:
+    a, b = group
+    return f"{a}-{b}" if a != b else str(a)
+
+
 def plan_to_text(plan: FusionPlan) -> str:
-    return "|".join(f"{a}-{b}" if a != b else str(a) for a, b in plan.groups)
+    # dse formats every partition; they share their groups' texts
+    return "|".join(map(_group_text, plan.groups))
 
 
 def dpar_to_text(plan: FusionPlan) -> str:

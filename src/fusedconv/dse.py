@@ -130,6 +130,21 @@ def nested_chain(n_layers: int) -> list:
     return chain
 
 
+def chain_points(points, n_layers: int) -> list:
+    """The points of nested_chain(n_layers) among `points`, partitions in
+    enumeration order with the infeasible ones left out (as fold_partitions
+    returns them), each found by bisection on its index there: its cut
+    bitmask, bit i a cut after layer i."""
+    def cuts(groups):
+        return sum(1 << b for _, b in groups[:-1])
+    found = []
+    for groups in nested_chain(n_layers):
+        i = bisect_left(points, cuts(groups), key=lambda p: cuts(p.plan.groups))
+        if i < len(points) and points[i].plan.groups == groups:
+            found.append(points[i])
+    return found
+
+
 def fit_groups(net: NetworkSpec, budget: ResourceBudget,
                reread_weights_per_depth_group: bool = False) -> dict:
     """Each of the n(n+1)/2 contiguous groups (a, b) of the network fitted

@@ -2,7 +2,7 @@
 
 Elements are depth-concatenated positions (all channel values of one spatial
 location). Every stage advances at most one element per cycle under a
-ready/valid handshake, driven by dataflow.simulate_group's clock. A stage
+ready/valid handshake, driven by dataflow.simulate_group's clocks. A stage
 carries presence tokens, not values, and keeps counters only. Two O(1)
 guards raise InternalError where it would lose data: a line buffer building
 a window whose oldest real element was overwritten, and a pool element
@@ -10,12 +10,17 @@ landing in a row slot that has not drained. Windows leave a line buffer in
 raster order through a one-slot skid, so the engine latches them in raster
 order too.
 
-Besides its single-cycle `step`, a stage exposes the two shortcuts the clock
-takes. `quiet_for` and `skip` cross cycles in which only counters move, in
-closed form. `row_period`, `state` and `translate` serve the row-periodic
-fast-forward: the per-period deltas and clamp-free bounds of the stage's
-counters, its counters with every other field relative to them, and the
-advance of those counters by whole periods.
+Besides its single-cycle `step`, a stage exposes the two shortcuts the
+clocks take. `quiet_for` and `skip` cross cycles in which only counters
+move, in closed form, as long as no element arrives and the output is not
+taken. The schedule rests on one invariant: ready() and `out` cannot change
+on such a quiet cycle, because `n_acc`, `widx` and the pool's drain state
+move only on cycles where quiet_for is 0 or an element arrives, and `out`
+only when an element completes or leaves. So an idle stage's handshakes are
+those of its last step. `row_period`, `state` and `translate` serve the
+row-periodic fast-forward: the per-period deltas and clamp-free bounds of
+the stage's counters, its counters with every other field relative to them,
+and the advance of those counters by whole periods.
 """
 
 from __future__ import annotations
@@ -276,10 +281,10 @@ class ConvStage:
         if in_elem and self.trace is not None:
             self.trace.event(cycle_no, f"{self.name}.lb", "accept", self.lb.n_acc - 1)
 
-    def quiet_for(self, blocked: bool) -> int:
-        """Upcoming quiet cycles, given whether downstream refuses elements."""
-        if (self.out and not blocked) or (self.engine.next_win is None
-                                          and self.lb.n_acc >= self.lb._threshold):
+    def quiet_for(self) -> int:
+        """Upcoming cycles on which the stage does not act on its own: no
+        window leaves its line buffer and its engine stays quiet."""
+        if self.engine.next_win is None and self.lb.n_acc >= self.lb._threshold:
             return 0
         return self.engine.quiet_for(self.out)
 
@@ -409,10 +414,8 @@ class PoolStage:
         if self.trace is not None:
             self.trace.event(cycle_no, self.name, "accept", self.n_acc - 1)
 
-    def quiet_for(self, blocked: bool) -> int:
-        if self.out:
-            return _FOREVER if blocked else 0
-        return 0 if self.pending else _FOREVER
+    def quiet_for(self) -> int:
+        return 0 if self.pending and not self.out else _FOREVER
 
     def skip(self, n: int, cycle_no: int):
         if self.out:

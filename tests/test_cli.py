@@ -179,6 +179,14 @@ def test_simulate_elapsed_line_splits_simulator_and_oracle(workdir, capsys):
                         capsys.readouterr().err)
 
 
+def test_golden_elapsed_line_splits_oracle_and_write(workdir, capsys):
+    assert main(["golden", "--network", str(workdir / "net.json"),
+                 "--input", str(workdir / "input.dclf"),
+                 "--weights", str(workdir / "weights.bin"), "--out", str(workdir / "g")]) == 0
+    assert re.fullmatch(r"elapsed: \d+\.\d\ds \(oracle \d+\.\d\ds, write \d+\.\d\ds\)\n",
+                        capsys.readouterr().err)
+
+
 def test_simulate_report_roundtrips(workdir):
     args = ["simulate", "--network", str(workdir / "net.json"),
             "--input", str(workdir / "input.dclf"),

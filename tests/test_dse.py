@@ -6,7 +6,7 @@ from fusedconv.config import ConvSpec, Dims, FusionPlan, GeometryError, NetworkS
     PoolSpec, ValidationError, full_depth_parallel, output_dims, plan_to_text, \
     validate_plan
 from fusedconv.costmodel import ResourceBudget, analyze
-from fusedconv.dse import (BudgetError, PlanPoint, assign_depth_parallelism,
+from fusedconv.dse import (BudgetError, PlanPoint, assign_depth_parallelism, chain_points,
                            enumerate_plans, nested_chain, pareto_front, sweep)
 from fusedconv.networks import vgg_prefix_7
 
@@ -300,6 +300,15 @@ def test_sweep_counts_on_vgg16_conv_stack():
 def test_sweep_refuses_unsupported_bytes_per_value(net):
     with pytest.raises(ValidationError, match="bytes_per_value must be 1, 2, or 4"):
         sweep(net, ResourceBudget(), bytes_per_value=3)
+
+
+@given(dse_cases())
+def test_chain_points_are_the_feasible_merge_chain(case):
+    net, dsp_max = case
+    points, _ = sweep(net, ResourceBudget(dsp_max=dsp_max))
+    by_groups = {p.plan.groups: p for p in points}
+    assert chain_points(points, len(net.layers)) == \
+        [by_groups[g] for g in nested_chain(len(net.layers)) if g in by_groups]
 
 
 @given(dse_cases(), st.sampled_from([1, 2, 4]), st.booleans())

@@ -1,15 +1,18 @@
 """simulate_group against a clock that steps every single cycle.
 
 `step_every_cycle` is the simulator's schedule loop as it was before quiet
-spans were skipped and row-periodic stretches fast-forwarded: it calls every
-stage's `step` on every cycle. It drives the same stage classes, so any
-difference in cycles, stamps, stalls or trace text comes from the jumps of
-the clock. A traced run never fast-forwards, so the untraced runs check the
-row-periodic jumps. The schedule takes dims, not data:
+spans were skipped, row-periodic stretches fast-forwarded and each stage
+given its own clock: it calls every stage's `step` on every cycle. It drives
+the same stage classes, so any difference in cycles, stamps, stalls or trace
+text comes from the jumps of the clocks. A traced run never fast-forwards
+and brings every stage up to date on each event cycle, so the untraced runs
+check the row-periodic jumps and the stages left behind by their own clocks.
+The schedule takes dims, not data:
 values come after it, from golden.walk_layers, and the tests of
 conv_datapath, of the pool values and of simulate_plan check them.
 """
 
+import copy
 import io
 from unittest import mock
 
@@ -20,15 +23,17 @@ from fusedconv import dataflow
 from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, PoolSpec, \
     output_dims, validate_plan
 from fusedconv.dataflow import StageStamp, TraceWriter, _build_stages, simulate_group
-from fusedconv.networks import consecutive_convs, reduced_vgg_prefix_7
-from fusedconv.stages import ConvStage, PoolStage
+from fusedconv.networks import VGG7_DEFAULT_DPAR, consecutive_convs, reduced_vgg_prefix_7, \
+    vgg_prefix_7
+from fusedconv.stages import _FOREVER, ConvStage, PoolStage
 
 
-def step_every_cycle(layers, in_dims, d_pars, trace=None, layer_offset=0):
+def step_every_cycle(layers, in_dims, d_pars, trace=None, layer_offset=0, until=None):
     """Reference schedule loop: transfers for a cycle are decided from the
     previous cycle's state (ready ripples upstream), then every stage steps
-    once, front to back, each passing its consumed token downstream.
-    Returns the stamps, the stall cycles and the stages."""
+    once, front to back, each passing its consumed token downstream. Runs
+    to the end, or to cycle `until`. Returns the stamps, the stall cycles
+    and the stages."""
     stages = _build_stages(layers, in_dims, d_pars, trace, layer_offset)
     n_stages = len(stages)
     n_src = in_dims.height * in_dims.width
@@ -36,7 +41,7 @@ def step_every_cycle(layers, in_dims, d_pars, trace=None, layer_offset=0):
     remaining = n_stages
     stamps = [StageStamp(st.name) for st in stages]
     cycle = 0
-    while remaining:
+    while remaining and cycle != until:
         cycle += 1
         consume = [False] * n_stages
         ready_down = True
@@ -142,9 +147,10 @@ def test_simulate_group_matches_per_cycle_reference(case):
     din = net.layer_input_dims()
     dpar_of = dict(zip(net.conv_indices(), plan.depth_parallel))
     for a, b in plan.groups:
-        assert_same_run(net.layers[a:b + 1], din[a],
-                        [dpar_of[li] for li in range(a, b + 1) if li in dpar_of],
-                        layer_offset=a)
+        for traced in (True, False):
+            assert_same_run(net.layers[a:b + 1], din[a],
+                            [dpar_of[li] for li in range(a, b + 1) if li in dpar_of],
+                            layer_offset=a, traced=traced)
 
 
 STALLING_CHAINS = [
@@ -213,6 +219,31 @@ def test_row_periodic_jumps_match_per_cycle_reference(case):
     assert_same_run(net.layers, net.input_dims, d_pars, traced=False)
 
 
+@settings(max_examples=40)
+@example(DRIFTING_PHASE, 500, 300)
+@given(tall_chains(), st.integers(0, 1000), st.integers(0, 300))
+def test_quiet_stage_keeps_its_ready_and_out(case, permille, cap):
+    # the schedule reads an idle stage's ready() and out flag as its last
+    # step left them, and its next event from quiet_for() taken there: at a
+    # random cycle of the run, n <= quiet_for() quiet cycles, skipped or
+    # stepped, move neither and count the quiet span down by n
+    net, d_pars = case
+    total = simulate_group(net.layers, net.input_dims, d_pars).cycles
+    *_, stages = step_every_cycle(net.layers, net.input_dims, d_pars,
+                                  until=total * permille // 1000)
+    for skipped in stages:
+        q = skipped.quiet_for()
+        n = min(q, cap)
+        stepped = copy.deepcopy(skipped)
+        before = (skipped.ready(), skipped.out)
+        skipped.skip(n, 0)
+        for cycle in range(n):
+            stepped.step(cycle, False, False)
+        assert (skipped.ready(), skipped.out) == before == (stepped.ready(), stepped.out)
+        assert skipped.quiet_for() == stepped.quiet_for() == \
+            (q if q == _FOREVER else q - n)
+
+
 def test_conv1_1_fast_forwards_its_periodic_rows(monkeypatch):
     # conv1_1 at 56x56 repeats with a period of one row from row 3 on: with
     # the stretch fast-forwarded, the stage steps on far fewer cycles than
@@ -247,6 +278,20 @@ def test_held_windows_skip_most_conv_steps(monkeypatch):
     assert res.cycles == 16_467
     assert len(calls) * 8 <= res.cycles
     assert calls[0].engine.scalars_emitted == 16 * 16 * 64
+
+
+def test_fused_vgg7_steps_only_the_stages_that_act(monkeypatch):
+    # each of the seven stages keeps its own clock: a cycle on which one
+    # stage acts steps that stage alone (10,209 steps; 45,745 when every
+    # stage stepped on each such cycle)
+    net = vgg_prefix_7(input_hw=28)
+    calls = []
+    for cls in (ConvStage, PoolStage):
+        monkeypatch.setattr(cls, "step", lambda self, *args, step=cls.step:
+                            calls.append(self) or step(self, *args))
+    res = simulate_group(net.layers, net.input_dims, list(VGG7_DEFAULT_DPAR))
+    assert res.cycles == 65_410
+    assert len(calls) <= 15_000
 
 
 @pytest.mark.parametrize("kernel, stride, pad", [
