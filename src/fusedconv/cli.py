@@ -162,6 +162,7 @@ def cmd_simulate(args) -> int:
         raise InternalError("zero saturation events but simulator output "
                             "differs from the layer-by-layer reference")
 
+    digests = [tensor_digest(t) for t in sim.layer_outputs]  # the last is sim.output's
     ms = costmodel.time_ms(sim.end_to_end_cycles, args.freq_mhz)
     cost = costmodel.analyze(plan, net, args.bytes_per_value, args.freq_mhz,
                              args.reread_weights_per_depth_group)
@@ -174,8 +175,8 @@ def cmd_simulate(args) -> int:
         "golden_match": golden_match,
         "stage_stamps": _stamps_dict(sim),
         "stall_cycles": sim.stall_cycles,
-        "output_digest": tensor_digest(sim.output),
-        "layer_output_digests": [tensor_digest(t) for t in sim.layer_outputs]})
+        "output_digest": digests[-1],
+        "layer_output_digests": digests})
     if args.out:
         out = _ensure_out(args.out)
         write_tensor(os.path.join(out, "final.dclf"), sim.output)

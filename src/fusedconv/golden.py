@@ -15,7 +15,11 @@ saturating scan over the taps in sequential order, run across all of them at
 once, that clamps and counts every product and running sum. The plain pass
 runs in int32 where the layer's largest input and weight magnitudes pass
 fixedpoint.products_fit_int32, in int64 elsewhere; its values and flags are
-the same in both widths, and the flagged products are rebuilt in int64.
+the same in both widths, and the flagged products are rebuilt in int64. A
+layer with fewer taps than filters (taps < k: conv1_1 has 27 and 64) sums
+tap-major, one tap at a time over a block of positions; any other layer
+window-major, a window's taps at once. Both orders give the same values and
+flags.
 
 walk_layers is the one layer loop that computes values: the oracle runs it
 with conv_layer, the simulator with its engine-order conv_datapath. So
@@ -37,7 +41,7 @@ import numpy as np
 from .config import ConvSpec, Dims, NetworkSpec, PoolSpec, ValidationError, output_dims
 from .fixedpoint import I32_MAX, fx_clamp_count, products_fit_int32, sum_is_exact
 
-_BATCH = 1 << 16  # products per plain-sum batch (256 KiB in int32, 512 in int64)
+_BATCH = 1 << 16  # elements per plain-pass buffer (256 KiB in int32, 512 in int64)
 _GROUP = 1 << 21  # int64 products per group handed to a reduction
 
 
@@ -126,14 +130,70 @@ class ConvPasses:
         self._kept.append((x, filt, spec, frac_bits, out, flagged))
 
 
+def _window_major(filt: np.ndarray, frac_bits: int, exact: bool, n: int):
+    """The sums of blocks of up to n positions, window-major: each window's
+    (k, taps) products at once, summed over the taps, the innermost axis."""
+    k, taps = filt.shape
+    buf = np.empty(n * k * taps, dtype=filt.dtype)
+
+    def block(win):
+        nr, nc = win.shape[:2]
+        prod = buf[:nr * nc * k * taps].reshape(nr, nc, k, taps)
+        np.multiply(win.reshape(nr, nc, 1, taps), filt, out=prod)
+        prod >>= frac_bits
+        # a float64 sum cannot wrap, and is exact while it stays <= I32_MAX
+        return (prod.sum(axis=-1, dtype=filt.dtype),
+                None if exact else np.abs(prod).sum(axis=-1, dtype=np.float64))
+    return block
+
+
+def _tap_major(filt: np.ndarray, frac_bits: int, exact: bool, n: int):
+    """The sums of blocks of up to n positions, tap-major: one tap at a time
+    into a (k, positions) accumulator, so that the inner loop runs over the
+    block's positions, not over a window's taps."""
+    k, taps = filt.shape
+    acc, tmp = np.empty((2, n * k), dtype=filt.dtype)
+    abs_sum = None if exact else np.empty(n * k, dtype=np.float64)
+    win_t = np.empty(n * taps, dtype=np.int32)
+
+    def block(win):
+        nr, nc = win.shape[:2]
+        m = nr * nc
+        # the block's windows, tap-major in one copy: (taps, positions)
+        wt = win_t[:taps * m].reshape(win.shape[2:] + (nr, nc))
+        np.copyto(wt, win.transpose(2, 3, 4, 0, 1))
+        wt = wt.reshape(taps, m)
+        a, prod = acc[:k * m].reshape(k, m), tmp[:k * m].reshape(k, m)
+        a.fill(0)
+        if not exact:
+            s = abs_sum[:k * m].reshape(k, m)
+            s.fill(0)
+        for t in range(taps):
+            np.multiply(filt[:, t, None], wt[t], out=prod)
+            prod >>= frac_bits
+            a += prod
+            if not exact:
+                s += np.abs(prod, out=prod)
+        return (a.reshape(k, nr, nc).transpose(1, 2, 0),
+                None if exact else s.reshape(k, nr, nc).transpose(1, 2, 0))
+    return block
+
+
 def _plain_pass(windows: np.ndarray, filt: np.ndarray, x: np.ndarray,
                 frac_bits: int):
-    """Every value's plain sum, windows in raster order in batches of about
-    _BATCH products, and, unless the layer passes sum_is_exact, a list of
-    per-batch (rows, columns, filters) of the pairs whose sum of absolute
-    products passes I32_MAX. `filt` is the (k, taps) int32 filter array; the
-    products, shifts and sums run in int32 where products_fit_int32 holds,
-    in int64 elsewhere."""
+    """Every value's plain sum, windows in raster order in blocks of about
+    _BATCH products (_BATCH values in tap-major order), and, unless the layer
+    passes sum_is_exact, a list of per-block (rows, columns, filters) of the
+    pairs whose float64 sum of absolute products passes I32_MAX. `filt` is
+    the (k, taps) int32 filter array; the products, shifts and sums run in
+    int32 where products_fit_int32 holds, in int64 elsewhere.
+
+    A layer with fewer taps than filters (taps < k) sums tap-major, one tap
+    at a time over each block's positions; any other layer window-major, all
+    of a window's taps at once. Neither order changes a value, a flag or
+    the flags' order: an unflagged sum is exact in any order, and the
+    float64 sum of absolute products passes I32_MAX in either order exactly
+    when the true sum does."""
     oh, ow = windows.shape[:2]
     k, taps = filt.shape
     max_x = max(int(x.max()), -int(x.min()))
@@ -144,22 +204,19 @@ def _plain_pass(windows: np.ndarray, filt: np.ndarray, x: np.ndarray,
     filt = filt.astype(dtype, copy=False)  # the int32 pass multiplies by the view
     out = np.empty((oh, ow, k), dtype=np.int32)
     flagged = []
-    per_pos = k * taps
+    per_pos = k if taps < k else k * taps  # the largest buffer's elements per position
     cols = min(ow, max(1, _BATCH // per_pos))
     rows = max(1, _BATCH // (ow * per_pos))
-    buf = np.empty(min(rows, oh) * cols * per_pos, dtype=dtype)
+    sums = (_tap_major if taps < k else _window_major)(
+        filt, frac_bits, exact, min(rows, oh) * cols)
     for r0 in range(0, oh, rows):
         for c0 in range(0, ow, cols):
             win = windows[r0:r0 + rows, c0:c0 + cols]
             nr, nc = win.shape[:2]
-            prod = buf[:nr * nc * per_pos].reshape(nr, nc, k, taps)
-            np.multiply(win.reshape(nr, nc, 1, taps), filt, out=prod)
-            prod >>= frac_bits
-            # a flagged value's sum may wrap: it is overwritten
-            out[r0:r0 + nr, c0:c0 + nc] = prod.sum(axis=-1, dtype=dtype)
+            vals, abs_sums = sums(win)
+            out[r0:r0 + nr, c0:c0 + nc] = vals  # a flagged value may wrap: it is overwritten
             if not exact:
-                # a float64 sum cannot wrap, and is exact while it stays <= I32_MAX
-                r, c, f = np.nonzero(np.abs(prod).sum(axis=-1, dtype=np.float64) > I32_MAX)
+                r, c, f = np.nonzero(abs_sums > I32_MAX)
                 if len(f):
                     flagged.append((r + r0, c + c0, f))
     return out, flagged

@@ -107,6 +107,29 @@ def test_which_workloads_run_the_product_pass_in_int32(tmp_path, monkeypatch, na
     assert decisions == [int32] * len(wl.net.conv_indices())
 
 
+@pytest.mark.parametrize("name, layers", [("conv1_1-56", [0]), ("vgg7-28", [0]),
+                                          ("saturating", [])],
+                         ids=["conv1_1-56", "vgg7-28", "saturating"])
+def test_which_workloads_run_the_tap_major_loop(tmp_path, monkeypatch, name, layers):
+    # a layer with fewer taps than filters sums tap-major: conv1_1, 27 taps
+    # against 64 filters, and of VGG-7 that first layer alone; the saturating
+    # layer has 144 taps against 16 filters. The oracle reuses the
+    # simulator's passes, so each such layer runs the loop once.
+    wl = workloads.WORKLOADS[name]
+    wl.setup(str(tmp_path / "in"), 1)
+    shapes = []
+    tap_major = golden._tap_major
+
+    def spy(filt, *args):
+        shapes.append(filt.shape)
+        return tap_major(filt, *args)
+    monkeypatch.setattr(golden, "_tap_major", spy)
+    assert cli.main(wl.argv(str(tmp_path / "in"), str(tmp_path / "out"))) == 0
+    in_dims = wl.net.layer_input_dims()
+    assert shapes == [(wl.net.layers[i].filters,
+                       wl.net.layers[i].kernel ** 2 * in_dims[i].depth) for i in layers]
+
+
 def test_no_value_is_computed_inside_a_schedule(tmp_path):
     # the benchmark's dataflow.loop_self_s and loop_ns_per_cycle read the
     # dataflow.simulate_group spans: they time the schedule alone only while

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fusedconv import dataflow, golden
@@ -296,6 +296,15 @@ def _bounded_array(draw, shape, m):
     return arr.astype(np.int32)
 
 
+def _boundary_magnitudes(draw):
+    """(largest input, largest weight magnitude) whose product is I32_MAX,
+    I32_MAX + 1 or just either side of I32_MAX."""
+    a = draw(st.sampled_from([1, 2, 1 << 15, 1 << 16, 46340, I32_MAX, 1 << 31])
+             | st.integers(1, 1 << 31))
+    b = I32_MAX // a + draw(st.integers(0, 1))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
 @st.composite
 def int32_boundary_cases(draw):
     """A conv layer whose largest input magnitude times its largest weight
@@ -303,10 +312,7 @@ def int32_boundary_cases(draw):
     drawn a, b is I32_MAX // a (the largest product that fits) or one more
     (the smallest that does not). a = 1, 2**k and 2**31 land on I32_MAX or
     on I32_MAX + 1 exactly; either side may be the input."""
-    a = draw(st.sampled_from([1, 2, 1 << 15, 1 << 16, 46340, I32_MAX, 1 << 31])
-             | st.integers(1, 1 << 31))
-    b = I32_MAX // a + draw(st.integers(0, 1))
-    mx, mw = (b, a) if draw(st.booleans()) else (a, b)
+    mx, mw = _boundary_magnitudes(draw)
     kernel = draw(st.sampled_from([1, 3]))
     pad = draw(st.integers(0, kernel - 1))
     h = draw(st.integers(max(1, kernel - 2 * pad), 5))
@@ -337,6 +343,65 @@ def test_conv_at_the_int32_product_bound_matches_references(case):
             assert events == ref_events
     # each pass asked with the layer's magnitudes as Python ints
     assert spy.call_args_list == [mock.call(*magnitudes)] * 3
+
+
+@st.composite
+def loop_order_cases(draw, tap_major):
+    """A conv layer on the given side of the tap-major rule (taps < k): a
+    1x1 conv on 1-24 channels or a 3x3 conv on 1-3, with 16-64 filters. Its
+    largest input and weight magnitudes are at the int32 product bound or
+    both full (2**31), which flags values in layers of either order."""
+    frac_bits = draw(st.sampled_from([0, 16, 31, 32]))
+    kernel = draw(st.sampled_from([1, 3]))
+    if kernel == 1:
+        d = draw(st.integers(1, 15) if tap_major else st.integers(16, 24))
+    else:
+        d = draw(st.integers(1, 3) if tap_major else st.integers(2, 3))
+    taps = kernel * kernel * d
+    filters = draw(st.integers(max(16, taps + 1), 64) if tap_major else st.integers(16, taps))
+    pad = draw(st.integers(0, kernel - 1))
+    spec = ConvSpec(kernel, filters, draw(st.sampled_from([1, 2])), pad, draw(st.booleans()))
+    h = draw(st.integers(max(1, kernel - 2 * pad), 3))
+    w = draw(st.integers(max(1, kernel - 2 * pad), 3))
+    mx, mw = (1 << 31, 1 << 31) if draw(st.booleans()) else _boundary_magnitudes(draw)
+    x = _bounded_array(draw, (h, w, d), mx)
+    weights = _bounded_array(draw, (spec.filters, kernel, kernel, d), mw)
+    return tensor_from_array(x), FilterBank(weights), spec, frac_bits
+
+
+@pytest.mark.parametrize("tap_major", [True, False], ids=["tap-major", "window-major"])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_both_loop_orders_match_references(tap_major, data):
+    t, bank, spec, frac_bits = data.draw(loop_order_cases(tap_major))
+    d = t.dims.depth
+    taps = bank.kernel ** 2 * d
+    with mock.patch.object(golden, "_tap_major", wraps=golden._tap_major) as spy:
+        out, events = conv_layer(t, bank, spec, frac_bits)
+        ref, clips = brute_force_conv(t, bank, spec, frac_bits)
+        assert np.array_equal(out.data, ref)
+        assert events == clips
+        for d_par in (1, d):
+            vals, events = conv_datapath(t.data, bank, spec, d_par, frac_bits)
+            ref, ref_events = _engine_reference_layer(t, bank, spec, d_par, frac_bits)
+            assert vals.tolist() == ref
+            assert events == ref_events
+    assert (taps < bank.k) == tap_major
+    assert spy.call_count == 3 * tap_major
+
+    # either order on the same layer: the same plain sums, wrapped ones
+    # included, and the same flagged (r, c, f) in the same order
+    p, s = spec.pad, spec.stride
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(t.data, ((p, p), (p, p), (0, 0))), bank.data.shape[1:])[::s, ::s, 0]
+    passes = []
+    for order in (golden._window_major, golden._tap_major):
+        with mock.patch.object(golden, "_window_major", order), \
+                mock.patch.object(golden, "_tap_major", order):
+            plain, flagged = golden._plain_pass(
+                windows, bank.data.reshape(bank.k, taps), t.data, frac_bits)
+        passes.append((plain.tolist(), [np.concatenate(a).tolist() for a in zip(*flagged)]))
+    assert passes[0] == passes[1]
 
 
 def test_maxpool_examples():
