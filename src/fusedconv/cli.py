@@ -212,34 +212,37 @@ def cmd_dse(args) -> int:
     t_fit = time.monotonic()
     fits = dse.fit_groups(net, budget, args.reread_weights_per_depth_group)
     t_fold = time.monotonic()
-    points, infeasible = dse.fold_partitions(net, fits, budget, args.bytes_per_value)
-    if not points:
+    parts = dse.fold_partitions(net, fits, budget, args.bytes_per_value)
+    if not len(parts.feasible):
         raise ValidationError("no feasible plan under the DSP budget")
     t_front = time.monotonic()
-    front = dse.pareto_front(points)
+    on_front = parts.front()
     t_done = time.monotonic()
-    on_front = set(map(id, front))
-    text = {id(p): plan_to_text(p.plan) for p in points}
+    text, feasible = parts.text, parts.feasible
+    front, chain = ([(text[k], p) for k, p in zip(c, parts.points(c, map(parts.groups, c)))]
+                    for c in (on_front, parts.chain()))
 
+    on_front = set(on_front)
+    rows = zip(feasible.tolist(), *(c[feasible].tolist() for c in (
+        parts.n_groups, parts.dsp, parts.traffic_bytes, parts.est_cycles, parts.buffer_bits)))
     lines = ["plan,groups,dsp,traffic_bytes,est_cycles,buffer_bits,pareto"]
-    lines += [f"{text[id(p)]},{p.plan.n_groups()},{p.dsp},{p.traffic_bytes},"
-              f"{p.est_cycles},{p.buffer_bits},{int(id(p) in on_front)}" for p in points]
+    lines += [f"{text[k]},{groups},{dsp},{traffic},{est},{bits},{int(k in on_front)}"
+              for k, groups, dsp, traffic, est, bits in rows]
     csv_text = "\n".join(lines) + "\n"
-
-    chain = [{"groups": p.plan.n_groups(), "plan": text[id(p)], "dsp": p.dsp,
-              "traffic_bytes": p.traffic_bytes, "est_cycles": p.est_cycles}
-             for p in dse.chain_points(points, len(net.layers))]
 
     report = _report(
         "dse", net, dsp_max=args.dsp_max, bytes_per_value=args.bytes_per_value,
-        plans_evaluated=len(points),
-        infeasible=[{"plan": plan_to_text(FusionPlan(groups, ())), "reason": reason}
-                    for groups, reason in infeasible],
-        pareto_front=[{"plan": text[id(p)], "depth_parallel": list(p.plan.depth_parallel),
+        plans_evaluated=len(feasible),
+        infeasible=[{"plan": text[k],
+                     "reason": dse.budget_reason(parts.groups(k), fits, budget)}
+                    for k in parts.over_budget.tolist()],
+        pareto_front=[{"plan": plan, "depth_parallel": list(p.plan.depth_parallel),
                        "dsp": p.dsp, "traffic_bytes": p.traffic_bytes,
                        "est_cycles": p.est_cycles, "buffer_bits": p.buffer_bits}
-                      for p in front],
-        merge_chain=chain)
+                      for plan, p in front],
+        merge_chain=[{"groups": p.plan.n_groups(), "plan": plan, "dsp": p.dsp,
+                      "traffic_bytes": p.traffic_bytes, "est_cycles": p.est_cycles}
+                     for plan, p in chain])
     if args.out:
         out = _ensure_out(args.out)
         with open(os.path.join(out, "dse.csv"), "w") as fh:
@@ -247,10 +250,10 @@ def cmd_dse(args) -> int:
         _write_report(out, "report.json", report)
     else:
         sys.stdout.write(csv_text)
-    print(f"dse: {len(points)} plans, {len(infeasible)} infeasible, "
-          f"front of {len(front)} "
-          f"(dsp {front[0].dsp}..{front[-1].dsp}, "
-          f"traffic {front[-1].traffic_bytes}..{front[0].traffic_bytes} bytes)")
+    first, last = front[0][1], front[-1][1]
+    print(f"dse: {len(feasible)} plans, {len(parts.over_budget)} infeasible, "
+          f"front of {len(front)} (dsp {first.dsp}..{last.dsp}, "
+          f"traffic {last.traffic_bytes}..{first.traffic_bytes} bytes)")
     print(f"elapsed: {time.monotonic() - t0:.2f}s (fit {t_fold - t_fit:.2f}s, "
           f"fold {t_front - t_fold:.2f}s, front {t_done - t_front:.2f}s)", file=sys.stderr)
     return 0

@@ -375,15 +375,16 @@ def parse_plan(text: str, net: NetworkSpec, dpar_text: Optional[str] = None) -> 
     return validate_plan(FusionPlan(groups=tuple(groups), depth_parallel=dpar), net)
 
 
-@functools.lru_cache(maxsize=1024)
-def _group_text(group) -> str:
+def extend_plan_texts(texts, group) -> list:
+    """The plan text of each partition in `texts` ("" for no groups) extended
+    by `group`: groups as "a-b" ("a" alone when a == b), joined by "|"."""
     a, b = group
-    return f"{a}-{b}" if a != b else str(a)
+    tail = f"{a}-{b}" if a != b else str(a)
+    return [f"{text}|{tail}" if text else tail for text in texts]
 
 
 def plan_to_text(plan: FusionPlan) -> str:
-    # dse formats every partition; they share their groups' texts
-    return "|".join(map(_group_text, plan.groups))
+    return functools.reduce(extend_plan_texts, plan.groups, [""])[0]
 
 
 def dpar_to_text(plan: FusionPlan) -> str:

@@ -3,7 +3,8 @@ still pass their checks.
 
 perfbench/tracing.py wraps functions by (module, attribute) and skips a name
 that no longer exists without a word, so a rename would leave its metrics
-reading 0. Every simulate workload's check reads run_network's result.
+reading 0. Every simulate workload's check reads run_network's result; a
+dse workload's check compares the pass's files with pinned digests.
 """
 
 import importlib
@@ -85,6 +86,19 @@ def test_simulate_workload_pass_passes_its_check(tmp_path, name):
     totals = tracer.totals(tracer.spans_of_pass(0))
     assert totals["golden.run_network"][0] == 1
     assert totals["golden.conv_layer"][0] == len(wl.net.conv_indices())
+
+
+@pytest.mark.parametrize("name", [name for name, wl in workloads.WORKLOADS.items()
+                                  if isinstance(wl, workloads.DseWorkload)])
+def test_dse_workload_pass_passes_its_check(tmp_path, capsys, name):
+    # one benchmark pass as perfbench/run.py makes it, checked against the
+    # workload's pinned row count and CSV and report digests
+    wl = workloads.WORKLOADS[name]
+    wl.setup(str(tmp_path / "in"), 1)
+    out = str(tmp_path / "out")
+    assert cli.main(wl.argv(str(tmp_path / "in"), out)) == 0
+    capsys.readouterr()
+    assert wl.check(out, {}, {}) == []
 
 
 @pytest.mark.parametrize("name, int32", [("vgg7-28", True), ("conv1_1-56", True),

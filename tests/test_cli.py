@@ -274,19 +274,33 @@ def test_dse_elapsed_line_splits_fit_fold_and_front(workdir, capsys):
 
 
 def test_dse_formats_each_plan_once(workdir, capsys, monkeypatch):
-    # one call per CSV row, plus the front's tie-break inside pareto_front
+    # the fold extends every prefix's plan texts once per group (6 groups of
+    # a 3-layer network); the CSV rows, the front and the infeasible entries
+    # all read those texts, so no plan is formatted again
     from fusedconv import cli, dse
-    calls = []
+    calls, groups = [], []
     for module in (cli, dse):
         real = module.plan_to_text
         monkeypatch.setattr(module, "plan_to_text",
                             lambda plan, real=real: calls.append(plan) or real(plan))
-    assert main(["dse", "--network", str(workdir / "net.json"),
+    extend = dse.extend_plan_texts
+    monkeypatch.setattr(dse, "extend_plan_texts",
+                        lambda texts, group: groups.append(group) or extend(texts, group))
+    assert main(["dse", "--network", str(workdir / "net.json"), "--dsp-max", "50",
                  "--out", str(workdir / "d")]) == 0
     capsys.readouterr()
     report = json.loads((workdir / "d" / "report.json").read_text())
-    assert report["plans_evaluated"] == 4
-    assert len(calls) == 4 + len(report["pareto_front"])
+    assert (report["plans_evaluated"], len(report["infeasible"])) == (2, 2)
+    assert calls == []
+    assert sorted(groups) == [(a, b) for a in range(3) for b in range(a, 3)]
+
+
+def test_dse_refuses_more_layers_than_the_enumeration_bound(tmp_path, capsys):
+    from fusedconv.config import ConvSpec, Dims, NetworkSpec
+    net = NetworkSpec(Dims(4, 4, 2), (ConvSpec(1, 2),) * 21)
+    (tmp_path / "n.json").write_text(serialize_network(net))
+    assert main(["dse", "--network", str(tmp_path / "n.json")]) == 2
+    assert "n_layers 21 exceeds enumeration bound 20" in capsys.readouterr().err
 
 
 def test_dse_single_layer_network(tmp_path, capsys):

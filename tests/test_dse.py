@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,8 +9,9 @@ from fusedconv.config import ConvSpec, Dims, FusionPlan, GeometryError, NetworkS
     PoolSpec, ValidationError, full_depth_parallel, output_dims, plan_to_text, \
     validate_plan
 from fusedconv.costmodel import ResourceBudget, analyze
-from fusedconv.dse import (BudgetError, PlanPoint, assign_depth_parallelism, chain_points,
-                           enumerate_plans, nested_chain, pareto_front, sweep)
+from fusedconv.dse import (BudgetError, PlanPoint, assign_depth_parallelism,
+                           enumerate_plans, fit_groups, fold_partitions, front_indices,
+                           nested_chain, pareto_front, sweep)
 from fusedconv.networks import vgg_prefix_7
 
 
@@ -129,6 +133,33 @@ def test_pareto_front_matches_quadratic_reference(triples):
     assert pareto_front(points) == quadratic_front(points)
 
 
+def one_pass_front(dsp, traffic, text):
+    """Reference front: one pass over the points in (dsp, traffic) order keeps
+    a point when its traffic is the least at its own dsp and below the least
+    at every smaller dsp; the front is then ordered by (dsp, traffic, text)."""
+    front = []
+    below = least = math.inf  # least traffic at smaller dsp / at this dsp
+    current = None
+    for k in sorted(range(len(dsp)), key=lambda k: (dsp[k], traffic[k])):
+        if dsp[k] != current:
+            current, below, least = dsp[k], min(below, least), traffic[k]
+        if traffic[k] == least < below:
+            front.append(k)
+    return sorted(front, key=lambda k: (dsp[k], traffic[k], text[k]))
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.sampled_from("ab")),
+                min_size=1, max_size=60),
+       st.sampled_from([1, 10**6, 2**40]))
+def test_front_indices_match_one_pass_reference(triples, scale):
+    # small ranges force ties in dsp, in traffic, in both and in text; the
+    # scale takes traffic past int32
+    dsp, traffic, text = zip(*triples)
+    traffic = [t * scale for t in traffic]
+    assert front_indices(np.array(dsp, np.int64), np.array(traffic, np.int64),
+                         text.__getitem__) == one_pass_front(dsp, traffic, text)
+
+
 def test_pareto_front_idempotent(net):
     points, _ = sweep(net, ResourceBudget(dsp_max=3600))
     front = pareto_front(points)
@@ -225,6 +256,18 @@ def reference_assignment(groups, net, budget):
         costs[gi] = best[2]
 
 
+@pytest.mark.parametrize("dsp_max, dpar", [(78, (4, 2, 8)), (76, (2, 1, 8))])
+def test_halving_ties_below_the_largest_conv_go_to_the_deepest(dsp_max, dpar):
+    # halving either 1x1 conv leaves the 3x3 conv's 16,384 steady cycles the
+    # largest, so both trials tie and the deeper 1x1 conv halves first,
+    # though its own steady cycles are the larger of the two
+    net = NetworkSpec(Dims(16, 16, 4),
+                      (ConvSpec(1, 4), ConvSpec(1, 8), ConvSpec(3, 64, 1, 1)))
+    budget = ResourceBudget(dsp_max=dsp_max)
+    assert assign_depth_parallelism([(0, 2)], net, budget).depth_parallel == dpar
+    assert reference_assignment([(0, 2)], net, budget).depth_parallel == dpar
+
+
 def reference_sweep(net, budget, bytes_per_value, reread):
     points, infeasible = [], []
     for groups in enumerate_plans(len(net.layers)):
@@ -305,10 +348,29 @@ def test_sweep_refuses_unsupported_bytes_per_value(net):
 @given(dse_cases())
 def test_chain_points_are_the_feasible_merge_chain(case):
     net, dsp_max = case
-    points, _ = sweep(net, ResourceBudget(dsp_max=dsp_max))
+    budget = ResourceBudget(dsp_max=dsp_max)
+    points, _ = sweep(net, budget)
     by_groups = {p.plan.groups: p for p in points}
-    assert chain_points(points, len(net.layers)) == \
+    parts = fold_partitions(net, fit_groups(net, budget), budget)
+    chain = parts.chain()
+    assert parts.points(chain, map(parts.groups, chain)) == \
         [by_groups[g] for g in nested_chain(len(net.layers)) if g in by_groups]
+
+
+@pytest.mark.parametrize("n_layers", range(1, 12))
+def test_folded_plan_texts_match_plan_to_text(n_layers):
+    # index k of the fold is the partition with cut bitmask k
+    net = vgg16_stack(n_layers)
+    parts = fold_partitions(net, fit_groups(net, ResourceBudget()), ResourceBudget())
+    plans = enumerate_plans(n_layers)
+    assert [parts.groups(k) for k in range(len(plans))] == plans
+    assert parts.text == [plan_to_text(FusionPlan(g, ())) for g in plans]
+
+
+def test_sweep_refuses_more_layers_than_the_enumeration_bound():
+    net = NetworkSpec(Dims(4, 4, 2), (ConvSpec(1, 2),) * 21)
+    with pytest.raises(ValidationError, match="n_layers 21 exceeds enumeration bound 20"):
+        sweep(net, ResourceBudget())
 
 
 @given(dse_cases(), st.sampled_from([1, 2, 4]), st.booleans())
