@@ -1,8 +1,11 @@
-"""Byte pins on the `dse` and `analyze` outputs, so a refactor of the cost
-model or the sweep cannot move a report, a CSV row or a tie-break; and on
-`tensor_digest`, which `simulate` reports."""
+"""Byte pins on the `dse` and `analyze` outputs and on demo 03's stdout and
+CSV, so a refactor of the cost model or the sweep cannot move a report, a CSV
+row or a tie-break; and on `tensor_digest`, which `simulate` reports."""
 
 import hashlib
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +81,23 @@ ANALYZE_PINS = [
 def test_analyze_stdout_digests(nets, capsys, flags, stdout_sha):
     assert main(["analyze", "--network", str(nets["vgg7"])] + flags) == 0
     assert _sha(capsys.readouterr().out.encode()) == stdout_sha
+
+
+DEMO_03 = Path(__file__).resolve().parent.parent / "demos" / "03_fusion_tradeoff.py"
+
+
+def test_fusion_tradeoff_demo_digests(tmp_path, capsys, monkeypatch):
+    # the demo's stdout, and the CSV it writes when given a path
+    monkeypatch.setattr(sys, "argv", [str(DEMO_03)])
+    runpy.run_path(str(DEMO_03), run_name="__main__")
+    assert _sha(capsys.readouterr().out.encode()) == \
+        "3a50020088f0ded2ce5db34cbdc93bb65dc2cd7e34cd5a2d8c0e3e50f1dcb280"
+    csv = tmp_path / "tradeoff.csv"
+    monkeypatch.setattr(sys, "argv", [str(DEMO_03), str(csv)])
+    runpy.run_path(str(DEMO_03), run_name="__main__")
+    capsys.readouterr()
+    assert _sha(csv.read_bytes()) == \
+        "5fe9128a1c998d634effee5f51a2cb3dcd30a1c3b48879406c38403d74e72e8b"
 
 
 def test_sweep_reuses_network_geometry(monkeypatch):
