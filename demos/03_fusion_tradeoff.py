@@ -8,9 +8,8 @@ Run: python demos/03_fusion_tradeoff.py [out.csv]
 
 import sys
 
-from fusedconv import pareto_front, plan_to_text, sweep
 from fusedconv.costmodel import ResourceBudget
-from fusedconv.dse import nested_chain
+from fusedconv.dse import fit_groups, fold_partitions
 from fusedconv.networks import vgg_prefix_7
 
 MB = 1_000_000
@@ -18,27 +17,29 @@ MB = 1_000_000
 
 def main():
     net = vgg_prefix_7()
-    points, infeasible = sweep(net, ResourceBudget(dsp_max=3600))
-    front = pareto_front(points)
-    front_keys = {plan_to_text(p.plan) for p in front}
-    print(f"{len(points)} partitions evaluated under a 3600-DSP budget "
-          f"({len(infeasible)} infeasible)")
+    budget = ResourceBudget(dsp_max=3600)
+    # every group fitted and priced once, then every partition folded from
+    # those prices into columns indexed by cut bitmask (bit i: a cut after
+    # layer i)
+    parts = fold_partitions(net, fit_groups(net, budget), budget)
+    text, dsp, traffic, est = parts.text, parts.dsp, parts.traffic_bytes, parts.est_cycles
+    front = parts.front()
+    print(f"{len(parts.feasible)} partitions evaluated under a 3600-DSP budget "
+          f"({len(parts.over_budget)} infeasible)")
     print()
 
     print("front-to-back merge chain (all singletons down to one group):")
-    by_groups = {p.plan.groups: p for p in points}
-    for groups in nested_chain(7):
-        p = by_groups[groups]
-        tag = "pareto" if plan_to_text(p.plan) in front_keys else "      "
-        print(f"  {len(groups)} groups  {plan_to_text(p.plan):17s} "
-              f"dsp {p.dsp:4d}  traffic {p.traffic_bytes / MB:6.2f} MB  "
-              f"est {p.est_cycles / 1e6:5.2f}M cycles  {tag}")
+    for k in parts.chain():
+        tag = "pareto" if k in front else "      "
+        print(f"  {parts.n_groups[k]} groups  {text[k]:17s} "
+              f"dsp {dsp[k]:4d}  traffic {traffic[k] / MB:6.2f} MB  "
+              f"est {est[k] / 1e6:5.2f}M cycles  {tag}")
     print()
 
     print("pareto front (ascending DSP):")
-    for p in front:
-        print(f"  {plan_to_text(p.plan):17s} dsp {p.dsp:4d}  "
-              f"traffic {p.traffic_bytes / MB:6.2f} MB")
+    for k in front:
+        print(f"  {text[k]:17s} dsp {dsp[k]:4d}  "
+              f"traffic {traffic[k] / MB:6.2f} MB")
     print()
     print("merging only ever trades traffic for multipliers: along the chain",
           "DSP never falls and traffic never rises.")
@@ -46,11 +47,10 @@ def main():
     if len(sys.argv) > 1:
         with open(sys.argv[1], "w") as fh:
             fh.write("plan,groups,dsp,traffic_bytes,est_cycles,buffer_bits,pareto\n")
-            for p in points:
-                expr = plan_to_text(p.plan)
-                fh.write(f"{expr},{p.plan.n_groups()},{p.dsp},{p.traffic_bytes},"
-                         f"{p.est_cycles},{p.buffer_bits},"
-                         f"{1 if expr in front_keys else 0}\n")
+            for k in parts.feasible.tolist():
+                fh.write(f"{text[k]},{parts.n_groups[k]},{dsp[k]},{traffic[k]},"
+                         f"{est[k]},{parts.buffer_bits[k]},"
+                         f"{1 if k in front else 0}\n")
         print(f"\nwrote {sys.argv[1]}")
 
 

@@ -12,6 +12,5 @@ from .costmodel import (CostReport, ResourceBudget, analyze, conv3d_latency,
 from .dataflow import SimResult, simulate_group, simulate_plan
 from .datagen import SeededGenerator, generate_tensor, generate_weights
 from .fixedpoint import fx_add_sat, fx_mul
-from .dse import (PlanPoint, assign_depth_parallelism, enumerate_plans,
-                  nested_chain, pareto_front, sweep)
+from .dse import assign_depth_parallelism, nested_chain
 from .golden import FilterBank, Tensor3D, conv_layer, maxpool_layer, run_network

@@ -216,13 +216,11 @@ def cmd_dse(args) -> int:
     if not len(parts.feasible):
         raise ValidationError("no feasible plan under the DSP budget")
     t_front = time.monotonic()
-    on_front = parts.front()
+    front = parts.front()
     t_done = time.monotonic()
     text, feasible = parts.text, parts.feasible
-    front, chain = ([(text[k], p) for k, p in zip(c, parts.points(c, map(parts.groups, c)))]
-                    for c in (on_front, parts.chain()))
 
-    on_front = set(on_front)
+    on_front = set(front)
     rows = zip(feasible.tolist(), *(c[feasible].tolist() for c in (
         parts.n_groups, parts.dsp, parts.traffic_bytes, parts.est_cycles, parts.buffer_bits)))
     lines = ["plan,groups,dsp,traffic_bytes,est_cycles,buffer_bits,pareto"]
@@ -230,19 +228,21 @@ def cmd_dse(args) -> int:
               for k, groups, dsp, traffic, est, bits in rows]
     csv_text = "\n".join(lines) + "\n"
 
+    def figures(k, *names):  # partition k's entries in the named columns
+        return {name: getattr(parts, name)[k].item() for name in names}
+
     report = _report(
         "dse", net, dsp_max=args.dsp_max, bytes_per_value=args.bytes_per_value,
         plans_evaluated=len(feasible),
         infeasible=[{"plan": text[k],
                      "reason": dse.budget_reason(parts.groups(k), fits, budget)}
                     for k in parts.over_budget.tolist()],
-        pareto_front=[{"plan": plan, "depth_parallel": list(p.plan.depth_parallel),
-                       "dsp": p.dsp, "traffic_bytes": p.traffic_bytes,
-                       "est_cycles": p.est_cycles, "buffer_bits": p.buffer_bits}
-                      for plan, p in front],
-        merge_chain=[{"groups": p.plan.n_groups(), "plan": plan, "dsp": p.dsp,
-                      "traffic_bytes": p.traffic_bytes, "est_cycles": p.est_cycles}
-                     for plan, p in chain])
+        pareto_front=[{"plan": text[k], "depth_parallel": list(parts.depth_parallel(k)),
+                       **figures(k, "dsp", "traffic_bytes", "est_cycles", "buffer_bits")}
+                      for k in front],
+        merge_chain=[{"groups": parts.n_groups[k].item(), "plan": text[k],
+                      **figures(k, "dsp", "traffic_bytes", "est_cycles")}
+                     for k in parts.chain()])
     if args.out:
         out = _ensure_out(args.out)
         with open(os.path.join(out, "dse.csv"), "w") as fh:
@@ -250,10 +250,10 @@ def cmd_dse(args) -> int:
         _write_report(out, "report.json", report)
     else:
         sys.stdout.write(csv_text)
-    first, last = front[0][1], front[-1][1]
+    first, last = report["pareto_front"][0], report["pareto_front"][-1]
     print(f"dse: {len(feasible)} plans, {len(parts.over_budget)} infeasible, "
-          f"front of {len(front)} (dsp {first.dsp}..{last.dsp}, "
-          f"traffic {last.traffic_bytes}..{first.traffic_bytes} bytes)")
+          f"front of {len(front)} (dsp {first['dsp']}..{last['dsp']}, "
+          f"traffic {last['traffic_bytes']}..{first['traffic_bytes']} bytes)")
     print(f"elapsed: {time.monotonic() - t0:.2f}s (fit {t_fold - t_fit:.2f}s, "
           f"fold {t_front - t_fold:.2f}s, front {t_done - t_front:.2f}s)", file=sys.stderr)
     return 0

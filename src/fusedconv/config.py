@@ -181,9 +181,6 @@ class FusionPlan:
     groups: tuple
     depth_parallel: tuple
 
-    def n_groups(self) -> int:
-        return len(self.groups)
-
 
 def check_pipeline_pool(layer: PoolSpec) -> None:
     """The pipeline pool stage keeps one row of running maxima, which cannot

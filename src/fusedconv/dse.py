@@ -1,79 +1,63 @@
-"""Fusion-plan enumeration, depth-parallelism assignment, and the
-traffic-vs-DSP trade-off curve: each contiguous group is fitted and priced
-once, every partition folded from those prices into numpy columns, and the
-Pareto front taken in one vectorized pass over them."""
+"""Depth-parallelism assignment and the traffic-vs-DSP trade-off over every
+contiguous fusion partition: each contiguous group is fitted and priced once
+(fit_groups), every partition folded from those prices into numpy columns
+indexed by cut bitmask (fold_partitions), and the Pareto front taken in one
+vectorized pass over them (front_indices)."""
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import costmodel
 from .config import FusionPlan, NetworkSpec, ValidationError, extend_plan_texts, \
-    full_depth_parallel, plan_to_text, validate_plan
+    full_depth_parallel, validate_plan
 from .costmodel import ResourceBudget
 
 ENUMERATION_LIMIT = 20
-
-
-@dataclass(frozen=True)
-class PlanPoint:
-    plan: FusionPlan
-    dsp: int
-    traffic_bytes: int
-    est_cycles: int
-    buffer_bits: int
-
-
-def _check_enumerable(n_layers: int) -> None:
-    if n_layers < 1:
-        raise ValidationError("n_layers must be >= 1")
-    if n_layers > ENUMERATION_LIMIT:
-        raise ValidationError(
-            f"n_layers {n_layers} exceeds enumeration bound {ENUMERATION_LIMIT}")
-
-
-def enumerate_plans(n_layers: int) -> list:
-    """All 2^(n_layers-1) contiguous partitions, as tuples of (start, end),
-    in the order of the cut bitmask (bit i: a cut after layer i). The
-    partitions of layers 0..j are those of 0..i-1, each extended by group
-    (i, j), for i = 0..j in turn."""
-    _check_enumerable(n_layers)
-    prefixes = [[()]]
-    for j in range(n_layers):
-        prefixes.append([p + ((i, j),) for i in range(j + 1) for p in prefixes[i]])
-    return prefixes[-1]
 
 
 class BudgetError(ValidationError):
     """No depth-parallelism assignment fits a plan in the DSP budget."""
 
 
-def _fit_group(group, net: NetworkSpec, budget: ResourceBudget,
-               reread_weights_per_depth_group: bool = False):
-    """(d_par of the group's convs, GroupCost) of one group fitted alone.
+def fit_groups(net: NetworkSpec, budget: ResourceBudget,
+               reread_weights_per_depth_group: bool = False) -> dict:
+    """Each of the n(n+1)/2 contiguous groups (a, b) of the network fitted
+    alone and priced once: (a, b) -> (d_par of its convs, GroupCost).
     Iterative decomposition: start from full depth parallelism and, while the
     group exceeds the DSP budget, halve the d_par of its conv whose halving
     least increases the group's steady cycles (ties to the deepest layer).
     Odd depths (3 at the network input) are never split, so the fit may stay
-    over budget. Each trial is priced from per-conv integers: k^2 * d_par DSP
-    and h_out * w_out * filters * (depth / d_par) steady cycles. Halving conv
-    k leaves the group max(2 * steady[k], the largest steady cycles): no other
-    conv exceeds the largest, and doubling the largest exceeds them all."""
-    a, b = group
-    conv_idx = net.conv_indices()
-    lo, hi = bisect_left(conv_idx, a), bisect_right(conv_idx, b)
+    over budget. Each trial is priced from per-conv integers, taken once per
+    network: k^2 * d_par DSP and h_out * w_out * filters * (depth / d_par)
+    steady cycles. Halving conv k leaves the group max(2 * steady[k], the
+    largest steady cycles): no other conv exceeds the largest, and doubling
+    the largest exceeds them all."""
+    n = len(net.layers)
     full = full_depth_parallel(net)
+    validate_plan(FusionPlan(((0, n - 1),), full), net)
+    conv_idx = net.conv_indices()
     dims = net.layer_dims()
-    taps = [net.layers[li].kernel ** 2 for li in conv_idx[lo:hi]]
-    work = [dims[li].height * dims[li].width * net.layers[li].filters
-            for li in conv_idx[lo:hi]]
-    depth = full[lo:hi]
+    taps = [net.layers[li].kernel ** 2 for li in conv_idx]
+    work = [dims[li].height * dims[li].width * net.layers[li].filters for li in conv_idx]
+    fits = {}
+    for a in range(n):
+        for b in range(a, n):
+            lo, hi = bisect_left(conv_idx, a), bisect_right(conv_idx, b)
+            dpar = _halve(taps[lo:hi], work[lo:hi], full[lo:hi], budget.dsp_max)
+            fits[a, b] = dpar, costmodel.group_cost(
+                (a, b), full[:lo] + dpar + full[hi:], net, reread_weights_per_depth_group)
+    return fits
+
+
+def _halve(taps, work, depth, dsp_max: int) -> tuple:
+    """The d_par of one group's convs, halved from `depth` by fit_groups'
+    rule until their DSP fit dsp_max or no even d_par is left."""
     dpar = list(depth)
     dsp = sum(t * d for t, d in zip(taps, dpar))
-    while dsp > budget.dsp_max:
+    while dsp > dsp_max:
         steady = [w * (d // p) for w, d, p in zip(work, depth, dpar)]
         top = max(steady)
         trials = [(max(2 * s, top), -k) for k, s in enumerate(steady) if dpar[k] % 2 == 0]
@@ -82,8 +66,7 @@ def _fit_group(group, net: NetworkSpec, budget: ResourceBudget,
         i = -min(trials)[1]
         dsp -= taps[i] * dpar[i] // 2
         dpar[i] //= 2
-    return tuple(dpar), costmodel.group_cost(group, full[:lo] + tuple(dpar) + full[hi:],
-                                             net, reread_weights_per_depth_group)
+    return tuple(dpar)
 
 
 def budget_reason(groups, fits: dict, budget: ResourceBudget) -> str:
@@ -97,13 +80,13 @@ def budget_reason(groups, fits: dict, budget: ResourceBudget) -> str:
 
 def assign_depth_parallelism(groups, net: NetworkSpec,
                              budget: ResourceBudget) -> FusionPlan:
-    """Fit each group of a plan to the DSP budget (see _fit_group) and join
-    the fits; raises BudgetError if a group cannot fit."""
+    """Join the fits of a plan's groups, read from fit_groups; raises
+    BudgetError if a group cannot fit the DSP budget."""
     plan = validate_plan(FusionPlan(tuple(groups), full_depth_parallel(net)), net)
-    fits = {g: _fit_group(g, net, budget) for g in plan.groups}
-    if max(cost.dsp for _, cost in fits.values()) > budget.dsp_max:
+    fits = fit_groups(net, budget)
+    if max(fits[g][1].dsp for g in plan.groups) > budget.dsp_max:
         raise BudgetError(budget_reason(plan.groups, fits, budget))
-    return FusionPlan(plan.groups, sum((dpar for dpar, _ in fits.values()), ()))
+    return FusionPlan(plan.groups, sum((fits[g][0] for g in plan.groups), ()))
 
 
 def front_indices(dsp, traffic, text) -> list:
@@ -124,16 +107,6 @@ def front_indices(dsp, traffic, text) -> list:
     return sorted(order[keep].tolist(), key=lambda k: (dsp[k], traffic[k], text(k)))
 
 
-def pareto_front(points) -> list:
-    """Non-dominated points in the (dsp, traffic) objective pair, ordered by
-    ascending dsp (ties by traffic, then plan expression)."""
-    if not points:
-        raise ValidationError("pareto_front requires at least one point")
-    columns = (np.array([getattr(p, a) for p in points], np.int64)
-               for a in ("dsp", "traffic_bytes"))
-    return [points[k] for k in front_indices(*columns, lambda k: plan_to_text(points[k].plan))]
-
-
 def nested_chain(n_layers: int) -> list:
     """The front-to-back merge sequence: all singletons, then the first two
     layers merged, and so on until one fused group."""
@@ -144,7 +117,7 @@ def nested_chain(n_layers: int) -> list:
 class Partitions:
     """Every contiguous partition of a network, folded from its groups' fits:
     int64 columns and plan texts indexed by cut bitmask (bit i: a cut after
-    layer i), which is enumerate_plans' order."""
+    layer i)."""
 
     def __init__(self, fits, budget, columns, text):
         self.fits, self.budget, self.text = fits, budget, text
@@ -158,12 +131,9 @@ class Partitions:
         ends = [i for i in range(self.n_layers - 1) if cuts >> i & 1] + [self.n_layers - 1]
         return tuple(zip([0] + [e + 1 for e in ends[:-1]], ends))
 
-    def points(self, cuts: list, groups: list) -> list:
-        """The partitions `cuts` as PlanPoints; `groups` holds their groups."""
-        figures = zip(*(c[cuts].tolist() for c in (self.dsp, self.traffic_bytes,
-                                                   self.est_cycles, self.buffer_bits)))
-        return [PlanPoint(FusionPlan(g, sum((self.fits[x][0] for x in g), ())), *f)
-                for g, f in zip(groups, figures)]
+    def depth_parallel(self, cuts: int) -> tuple:
+        """The d_par of every conv in partition `cuts`: its groups' fits joined."""
+        return sum((self.fits[g][0] for g in self.groups(cuts)), ())
 
     def front(self) -> list:
         """The feasible partitions on the Pareto front, as cut bitmasks."""
@@ -177,25 +147,19 @@ class Partitions:
         return [c for c in cuts if self.dsp[c] <= self.budget.dsp_max]
 
 
-def fit_groups(net: NetworkSpec, budget: ResourceBudget,
-               reread_weights_per_depth_group: bool = False) -> dict:
-    """Each of the n(n+1)/2 contiguous groups (a, b) of the network fitted
-    alone and priced once: (a, b) -> (d_par of its convs, GroupCost)."""
-    n = len(net.layers)
-    validate_plan(FusionPlan(((0, n - 1),), full_depth_parallel(net)), net)
-    return {(a, b): _fit_group((a, b), net, budget, reread_weights_per_depth_group)
-            for a in range(n) for b in range(a, n)}
-
-
 def fold_partitions(net: NetworkSpec, fits: dict, budget: ResourceBudget,
                     bytes_per_value: int = 4) -> Partitions:
-    """Every contiguous partition's figures as a fold over its groups' fits,
-    by enumerate_plans' recurrence on numpy columns: DSP and buffer bits are
-    the maximum over the groups, the estimate, traffic and group count the
-    sum, and the plan text extends the prefix's by the group's. A partition
-    is infeasible when its widest group is over budget."""
+    """Every contiguous partition's figures as a fold over its groups' fits:
+    the partitions of layers 0..j are those of 0..i-1, each extended by group
+    (i, j), for i = 0..j in turn, which is cut bitmask order. On numpy
+    columns, DSP and buffer bits are the maximum over the groups, the
+    estimate, traffic and group count the sum, and the plan text extends the
+    prefix's by the group's. A partition is infeasible when its widest group
+    is over budget."""
     costmodel.check_bytes_per_value(bytes_per_value)
-    _check_enumerable(len(net.layers))
+    if len(net.layers) > ENUMERATION_LIMIT:
+        raise ValidationError(f"n_layers {len(net.layers)} exceeds enumeration bound "
+                              f"{ENUMERATION_LIMIT}")
     # per prefix of layers: rows dsp, buffer bits / estimate, traffic, groups
     widest, total, texts = [np.zeros((2, 1), np.int64)], [np.zeros((3, 1), np.int64)], [[""]]
     for j in range(len(net.layers)):
@@ -212,16 +176,3 @@ def fold_partitions(net: NetworkSpec, fits: dict, budget: ResourceBudget,
     (dsp, bits), (est, traffic, n_groups) = widest[-1], total[-1]
     return Partitions(fits, budget, (dsp, bits, est, traffic * bytes_per_value, n_groups),
                       texts[-1])
-
-
-def sweep(net: NetworkSpec, budget: ResourceBudget, bytes_per_value: int = 4,
-          reread_weights_per_depth_group: bool = False):
-    """Evaluate every contiguous partition under the budget: fit_groups, then
-    fold_partitions. Returns (points, infeasible): the PlanPoints in
-    enumeration order and (groups, reason) for each partition over budget."""
-    parts = fold_partitions(net, fit_groups(net, budget, reread_weights_per_depth_group),
-                            budget, bytes_per_value)
-    plans = enumerate_plans(len(net.layers))
-    return (parts.points(parts.feasible, [plans[k] for k in parts.feasible.tolist()]),
-            [(plans[k], budget_reason(plans[k], parts.fits, budget))
-             for k in parts.over_budget.tolist()])

@@ -3,14 +3,20 @@
 Each is a scalar loop over the public fixed-point primitives, written for
 clarity, not speed: the oracle's sequential order (`brute_force_conv`,
 `conv_position_sequential`) and the conv engine's adder-tree order
-(`engine_reference`); and the test data drawn one SplitMix64 step at a time
-(`generate_tensor_scalar`, `generate_weights_scalar`).
+(`engine_reference`); the test data drawn one SplitMix64 step at a time
+(`generate_tensor_scalar`, `generate_weights_scalar`); and the design-space
+exploration plan by plan, which the fold's columns are checked against: every
+partition in cut bitmask order (`bitmask_plans`), the plan-level halving loop
+(`reference_assignment`), each partition priced by `analyze`
+(`reference_sweep`) and the front compared pair by pair (`quadratic_front`).
 """
 
 import numpy as np
 
-from fusedconv.config import Dims
+from fusedconv import costmodel
+from fusedconv.config import Dims, FusionPlan, full_depth_parallel, validate_plan
 from fusedconv.datagen import SeededGenerator
+from fusedconv.dse import BudgetError
 from fusedconv.fixedpoint import I32_MAX, I32_MIN, fx_add_sat, fx_mul
 from fusedconv.golden import Tensor3D
 
@@ -149,3 +155,76 @@ def generate_weights_scalar(net, seed):
                         for _ in range(k * w * w * d)], dtype=np.int32)
         banks.append(arr.reshape(k, w, w, d))
     return banks
+
+
+def bitmask_plans(n_layers):
+    """Every contiguous partition of n_layers layers as a tuple of (start,
+    end) groups, one per cut bitmask (bit i: a cut after layer i), in
+    ascending bitmask order."""
+    out = []
+    for cuts in range(1 << (n_layers - 1)):
+        groups, start = [], 0
+        for i in range(n_layers - 1):
+            if cuts & (1 << i):
+                groups.append((start, i))
+                start = i + 1
+        out.append(tuple(groups) + ((start, n_layers - 1),))
+    return out
+
+
+def reference_assignment(groups, net, budget):
+    """The plan-level halving loop: while the widest group (earliest on ties)
+    exceeds the budget, halve the d_par of its layer whose halving least
+    increases the group's steady cycles, ties to the deepest layer."""
+    conv_idx = net.conv_indices()
+    dpar = list(full_depth_parallel(net))
+    plan = validate_plan(FusionPlan(tuple(groups), tuple(dpar)), net)
+    costs = costmodel.group_costs(plan, net)
+    while True:
+        gi = max(range(len(costs)), key=lambda i: costs[i].dsp)
+        if costs[gi].dsp <= budget.dsp_max:
+            return FusionPlan(plan.groups, tuple(dpar))
+        group = plan.groups[gi]
+        best = None
+        for pos, li in enumerate(conv_idx):
+            if not (group[0] <= li <= group[1]) or dpar[pos] % 2 != 0:
+                continue
+            trial = list(dpar)
+            trial[pos] //= 2
+            trial_cost = costmodel.group_cost(group, trial, net)
+            key = (trial_cost.steady_cycles - costs[gi].steady_cycles, -li)
+            if best is None or key < best[0]:
+                best = (key, pos, trial_cost)
+        if best is None:
+            raise BudgetError(
+                f"infeasible budget: group {group} needs {costs[gi].dsp} DSP with no "
+                f"layer left to decompose (budget {budget.dsp_max})")
+        dpar[best[1]] //= 2
+        costs[gi] = best[2]
+
+
+def reference_sweep(net, budget, bytes_per_value, reread):
+    """Every partition in cut bitmask order, priced plan by plan, as (groups,
+    plan, CostReport, None) when reference_assignment fits it and (groups,
+    None, None, its BudgetError message) when it cannot."""
+    out = []
+    for groups in bitmask_plans(len(net.layers)):
+        try:
+            plan = reference_assignment(groups, net, budget)
+        except BudgetError as e:
+            out.append((groups, None, None, str(e)))
+            continue
+        out.append((groups, plan, costmodel.analyze(
+            plan, net, bytes_per_value, reread_weights_per_depth_group=reread), None))
+    return out
+
+
+def quadratic_front(dsp, traffic, text):
+    """Indices of the points no other point dominates in (dsp, traffic),
+    compared pair by pair, in (dsp, traffic, text) order."""
+    def dominates(q, p):
+        return (dsp[q] <= dsp[p] and traffic[q] <= traffic[p]
+                and (dsp[q] < dsp[p] or traffic[q] < traffic[p]))
+    points = range(len(dsp))
+    front = [p for p in points if not any(dominates(q, p) for q in points)]
+    return sorted(front, key=lambda p: (dsp[p], traffic[p], text[p]))

@@ -17,13 +17,14 @@ from fusedconv.costmodel import (ResourceBudget, analyze, conv3d_latency, time_m
                                  traffic_bytes, group_costs)
 from fusedconv.dataflow import simulate_plan
 from fusedconv.datagen import generate_tensor, generate_weights
-from fusedconv.dse import enumerate_plans, pareto_front, sweep
+from fusedconv.dse import fit_groups, fold_partitions
 from fusedconv.golden import run_network
 from fusedconv.networks import (VGG7_DEFAULT_DPAR, consecutive_convs,
                                 reduced_vgg_prefix_7, small_test_network,
                                 vgg_prefix_7)
 
 from conftest import random_network, random_plan
+from reference import bitmask_plans
 
 CONV1_1_STEADY = 3_211_264
 MEGABYTE = 1_000_000  # decimal, matching the reference tables
@@ -72,7 +73,7 @@ def reduced_sweep():
     golden_outs, golden_sat = run_network(net, tensor, banks)
     assert golden_sat == 0
     sims = {}
-    for groups in enumerate_plans(7):
+    for groups in bitmask_plans(7):
         plan = validate_plan(FusionPlan(groups, full_depth_parallel(net)), net)
         sims[groups] = simulate_plan(net, tensor, banks, plan)
     return net, golden_outs, sims
@@ -189,33 +190,34 @@ def test_criterion_7_oracle_equivalence(reduced_sweep):
 
 def test_criterion_8_tradeoff_shape():
     net = vgg_prefix_7()
-    points, infeasible = sweep(net, ResourceBudget(dsp_max=3600))
-    by_groups = {p.plan.groups: p for p in points}
-    front = pareto_front(points)
-    singles = by_groups[tuple((i, i) for i in range(7))]
-    fused = by_groups[((0, 6),)]
+    budget = ResourceBudget(dsp_max=3600)
+    parts = fold_partitions(net, fit_groups(net, budget), budget)
+    dsp, traffic, front = parts.dsp, parts.traffic_bytes, parts.front()
+    singles, fused = 63, 0  # partitions by cut bitmask: every cut, no cut
     with criterion(8, "trade-off shape: merging adjacent groups never lowers "
                       "DSP or raises traffic over all 64 partitions; extremes "
                       "align with the no-fusion (min DSP, max traffic) and "
                       "all-fused (max DSP, min traffic) plans"):
-        assert len(points) == 64 and not infeasible
-        for groups, p in by_groups.items():
+        assert len(parts.feasible) == 64 and not len(parts.over_budget)
+        for k in range(64):
+            groups = parts.groups(k)
             for i in range(len(groups) - 1):
-                merged = (groups[:i] + ((groups[i][0], groups[i + 1][1]),)
-                          + groups[i + 2:])
-                q = by_groups[merged]
-                assert q.dsp >= p.dsp
-                assert q.traffic_bytes <= p.traffic_bytes
+                # merging groups i and i + 1 removes the cut after group i
+                merged = k & ~(1 << groups[i][1])
+                assert parts.groups(merged) == (groups[:i] + (
+                    (groups[i][0], groups[i + 1][1]),) + groups[i + 2:])
+                assert dsp[merged] >= dsp[k]
+                assert traffic[merged] <= traffic[k]
         # all-fused anchors the high-DSP/low-traffic end of the front
-        assert front[-1].plan.groups == ((0, 6),)
-        assert fused.dsp == max(p.dsp for p in points)
-        assert fused.traffic_bytes == min(p.traffic_bytes for p in points)
+        assert parts.groups(front[-1]) == ((0, 6),)
+        assert dsp[fused] == dsp.max()
+        assert traffic[fused] == traffic.min()
         # no fusion anchors the other direction: minimum DSP (the front's
         # left end) and the maximum traffic of any partition. It is not
         # itself a front member: partial fusion reaches the same DSP with
         # strictly less traffic.
-        assert singles.dsp == min(p.dsp for p in points) == front[0].dsp
-        assert singles.traffic_bytes == max(p.traffic_bytes for p in points)
+        assert dsp[singles] == dsp.min() == dsp[front[0]]
+        assert traffic[singles] == traffic.max()
 
 
 def test_criterion_9_byte_identical_reruns(tmp_path):

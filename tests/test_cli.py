@@ -277,12 +277,11 @@ def test_dse_formats_each_plan_once(workdir, capsys, monkeypatch):
     # the fold extends every prefix's plan texts once per group (6 groups of
     # a 3-layer network); the CSV rows, the front and the infeasible entries
     # all read those texts, so no plan is formatted again
-    from fusedconv import cli, dse
+    from fusedconv import cli, config, dse
     calls, groups = [], []
-    for module in (cli, dse):
-        real = module.plan_to_text
-        monkeypatch.setattr(module, "plan_to_text",
-                            lambda plan, real=real: calls.append(plan) or real(plan))
+    for module in (cli, dse):  # dse imports no plan_to_text, so raising=False
+        monkeypatch.setattr(module, "plan_to_text", lambda plan: calls.append(plan)
+                            or config.plan_to_text(plan), raising=False)
     extend = dse.extend_plan_texts
     monkeypatch.setattr(dse, "extend_plan_texts",
                         lambda texts, group: groups.append(group) or extend(texts, group))

@@ -5,8 +5,9 @@ from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, parse_plan
 from fusedconv.costmodel import (BRAM_BLOCK_BITS, analyze, conv3d_latency,
                                  steady_cycles, time_ms, traffic_bytes, group_costs)
 from fusedconv.dataflow import simulate_group
-from fusedconv.dse import enumerate_plans
 from fusedconv.networks import VGG7_DEFAULT_DPAR, vgg_prefix_7
+
+from reference import bitmask_plans
 
 DPAR = ",".join(str(x) for x in VGG7_DEFAULT_DPAR)
 
@@ -111,9 +112,8 @@ def test_traffic_single_layer_plan_invariant():
 
 def test_merge_direction_monotonicity(net):
     # merging two adjacent groups never lowers DSP and never raises traffic
-    from fusedconv.dse import enumerate_plans
     cost = {}
-    for groups in enumerate_plans(7):
+    for groups in bitmask_plans(7):
         plan = parse_plan("|".join(f"{a}-{b}" for a, b in groups), net, DPAR)
         cost[groups] = (analyze(plan, net).dsp, traffic_bytes(plan, net, 4)["total"])
     for groups, (dsp, traffic) in cost.items():
@@ -183,7 +183,7 @@ def _plans_over_estimate(input_hw):
     dpar_of = dict(zip(net.conv_indices(), VGG7_DEFAULT_DPAR))
     cycles = {}
     exceeded = {}
-    plans = enumerate_plans(len(net.layers))
+    plans = bitmask_plans(len(net.layers))
     assert len(plans) == 64
     for groups in plans:
         for a, b in groups:

@@ -9,10 +9,12 @@ from fusedconv.config import ConvSpec, Dims, FusionPlan, GeometryError, NetworkS
     PoolSpec, ValidationError, full_depth_parallel, output_dims, plan_to_text, \
     validate_plan
 from fusedconv.costmodel import ResourceBudget, analyze
-from fusedconv.dse import (BudgetError, PlanPoint, assign_depth_parallelism,
-                           enumerate_plans, fit_groups, fold_partitions, front_indices,
-                           nested_chain, pareto_front, sweep)
+from fusedconv.dse import (BudgetError, assign_depth_parallelism, budget_reason,
+                           fit_groups, fold_partitions, front_indices, nested_chain)
 from fusedconv.networks import vgg_prefix_7
+
+from reference import bitmask_plans, quadratic_front, reference_assignment, \
+    reference_sweep
 
 
 @pytest.fixture(scope="module")
@@ -20,39 +22,26 @@ def net():
     return vgg_prefix_7()
 
 
-def test_enumerate_counts():
-    assert len(enumerate_plans(7)) == 64
-    assert enumerate_plans(1) == [((0, 0),)]
-    assert sorted(enumerate_plans(3)) == sorted([
+def fold(net, budget, bytes_per_value=4, reread=False):
+    return fold_partitions(net, fit_groups(net, budget, reread), budget, bytes_per_value)
+
+
+def test_enumerate_counts(net):
+    assert len(fold(net, ResourceBudget()).text) == 64
+    one = NetworkSpec(Dims(4, 4, 2), (ConvSpec(1, 2),))
+    assert fold(one, ResourceBudget()).groups(0) == ((0, 0),)
+    three = fold(NetworkSpec(Dims(4, 4, 2), (ConvSpec(1, 2),) * 3), ResourceBudget())
+    assert sorted(three.groups(k) for k in range(len(three.text))) == sorted([
         (((0, 2),)), ((0, 0), (1, 2)), ((0, 1), (2, 2)),
         ((0, 0), (1, 1), (2, 2))])
-    with pytest.raises(ValidationError, match="enumeration bound"):
-        enumerate_plans(21)
-
-
-def bitmask_plans(n_layers):
-    """Reference order: one partition per cut bitmask, bit i a cut after
-    layer i, in ascending bitmask order."""
-    out = []
-    for cuts in range(1 << (n_layers - 1)):
-        groups, start = [], 0
-        for i in range(n_layers - 1):
-            if cuts & (1 << i):
-                groups.append((start, i))
-                start = i + 1
-        out.append(tuple(groups) + ((start, n_layers - 1),))
-    return out
-
-
-def test_enumeration_follows_cut_bitmask_order():
-    for n in range(1, 12):
-        assert enumerate_plans(n) == bitmask_plans(n)
 
 
 def test_enumerated_partitions_are_valid(net):
-    for groups in enumerate_plans(7):
-        plan = FusionPlan(groups, full_depth_parallel(net))
-        validate_plan(plan, net)
+    # at this budget the fits halve, so each partition's joined d_par is
+    # checked too
+    parts = fold(net, ResourceBudget(dsp_max=1000))
+    for k in range(64):
+        validate_plan(FusionPlan(parts.groups(k), parts.depth_parallel(k)), net)
 
 
 def test_assignment_reproduces_reference_dpar(net):
@@ -102,25 +91,16 @@ def test_assignment_cycles_monotone_in_budget(net):
         prev_est = est
 
 
+def front_of(dsp, traffic, text=None):
+    text = text or [""] * len(dsp)
+    return front_indices(np.array(dsp, np.int64), np.array(traffic, np.int64),
+                         text.__getitem__)
+
+
 def test_pareto_front_single_and_pair():
-    one = NetworkSpec(Dims(4, 4, 1), (ConvSpec(1, 1),))
-    plan = validate_plan(FusionPlan(((0, 0),), (1,)), one)
-    a = PlanPoint(plan, dsp=10, traffic_bytes=100, est_cycles=1, buffer_bits=1)
-    assert pareto_front([a]) == [a]
-    b = PlanPoint(plan, dsp=20, traffic_bytes=50, est_cycles=1, buffer_bits=1)
-    assert pareto_front([a, b]) == [a, b]  # mutually non-dominating
-    c = PlanPoint(plan, dsp=25, traffic_bytes=60, est_cycles=1, buffer_bits=1)
-    assert pareto_front([a, b, c]) == [a, b]  # c dominated by b
-
-
-def quadratic_front(points):
-    """Reference front: every point no other point dominates, compared pair
-    by pair, in (dsp, traffic, plan expression) order."""
-    def dominates(q, p):
-        return (q.dsp <= p.dsp and q.traffic_bytes <= p.traffic_bytes
-                and (q.dsp < p.dsp or q.traffic_bytes < p.traffic_bytes))
-    front = [p for p in points if not any(dominates(q, p) for q in points)]
-    return sorted(front, key=lambda p: (p.dsp, p.traffic_bytes, plan_to_text(p.plan)))
+    assert front_of([10], [100]) == [0]
+    assert front_of([10, 20], [100, 50]) == [0, 1]  # mutually non-dominating
+    assert front_of([10, 20, 25], [100, 50, 60]) == [0, 1]  # the third dominated
 
 
 @given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 7)),
@@ -128,9 +108,9 @@ def quadratic_front(points):
 def test_pareto_front_matches_quadratic_reference(triples):
     # small ranges force ties in dsp, in traffic and in both; equal plans
     # give duplicate points
-    plans = [FusionPlan(g, ()) for g in enumerate_plans(4)]
-    points = [PlanPoint(plans[i], dsp, traffic, 1, 1) for dsp, traffic, i in triples]
-    assert pareto_front(points) == quadratic_front(points)
+    texts = [plan_to_text(FusionPlan(g, ())) for g in bitmask_plans(4)]
+    dsp, traffic, text = zip(*((d, t, texts[i]) for d, t, i in triples))
+    assert front_of(dsp, traffic, text) == quadratic_front(dsp, traffic, text)
 
 
 def one_pass_front(dsp, traffic, text):
@@ -161,25 +141,24 @@ def test_front_indices_match_one_pass_reference(triples, scale):
 
 
 def test_pareto_front_idempotent(net):
-    points, _ = sweep(net, ResourceBudget(dsp_max=3600))
-    front = pareto_front(points)
-    assert pareto_front(front) == front
+    parts = fold(net, ResourceBudget(dsp_max=3600))
+    front = np.array(parts.front())
+    assert front_indices(parts.dsp[front], parts.traffic_bytes[front],
+                         lambda k: parts.text[front[k]]) == list(range(len(front)))
 
 
 def test_sweep_extreme_directions(net):
-    points, infeasible = sweep(net, ResourceBudget(dsp_max=3600))
-    assert len(points) == 64 and not infeasible
-    by_groups = {p.plan.groups: p for p in points}
-    singles = by_groups[tuple((i, i) for i in range(7))]
-    fused = by_groups[((0, 6),)]
-    front = pareto_front(points)
+    parts = fold(net, ResourceBudget(dsp_max=3600))
+    assert len(parts.feasible) == 64 and not len(parts.over_budget)
+    singles, fused = 63, 0  # every cut, no cut
+    dsp, traffic, front = parts.dsp, parts.traffic_bytes, parts.front()
     # all-fused: maximum dsp, minimum traffic; it anchors the front
-    assert fused.dsp == max(p.dsp for p in points)
-    assert fused.traffic_bytes == min(p.traffic_bytes for p in points)
-    assert front[-1].plan.groups == ((0, 6),)
+    assert dsp[fused] == dsp.max()
+    assert traffic[fused] == traffic.min()
+    assert parts.groups(front[-1]) == ((0, 6),)
     # all-singleton: minimum dsp, maximum traffic direction
-    assert singles.dsp == min(p.dsp for p in points) == front[0].dsp
-    assert singles.traffic_bytes == max(p.traffic_bytes for p in points)
+    assert dsp[singles] == dsp.min() == dsp[front[0]]
+    assert traffic[singles] == traffic.max()
 
 
 def test_nested_chain_monotone(net):
@@ -191,16 +170,6 @@ def test_nested_chain_monotone(net):
     for a, b in zip(reports, reports[1:]):
         assert b.dsp >= a.dsp
         assert b.traffic["total"] <= a.traffic["total"]
-
-
-def test_sweep_point_matches_analyze(net):
-    points, _ = sweep(net, ResourceBudget(dsp_max=1000))
-    p = next(p for p in points if p.plan.groups == ((0, 2), (3, 6)))
-    report = analyze(p.plan, net)
-    assert p.dsp == report.dsp == max(c.dsp for c in costmodel.group_costs(p.plan, net))
-    assert p.traffic_bytes == report.traffic["total"]
-    assert p.est_cycles == report.total_estimated_cycles
-    assert p.buffer_bits == report.buffer_bits
 
 
 def test_dpar_stays_power_of_two_times_odd_part(net):
@@ -225,37 +194,6 @@ def test_infeasible_reason_names_widest_group_earliest_on_ties():
         assign_depth_parallelism([(0, 1), (2, 3), (4, 4)], net, budget)
 
 
-def reference_assignment(groups, net, budget):
-    """The plan-level halving loop: while the widest group (earliest on ties)
-    exceeds the budget, halve the d_par of its layer whose halving least
-    increases the group's steady cycles, ties to the deepest layer."""
-    conv_idx = net.conv_indices()
-    dpar = list(full_depth_parallel(net))
-    plan = validate_plan(FusionPlan(tuple(groups), tuple(dpar)), net)
-    costs = costmodel.group_costs(plan, net)
-    while True:
-        gi = max(range(len(costs)), key=lambda i: costs[i].dsp)
-        if costs[gi].dsp <= budget.dsp_max:
-            return FusionPlan(plan.groups, tuple(dpar))
-        group = plan.groups[gi]
-        best = None
-        for pos, li in enumerate(conv_idx):
-            if not (group[0] <= li <= group[1]) or dpar[pos] % 2 != 0:
-                continue
-            trial = list(dpar)
-            trial[pos] //= 2
-            trial_cost = costmodel.group_cost(group, trial, net)
-            key = (trial_cost.steady_cycles - costs[gi].steady_cycles, -li)
-            if best is None or key < best[0]:
-                best = (key, pos, trial_cost)
-        if best is None:
-            raise BudgetError(
-                f"infeasible budget: group {group} needs {costs[gi].dsp} DSP with no "
-                f"layer left to decompose (budget {budget.dsp_max})")
-        dpar[best[1]] //= 2
-        costs[gi] = best[2]
-
-
 @pytest.mark.parametrize("dsp_max, dpar", [(78, (4, 2, 8)), (76, (2, 1, 8))])
 def test_halving_ties_below_the_largest_conv_go_to_the_deepest(dsp_max, dpar):
     # halving either 1x1 conv leaves the 3x3 conv's 16,384 steady cycles the
@@ -268,19 +206,39 @@ def test_halving_ties_below_the_largest_conv_go_to_the_deepest(dsp_max, dpar):
     assert reference_assignment([(0, 2)], net, budget).depth_parallel == dpar
 
 
-def reference_sweep(net, budget, bytes_per_value, reread):
-    points, infeasible = [], []
-    for groups in enumerate_plans(len(net.layers)):
-        try:
-            plan = reference_assignment(groups, net, budget)
-        except BudgetError as e:
-            infeasible.append((groups, str(e)))
-            continue
-        cost = costmodel.analyze(plan, net, bytes_per_value,
-                                 reread_weights_per_depth_group=reread)
-        points.append(PlanPoint(plan, cost.dsp, cost.traffic["total"],
-                                cost.total_estimated_cycles, cost.buffer_bits))
-    return points, infeasible
+def test_halving_prices_a_strided_conv_by_its_output_positions():
+    # conv 0 has stride 2, so its 8x8 outputs, not its 16x16 inputs, set its
+    # steady cycles (512). Once the 1x1 conv has halved to 1,024 cycles,
+    # halving conv 0 leaves the group at 1,024 cycles and halving the 1x1
+    # conv again would leave it at 2,048
+    net = NetworkSpec(Dims(16, 16, 4), (ConvSpec(3, 8, 2, 1), ConvSpec(1, 8)))
+    budget = ResourceBudget(dsp_max=39)
+    assert assign_depth_parallelism([(0, 1)], net, budget).depth_parallel == (2, 4)
+    assert reference_assignment([(0, 1)], net, budget).depth_parallel == (2, 4)
+
+
+def check_fold_against_reference(net, budget, bytes_per_value=4, reread=False):
+    """Every partition's columns, d_par, plan text and, over budget, reason
+    from the fold, against reference_sweep's plan-by-plan figures."""
+    parts = fold(net, budget, bytes_per_value, reread)
+    reference = reference_sweep(net, budget, bytes_per_value, reread)
+    assert len(parts.text) == len(reference)
+    for k, (groups, plan, cost, reason) in enumerate(reference):
+        assert parts.groups(k) == groups
+        assert parts.text[k] == plan_to_text(FusionPlan(groups, ()))
+        assert parts.n_groups[k] == len(groups)
+        if reason is None:
+            assert parts.dsp[k] <= budget.dsp_max
+            assert parts.depth_parallel(k) == plan.depth_parallel
+            assert (parts.dsp[k], parts.traffic_bytes[k], parts.est_cycles[k],
+                    parts.buffer_bits[k]) == \
+                (cost.dsp, cost.traffic["total"], cost.total_estimated_cycles,
+                 cost.buffer_bits)
+        else:
+            assert parts.dsp[k] > budget.dsp_max
+            assert budget_reason(groups, parts.fits, budget) == reason
+    assert parts.feasible.tolist() == [k for k, r in enumerate(reference) if r[3] is None]
+    return parts
 
 
 @st.composite
@@ -327,42 +285,43 @@ def vgg16_stack(n_layers):
 def test_sweep_matches_reference_on_vgg16_prefix(dsp_max, n_infeasible):
     # 11 layers: fits that halve through several convs, ties in steady
     # cycles across convs of equal work, and groups the budget cannot fit
-    net = vgg16_stack(11)
-    budget = ResourceBudget(dsp_max=dsp_max)
-    points, infeasible = sweep(net, budget)
-    assert len(points) + len(infeasible) == 1024
-    assert len(infeasible) == n_infeasible
-    assert (points, infeasible) == reference_sweep(net, budget, 4, False)
+    parts = check_fold_against_reference(vgg16_stack(11), ResourceBudget(dsp_max=dsp_max))
+    assert len(parts.text) == 1024
+    assert len(parts.over_budget) == n_infeasible
 
 
 def test_sweep_counts_on_vgg16_conv_stack():
-    points, infeasible = sweep(vgg16_stack(18), ResourceBudget())
-    assert (len(points), len(infeasible), len(pareto_front(points))) == (131_072, 0, 11)
+    parts = fold(vgg16_stack(18), ResourceBudget())
+    assert (len(parts.feasible), len(parts.over_budget), len(parts.front())) == \
+        (131_072, 0, 11)
 
 
 def test_sweep_refuses_unsupported_bytes_per_value(net):
     with pytest.raises(ValidationError, match="bytes_per_value must be 1, 2, or 4"):
-        sweep(net, ResourceBudget(), bytes_per_value=3)
+        fold(net, ResourceBudget(), bytes_per_value=3)
 
 
 @given(dse_cases())
 def test_chain_points_are_the_feasible_merge_chain(case):
     net, dsp_max = case
     budget = ResourceBudget(dsp_max=dsp_max)
-    points, _ = sweep(net, budget)
-    by_groups = {p.plan.groups: p for p in points}
-    parts = fold_partitions(net, fit_groups(net, budget), budget)
-    chain = parts.chain()
-    assert parts.points(chain, map(parts.groups, chain)) == \
-        [by_groups[g] for g in nested_chain(len(net.layers)) if g in by_groups]
+    parts = fold(net, budget)
+    feasible = []
+    for groups in nested_chain(len(net.layers)):
+        try:
+            reference_assignment(groups, net, budget)
+        except BudgetError:
+            continue
+        feasible.append(groups)
+    assert [parts.groups(k) for k in parts.chain()] == feasible
 
 
 @pytest.mark.parametrize("n_layers", range(1, 12))
 def test_folded_plan_texts_match_plan_to_text(n_layers):
     # index k of the fold is the partition with cut bitmask k
     net = vgg16_stack(n_layers)
-    parts = fold_partitions(net, fit_groups(net, ResourceBudget()), ResourceBudget())
-    plans = enumerate_plans(n_layers)
+    parts = fold(net, ResourceBudget())
+    plans = bitmask_plans(n_layers)
     assert [parts.groups(k) for k in range(len(plans))] == plans
     assert parts.text == [plan_to_text(FusionPlan(g, ())) for g in plans]
 
@@ -370,18 +329,11 @@ def test_folded_plan_texts_match_plan_to_text(n_layers):
 def test_sweep_refuses_more_layers_than_the_enumeration_bound():
     net = NetworkSpec(Dims(4, 4, 2), (ConvSpec(1, 2),) * 21)
     with pytest.raises(ValidationError, match="n_layers 21 exceeds enumeration bound 20"):
-        sweep(net, ResourceBudget())
+        fold(net, ResourceBudget())
 
 
 @given(dse_cases(), st.sampled_from([1, 2, 4]), st.booleans())
 def test_sweep_matches_plan_level_reference(case, bytes_per_value, reread):
     net, dsp_max = case
-    budget = ResourceBudget(dsp_max=dsp_max)
-    points, infeasible = sweep(net, budget, bytes_per_value, reread)
-    assert (points, infeasible) == reference_sweep(net, budget, bytes_per_value, reread)
-    for p in points:
-        cost = costmodel.analyze(p.plan, net, bytes_per_value,
-                                 reread_weights_per_depth_group=reread)
-        assert (p.dsp, p.traffic_bytes, p.est_cycles, p.buffer_bits) == \
-            (cost.dsp, cost.traffic["total"], cost.total_estimated_cycles,
-             cost.buffer_bits)
+    check_fold_against_reference(net, ResourceBudget(dsp_max=dsp_max), bytes_per_value,
+                                 reread)

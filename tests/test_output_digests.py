@@ -17,7 +17,7 @@ from fusedconv.costmodel import ResourceBudget
 from fusedconv.datagen import generate_tensor
 from fusedconv.fileio import tensor_digest
 from fusedconv.golden import Tensor3D
-from fusedconv.dse import sweep
+from fusedconv.dse import fit_groups, fold_partitions
 from fusedconv.networks import small_test_network, vgg_prefix_7
 
 
@@ -110,8 +110,9 @@ def test_sweep_reuses_network_geometry(monkeypatch):
         return real(dims, layer)
 
     monkeypatch.setattr(config, "output_dims", counting)
-    points, infeasible = sweep(net, ResourceBudget(dsp_max=1000))
-    assert len(points) + len(infeasible) == 64
+    budget = ResourceBudget(dsp_max=1000)
+    parts = fold_partitions(net, fit_groups(net, budget), budget)
+    assert len(parts.feasible) + len(parts.over_budget) == 64
     assert calls == []
 
 
