@@ -5,10 +5,7 @@ against the layer-by-layer reference bit for bit.
 Run: python demos/01_pipeline_walkthrough.py
 """
 
-import io
-
 from fusedconv import parse_plan, run_network, simulate_plan, time_ms
-from fusedconv.dataflow import TraceWriter
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.networks import small_test_network
 
@@ -42,26 +39,23 @@ def main():
           "plan finishes first while producing identical tensors.")
     print()
 
-    buf = io.StringIO()
-    simulate_plan(net, tensor, banks, parse_plan("0-2", net),
-                  trace=TraceWriter(buf))
-    lines = buf.getvalue().splitlines()
-    print(f"trace of the fused run: {len(lines)} events; the first window")
-    print("latch and the scalars it produces 63 cycles later:")
-    for line in lines:
-        parts = line.split()
-        if parts[1] == "l0.conv.ce" and parts[2] == "accept" and parts[3] == "0":
-            t0 = int(parts[0])
-            break
-    shown = 0
-    for line in lines:
-        parts = line.split()
-        if parts[1] == "l0.conv.ce" and int(parts[0]) in (t0, t0 + 63, t0 + 64, t0 + 65):
-            print("   ", line)
-            shown += 1
-        if shown >= 4:
-            break
-
+    trace = []
+    sim = simulate_plan(net, tensor, banks, parse_plan("0-2", net), trace=trace)
+    spans, = trace  # one list of spans per group, here one group
+    print(f"spans of the fused run's schedule ({len(spans)}), per stage: 1-cycle")
+    print("steps, and the quiet stretches its clock skips in closed form:")
+    for i, stamp in enumerate(sim.stamps_per_group[0]):
+        mine = [s for s in spans if s[0] == i]
+        quiet = [n for _, kind, _, n, _ in mine if kind == "quiet"]
+        print(f"    {stamp.name}: {len(mine) - len(quiet)} steps, {len(quiet)} quiet "
+              f"spans over {sum(quiet)} cycles, to cycle {mine[-1][2] + mine[-1][3] - 1}")
+    print(f"the group's count, {sim.cycles_per_group[0]}, is the pool's last output; the"
+          " convs still flush the row it discards.")
+    conv = [s for s in spans if s[0] == 0]
+    at = next(j for j, s in enumerate(conv) if s[1] == "quiet")
+    print("l0.conv around its first quiet span, while the engine sweeps a window:")
+    for _, kind, first, n, _ in conv[at - 2:at + 4]:
+        print(f"    cycles {first:3d}..{first + n - 1:3d}  {kind}")
 
 if __name__ == "__main__":
     main()

@@ -12,6 +12,8 @@ invariant breach.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import math
 import os
 import sys
@@ -20,7 +22,7 @@ import time
 from . import __version__, costmodel, dse
 from .config import (FusionPlan, InternalError, NetworkSpec, ParseError,
                      ValidationError, dpar_to_text, parse_network, parse_plan, plan_to_text)
-from .dataflow import TraceWriter, simulate_plan
+from .dataflow import simulate_plan
 from .datagen import generate_tensor, generate_weights
 from .fileio import (canonical_json, network_digest, read_tensor, read_weights,
                      tensor_digest, write_tensor, write_weights)
@@ -130,6 +132,23 @@ def _stamps_dict(sim):
             for stamps in sim.stamps_per_group]
 
 
+def _write_trace(fh, spans_per_group, sim):
+    """The schedule's spans as Chrome trace-event JSON: one track per stage,
+    `ts` and `dur` in cycles, cycle c spanning [c - 1, c), each group after
+    the cycles of the groups before it."""
+    events, tid, offset = [], 0, 0
+    for spans, stamps, cycles in zip(spans_per_group, sim.stamps_per_group,
+                                     sim.cycles_per_group):
+        events += [{"name": "thread_name", "ph": "M", "pid": 1, "tid": tid + i,
+                    "args": {"name": s.name}} for i, s in enumerate(stamps)]
+        events += [{"name": kind, "ph": "X", "pid": 1, "tid": tid + i,
+                    "ts": offset + first - 1, "dur": n, "args": {"periods": m} if m else {}}
+                   for i, kind, first, n, m in spans]
+        tid += len(stamps)
+        offset += cycles
+    json.dump({"traceEvents": events, "otherData": {"time_unit": "cycle"}}, fh)
+
+
 def cmd_simulate(args) -> int:
     """Simulate the plan, then check its output against the oracle. Both
     reduce the same conv product passes, so each layer's products are
@@ -143,17 +162,14 @@ def cmd_simulate(args) -> int:
     banks = read_weights(args.weights, net)
     plan = _plan_from_args(args, net)
 
-    trace = None
-    trace_fh = None
-    if args.trace:
-        trace_fh = open(args.trace, "w")
-        trace = TraceWriter(trace_fh)
+    # opened first, so that an unwritable path fails before any work
+    trace_fh = open(args.trace, "w") if args.trace else contextlib.nullcontext()
+    trace = [] if args.trace else None
     passes = ConvPasses()
-    try:
+    with trace_fh:
         sim = simulate_plan(net, tensor, banks, plan, trace=trace, passes=passes)
-    finally:
-        if trace_fh:
-            trace_fh.close()
+        if args.trace:
+            _write_trace(trace_fh, trace, sim)
     t_oracle = time.monotonic()
     golden_outputs, golden_sat = run_network(net, tensor, banks, passes)
     t_done = time.monotonic()
@@ -297,7 +313,8 @@ def build_parser() -> _Parser:
     p.add_argument("--weights", required=True)
     p.add_argument("--plan", help="fusion plan, default: all layers fused")
     p.add_argument("--dpar", help="comma-separated d_par per conv layer")
-    p.add_argument("--trace", help="write a cycle event trace to this path")
+    p.add_argument("--trace", help="write the schedule's spans to this path, "
+                   "as Chrome trace-event JSON")
     p.add_argument("--out")
     common_cost_flags(p)
     p.set_defaults(func=cmd_simulate)
@@ -330,6 +347,9 @@ def main(argv=None) -> int:
         return 1
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # dims within the format's bounds, too large to hold
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
     except InternalError as e:
         print(f"internal error: {e}", file=sys.stderr)

@@ -43,8 +43,9 @@ the same counter changes. At each source-row boundary in the rows where no
 stage's boundary clamp can act, the clock compares the state with the state
 P rows earlier; once it is that state translated by one period, the clock
 jumps whole periods at once (_fast_forward). Neither shortcut changes a
-cycle count, stamp or stall. A traced run never jumps periods and steps
-every stage on each event cycle, so that it lists every event in order.
+cycle count, stamp or stall. A trace records the spans these clocks take:
+each stage's steps, its quiet skips and the periodic jumps, which together
+cover every cycle of the stage once.
 """
 from __future__ import annotations
 
@@ -63,19 +64,6 @@ from .golden import ConvPasses, FilterBank, Tensor3D, check_inputs, conv_values,
 from .stages import ConvStage, PoolStage
 
 _TREE_NODES = 1 << 16  # int64 leaves per adder-tree chunk (512 KiB)
-
-
-class TraceWriter:
-    """Line-oriented event log: '<cycle> <stage> <kind> <position> [detail]'."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def event(self, cycle, stage, kind, position, detail=""):
-        if detail:
-            self.fh.write(f"{cycle} {stage} {kind} {position} {detail}\n")
-        else:
-            self.fh.write(f"{cycle} {stage} {kind} {position}\n")
 
 
 @dataclass
@@ -151,17 +139,17 @@ def conv_datapath(x: np.ndarray, bank: FilterBank, spec: ConvSpec, d_par: int,
     return conv_values(x, bank.data, spec, frac_bits, adder_tree, passes)
 
 
-def _build_stages(layers, in_dims, d_pars, trace, layer_offset):
+def _build_stages(layers, in_dims, d_pars, layer_offset):
     stages = []
     dims = in_dims
     bi = 0
     for off, layer in enumerate(layers):
         name = f"l{layer_offset + off}"
         if isinstance(layer, ConvSpec):
-            stages.append(ConvStage(layer, dims, d_pars[bi], trace, name=f"{name}.conv"))
+            stages.append(ConvStage(layer, dims, d_pars[bi], name=f"{name}.conv"))
             bi += 1
         else:
-            stages.append(PoolStage(layer, dims, trace, name=f"{name}.pool"))
+            stages.append(PoolStage(layer, dims, name=f"{name}.pool"))
         dims = stages[-1].out_dims
     return stages
 
@@ -215,10 +203,17 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
     until every stage has emitted its complete output (trailing rows a pool
     discards still flow through). The group's cycle count is the stamp of
     the final stage's last element. Only presence tokens move, so no value
-    is read or computed here."""
+    is read or computed here.
+
+    Given a list as `trace`, appends the spans the schedule takes, each
+    (stage index, kind, first cycle, cycles, periods): a 1-cycle "step", a
+    "quiet" skip, and per stage a "periodic" jump over `periods` periods.
+    Each stage's spans cover the schedule's cycles once, from 1 to the
+    group's count, or on to the last stage's end where a pool discards
+    trailing rows."""
     if not layers:
         raise ValidationError("fused group must contain at least one layer")
-    stages = _build_stages(layers, in_dims, d_pars, trace, layer_offset)
+    stages = _build_stages(layers, in_dims, d_pars, layer_offset)
     n_stages = len(stages)
 
     n_src = in_dims.height * in_dims.width
@@ -254,9 +249,8 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
         periods.append((fixed + (rows * st.out_dims.width, None),
                         bounds + ((len(fixed), 1, n_out - 1),)))
     # snapshot rows lo to hi - period, and only if they span three periods,
-    # so that a jump skips one at least; never with a trace, which must
-    # list every event
-    probe_at = -1 if trace is not None or hi - lo < 3 * period else max(lo, 1) * width
+    # so that a jump skips one at least
+    probe_at = -1 if hi - lo < 3 * period else max(lo, 1) * width
     last_probe = (hi - period) * width
     history = deque(maxlen=period + 1)
 
@@ -268,21 +262,26 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
     rdys = [r() for r in readys]
     consume = [False] * n_stages
     stage_range = range(n_stages)
-    traced = trace is not None
+    cycle = 0
 
-    def catch_up(to):
-        # skip every stage that lags to cycle `to`; a trace lists the
-        # skipped events by cycle, then by stage
-        emits = []
+    def catch_up(to):  # skip every stage that lags to cycle `to`
         for i in stage_range:
             if clock[i] < to:
-                emits += skips[i](to - clock[i], clock[i])
+                skips[i](to - clock[i])
                 clock[i] = to
-        emits.sort(key=lambda e: e[0])
-        for e in emits:
-            trace.event(*e)
 
-    cycle = 0
+    if trace is not None:
+        def spans(i, step, skip):
+            def traced_step(in_elem, out_consumed):
+                trace.append((i, "step", cycle, 1, 0))
+                step(in_elem, out_consumed)
+
+            def traced_skip(n):
+                trace.append((i, "quiet", clock[i] + 1, n, 0))
+                skip(n)
+            return traced_step, traced_skip
+        steps, skips = zip(*(spans(i, *f) for i, f in enumerate(zip(steps, skips))))
+
     while remaining:
         # transfers are decided from the state at the end of `cycle`; with
         # none, the next event is the first cycle on which a stage is due,
@@ -293,27 +292,24 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
             ready_down = rdys[i]
         carried = ready_down and src_idx < n_src
         cycle = cycle + 1 if carried or True in consume else min(due)
-        if traced:
-            catch_up(min(cycle - 1, max_cycles))
         if cycle > max_cycles:
             raise InternalError(
                 f"pipeline made no progress within {max_cycles} cycles "
                 f"(collected {stamps[-1].emitted}/{expected[-1]})")
         src_idx += carried
 
-        # step the stages that act: due, fed or drained (every stage when
-        # traced, so each cycle's lines come in stage order), each first
-        # skipped across the quiet cycles since it last ran
+        # step the stages that act: due, fed or drained, each first skipped
+        # across the quiet cycles since it last ran
         for i in stage_range:
             c = consume[i]
-            if carried or c or due[i] == cycle or traced:
+            if carried or c or due[i] == cycle:
                 n = cycle - 1 - clock[i]
                 if n:
-                    skips[i](n, clock[i])
+                    skips[i](n)
                 st = stages[i]
                 if outs[i] and not c:
                     st.out_stall += 1
-                steps[i](cycle, carried, c)
+                steps[i](carried, c)
                 clock[i] = cycle
                 due[i] = cycle + 1 + quiet[i]()
                 rdys[i] = readys[i]()
@@ -337,6 +333,8 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
                 m, dc = _fast_forward(history[0], history[-1], stages, stamps,
                                       periods, max_cycles)
                 if m:
+                    if trace is not None:
+                        trace.extend((i, "periodic", cycle + 1, m * dc, m) for i in stage_range)
                     cycle += m * dc
                     src_idx += m * period * width
                     probe_at = -1
@@ -362,7 +360,8 @@ def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan
     not depend on group boundaries, so every layer's values then come from
     one golden.walk_layers over the network, each conv layer's from
     conv_datapath at its d_par, with product passes kept in `passes`, if
-    given."""
+    given. Given a list as `trace`, appends each group's spans to it, as one
+    list per group (see simulate_group)."""
     validate_plan(plan, net)
     check_inputs(net, input_t, weights)
     in_dims = net.layer_input_dims()
@@ -371,9 +370,12 @@ def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan
     ci = 0  # conv layers before the group
     for a, b in plan.groups:
         n_conv = sum(isinstance(layer, ConvSpec) for layer in net.layers[a:b + 1])
+        spans = None if trace is None else []
         groups.append(simulate_group(net.layers[a:b + 1], in_dims[a],
-                                     plan.depth_parallel[ci:ci + n_conv], trace,
+                                     plan.depth_parallel[ci:ci + n_conv], spans,
                                      layer_offset=a))
+        if trace is not None:
+            trace.append(spans)
         ci += n_conv
 
     def datapath(t, bank, spec, i):

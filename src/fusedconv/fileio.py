@@ -65,7 +65,7 @@ def write_weights(path, banks) -> None:
     with open(path, "wb") as fh:
         for bank in banks:
             fh.write(struct.pack("<III", bank.k, bank.kernel, bank.depth))
-            fh.write(bank.data.astype("<i4").tobytes())
+            fh.write(_le_bytes(bank.data))
 
 
 def read_weights(path, net: NetworkSpec) -> list:

@@ -10,17 +10,18 @@ landing in a row slot that has not drained. Windows leave a line buffer in
 raster order through a one-slot skid, so the engine latches them in raster
 order too.
 
-Besides its single-cycle `step`, a stage exposes the two shortcuts the
-clocks take. `quiet_for` and `skip` cross cycles in which only counters
-move, in closed form, as long as no element arrives and the output is not
-taken. The schedule rests on one invariant: ready() and `out` cannot change
-on such a quiet cycle, because `n_acc`, `widx` and the pool's drain state
-move only on cycles where quiet_for is 0 or an element arrives, and `out`
-only when an element completes or leaves. So an idle stage's handshakes are
-those of its last step. `row_period`, `state` and `translate` serve the
-row-periodic fast-forward: the per-period deltas and clamp-free bounds of
-the stage's counters, its counters with every other field relative to them,
-and the advance of those counters by whole periods.
+A stage counts no cycles; the clocks of dataflow.simulate_group do. Besides
+its single-cycle `step`, a stage exposes the two shortcuts the clocks take.
+`quiet_for` and `skip` cross cycles in which only counters move, in closed
+form, as long as no element arrives and the output is not taken. The
+schedule rests on one invariant: ready() and `out` cannot change on such a
+quiet cycle, because `n_acc`, `widx` and the pool's drain state move only
+on cycles where quiet_for is 0 or an element arrives, and `out` only when an
+element completes or leaves. So an idle stage's handshakes are those of its
+last step. `row_period`, `state` and `translate` serve the row-periodic
+fast-forward: the per-period deltas and clamp-free bounds of the stage's
+counters, its counters with every other field relative to them, and the
+advance of those counters by whole periods.
 """
 
 from __future__ import annotations
@@ -139,13 +140,13 @@ class ConvEngine:
     serial depth groups combine in a per-filter accumulator row; only the
     final group's scalars leave the engine, in filter order.
 
-    The engine carries window tokens, not values: its skid slot and emission
-    queue hold window indices. Windows are latched in raster order, so the
-    scalars a window yields are dataflow.conv_datapath's values for that
-    position, computed once per layer after the schedule has run.
+    The engine carries window tokens, not values: its skid slot holds a
+    window index. Windows are latched in raster order, so the scalars a
+    window yields are dataflow.conv_datapath's values for that position,
+    computed once per layer after the schedule has run.
     """
 
-    def __init__(self, spec: ConvSpec, depth: int, d_par: int, trace=None, name=""):
+    def __init__(self, spec: ConvSpec, depth: int, d_par: int):
         if depth % d_par != 0:
             raise ValidationError(f"depth {depth} not divisible by d_par {d_par}")
         self.k = spec.filters
@@ -158,11 +159,9 @@ class ConvEngine:
         self.cur_left = 0
         self.issues_done = 0
         self.adv = 0
-        self.emq = deque()            # (first_adv, complete_adv, window_index)
+        self.emq = deque()            # (first_adv, complete_adv) per window
         self.windows_latched = 0
         self.scalars_emitted = 0
-        self.trace = trace
-        self.name = name
 
     def latch(self):
         """Take the line buffer's next window into the skid slot."""
@@ -171,23 +170,20 @@ class ConvEngine:
         self.next_win = self.windows_latched
         self.windows_latched += 1
 
-    def cycle(self, out_free: bool, cycle_no: int = 0) -> bool:
+    def cycle(self, out_free: bool) -> bool:
         """One clock. The pipeline freezes (no advance, no issue) only when the
         scalar completing an output element would pop with the downstream
         register occupied. Returns whether an output element completed."""
         emq = self.emq
         completed = False
         if emq:
-            first, comp, widx = emq[0]
+            first, comp = emq[0]
             nxt = self.adv + 1
             if nxt == comp and not out_free:
                 return False
             self.adv = nxt
             if nxt >= first:
                 self.scalars_emitted += 1
-                if self.trace is not None:
-                    self.trace.event(cycle_no, self.name, "emit", widx,
-                                     f"f{nxt - first}")
                 if nxt == comp:
                     completed = True
                     emq.popleft()
@@ -201,16 +197,12 @@ class ConvEngine:
                 self.next_win = None
                 self.cur_left = self.kg
                 self.issues_done = 0
-                if self.trace is not None:
-                    self.trace.event(cycle_no, self.name, "accept", nw)
 
         left = self.cur_left
         if left > 0:
             if self.issues_done == self._final_first:
                 adv = self.adv
-                emq.append((adv + self.latency,
-                            adv + self.latency + self.k - 1,
-                            self.cur_win_idx))
+                emq.append((adv + self.latency, adv + self.latency + self.k - 1))
             self.issues_done += 1
             self.cur_left = left - 1
 
@@ -232,9 +224,8 @@ class ConvEngine:
             return _FOREVER if c <= q else q
         return min(q, c)
 
-    def skip(self, n: int, cycle_no: int, held: bool):
-        """Advance n quiet cycles in closed form; returns the emit trace
-        events among them when tracing."""
+    def skip(self, n: int, held: bool):
+        """Advance n quiet cycles in closed form."""
         emq, adv0 = self.emq, self.adv
         if held and emq:
             n = min(n, emq[0][1] - adv0 - 1)
@@ -242,44 +233,34 @@ class ConvEngine:
         done = min(n, self.cur_left)
         self.cur_left -= done
         self.issues_done += done
-        if not emq:
-            return []
-        first, _, widx = emq[0]
-        lo = max(first, adv0 + 1)
-        self.scalars_emitted += max(0, adv0 + n + 1 - lo)
-        if self.trace is None:
-            return []
-        return [(cycle_no + a - adv0, self.name, "emit", widx, f"f{a - first}")
-                for a in range(lo, adv0 + n + 1)]
+        if emq:
+            self.scalars_emitted += max(0, adv0 + n + 1 - max(emq[0][0], adv0 + 1))
 
 
 class ConvStage:
     """Line buffer + conv engine + output-assembly register, element in,
     depth-k element out."""
 
-    def __init__(self, spec: ConvSpec, in_dims: Dims, d_par: int, trace=None, name="conv"):
+    def __init__(self, spec: ConvSpec, in_dims: Dims, d_par: int, name="conv"):
         self.name = name
         self.out_dims = output_dims(in_dims, spec)
         self.lb = LineBuffer(in_dims, spec)
-        self.engine = ConvEngine(spec, in_dims.depth, d_par, trace, name=f"{name}.ce")
+        self.engine = ConvEngine(spec, in_dims.depth, d_par)
         self.out = False
         self.out_stall = 0
-        self.trace = trace
         self.ready = self.lb.ready  # acceptance is entirely the line buffer's call
 
-    def step(self, cycle_no: int, in_elem: bool, out_consumed: bool):
+    def step(self, in_elem: bool, out_consumed: bool):
         if out_consumed:
             self.out = False
             out_free = True
         else:
             out_free = not self.out
         engine = self.engine
-        if engine.cycle(out_free, cycle_no):
+        if engine.cycle(out_free):
             self.out = True
         if self.lb.cycle(in_elem, engine.next_win is None):
             engine.latch()
-        if in_elem and self.trace is not None:
-            self.trace.event(cycle_no, f"{self.name}.lb", "accept", self.lb.n_acc - 1)
 
     def quiet_for(self) -> int:
         """Upcoming cycles on which the stage does not act on its own: no
@@ -288,10 +269,10 @@ class ConvStage:
             return 0
         return self.engine.quiet_for(self.out)
 
-    def skip(self, n: int, cycle_no: int):
+    def skip(self, n: int):
         if self.out:
             self.out_stall += n
-        return self.engine.skip(n, cycle_no, self.out)
+        self.engine.skip(n, self.out)
 
     def row_period(self, rows: int):
         """Per-period deltas of state()'s counters when the stage takes `rows`
@@ -313,7 +294,7 @@ class ConvStage:
                 (lb._c_in, self.out, e.cur_left, e.issues_done,
                  None if e.next_win is None else e.next_win - wins,
                  e.cur_win_idx - wins,
-                 tuple((f - adv, c - adv, w - wins) for f, c, w in e.emq)))
+                 tuple((f - adv, c - adv) for f, c in e.emq)))
 
     def translate(self, m: int, delta):
         """Advance m periods: add m times delta to every counter of state()."""
@@ -329,7 +310,7 @@ class ConvStage:
         if e.next_win is not None:
             e.next_win += wins
         e.adv += adv
-        e.emq = deque((f + adv, c + adv, w + wins) for f, c, w in e.emq)
+        e.emq = deque((f + adv, c + adv) for f, c in e.emq)
         e.scalars_emitted += scalars
         self.out_stall += stall
 
@@ -342,7 +323,7 @@ class PoolStage:
     has not drained yet is an invariant breach. Requires window <= stride (a
     single physical row cannot serve overlapping vertical windows)."""
 
-    def __init__(self, spec: PoolSpec, in_dims: Dims, trace=None, name="pool"):
+    def __init__(self, spec: PoolSpec, in_dims: Dims, name="pool"):
         check_pipeline_pool(spec)
         self.name = name
         self.out_dims = output_dims(in_dims, spec)
@@ -358,7 +339,6 @@ class PoolStage:
         self.drain_pos = 0
         self.out = False
         self.out_stall = 0
-        self.trace = trace
         self._rkey = (-1, -1, False)
         self._rval = False
 
@@ -381,13 +361,11 @@ class PoolStage:
             return True
         return not (self.pending and j >= self.drain_pos)
 
-    def step(self, cycle_no: int, in_elem: bool, out_consumed: bool):
+    def step(self, in_elem: bool, out_consumed: bool):
         if out_consumed:
             self.out = False
         if not self.out and self.pending:
             self.out = True
-            if self.trace is not None:
-                self.trace.event(cycle_no, self.name, "emit", self.drain_pos)
             self.drain_pos += 1
             if self.drain_pos == self.w_out:
                 self.pending = False
@@ -411,16 +389,13 @@ class PoolStage:
                     and c_out == self.w_out - 1:
                 self.pending = True
                 self.drain_pos = 0
-        if self.trace is not None:
-            self.trace.event(cycle_no, self.name, "accept", self.n_acc - 1)
 
     def quiet_for(self) -> int:
         return 0 if self.pending and not self.out else _FOREVER
 
-    def skip(self, n: int, cycle_no: int):
+    def skip(self, n: int):
         if self.out:
             self.out_stall += n
-        return []
 
     def row_period(self, rows: int):
         """As ConvStage.row_period; the only clamp is on the input row."""

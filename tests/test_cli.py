@@ -199,33 +199,46 @@ def test_simulate_report_roundtrips(workdir):
     assert canonical_json(report) == (workdir / "rt" / "report.json").read_text()
 
 
-def test_simulate_trace_window_hold(workdir):
-    trace_path = workdir / "trace.txt"
-    assert main(["simulate", "--network", str(workdir / "net.json"),
-                 "--input", str(workdir / "input.dclf"),
-                 "--weights", str(workdir / "weights.bin"),
-                 "--plan", "0-2", "--trace", str(trace_path)]) == 0
-    accepts = {}
-    emits = {}
-    for line in trace_path.read_text().splitlines():
-        parts = line.split()
-        stage, kind = parts[1], parts[2]
-        if not stage.endswith(".ce"):
-            continue
-        if kind == "accept":
-            accepts.setdefault(stage, []).append((int(parts[0]), int(parts[3])))
-        elif kind == "emit":
-            emits.setdefault(stage, {}).setdefault(int(parts[3]), []).append(parts[4])
-    for stage, latches in accepts.items():
-        # windows latch in raster order and are each held for the full
-        # k*g-cycle filter sweep before the next latch
-        positions = [p for _, p in latches]
-        assert positions == sorted(set(positions))
-        for (c0, _), (c1, _) in zip(latches, latches[1:]):
-            assert c1 - c0 >= 3  # k=3, g=1 on both conv layers
-        # every latched window emits its k scalars in filter order
-        assert set(emits[stage]) == set(positions)
-        assert all(v == ["f0", "f1", "f2"] for v in emits[stage].values())
+def _simulate_args(workdir, *extra):
+    return ["simulate", "--network", str(workdir / "net.json"),
+            "--input", str(workdir / "input.dclf"),
+            "--weights", str(workdir / "weights.bin"), "--plan", "0-1|2", *extra]
+
+
+def test_simulate_trace_is_chrome_json_with_a_track_per_stage(workdir):
+    assert main(_simulate_args(workdir, "--trace", str(workdir / "t.json"),
+                               "--out", str(workdir / "sim"))) == 0
+    events = json.loads((workdir / "t.json").read_text())["traceEvents"]
+    tracks = {e["tid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
+    assert sorted(tracks.values()) == ["l0.conv", "l1.conv", "l2.pool"]
+    report = json.loads((workdir / "sim" / "report.json").read_text())
+    first, second = report["simulation"]["cycles_per_group"]
+    # each track's spans tile its group's cycles, the second group's
+    # after the first's
+    for tid, name in tracks.items():
+        end, stop = (first, first + second) if name == "l2.pool" else (0, first)
+        for e in events:
+            if e["ph"] == "X" and e["tid"] == tid:
+                assert e["ts"] == end and e["dur"] >= 1
+                end += e["dur"]
+        assert end == stop
+
+
+def test_simulate_trace_leaves_every_output_unchanged(workdir, capsys):
+    runs = []
+    for sub, extra in (("a", ()), ("b", ("--trace", str(workdir / "t.json")))):
+        assert main(_simulate_args(workdir, "--out", str(workdir / sub), *extra)) == 0
+        runs.append((capsys.readouterr().out, (workdir / sub / "report.json").read_bytes(),
+                     (workdir / sub / "final.dclf").read_bytes()))
+    assert runs[0] == runs[1]
+
+
+def test_simulate_trace_to_a_missing_directory_exits_1(workdir, capsys):
+    assert main(_simulate_args(workdir, "--trace", str(workdir / "nodir" / "t.json"),
+                               "--out", str(workdir / "sim"))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (workdir / "sim").exists()
 
 
 def test_analyze_reference_numbers(tmp_path, capsys):
@@ -351,6 +364,15 @@ def test_oversized_dims_exit_2_before_allocating(tmp_path, capsys, monkeypatch, 
     for args in (["gen", "--seed", "1", "--out", str(tmp_path)], ["analyze"], ["dse"]):
         assert main(args + ["--network", str(tmp_path / "big.json")]) == 2
         assert "error: dims: " in capsys.readouterr().err
+    assert not (tmp_path / "input.dclf").exists()
+
+
+def test_gen_dims_too_large_to_allocate_exit_2(tmp_path, capsys):
+    # within the header's u32 fields and intp's range, but 3.55 PiB, which
+    # no allocation grants: it fails at once, before a byte is written
+    assert main(["gen", "--dims", "100000x100000x100000", "--seed", "1",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: out of memory: ")
     assert not (tmp_path / "input.dclf").exists()
 
 

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +5,8 @@ from hypothesis import given, strategies as st
 from fusedconv import dataflow, golden
 from fusedconv.config import ConvSpec, Dims, FusionPlan, InternalError, NetworkSpec, \
     PoolSpec, ValidationError, parse_plan
-from fusedconv.dataflow import TraceWriter, conv_datapath, simulate_group, simulate_plan
+from fusedconv.dataflow import conv_datapath, simulate_group, simulate_plan
+from fusedconv.costmodel import conv3d_latency
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.golden import ConvPasses, FilterBank, Tensor3D, run_network
 from fusedconv.stages import ConvEngine, ConvStage, LineBuffer, PoolStage, _last_needing
@@ -15,6 +14,7 @@ from fusedconv.stages import ConvEngine, ConvStage, LineBuffer, PoolStage, _last
 from conftest import EXACTNESS_EDGES, identity_bank, random_network, random_plan, \
     tensor_from_reals
 from reference import engine_reference
+from test_quiet_spans import step_every_cycle
 
 
 # --- line buffer -------------------------------------------------------------
@@ -136,7 +136,7 @@ def test_engine_latency_63_for_w3_d3():
     eng.latch()
     emitted_at = None
     for cyc in range(1, 200):
-        if eng.cycle(True, cyc):
+        if eng.cycle(True):
             emitted_at = cyc
             break
     # first issue happens on call 1; the scalar pops 63 cycles later
@@ -148,7 +148,7 @@ def test_engine_latency_45_for_w3_d1():
     eng = _engine(k=1, w=3, d=3, d_par=1)
     assert eng.latency == 45
     eng.latch()
-    first = next(c for c in range(1, 300) if eng.cycle(True, c))
+    first = next(c for c in range(1, 300) if eng.cycle(True))
     # issues for all 3 serial groups; the final group's scalar completes
     # 45 cycles after its own issue (issue 3 -> cycle 48)
     assert first == 3 + 45
@@ -161,7 +161,7 @@ def test_engine_latency_9_for_w1_d1():
 def test_engine_idle_without_windows_emits_nothing():
     eng = _engine(k=2, w=3, d=2, d_par=2)
     for cyc in range(1, 1001):
-        assert not eng.cycle(True, cyc)
+        assert not eng.cycle(True)
     assert eng.scalars_emitted == 0
 
 
@@ -278,7 +278,7 @@ def drive_pool(pool, n_elems, cycles=400):
         idx += elem
         if consumed:
             out.append(cyc)
-        pool.step(cyc, elem, consumed)
+        pool.step(elem, consumed)
     return out
 
 
@@ -500,50 +500,60 @@ def test_shared_passes_after_a_diverging_layer_are_not_reused():
 def test_determinism_identical_runs(small_net, small_data):
     tensor, banks = small_data
     plan = parse_plan("0-1|2", small_net, "1,3")
-    tr1, tr2 = io.StringIO(), io.StringIO()
-    r1 = simulate_plan(small_net, tensor, banks, plan, trace=TraceWriter(tr1))
-    r2 = simulate_plan(small_net, tensor, banks, plan, trace=TraceWriter(tr2))
+    tr1, tr2 = [], []
+    r1 = simulate_plan(small_net, tensor, banks, plan, trace=tr1)
+    r2 = simulate_plan(small_net, tensor, banks, plan, trace=tr2)
     assert r1.end_to_end_cycles == r2.end_to_end_cycles
     assert r1.cycles_per_group == r2.cycles_per_group
     assert r1.output.equals(r2.output)
-    assert tr1.getvalue() == tr2.getvalue()
+    assert len(tr1) == 2 and tr1 == tr2
     assert [(s.name, s.first_out, s.last_out) for g in r1.stamps_per_group for s in g] \
         == [(s.name, s.first_out, s.last_out) for g in r2.stamps_per_group for s in g]
 
 
-def _parse_ce_events(trace_text, stage):
-    accepts, emits = [], []
-    for line in trace_text.splitlines():
-        parts = line.split()
-        if parts[1] != stage:
-            continue
-        cycle, kind, pos = int(parts[0]), parts[2], int(parts[3])
-        if kind == "accept":
-            accepts.append((cycle, pos))
-        elif kind == "emit":
-            emits.append((cycle, pos, parts[4]))
-    return accepts, emits
+def engine_events(net, d_pars):
+    """Per conv stage of the fused net, its engine's latches, as (cycle,
+    window), and the cycles on which it emitted a scalar, read from its
+    cur_win_idx and scalars_emitted after every cycle of the per-cycle
+    reference loop."""
+    events = {}
+
+    def watch(cycle, stages):
+        for st in stages:
+            if isinstance(st, ConvStage):
+                latches, emits = events.setdefault(st.name, ([], []))
+                e = st.engine
+                if e.cur_win_idx != (latches[-1][1] if latches else -1):
+                    latches.append((cycle, e.cur_win_idx))
+                emits += [cycle] * (e.scalars_emitted - len(emits))
+
+    step_every_cycle(net.layers, net.input_dims, d_pars, watch=watch)
+    return events
 
 
-def test_window_hold_invariant_via_trace(small_net, small_data):
-    tensor, banks = small_data
-    plan = parse_plan("0-2", small_net, "1,3")  # first conv runs 3 serial groups
-    buf = io.StringIO()
-    simulate_plan(small_net, tensor, banks, plan, trace=TraceWriter(buf))
-    for stage, kg, k in [("l0.conv.ce", 9, 3), ("l1.conv.ce", 3, 3)]:
-        accepts, emits = _parse_ce_events(buf.getvalue(), stage)
-        assert len(accepts) == 25
-        positions = [p for _, p in accepts]
-        assert positions == sorted(positions)
-        # the window is held k*g cycles: latches are at least that far apart
-        for (c0, _), (c1, _) in zip(accepts, accepts[1:]):
-            assert c1 - c0 >= kg
-        # exactly k scalars per window, in filter order
-        per_window = {}
-        for _, pos, detail in emits:
-            per_window.setdefault(pos, []).append(detail)
-        assert all(v == [f"f{i}" for i in range(k)] for v in per_window.values())
-        assert len(per_window) == 25
+def assert_windows_held(latches, emits, k, g, latency):
+    """Latches come in raster order, at least k*g cycles apart, and the j-th
+    k scalars are window j's filters in order: with no downstream hold, one
+    a cycle from the cycle its final sweep's first issue leaves the
+    pipeline."""
+    assert [w for _, w in latches] == list(range(len(latches)))
+    for (c0, _), (c1, _) in zip(latches, latches[1:]):
+        assert c1 - c0 >= k * g
+    assert len(emits) == k * len(latches)
+    for (c, _), j in zip(latches, range(0, len(emits), k)):
+        first = c + (g - 1) * k + latency
+        assert emits[j:j + k] == list(range(first, first + k))
+
+
+def test_window_hold_invariant_via_trace(small_net):
+    # the trace here is the engines' counters after every cycle; the first
+    # conv runs 3 serial groups in one case and 1 in the other
+    for d_pars, kgs in [([1, 3], [9, 3]), ([3, 3], [3, 3])]:
+        events = engine_events(small_net, d_pars)
+        assert list(events) == ["l0.conv", "l1.conv"]
+        for (latches, emits), kg, d_par in zip(events.values(), kgs, d_pars):
+            assert len(latches) == 25
+            assert_windows_held(latches, emits, 3, kg // 3, conv3d_latency(3, d_par))
 
 
 def test_throughput_one_scalar_per_cycle():
@@ -553,31 +563,21 @@ def test_throughput_one_scalar_per_cycle():
     # one window per cycle requires the same-cycle window handoff.
     for k, depth in [(1, 2), (2, 2), (3, 1)]:
         net = NetworkSpec(Dims(10, 10, depth), (ConvSpec(3, k, 1, 1),))
-        tensor = generate_tensor(net.input_dims, seed=60 + k)
-        banks = generate_weights(net, seed=61 + k)
-        plan = parse_plan("0", net)  # d_par = full depth, g = 1
-        buf = io.StringIO()
-        simulate_plan(net, tensor, banks, plan, trace=TraceWriter(buf))
-        _, emits = _parse_ce_events(buf.getvalue(), "l0.conv.ce")
-        cycles = [c for c, _, _ in emits]
-        assert len(cycles) == 100 * k
-        assert cycles == list(range(cycles[0], cycles[0] + len(cycles)))
+        (latches, emits), = engine_events(net, [depth]).values()  # g = 1
+        assert len(emits) == 100 * k
+        assert emits == list(range(emits[0], emits[0] + len(emits)))
+        assert_windows_held(latches, emits, k, 1, conv3d_latency(3, depth))
 
 
 def test_serial_depth_groups_emit_in_final_sweep_only():
     # g = 2: one window is held k*g cycles and only the final group's pops
     # carry scalars, so emissions come in bursts of k every k*g cycles
     net = NetworkSpec(Dims(8, 8, 2), (ConvSpec(3, 2, 1, 1),))
-    tensor = generate_tensor(net.input_dims, seed=80)
-    banks = generate_weights(net, seed=81)
-    plan = parse_plan("0", net, "1")
-    buf = io.StringIO()
-    simulate_plan(net, tensor, banks, plan, trace=TraceWriter(buf))
-    _, emits = _parse_ce_events(buf.getvalue(), "l0.conv.ce")
-    cycles = [c for c, _, _ in emits]
-    assert len(cycles) == 64 * 2
-    bursts = [cycles[i + 1] - cycles[i] for i in range(0, len(cycles) - 1, 2)]
+    (latches, emits), = engine_events(net, [1]).values()
+    assert len(emits) == 64 * 2
+    bursts = [emits[i + 1] - emits[i] for i in range(0, len(emits) - 1, 2)]
     assert all(b == 1 for b in bursts)  # the k scalars of one window touch
+    assert_windows_held(latches, emits, 2, 2, conv3d_latency(3, 1))
 
 
 def test_engine_issue_stalls_when_no_input():
@@ -585,7 +585,7 @@ def test_engine_issue_stalls_when_no_input():
     net = NetworkSpec(Dims(6, 6, 2), (ConvSpec(3, 2, 1, 1),))
     stage = ConvStage(net.layers[0], net.input_dims, 2)
     for cyc in range(1, 2000):
-        stage.step(cyc, False, stage.out)
+        stage.step(False, stage.out)
         assert not stage.out
     assert stage.engine.windows_latched == 0
 

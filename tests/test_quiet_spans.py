@@ -3,17 +3,15 @@
 `step_every_cycle` is the simulator's schedule loop as it was before quiet
 spans were skipped, row-periodic stretches fast-forwarded and each stage
 given its own clock: it calls every stage's `step` on every cycle. It drives
-the same stage classes, so any difference in cycles, stamps, stalls or trace
-text comes from the jumps of the clocks. A traced run never fast-forwards
-and brings every stage up to date on each event cycle, so the untraced runs
-check the row-periodic jumps and the stages left behind by their own clocks.
-The schedule takes dims, not data:
+the same stage classes, so any difference in cycles, stamps or stalls comes
+from the jumps of the clocks. A traced run takes the same steps and jumps as
+an untraced one and records them as spans, which must cover each stage's
+cycles once. The schedule takes dims, not data:
 values come after it, from golden.walk_layers, and the tests of
 conv_datapath, of the pool values and of simulate_plan check them.
 """
 
 import copy
-import io
 from unittest import mock
 
 import pytest
@@ -22,19 +20,20 @@ from hypothesis import example, given, settings, strategies as st
 from fusedconv import dataflow
 from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, PoolSpec, \
     output_dims, validate_plan
-from fusedconv.dataflow import StageStamp, TraceWriter, _build_stages, simulate_group
+from fusedconv.dataflow import GroupResult, StageStamp, _build_stages, simulate_group
 from fusedconv.networks import VGG7_DEFAULT_DPAR, consecutive_convs, reduced_vgg_prefix_7, \
     vgg_prefix_7
 from fusedconv.stages import _FOREVER, ConvStage, PoolStage
 
 
-def step_every_cycle(layers, in_dims, d_pars, trace=None, layer_offset=0, until=None):
+def step_every_cycle(layers, in_dims, d_pars, layer_offset=0, until=None, watch=None):
     """Reference schedule loop: transfers for a cycle are decided from the
     previous cycle's state (ready ripples upstream), then every stage steps
     once, front to back, each passing its consumed token downstream. Runs
-    to the end, or to cycle `until`. Returns the stamps, the stall cycles
-    and the stages."""
-    stages = _build_stages(layers, in_dims, d_pars, trace, layer_offset)
+    to the end, or to cycle `until`, and calls watch(cycle, stages) after
+    every cycle, if given. Returns the stamps, the stall cycles and the
+    stages."""
+    stages = _build_stages(layers, in_dims, d_pars, layer_offset)
     n_stages = len(stages)
     n_src = in_dims.height * in_dims.width
     src_idx = 0
@@ -56,7 +55,7 @@ def step_every_cycle(layers, in_dims, d_pars, trace=None, layer_offset=0, until=
         carried = ready_down and src_idx < n_src
         src_idx += carried
         for i, st in enumerate(stages):
-            st.step(cycle, carried, consume[i])
+            st.step(carried, consume[i])
             carried = consume[i]
             if carried:
                 stamp = stamps[i]
@@ -66,6 +65,8 @@ def step_every_cycle(layers, in_dims, d_pars, trace=None, layer_offset=0, until=
                 stamp.emitted += 1
                 if stamp.emitted == st.out_dims.height * st.out_dims.width:
                     remaining -= 1
+        if watch:
+            watch(cycle, stages)
     return stamps, {st.name: st.out_stall for st in stages}, stages
 
 
@@ -74,30 +75,70 @@ def engine_counters(stages):
             for e in (st.engine for st in stages if isinstance(st, ConvStage))]
 
 
-def assert_same_run(layers, in_dims, d_pars, layer_offset=0, traced=True):
-    """Run both loops, with a trace or without; assert every schedule
-    observable, and the engines' closed-form counters, agree. Returns the
-    simulator's result."""
-    got_trace, want_trace = io.StringIO(), io.StringIO()
-    built = []
+def counted_run(layers, in_dims, d_pars, layer_offset=0, trace=None):
+    """simulate_group, counting its stage steps and keeping its jumps.
+    Returns the result, the stages, the step count and each jump's
+    (periods, cycles per period)."""
+    built, steps, jumps = [], [], []
+    fast_forward = dataflow._fast_forward
 
     def build(*args):
         built.extend(_build_stages(*args))
+        for st in built:
+            st.step = lambda *a, step=st.step: steps.append(1) or step(*a)
         return built
 
-    with mock.patch.object(dataflow, "_build_stages", build):
-        got = simulate_group(layers, in_dims, d_pars,
-                             trace=TraceWriter(got_trace) if traced else None,
-                             layer_offset=layer_offset)
-    stamps, stalls, want_stages = step_every_cycle(
-        layers, in_dims, d_pars, trace=TraceWriter(want_trace) if traced else None,
-        layer_offset=layer_offset)
+    def jump(*args):
+        m, dc = fast_forward(*args)
+        if m:
+            jumps.append((m, dc))
+        return m, dc
+
+    with mock.patch.object(dataflow, "_build_stages", build), \
+            mock.patch.object(dataflow, "_fast_forward", jump):
+        res = simulate_group(layers, in_dims, d_pars, trace, layer_offset=layer_offset)
+    return res, built, len(steps), jumps
+
+
+def assert_spans_tile(spans, n_stages, cycles):
+    """In the order recorded, each stage's spans cover cycles 1..cycles once."""
+    for i in range(n_stages):
+        end = 0
+        for _, kind, first, n, m in (s for s in spans if s[0] == i):
+            assert first == end + 1 and n >= 1
+            assert (kind, n, m) == ("step", 1, 0) or (kind == "quiet" and m == 0) \
+                or (kind == "periodic" and m >= 1 and n % m == 0)
+            end += n
+        assert end == cycles
+
+
+def assert_traced_like_untraced(layers, in_dims, d_pars, layer_offset=0):
+    """A traced run takes an untraced run's steps and jumps, to the same
+    result, and its spans tile every stage's cycles. Returns the traced
+    result, its spans and its stages."""
+    spans = []
+    got, built, steps, jumps = counted_run(layers, in_dims, d_pars, layer_offset, spans)
+    untraced, _, untraced_steps, untraced_jumps = counted_run(
+        layers, in_dims, d_pars, layer_offset)
+    assert got == untraced
+    assert (steps, jumps) == (untraced_steps, untraced_jumps)
+    assert steps == sum(kind == "step" for _, kind, *_ in spans)
+    assert [(m, n // m) for _, kind, _, n, m in spans if kind == "periodic"] == \
+        [jump for jump in jumps for _ in built]
+    # the last stage completes last unless a pool discards trailing rows
+    assert_spans_tile(spans, len(built), max(s.last_out for s in got.stamps))
+    return got, spans, built
+
+
+def assert_same_run(layers, in_dims, d_pars, layer_offset=0):
+    """Run simulate_group traced and untraced, and the reference loop;
+    assert every schedule observable, and the engines' closed-form
+    counters, agree. Returns the traced result and its spans."""
+    got, spans, built = assert_traced_like_untraced(layers, in_dims, d_pars, layer_offset)
+    stamps, stalls, want_stages = step_every_cycle(layers, in_dims, d_pars, layer_offset)
     assert engine_counters(built) == engine_counters(want_stages)
-    assert got.cycles == stamps[-1].last_out
-    assert got.stamps == stamps
-    assert got.stall_cycles == stalls
-    assert got_trace.getvalue() == want_trace.getvalue()
-    return got
+    assert got == GroupResult(stamps[-1].last_out, stamps, stalls)
+    return got, spans
 
 
 @st.composite
@@ -147,10 +188,25 @@ def test_simulate_group_matches_per_cycle_reference(case):
     din = net.layer_input_dims()
     dpar_of = dict(zip(net.conv_indices(), plan.depth_parallel))
     for a, b in plan.groups:
-        for traced in (True, False):
-            assert_same_run(net.layers[a:b + 1], din[a],
-                            [dpar_of[li] for li in range(a, b + 1) if li in dpar_of],
-                            layer_offset=a, traced=traced)
+        assert_same_run(net.layers[a:b + 1], din[a],
+                        [dpar_of[li] for li in range(a, b + 1) if li in dpar_of],
+                        layer_offset=a)
+
+
+def test_traced_conv1_1_jumps_like_the_reference():
+    # conv1_1 at 56x56 fast-forwards its periodic rows with a trace too
+    net = consecutive_convs(1, input_hw=56)
+    res, spans = assert_same_run(net.layers, net.input_dims, [3])
+    assert any(kind == "periodic" for _, kind, *_ in spans)
+    assert_spans_tile(spans, 1, res.cycles)
+
+
+def test_traced_fused_vgg7_tiles_every_stage():
+    net = vgg_prefix_7(input_hw=28)
+    res, spans, _ = assert_traced_like_untraced(net.layers, net.input_dims,
+                                                list(VGG7_DEFAULT_DPAR))
+    assert_spans_tile(spans, 7, 65_410)
+    assert {i for i, *_ in spans} == set(range(7))
 
 
 STALLING_CHAINS = [
@@ -163,16 +219,19 @@ STALLING_CHAINS = [
 def test_stalling_chain_matches_per_cycle_reference(d_par, stalls):
     # a fast stage feeding a slow one is held for most of the run
     net = reduced_vgg_prefix_7()
-    res = assert_same_run(net.layers, net.input_dims, list(d_par))
+    res, _ = assert_same_run(net.layers, net.input_dims, list(d_par))
     assert {k: v for k, v in res.stall_cycles.items() if v} == stalls
 
 
 @pytest.mark.parametrize("d_par, stalls", STALLING_CHAINS)
 def test_stalling_chain_fast_forwards_like_per_cycle_reference(d_par, stalls):
-    # untraced, the schedule may fast-forward across the held rows too
+    # the schedule may fast-forward across the held rows too: the first
+    # chain jumps one period of 8192 cycles, the second none
     net = reduced_vgg_prefix_7()
-    res = assert_same_run(net.layers, net.input_dims, list(d_par), traced=False)
+    res, spans = assert_same_run(net.layers, net.input_dims, list(d_par))
     assert {k: v for k, v in res.stall_cycles.items() if v} == stalls
+    jumped = sum(n for i, kind, _, n, _ in spans if kind == "periodic" and i == 0)
+    assert jumped == {(3, 1, 1, 1, 1): 8192, (3, 8, 8, 1, 16): 0}[d_par]
 
 
 @st.composite
@@ -216,7 +275,7 @@ DRIFTING_PHASE = (
 @given(tall_chains())
 def test_row_periodic_jumps_match_per_cycle_reference(case):
     net, d_pars = case
-    assert_same_run(net.layers, net.input_dims, d_pars, traced=False)
+    assert_same_run(net.layers, net.input_dims, d_pars)
 
 
 @settings(max_examples=40)
@@ -236,9 +295,9 @@ def test_quiet_stage_keeps_its_ready_and_out(case, permille, cap):
         n = min(q, cap)
         stepped = copy.deepcopy(skipped)
         before = (skipped.ready(), skipped.out)
-        skipped.skip(n, 0)
-        for cycle in range(n):
-            stepped.step(cycle, False, False)
+        skipped.skip(n)
+        for _ in range(n):
+            stepped.step(False, False)
         assert (skipped.ready(), skipped.out) == before == (stepped.ready(), stepped.out)
         assert skipped.quiet_for() == stepped.quiet_for() == \
             (q if q == _FOREVER else q - n)
