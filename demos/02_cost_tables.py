@@ -6,8 +6,8 @@ next to the reference implementation's published numbers.
 Run: python demos/02_cost_tables.py
 """
 
-from fusedconv import analyze, conv3d_latency, parse_plan, time_ms, traffic_bytes
-from fusedconv.costmodel import group_costs
+from fusedconv import analyze, conv3d_latency, parse_plan, time_ms
+from fusedconv.costmodel import group_cost
 from fusedconv.networks import VGG7_DEFAULT_DPAR, vgg_prefix_7
 
 MB = 1_000_000
@@ -26,9 +26,8 @@ def main():
     print()
 
     print(f"DSP multipliers (w^2 x d_par per conv, max over fused groups)")
-    first_group = parse_plan("0-2|3|4|5|6", net, dpar)
-    print(f"  conv1_1+conv1_2+pool1 group: {group_costs(first_group, net)[0].dsp}"
-          f"  (reference 605)")
+    first_group = group_cost((0, 2), VGG7_DEFAULT_DPAR[:2], net)
+    print(f"  conv1_1+conv1_2+pool1 group: {first_group.dsp}  (reference 605)")
     report = analyze(fused, net)
     print(f"  full fusion, d_par {VGG7_DEFAULT_DPAR}: {report.dsp}  (reference 2907)")
     print()
@@ -42,15 +41,15 @@ def main():
     print()
 
     print("off-chip traffic per input image")
-    t = traffic_bytes(fused, net, 4)
+    t = report.traffic
     print(f"  full fusion, 4 B/value:  {t['total'] / MB:6.3f} MB "
           f"(in {t['inputs'] / MB:.3f} + out {t['outputs'] / MB:.3f} + "
           f"weights {t['weights'] / MB:.3f}; reference 6.69)")
-    t = traffic_bytes(fused, net, 4, reread_weights_per_depth_group=True)
+    t = analyze(fused, net, reread_weights_per_depth_group=True).traffic
     print(f"    with per-depth-group weight re-reads: {t['total'] / MB:6.3f} MB")
-    t = traffic_bytes(split, net, 1)
+    t = analyze(split, net, 1).traffic
     print(f"  no fusion, 1 B/value:    {t['total'] / MB:6.3f} MB (reference 23.54)")
-    full4 = traffic_bytes(fused, net, 4)["total"] / MB
+    full4 = report.traffic["total"] / MB
     print(f"  reduction vs the 77.14 MB layer-by-layer baseline: "
           f"{77.14 / full4:.1f}x")
     print()

@@ -8,7 +8,7 @@ from .config import (ConvSpec, Dims, FixedPointFormat, FusionPlan, GeometryError
                      ValidationError, full_depth_parallel, output_dims,
                      parse_network, parse_plan, plan_to_text, serialize_network)
 from .costmodel import (CostReport, ResourceBudget, analyze, conv3d_latency,
-                        steady_cycles, time_ms, traffic_bytes)
+                        steady_cycles, time_ms)
 from .dataflow import SimResult, simulate_group, simulate_plan
 from .datagen import SeededGenerator, generate_tensor, generate_weights
 from .fixedpoint import fx_add_sat, fx_mul

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -168,6 +169,12 @@ class NetworkSpec:
 
     def conv_indices(self) -> list:
         return list(self._conv_indices)
+
+    def conv_slice(self, group) -> slice:
+        """Where group (a, b)'s convs sit in the network's conv order: a
+        plan's depth_parallel[conv_slice(group)] is the group's d_par."""
+        a, b = group
+        return slice(bisect_left(self._conv_indices, a), bisect_right(self._conv_indices, b))
 
 
 @dataclass(frozen=True)

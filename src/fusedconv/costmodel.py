@@ -3,11 +3,13 @@
 These mirror the accelerator's structure without running the simulator:
 multipliers map to DSP slices (w^2 per channel processed in parallel), adders
 to logic fabric, and on-chip storage to 18,432-bit block granularity. Each
-fused group is priced once, DRAM traffic included (GroupCost), and a plan's
-figures fold over its groups. The end-to-end estimate charges every stage's
-fill latency serially. The simulator overlaps fills, so it usually finishes
-below the estimate, but not always: a conv-pool-conv group can run past its
-bottleneck plus the fills charged here without a stall.
+layer is priced in one place (layer_cost); a fused group folds its layers'
+rows and adds its fill chain and DRAM traffic (group_cost), and a plan's
+figures, traffic included, fold over its groups (analyze). The end-to-end
+estimate charges every stage's fill latency serially. The simulator overlaps
+fills, so it usually finishes below the estimate, but not always: a
+conv-pool-conv group can run past its bottleneck plus the fills charged here
+without a stall.
 """
 
 from __future__ import annotations
@@ -80,25 +82,34 @@ def _blocks(bits: int) -> int:
     return -(-bits // BRAM_BLOCK_BITS)
 
 
-def _layer_buffers(layer, in_dims: Dims, out_dims: Dims):
-    """(bits, blocks) of the buffers backing one layer: a conv's line buffer,
-    one filter bank per tap position and an output-assembly row, or a pool
-    row; blocks use a per-buffer ceiling at 18,432-bit granularity."""
+def layer_cost(layer, in_dims: Dims, out_dims: Dims, d_par=None) -> dict:
+    """One layer's price, the row analyze reports for it. A conv: pipeline
+    latency, steady cycles and w^2 * d_par DSP at its d_par, and the buffers
+    backing it (a line buffer, one filter bank per tap position and an
+    output-assembly row). A pool: its input positions and one row of running
+    maxima. Blocks use a per-buffer ceiling at 18,432-bit granularity."""
     if isinstance(layer, ConvSpec):
         taps = layer.kernel * layer.kernel
         line = layer.kernel * (in_dims.width + 2 * layer.pad) * in_dims.depth * 32
         bank = layer.filters * in_dims.depth * 32
         assembly = out_dims.width * layer.filters * 32
-        return (line + taps * bank + assembly,
-                _blocks(line) + taps * _blocks(bank) + _blocks(assembly))
+        g = in_dims.depth // d_par
+        return {"type": "conv", "depth_parallel": d_par, "serial_groups": g,
+                "latency_cycles": conv3d_latency(layer.kernel, d_par),
+                "steady_cycles": steady_cycles(layer, out_dims, g),
+                "dsp": taps * d_par, "buffer_bits": line + taps * bank + assembly,
+                "buffer_blocks": _blocks(line) + taps * _blocks(bank) + _blocks(assembly)}
     row = out_dims.width * in_dims.depth * 32
-    return row, _blocks(row)
+    return {"type": "maxpool", "latency_cycles": 0,
+            "steady_cycles": in_dims.height * in_dims.width,
+            "dsp": 0, "buffer_bits": row, "buffer_blocks": _blocks(row)}
 
 
-def group_cost(group, depth_parallel, net: NetworkSpec,
+def group_cost(group, d_pars, net: NetworkSpec,
                reread_weights_per_depth_group: bool = False) -> GroupCost:
-    """GroupCost of one group (a, b) of a validated plan whose per-conv
-    depth parallelism is depth_parallel.
+    """GroupCost of one group (a, b) of a validated plan, whose convs run at
+    d_pars in order: its layers' layer_cost rows folded, plus the fill chain
+    and the traffic volumes.
 
     Fill latency is charged for every stage at the per-element period of
     whatever feeds it: k*g of the producing conv, 1 at the group input,
@@ -112,64 +123,34 @@ def group_cost(group, depth_parallel, net: NetworkSpec,
     a, b = group
     dims_in = net.layer_input_dims()
     dims_out = net.layer_dims()
-    dpar_of = dict(zip(net.conv_indices(), depth_parallel))
+    d_par = iter(d_pars)
     dsp = bits = blocks = steady = fill = weights = 0
     period = 1
     for li in range(a, b + 1):
-        layer = net.layers[li]
-        lb, lk = _layer_buffers(layer, dims_in[li], dims_out[li])
-        bits += lb
-        blocks += lk
-        w_in = dims_in[li].width
+        layer, d_in = net.layers[li], dims_in[li]
         if isinstance(layer, ConvSpec):
-            dp = dpar_of[li]
-            g = dims_in[li].depth // dp
-            dsp += layer.kernel * layer.kernel * dp
-            steady = max(steady, steady_cycles(layer, dims_out[li], g))
-            fill += (layer.kernel - 1) * (w_in + 2 * layer.pad) * period \
-                + layer.kernel + conv3d_latency(layer.kernel, dp)
+            row = layer_cost(layer, d_in, dims_out[li], next(d_par))
+            g = row["serial_groups"]
+            steady = max(steady, row["steady_cycles"])
+            fill += (layer.kernel - 1) * (d_in.width + 2 * layer.pad) * period \
+                + layer.kernel + row["latency_cycles"]
             period = layer.filters * g
-            weights += layer.filters * layer.kernel * layer.kernel * dims_in[li].depth \
+            weights += layer.filters * layer.kernel * layer.kernel * d_in.depth \
                 * (g if reread_weights_per_depth_group else 1)
         else:
-            fill += layer.window * w_in * period
+            row = layer_cost(layer, d_in, dims_out[li])
+            fill += layer.window * d_in.width * period
+        dsp += row["dsp"]
+        bits += row["buffer_bits"]
+        blocks += row["buffer_blocks"]
     return GroupCost(dsp, bits, blocks, steady,
                      dims_in[a].height * dims_in[a].width, fill,
                      dims_in[a].volume, dims_out[b].volume, weights)
 
 
-def group_costs(plan: FusionPlan, net: NetworkSpec,
-                reread_weights_per_depth_group: bool = False) -> list:
-    """One GroupCost per group of an already validated plan, in plan order."""
-    return [group_cost(group, plan.depth_parallel, net, reread_weights_per_depth_group)
-            for group in plan.groups]
-
-
 def check_bytes_per_value(bytes_per_value: int) -> None:
     if bytes_per_value not in (1, 2, 4):
         raise ValidationError("bytes_per_value must be 1, 2, or 4")
-
-
-def _traffic(costs, bytes_per_value: int) -> dict:
-    """Off-chip transfer of a plan from its GroupCosts, itemized as
-    {inputs, outputs, weights, total} in bytes."""
-    check_bytes_per_value(bytes_per_value)
-    inputs = sum(c.input_values for c in costs)
-    outputs = sum(c.output_values for c in costs)
-    weights = sum(c.weight_values for c in costs)
-    return {"inputs": inputs * bytes_per_value,
-            "outputs": outputs * bytes_per_value,
-            "weights": weights * bytes_per_value,
-            "total": (inputs + outputs + weights) * bytes_per_value}
-
-
-def traffic_bytes(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
-                  reread_weights_per_depth_group: bool = False):
-    """Off-chip transfer accounting of an already validated plan: the sum of
-    its groups' traffic (see group_cost), itemized as {inputs, outputs,
-    weights, total} in bytes."""
-    return _traffic(group_costs(plan, net, reread_weights_per_depth_group),
-                    bytes_per_value)
 
 
 def time_ms(cycles: int, frequency_mhz: float = DEFAULT_FREQUENCY_MHZ) -> float:
@@ -199,36 +180,22 @@ def analyze(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
             reread_weights_per_depth_group: bool = False) -> CostReport:
     """Assemble the full analytical report for one plan."""
     validate_plan(plan, net)
-    costs = group_costs(plan, net, reread_weights_per_depth_group)
-    traffic = _traffic(costs, bytes_per_value)
-    dims_in = net.layer_input_dims()
-    dims_out = net.layer_dims()
-    dpar_of = dict(zip(net.conv_indices(), plan.depth_parallel))
-
-    per_layer = []
-    for li, layer in enumerate(net.layers):
-        bits, blocks = _layer_buffers(layer, dims_in[li], dims_out[li])
-        if isinstance(layer, ConvSpec):
-            dp = dpar_of[li]
-            g = dims_in[li].depth // dp
-            per_layer.append({
-                "layer": li, "type": "conv",
-                "depth_parallel": dp, "serial_groups": g,
-                "latency_cycles": conv3d_latency(layer.kernel, dp),
-                "steady_cycles": steady_cycles(layer, dims_out[li], g),
-                "dsp": layer.kernel * layer.kernel * dp,
-                "buffer_bits": bits, "buffer_blocks": blocks})
-        else:
-            per_layer.append({
-                "layer": li, "type": "maxpool",
-                "latency_cycles": 0,
-                "steady_cycles": dims_in[li].height * dims_in[li].width,
-                "dsp": 0, "buffer_bits": bits, "buffer_blocks": blocks})
+    check_bytes_per_value(bytes_per_value)
+    costs = [group_cost(group, plan.depth_parallel[net.conv_slice(group)], net,
+                        reread_weights_per_depth_group) for group in plan.groups]
+    dims_in, dims_out = net.layer_input_dims(), net.layer_dims()
+    d_par = iter(plan.depth_parallel)
+    per_layer = [{"layer": li, **layer_cost(
+        layer, dims_in[li], dims_out[li], next(d_par) if isinstance(layer, ConvSpec) else None)}
+        for li, layer in enumerate(net.layers)]
 
     # hardware is rebuilt (reused) between groups, so DSP and buffers are
     # those of the widest group (buffers: the first group with the most bits)
     widest = max(costs, key=lambda c: c.buffer_bits)
     est = sum(c.bottleneck + c.fill_cycles for c in costs)
+    # off-chip transfer: the groups' volumes summed, in bytes
+    inputs, outputs, weights = (sum(v) * bytes_per_value for v in zip(
+        *((c.input_values, c.output_values, c.weight_values) for c in costs)))
     return CostReport(
         per_layer=per_layer,
         total_estimated_cycles=est,
@@ -237,5 +204,6 @@ def analyze(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
         dsp=max(c.dsp for c in costs),
         buffer_bits=widest.buffer_bits,
         buffer_blocks=widest.buffer_blocks,
-        traffic=traffic,
+        traffic={"inputs": inputs, "outputs": outputs, "weights": weights,
+                 "total": inputs + outputs + weights},
         bytes_per_value=bytes_per_value)

@@ -367,16 +367,13 @@ def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan
     in_dims = net.layer_input_dims()
     t0 = time.monotonic()
     groups = []
-    ci = 0  # conv layers before the group
     for a, b in plan.groups:
-        n_conv = sum(isinstance(layer, ConvSpec) for layer in net.layers[a:b + 1])
         spans = None if trace is None else []
         groups.append(simulate_group(net.layers[a:b + 1], in_dims[a],
-                                     plan.depth_parallel[ci:ci + n_conv], spans,
+                                     plan.depth_parallel[net.conv_slice((a, b))], spans,
                                      layer_offset=a))
         if trace is not None:
             trace.append(spans)
-        ci += n_conv
 
     def datapath(t, bank, spec, i):
         x, events = conv_datapath(t.data, bank, spec, plan.depth_parallel[i],

@@ -6,8 +6,6 @@ vectorized pass over them (front_indices)."""
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-
 import numpy as np
 
 from . import costmodel
@@ -45,10 +43,10 @@ def fit_groups(net: NetworkSpec, budget: ResourceBudget,
     fits = {}
     for a in range(n):
         for b in range(a, n):
-            lo, hi = bisect_left(conv_idx, a), bisect_right(conv_idx, b)
-            dpar = _halve(taps[lo:hi], work[lo:hi], full[lo:hi], budget.dsp_max)
-            fits[a, b] = dpar, costmodel.group_cost(
-                (a, b), full[:lo] + dpar + full[hi:], net, reread_weights_per_depth_group)
+            convs = net.conv_slice((a, b))
+            dpar = _halve(taps[convs], work[convs], full[convs], budget.dsp_max)
+            fits[a, b] = dpar, costmodel.group_cost((a, b), dpar, net,
+                                                    reread_weights_per_depth_group)
     return fits
 
 

@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .config import Dims, NetworkSpec, ParseError, ValidationError
+from .config import Dims, NetworkSpec, ParseError, ValidationError, serialize_network
 from .golden import FilterBank, Tensor3D
 
 TENSOR_MAGIC = b"DCLF"
@@ -104,10 +104,5 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def network_digest(text_or_net) -> str:
-    from .config import serialize_network
-    if isinstance(text_or_net, str):
-        text = text_or_net
-    else:
-        text = serialize_network(text_or_net)
-    return hashlib.sha256(text.encode()).hexdigest()
+def network_digest(net: NetworkSpec) -> str:
+    return hashlib.sha256(serialize_network(net).encode()).hexdigest()

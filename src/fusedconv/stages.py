@@ -64,8 +64,6 @@ class LineBuffer:
         self._c_in = 0
         self.widx = 0
         self._set_threshold()
-        self._rkey = (-1, -1)
-        self._rval = False
 
     def _set_threshold(self):
         """Accepted-element count at which the next raster window is complete
@@ -90,14 +88,6 @@ class LineBuffer:
     def ready(self) -> bool:
         """Accepting the next element may not overwrite a row slot still
         needed by an unemitted window."""
-        key = (self.n_acc, self.widx)
-        if key == self._rkey:
-            return self._rval
-        self._rkey = key
-        self._rval = v = self._compute_ready()
-        return v
-
-    def _compute_ready(self) -> bool:
         if self.n_acc >= self.n_elems:
             return False
         r_d = self._r_in - self.w
@@ -304,7 +294,6 @@ class ConvStage:
         lb._r_in += rows
         lb.widx += wins
         lb._set_threshold()
-        lb._rkey = (-1, -1)
         e.windows_latched += wins
         e.cur_win_idx += wins
         if e.next_win is not None:
@@ -339,18 +328,8 @@ class PoolStage:
         self.drain_pos = 0
         self.out = False
         self.out_stall = 0
-        self._rkey = (-1, -1, False)
-        self._rval = False
 
     def ready(self) -> bool:
-        key = (self.n_acc, self.drain_pos, self.pending)
-        if key == self._rkey:
-            return self._rval
-        self._rkey = key
-        self._rval = v = self._compute_ready()
-        return v
-
-    def _compute_ready(self) -> bool:
         if self.n_acc >= self.n_elems:
             return False
         r, c = self._r_in, self._c_in
@@ -411,4 +390,3 @@ class PoolStage:
         self.n_acc += n_acc
         self._r_in += rows
         self.out_stall += stall
-        self._rkey = (-1, -1, False)

@@ -179,7 +179,9 @@ def reference_assignment(groups, net, budget):
     conv_idx = net.conv_indices()
     dpar = list(full_depth_parallel(net))
     plan = validate_plan(FusionPlan(tuple(groups), tuple(dpar)), net)
-    costs = costmodel.group_costs(plan, net)
+    convs = [net.conv_slice(group) for group in plan.groups]
+    costs = [costmodel.group_cost(group, plan.depth_parallel[c], net)
+             for group, c in zip(plan.groups, convs)]
     while True:
         gi = max(range(len(costs)), key=lambda i: costs[i].dsp)
         if costs[gi].dsp <= budget.dsp_max:
@@ -191,7 +193,7 @@ def reference_assignment(groups, net, budget):
                 continue
             trial = list(dpar)
             trial[pos] //= 2
-            trial_cost = costmodel.group_cost(group, trial, net)
+            trial_cost = costmodel.group_cost(group, trial[convs[gi]], net)
             key = (trial_cost.steady_cycles - costs[gi].steady_cycles, -li)
             if best is None or key < best[0]:
                 best = (key, pos, trial_cost)

@@ -13,8 +13,7 @@ import pytest
 from fusedconv.cli import main
 from fusedconv.config import FusionPlan, full_depth_parallel, parse_plan, \
     serialize_network, validate_plan
-from fusedconv.costmodel import (ResourceBudget, analyze, conv3d_latency, time_ms,
-                                 traffic_bytes, group_costs)
+from fusedconv.costmodel import ResourceBudget, analyze, conv3d_latency, group_cost, time_ms
 from fusedconv.dataflow import simulate_plan
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.dse import fit_groups, fold_partitions
@@ -112,7 +111,7 @@ def test_criterion_4_dsp_accounting():
     net = vgg_prefix_7()
     dpar = ",".join(str(x) for x in VGG7_DEFAULT_DPAR)
     two_layer_group = parse_plan("0-2|3|4|5|6", net, dpar)
-    group_dsp = group_costs(two_layer_group, net)[0].dsp
+    group_dsp = group_cost((0, 2), two_layer_group.depth_parallel[:2], net).dsp
     full = analyze(parse_plan("0-6", net, dpar), net).dsp
     with criterion(4, f"DSP: first fused group {group_dsp} within 0.5% of the "
                       f"measured 605; full fusion {full} == 2907"):
@@ -125,9 +124,10 @@ def test_criterion_5_traffic_accounting():
     dpar = ",".join(str(x) for x in VGG7_DEFAULT_DPAR)
     fused = parse_plan("0-6", net, dpar)
     split = parse_plan("0|1|2|3|4|5|6", net, dpar)
-    full_mb = traffic_bytes(fused, net, 4)["total"] / MEGABYTE
-    reread_mb = traffic_bytes(fused, net, 4, True)["total"] / MEGABYTE
-    none_mb = traffic_bytes(split, net, 1)["total"] / MEGABYTE
+    full_mb = analyze(fused, net, 4).traffic["total"] / MEGABYTE
+    reread_mb = analyze(fused, net, 4, reread_weights_per_depth_group=True).traffic["total"] \
+        / MEGABYTE
+    none_mb = analyze(split, net, 1).traffic["total"] / MEGABYTE
     ratio = 77.14 / full_mb
     with criterion(5, f"traffic: full fusion {full_mb:.3f} MB in [6.0, 6.1] "
                       f"(reference 6.69, documented gap), {reread_mb:.2f} MB "
@@ -254,7 +254,8 @@ def test_partition_sweep_cycle_bounds(reduced_sweep):
     net, _, sims = reduced_sweep
     for groups, sim in sims.items():
         plan = validate_plan(FusionPlan(groups, full_depth_parallel(net)), net)
-        floor = sum(c.bottleneck for c in group_costs(plan, net))
+        floor = sum(group_cost(g, plan.depth_parallel[net.conv_slice(g)], net).bottleneck
+                    for g in groups)
         assert floor <= sim.end_to_end_cycles <= analyze(plan, net).total_estimated_cycles
         for i in range(len(groups) - 1):
             merged = (groups[:i] + ((groups[i][0], groups[i + 1][1]),)

@@ -256,6 +256,15 @@ def test_analyze_reference_numbers(tmp_path, capsys):
     assert report["cost"]["traffic_bytes"]["total"] == 23_184_064
 
 
+def test_analyze_out_writes_its_stdout_as_report(tmp_path, capsys):
+    from fusedconv.networks import vgg_prefix_7
+    (tmp_path / "vgg.json").write_text(serialize_network(vgg_prefix_7(28)))
+    assert main(["analyze", "--network", str(tmp_path / "vgg.json"), "--plan", "0-2|3-6",
+                 "--out", str(tmp_path / "a")]) == 0
+    out = capsys.readouterr().out
+    assert (tmp_path / "a" / "report.json").read_bytes() == out.encode()
+
+
 def test_analyze_frequency_conversion(tmp_path, capsys):
     from fusedconv.networks import vgg_prefix_7
     (tmp_path / "vgg.json").write_text(serialize_network(vgg_prefix_7()))
@@ -313,6 +322,20 @@ def test_dse_refuses_more_layers_than_the_enumeration_bound(tmp_path, capsys):
     (tmp_path / "n.json").write_text(serialize_network(net))
     assert main(["dse", "--network", str(tmp_path / "n.json")]) == 2
     assert "n_layers 21 exceeds enumeration bound 20" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dsp_max, message", [
+    ("1", "error: no feasible plan under the DSP budget\n"),
+    ("0", "error: resource budget must be positive\n")])
+def test_dse_budget_failures_exit_2_and_write_nothing(tmp_path, capsys, dsp_max, message):
+    # VGG-7's first conv reads 3 channels, an odd depth never split: 27 DSP
+    from fusedconv.networks import vgg_prefix_7
+    (tmp_path / "vgg.json").write_text(serialize_network(vgg_prefix_7(28)))
+    assert main(["dse", "--network", str(tmp_path / "vgg.json"), "--dsp-max", dsp_max,
+                 "--out", str(tmp_path / "d")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+    assert not (tmp_path / "d").exists()
 
 
 def test_dse_single_layer_network(tmp_path, capsys):

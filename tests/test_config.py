@@ -4,10 +4,10 @@ import random
 import pytest
 
 from fusedconv.config import (ConvSpec, Dims, FusionPlan, GeometryError,
-                              ParseError, PoolSpec, ValidationError, dpar_to_text,
-                              full_depth_parallel, output_dims, parse_network,
-                              parse_plan, plan_to_text, serialize_network,
-                              validate_plan)
+                              NetworkSpec, ParseError, PoolSpec, ValidationError,
+                              dpar_to_text, full_depth_parallel, output_dims,
+                              parse_network, parse_plan, plan_to_text,
+                              serialize_network, validate_plan)
 
 SMALL_DOC = """
 { "input": {"h": 5, "w": 5, "d": 3},
@@ -75,6 +75,28 @@ def test_network_serialize_roundtrip():
     again = parse_network(text)
     assert again == net
     assert serialize_network(again) == text
+
+
+def test_declared_conv_depth_survives_serialize_and_parse():
+    net = NetworkSpec(Dims(6, 6, 3), (ConvSpec(3, 4, 1, 1, relu=True),
+                                      ConvSpec(3, 2, 1, 1, declared_depth=4)))
+    text = serialize_network(net)
+    layers = json.loads(text)["layers"]
+    assert "depth" not in layers[0]
+    assert layers[1]["depth"] == 4
+    again = parse_network(text)
+    assert again == net
+    assert again.layers[1].declared_depth == 4
+
+
+def test_conv_slice_cuts_depth_parallel_at_group_boundaries():
+    # VGG-7's convs are layers 0, 1, 3, 4 and 6; a pool-only group has none
+    from fusedconv.networks import vgg_prefix_7
+    net = vgg_prefix_7(28)
+    plan = parse_plan("0-2|3|4-5|6", net, "3,32,64,128,64")
+    assert [plan.depth_parallel[net.conv_slice(g)] for g in plan.groups] == \
+        [(3, 32), (64,), (128,), (64,)]
+    assert plan.depth_parallel[net.conv_slice((2, 2))] == ()
 
 
 def test_conv_spec_invariants():

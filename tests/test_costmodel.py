@@ -3,7 +3,7 @@ import pytest
 from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, parse_plan, \
     plan_to_text, validate_plan
 from fusedconv.costmodel import (BRAM_BLOCK_BITS, analyze, conv3d_latency,
-                                 steady_cycles, time_ms, traffic_bytes, group_costs)
+                                 group_cost, steady_cycles, time_ms)
 from fusedconv.dataflow import simulate_group
 from fusedconv.networks import VGG7_DEFAULT_DPAR, vgg_prefix_7
 
@@ -58,7 +58,7 @@ def test_steady_cycles_examples():
 def test_dsp_examples(net, full_plan):
     assert analyze(full_plan, net).dsp == 2907
     first_group = parse_plan("0-2|3|4|5|6", net, DPAR)
-    assert group_costs(first_group, net)[0].dsp == 603
+    assert group_cost((0, 2), first_group.depth_parallel[:2], net).dsp == 603
     one = NetworkSpec(Dims(4, 4, 1), (ConvSpec(1, 1),))
     assert analyze(parse_plan("0", one), one).dsp == 1
 
@@ -84,20 +84,20 @@ def test_buffer_bits_max_over_groups(net, full_plan, split_plan):
 
 
 def test_traffic_reference_figures(net, full_plan, split_plan):
-    full = traffic_bytes(full_plan, net, 4)
+    full = analyze(full_plan, net, 4).traffic
     assert full["total"] == 6_032_128
     assert full["inputs"] == 150_528 * 4
     assert full["outputs"] == 802_816 * 4
     assert full["weights"] == 554_688 * 4
-    none = traffic_bytes(split_plan, net, 1)
+    none = analyze(split_plan, net, 1).traffic
     assert none["total"] == 23_184_064
-    reread = traffic_bytes(full_plan, net, 4, reread_weights_per_depth_group=True)
+    reread = analyze(full_plan, net, 4, reread_weights_per_depth_group=True).traffic
     assert reread["total"] == 7_211_776  # conv3_1 weights fetched twice (g=2)
 
 
 def test_traffic_itemization_sums(net, full_plan, split_plan):
     for plan in (full_plan, split_plan):
-        t = traffic_bytes(plan, net, 4)
+        t = analyze(plan, net, 4).traffic
         assert t["inputs"] + t["outputs"] + t["weights"] == t["total"]
         floor = (net.input_dims.volume + net.layer_dims()[-1].volume) * 4 \
             + t["weights"]
@@ -106,7 +106,7 @@ def test_traffic_itemization_sums(net, full_plan, split_plan):
 
 def test_traffic_single_layer_plan_invariant():
     one = NetworkSpec(Dims(8, 8, 2), (ConvSpec(3, 4, 1, 1),))
-    t = traffic_bytes(parse_plan("0", one), one, 4)
+    t = analyze(parse_plan("0", one), one, 4).traffic
     assert t["total"] == (8 * 8 * 2 + 8 * 8 * 4 + 4 * 9 * 2) * 4
 
 
@@ -115,7 +115,8 @@ def test_merge_direction_monotonicity(net):
     cost = {}
     for groups in bitmask_plans(7):
         plan = parse_plan("|".join(f"{a}-{b}" for a, b in groups), net, DPAR)
-        cost[groups] = (analyze(plan, net).dsp, traffic_bytes(plan, net, 4)["total"])
+        report = analyze(plan, net, 4)
+        cost[groups] = (report.dsp, report.traffic["total"])
     for groups, (dsp, traffic) in cost.items():
         for i in range(len(groups) - 1):
             merged = (groups[:i] + ((groups[i][0], groups[i + 1][1]),)
@@ -192,7 +193,8 @@ def _plans_over_estimate(input_hw):
                 cycles[a, b] = simulate_group(net.layers[a:b + 1], din[a], d_pars).cycles
         plan = validate_plan(FusionPlan(groups, VGG7_DEFAULT_DPAR), net)
         simulated = sum(cycles[g] for g in groups)
-        assert sum(c.bottleneck for c in group_costs(plan, net)) <= simulated
+        assert sum(group_cost(g, plan.depth_parallel[net.conv_slice(g)], net).bottleneck
+                   for g in groups) <= simulated
         estimate = analyze(plan, net).total_estimated_cycles
         if simulated > estimate:
             exceeded[plan_to_text(plan)] = (simulated, estimate)

@@ -95,7 +95,7 @@ def test_linebuffer_stride_two():
 
 
 def permissive_linebuffer_ready(self):
-    """LineBuffer._compute_ready with >= for >: it also admits the element
+    """LineBuffer.ready with >= for >: it also admits the element
     that overwrites the oldest element of the next window to emit."""
     if self.n_acc >= self.n_elems:
         return False
@@ -110,7 +110,7 @@ def permissive_linebuffer_ready(self):
 
 
 def test_permissive_linebuffer_ready_trips_window_guard(monkeypatch, small_net):
-    monkeypatch.setattr(LineBuffer, "_compute_ready", permissive_linebuffer_ready)
+    monkeypatch.setattr(LineBuffer, "ready", permissive_linebuffer_ready)
     with pytest.raises(InternalError, match="overwrote window 6 before emitting it"):
         simulate_group(small_net.layers, small_net.input_dims, [3, 3])
 
@@ -118,7 +118,7 @@ def test_permissive_linebuffer_ready_trips_window_guard(monkeypatch, small_net):
 def test_refusing_linebuffer_trips_the_cycle_budget(monkeypatch, small_net):
     # a line buffer that never accepts stalls the whole chain: the clock
     # jumps to the derived cycle budget and the loop gives up there
-    monkeypatch.setattr(LineBuffer, "_compute_ready", lambda self: False)
+    monkeypatch.setattr(LineBuffer, "ready", lambda self: False)
     with pytest.raises(InternalError, match=r"no progress within \d+ cycles "
                                             r"\(collected 0/4\)"):
         simulate_group(small_net.layers, small_net.input_dims, [3, 3])
@@ -332,7 +332,7 @@ def test_pool_rejects_overlapping_windows():
 
 
 def permissive_pool_ready(self):
-    """PoolStage._compute_ready with > for >=: it also admits an element
+    """PoolStage.ready with > for >=: it also admits an element
     landing in the next slot to drain."""
     if self.n_acc >= self.n_elems:
         return False
@@ -348,7 +348,7 @@ def permissive_pool_ready(self):
 def test_permissive_pool_ready_trips_drain_guard(monkeypatch, reduced7):
     # this chain holds its first pool's output while the pool's next row
     # arrives, so a permissive pool lands an element on an undrained slot
-    monkeypatch.setattr(PoolStage, "_compute_ready", permissive_pool_ready)
+    monkeypatch.setattr(PoolStage, "ready", permissive_pool_ready)
     with pytest.raises(InternalError, match="overwritten before it drained"):
         simulate_group(reduced7.layers, reduced7.input_dims, [3, 8, 8, 1, 16])
 

@@ -79,7 +79,7 @@ def test_assignment_cycles_monotone_in_budget(net):
             plan = assign_depth_parallelism([(0, 6)], net, ResourceBudget(dsp_max=dsp_max))
         except ValidationError:
             break
-        floor = sum(c.bottleneck for c in costmodel.group_costs(plan, net))
+        floor = costmodel.group_cost((0, 6), plan.depth_parallel, net).bottleneck
         report = analyze(plan, net)
         est = report.total_estimated_cycles
         assert report.dsp <= dsp_max
