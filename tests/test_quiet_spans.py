@@ -353,6 +353,19 @@ def test_fused_vgg7_steps_only_the_stages_that_act(monkeypatch):
     assert len(calls) <= 15_000
 
 
+@pytest.mark.parametrize("net, d_pars, steps, jumped", [
+    (consecutive_convs(1, input_hw=56), [3], 1_342, 179_200),
+    (vgg_prefix_7(input_hw=28), list(VGG7_DEFAULT_DPAR), 10_209, 0),
+    (NetworkSpec(Dims(16, 16, 16), (ConvSpec(3, 16, 1, 1, relu=False),)), [4], 479, 10_240),
+    (vgg_prefix_7(), list(VGG7_DEFAULT_DPAR), 81_916, 2_809_856)],
+    ids=["conv1_1-56", "vgg7-28", "saturating", "vgg7-224"])
+def test_schedule_work_is_pinned(net, d_pars, steps, jumped):
+    # the stage steps the clocks take and the cycles they jump over are the
+    # schedule's cost; a change to a stage's state must keep both
+    _, _, got_steps, jumps = counted_run(net.layers, net.input_dims, d_pars)
+    assert (got_steps, sum(m * dc for m, dc in jumps)) == (steps, jumped)
+
+
 @pytest.mark.parametrize("kernel, stride, pad", [
     (1, 1, 0), (3, 1, 0), (3, 1, 1), (3, 2, 1), (3, 3, 2), (5, 2, 2), (1, 2, 0)])
 @pytest.mark.parametrize("height", [5, 6, 9, 12])
