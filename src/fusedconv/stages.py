@@ -3,25 +3,25 @@
 Elements are depth-concatenated positions (all channel values of one spatial
 location). Every stage advances at most one element per cycle under a
 ready/valid handshake, driven by dataflow.simulate_group's clocks. A stage
-carries presence tokens, not values, and keeps counters only. Two O(1)
-guards raise InternalError where it would lose data: a line buffer building
-a window whose oldest real element was overwritten, and a pool element
-landing in a row slot that has not drained. Windows leave a line buffer in
-raster order through a one-slot skid, so the engine latches them in raster
-order too.
+carries presence tokens, not values, and keeps each fact in one counter.
+Two O(1) guards raise InternalError where it would lose data: a line buffer
+building a window whose oldest real element was overwritten, and a pool
+element landing in a row slot that has not drained. Windows leave a line
+buffer in raster order through a one-slot skid, so the i-th window an engine
+latches is output position i, and the line buffer's widx counts the latches.
 
 A stage counts no cycles; the clocks of dataflow.simulate_group do. Besides
 its single-cycle `step`, a stage exposes the two shortcuts the clocks take.
 `quiet_for` and `skip` cross cycles in which only counters move, in closed
 form, as long as no element arrives and the output is not taken. The
 schedule rests on one invariant: ready() and `out` cannot change on such a
-quiet cycle, because `n_acc`, `widx` and the pool's drain state move only
-on cycles where quiet_for is 0 or an element arrives, and `out` only when an
-element completes or leaves. So an idle stage's handshakes are those of its
-last step. `row_period`, `state` and `translate` serve the row-periodic
-fast-forward: the per-period deltas and clamp-free bounds of the stage's
-counters, its counters with every other field relative to them, and the
-advance of those counters by whole periods.
+quiet cycle, because a line buffer's counters and the pool's drain
+position move only on cycles where quiet_for is 0 or an element arrives,
+and `out` only when an element completes or leaves. So an idle stage's
+handshakes are those of its last step. `row_period`, `state` and
+`translate` serve the row-periodic fast-forward: the per-period deltas and
+clamp-free bounds of the stage's counters, its counters with every other
+field relative to them, and the advance of those counters by whole periods.
 """
 
 from __future__ import annotations
@@ -50,7 +50,9 @@ class LineBuffer:
     """w rows of padded width, kept as counters: emits the next raster-order
     window when all of its real (non synthesized-padding) elements have
     arrived, and refuses an element that would overwrite a row slot still
-    needed by an unemitted window."""
+    needed by an unemitted window. It keeps the input position twice, for
+    speed: cycle() compares the count n_acc with the window thresholds, and
+    ready() reads the coordinate (_r_in, _c_in)."""
 
     def __init__(self, in_dims: Dims, spec: ConvSpec):
         self.h, self.w_in = in_dims.height, in_dims.width
@@ -130,35 +132,29 @@ class ConvEngine:
     serial depth groups combine in a per-filter accumulator row; only the
     final group's scalars leave the engine, in filter order.
 
-    The engine carries window tokens, not values: its skid slot holds a
-    window index. Windows are latched in raster order, so the scalars a
-    window yields are dataflow.conv_datapath's values for that position,
-    computed once per layer after the schedule has run.
+    The engine carries window tokens, not values: a flag for its skid slot,
+    and the issues left in the held window's sweep. The i-th window latched
+    is output position i, so the scalars it yields are dataflow.conv_datapath's
+    values there, computed once per layer after the schedule has run.
     """
 
     def __init__(self, spec: ConvSpec, depth: int, d_par: int):
         if depth % d_par != 0:
             raise ValidationError(f"depth {depth} not divisible by d_par {d_par}")
         self.k = spec.filters
-        self.g = depth // d_par
-        self.kg = self.k * self.g
+        self.kg = self.k * (depth // d_par)
         self.latency = conv3d_latency(spec.kernel, d_par)
-        self._final_first = (self.g - 1) * self.k
-        self.next_win = None          # index of the window in the skid slot
-        self.cur_win_idx = -1
+        self.skid = False             # a window waits in the skid slot
         self.cur_left = 0
-        self.issues_done = 0
         self.adv = 0
         self.emq = deque()            # (first_adv, complete_adv) per window
-        self.windows_latched = 0
         self.scalars_emitted = 0
 
     def latch(self):
         """Take the line buffer's next window into the skid slot."""
-        if self.next_win is not None:
+        if self.skid:
             raise InternalError("window skid slot occupied")
-        self.next_win = self.windows_latched
-        self.windows_latched += 1
+        self.skid = True
 
     def cycle(self, out_free: bool) -> bool:
         """One clock. The pipeline freezes (no advance, no issue) only when the
@@ -180,20 +176,15 @@ class ConvEngine:
         else:
             self.adv += 1
 
-        if self.cur_left == 0:
-            nw = self.next_win
-            if nw is not None:
-                self.cur_win_idx = nw
-                self.next_win = None
-                self.cur_left = self.kg
-                self.issues_done = 0
+        if self.cur_left == 0 and self.skid:
+            self.skid = False
+            self.cur_left = self.kg
 
         left = self.cur_left
         if left > 0:
-            if self.issues_done == self._final_first:
+            if left == self.k:  # the final depth group's sweep starts
                 adv = self.adv
                 emq.append((adv + self.latency, adv + self.latency + self.k - 1))
-            self.issues_done += 1
             self.cur_left = left - 1
 
         return completed
@@ -202,11 +193,11 @@ class ConvEngine:
         """Upcoming cycles with no latch, queued issue or completed element. A
         held output freezes the engine at the completing scalar for good."""
         if not self.cur_left:
-            q = _FOREVER if self.next_win is None else 0
-        elif self.issues_done <= self._final_first:
-            q = self._final_first - self.issues_done
+            q = 0 if self.skid else _FOREVER
+        elif self.cur_left >= self.k:
+            q = self.cur_left - self.k
         else:
-            q = _FOREVER if self.next_win is None else self.cur_left
+            q = self.cur_left if self.skid else _FOREVER
         if not self.emq:
             return q
         c = self.emq[0][1] - self.adv - 1
@@ -220,9 +211,7 @@ class ConvEngine:
         if held and emq:
             n = min(n, emq[0][1] - adv0 - 1)
         self.adv = adv0 + n
-        done = min(n, self.cur_left)
-        self.cur_left -= done
-        self.issues_done += done
+        self.cur_left -= min(n, self.cur_left)
         if emq:
             self.scalars_emitted += max(0, adv0 + n + 1 - max(emq[0][0], adv0 + 1))
 
@@ -249,13 +238,13 @@ class ConvStage:
         engine = self.engine
         if engine.cycle(out_free):
             self.out = True
-        if self.lb.cycle(in_elem, engine.next_win is None):
+        if self.lb.cycle(in_elem, not engine.skid):
             engine.latch()
 
     def quiet_for(self) -> int:
         """Upcoming cycles on which the stage does not act on its own: no
         window leaves its line buffer and its engine stays quiet."""
-        if self.engine.next_win is None and self.lb.n_acc >= self.lb._threshold:
+        if not self.engine.skid and self.lb.n_acc >= self.lb._threshold:
             return 0
         return self.engine.quiet_for(self.out)
 
@@ -279,11 +268,9 @@ class ConvStage:
         """(counters, rest): the counters a row-periodic stretch advances by a
         fixed amount per period, and every other field relative to them."""
         lb, e = self.lb, self.engine
-        wins, adv = lb.widx, e.adv
-        return ((lb.n_acc, lb._r_in, wins, adv, e.scalars_emitted, self.out_stall),
-                (lb._c_in, self.out, e.cur_left, e.issues_done,
-                 None if e.next_win is None else e.next_win - wins,
-                 e.cur_win_idx - wins,
+        adv = e.adv
+        return ((lb.n_acc, lb._r_in, lb.widx, adv, e.scalars_emitted, self.out_stall),
+                (lb._c_in, self.out, e.cur_left, e.skid,
                  tuple((f - adv, c - adv) for f, c in e.emq)))
 
     def translate(self, m: int, delta):
@@ -294,10 +281,6 @@ class ConvStage:
         lb._r_in += rows
         lb.widx += wins
         lb._set_threshold()
-        e.windows_latched += wins
-        e.cur_win_idx += wins
-        if e.next_win is not None:
-            e.next_win += wins
         e.adv += adv
         e.emq = deque((f + adv, c + adv) for f, c in e.emq)
         e.scalars_emitted += scalars
@@ -308,9 +291,10 @@ class PoolStage:
     """One row of running maxima, updated in raster order: the first element
     landing in a slot opens it, later covered elements fold into it; the
     pooled row drains serially once its last input row completes. The stage
-    keeps only the counters of that row; an element landing in a slot that
-    has not drained yet is an invariant breach. Requires window <= stride (a
-    single physical row cannot serve overlapping vertical windows)."""
+    keeps only its input coordinate and the next slot to drain (w_out: none);
+    an element landing in a slot that has not drained is an invariant breach.
+    Requires window <= stride (a single physical row cannot serve
+    overlapping vertical windows)."""
 
     def __init__(self, spec: PoolSpec, in_dims: Dims, name="pool"):
         check_pipeline_pool(spec)
@@ -320,38 +304,32 @@ class PoolStage:
         self.window = spec.window
         self.stride = spec.stride
         self.h_out, self.w_out = self.out_dims.height, self.out_dims.width
-        self.n_elems = self.h_in * self.w_in
-        self.n_acc = 0
         self._r_in = 0
         self._c_in = 0
-        self.pending = False
-        self.drain_pos = 0
+        self.drain_pos = self.w_out
         self.out = False
         self.out_stall = 0
 
     def ready(self) -> bool:
-        if self.n_acc >= self.n_elems:
-            return False
         r, c = self._r_in, self._c_in
+        if r == self.h_in:
+            return False
         if r // self.stride >= self.h_out or r % self.stride >= self.window:
             return True
         j = c // self.stride
         if j >= self.w_out or c % self.stride >= self.window:
             return True
-        return not (self.pending and j >= self.drain_pos)
+        return j < self.drain_pos
 
     def step(self, in_elem: bool, out_consumed: bool):
         if out_consumed:
             self.out = False
-        if not self.out and self.pending:
+        if not self.out and self.drain_pos < self.w_out:
             self.out = True
             self.drain_pos += 1
-            if self.drain_pos == self.w_out:
-                self.pending = False
         if not in_elem:
             return
         r, c = self._r_in, self._c_in
-        self.n_acc += 1
         if c + 1 == self.w_in:
             self._c_in = 0
             self._r_in = r + 1
@@ -361,16 +339,15 @@ class PoolStage:
         c_out, cp = divmod(c, self.stride)
         if r_out < self.h_out and rp < self.window \
                 and c_out < self.w_out and cp < self.window:
-            if self.pending and c_out >= self.drain_pos:
+            if c_out >= self.drain_pos:
                 raise InternalError(
                     f"pool slot {c_out} overwritten before it drained")
             if rp == self.window - 1 and cp == self.window - 1 \
                     and c_out == self.w_out - 1:
-                self.pending = True
                 self.drain_pos = 0
 
     def quiet_for(self) -> int:
-        return 0 if self.pending and not self.out else _FOREVER
+        return 0 if self.drain_pos < self.w_out and not self.out else _FOREVER
 
     def skip(self, n: int):
         if self.out:
@@ -378,15 +355,14 @@ class PoolStage:
 
     def row_period(self, rows: int):
         """As ConvStage.row_period; the only clamp is on the input row."""
-        return ((rows * self.w_in, rows, None),
-                ((1, 0, min(self.h_in, self.h_out * self.stride) - 1),))
+        return ((rows, None),
+                ((0, 0, min(self.h_in, self.h_out * self.stride) - 1),))
 
     def state(self):
-        return ((self.n_acc, self._r_in, self.out_stall),
-                (self._c_in, self.pending, self.drain_pos, self.out))
+        return ((self._r_in, self.out_stall),
+                (self._c_in, self.drain_pos, self.out))
 
     def translate(self, m: int, delta):
-        n_acc, rows, stall = (m * d for d in delta)
-        self.n_acc += n_acc
+        rows, stall = (m * d for d in delta)
         self._r_in += rows
         self.out_stall += stall

@@ -332,17 +332,17 @@ def test_pool_rejects_overlapping_windows():
 
 
 def permissive_pool_ready(self):
-    """PoolStage.ready with > for >=: it also admits an element
+    """PoolStage.ready with <= for <: it also admits an element
     landing in the next slot to drain."""
-    if self.n_acc >= self.n_elems:
-        return False
     r, c = self._r_in, self._c_in
+    if r == self.h_in:
+        return False
     if r // self.stride >= self.h_out or r % self.stride >= self.window:
         return True
     j = c // self.stride
     if j >= self.w_out or c % self.stride >= self.window:
         return True
-    return not (self.pending and j > self.drain_pos)
+    return j <= self.drain_pos
 
 
 def test_permissive_pool_ready_trips_drain_guard(monkeypatch, reduced7):
@@ -513,9 +513,10 @@ def test_determinism_identical_runs(small_net, small_data):
 
 def engine_events(net, d_pars):
     """Per conv stage of the fused net, its engine's latches, as (cycle,
-    window), and the cycles on which it emitted a scalar, read from its
-    cur_win_idx and scalars_emitted after every cycle of the per-cycle
-    reference loop."""
+    window), and the cycles on which it emitted a scalar, read after every
+    cycle of the per-cycle reference loop: the window it sweeps is the last
+    one its line buffer emitted, or the one before while the skid slot holds
+    a window."""
     events = {}
 
     def watch(cycle, stages):
@@ -523,8 +524,9 @@ def engine_events(net, d_pars):
             if isinstance(st, ConvStage):
                 latches, emits = events.setdefault(st.name, ([], []))
                 e = st.engine
-                if e.cur_win_idx != (latches[-1][1] if latches else -1):
-                    latches.append((cycle, e.cur_win_idx))
+                swept = st.lb.widx - e.skid - 1
+                if swept != (latches[-1][1] if latches else -1):
+                    latches.append((cycle, swept))
                 emits += [cycle] * (e.scalars_emitted - len(emits))
 
     step_every_cycle(net.layers, net.input_dims, d_pars, watch=watch)
@@ -587,7 +589,7 @@ def test_engine_issue_stalls_when_no_input():
     for cyc in range(1, 2000):
         stage.step(False, stage.out)
         assert not stage.out
-    assert stage.engine.windows_latched == 0
+    assert stage.lb.widx == 0
 
 
 def test_randomized_oracle_equivalence_sample():

@@ -71,8 +71,9 @@ def step_every_cycle(layers, in_dims, d_pars, layer_offset=0, until=None, watch=
 
 
 def engine_counters(stages):
-    return [(e.adv, e.issues_done, e.cur_left, e.scalars_emitted, e.windows_latched)
-            for e in (st.engine for st in stages if isinstance(st, ConvStage))]
+    return [(st.engine.adv, st.engine.cur_left, st.engine.skid,
+             st.engine.scalars_emitted, st.lb.widx)
+            for st in stages if isinstance(st, ConvStage)]
 
 
 def counted_run(layers, in_dims, d_pars, layer_offset=0, trace=None):
