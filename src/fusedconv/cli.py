@@ -290,7 +290,7 @@ def build_parser() -> _Parser:
     def common_cost_flags(p, freq=True):
         p.add_argument("--bytes-per-value", type=int, default=4, choices=(1, 2, 4))
         if freq:
-            p.add_argument("--freq-mhz", type=frequency, default=120.0)
+            p.add_argument("--freq-mhz", type=frequency, default=costmodel.DEFAULT_FREQUENCY_MHZ)
         p.add_argument("--reread-weights-per-depth-group", action="store_true")
 
     p = sub.add_parser("gen", help="generate seeded tensor/weight files")

@@ -288,8 +288,6 @@ def parse_network(text: str) -> NetworkSpec:
     raw_layers = doc.get("layers")
     if not isinstance(raw_layers, list):
         raise ValidationError("'layers' must be a list")
-    if not raw_layers:
-        raise ValidationError("layers nonempty: network must contain at least one layer")
 
     layers = []
     for i, entry in enumerate(raw_layers):

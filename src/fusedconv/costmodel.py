@@ -14,7 +14,7 @@ without a stall.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 from .config import ConvSpec, Dims, FusionPlan, NetworkSpec, ValidationError, \
     validate_plan
@@ -72,6 +72,7 @@ class GroupCost:
     input_values: int   # the group input volume, streamed in once
     output_values: int  # the group output volume, streamed out once
     weight_values: int  # every conv's weights, once or once per depth group
+    rows: tuple = field(default=(), compare=False, repr=False)  # layer_cost per layer
 
     @property
     def bottleneck(self) -> int:
@@ -108,8 +109,8 @@ def layer_cost(layer, in_dims: Dims, out_dims: Dims, d_par=None) -> dict:
 def group_cost(group, d_pars, net: NetworkSpec,
                reread_weights_per_depth_group: bool = False) -> GroupCost:
     """GroupCost of one group (a, b) of a validated plan, whose convs run at
-    d_pars in order: its layers' layer_cost rows folded, plus the fill chain
-    and the traffic volumes.
+    d_pars in order: its layers' layer_cost rows, kept in `rows` and folded,
+    plus the fill chain and the traffic volumes.
 
     Fill latency is charged for every stage at the per-element period of
     whatever feeds it: k*g of the producing conv, 1 at the group input,
@@ -126,6 +127,7 @@ def group_cost(group, d_pars, net: NetworkSpec,
     d_par = iter(d_pars)
     dsp = bits = blocks = steady = fill = weights = 0
     period = 1
+    rows = []
     for li in range(a, b + 1):
         layer, d_in = net.layers[li], dims_in[li]
         if isinstance(layer, ConvSpec):
@@ -143,9 +145,10 @@ def group_cost(group, d_pars, net: NetworkSpec,
         dsp += row["dsp"]
         bits += row["buffer_bits"]
         blocks += row["buffer_blocks"]
+        rows.append(row)
     return GroupCost(dsp, bits, blocks, steady,
                      dims_in[a].height * dims_in[a].width, fill,
-                     dims_in[a].volume, dims_out[b].volume, weights)
+                     dims_in[a].volume, dims_out[b].volume, weights, tuple(rows))
 
 
 def check_bytes_per_value(bytes_per_value: int) -> None:
@@ -183,11 +186,8 @@ def analyze(plan: FusionPlan, net: NetworkSpec, bytes_per_value: int = 4,
     check_bytes_per_value(bytes_per_value)
     costs = [group_cost(group, plan.depth_parallel[net.conv_slice(group)], net,
                         reread_weights_per_depth_group) for group in plan.groups]
-    dims_in, dims_out = net.layer_input_dims(), net.layer_dims()
-    d_par = iter(plan.depth_parallel)
-    per_layer = [{"layer": li, **layer_cost(
-        layer, dims_in[li], dims_out[li], next(d_par) if isinstance(layer, ConvSpec) else None)}
-        for li, layer in enumerate(net.layers)]
+    per_layer = [{"layer": li, **row}
+                 for li, row in enumerate(row for c in costs for row in c.rows)]
 
     # hardware is rebuilt (reused) between groups, so DSP and buffers are
     # those of the widest group (buffers: the first group with the most bits)
