@@ -49,8 +49,8 @@ def main():
         quiet = [n for _, kind, _, n, _ in mine if kind == "quiet"]
         print(f"    {stamp.name}: {len(mine) - len(quiet)} steps, {len(quiet)} quiet "
               f"spans over {sum(quiet)} cycles, to cycle {mine[-1][2] + mine[-1][3] - 1}")
-    print(f"the group's count, {sim.cycles_per_group[0]}, is the pool's last output; the"
-          " convs still flush the row it discards.")
+    print(f"the group's count, {sim.cycles_per_group[0]}, is its last cycle: the pool's last"
+          " output comes earlier, and the convs still flush the row it discards.")
     conv = [s for s in spans if s[0] == 0]
     at = next(j for j, s in enumerate(conv) if s[1] == "quiet")
     print("l0.conv around its first quiet span, while the engine sweeps a window:")

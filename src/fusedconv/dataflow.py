@@ -11,8 +11,8 @@ cannot change results. Ripple within a stage is combinational, which is
 what sustains one window per cycle when a conv layer has a single filter and
 no depth decomposition.
 
-Cycle accounting is exact: a group's cycle count is the stamp at which its
-last output element reached the collector, including pipeline flush.
+Cycle accounting is exact: a group's cycle count is the last cycle on which
+any of its stages emits, pipeline flush and a pool's discarded rows included.
 
 The schedule never reads a value, so simulate_group takes layer dims and
 d_par, not data. Values do not depend on the schedule or on group
@@ -201,16 +201,16 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
     """Run one fused group's schedule on an in_dims input: the input streams
     one element per cycle while the chain accepts, then flush cycles run
     until every stage has emitted its complete output (trailing rows a pool
-    discards still flow through). The group's cycle count is the stamp of
-    the final stage's last element. Only presence tokens move, so no value
-    is read or computed here.
+    discards still flow through). The group's cycle count is the last of
+    these cycles: the last stage's last output, or a later one of an earlier
+    stage where a pool discards trailing rows. Only presence tokens move, so
+    no value is read or computed here.
 
     Given a list as `trace`, appends the spans the schedule takes, each
     (stage index, kind, first cycle, cycles, periods): a 1-cycle "step", a
     "quiet" skip, and per stage a "periodic" jump over `periods` periods.
     Each stage's spans cover the schedule's cycles once, from 1 to the
-    group's count, or on to the last stage's end where a pool discards
-    trailing rows."""
+    group's count."""
     if not layers:
         raise ValidationError("fused group must contain at least one layer")
     stages = _build_stages(layers, in_dims, d_pars, layer_offset)
@@ -347,7 +347,7 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
 
     catch_up(cycle)
     return GroupResult(
-        cycles=stamps[-1].last_out,
+        cycles=cycle,
         stamps=stamps,
         stall_cycles={st.name: st.out_stall for st in stages})
 

@@ -364,9 +364,21 @@ def test_simulate_group_matches_golden(small_net, small_data):
     for got, want in zip(sim.layer_outputs, outs, strict=True):
         assert got.equals(want)
     res = simulate_group(small_net.layers, small_net.input_dims, [3, 3])
-    assert res.cycles == res.stamps[-1].last_out
+    assert res.cycles == max(s.last_out for s in res.stamps)
     assert [res.cycles] == sim.cycles_per_group
     assert [res.stamps] == sim.stamps_per_group
+
+
+@pytest.mark.parametrize("a, d_pars, cycles, pool_done", [(0, [3, 3], 233, 218),
+                                                          (1, [3], 147, 132)])
+def test_group_counts_the_rows_a_pool_discards(small_net, a, d_pars, cycles, pool_done):
+    # the 5x5 maps pool to 2x2: the convs before the pool still compute the
+    # row and column it discards after its last output, and the group runs
+    # until they are done, as long as the group without its pool
+    layers, in_dims = small_net.layers[a:], small_net.layer_input_dims()[a]
+    res = simulate_group(layers, in_dims, d_pars)
+    assert (res.cycles, res.stamps[-1].last_out) == (cycles, pool_done)
+    assert res.cycles == simulate_group(layers[:-1], in_dims, d_pars).cycles
 
 
 @pytest.mark.parametrize("d_par, cycles", [((3, 1, 1, 1, 1), 86_837),
