@@ -5,7 +5,9 @@ the 64-filter sweep, so the layer is pinned at 224*224*64 steady cycles plus
 a small fill. The simulator jumps its clock across the quiet cycles of each
 sweep, fast-forwards whole rows once the pipeline repeats itself row after
 row, and computes the values once per layer after the schedule, so the
-~3.2M simulated cycles take well under a second of wall time.
+~3.2M simulated cycles take well under a second of wall time. Each run
+prints the seconds of its schedule and of its value walk, and the cycles
+the schedule's clock jumped over (from the spans of a traced run).
 
 Run: python demos/04_full_scale_timing.py [--seven-layer]
 """
@@ -21,9 +23,13 @@ from fusedconv.networks import VGG7_DEFAULT_DPAR, consecutive_convs, vgg_prefix_
 def run(net, plan, label, reference_ms):
     tensor = generate_tensor(net.input_dims, seed=1)
     banks = generate_weights(net, seed=2)
+    spans = []
     t0 = time.monotonic()
-    sim = simulate_plan(net, tensor, banks, plan)
+    sim = simulate_plan(net, tensor, banks, plan, trace=spans)
     wall = time.monotonic() - t0
+    # each stage's spans cover its group's cycles once: count stage 0's jumps
+    jumped = sum(n for group in spans for i, kind, _, n, _ in group
+                 if i == 0 and kind == "periodic")
     est = analyze(plan, net).total_estimated_cycles
     print(f"{label}:")
     print(f"  simulated: {sim.end_to_end_cycles:,} cycles "
@@ -33,6 +39,9 @@ def run(net, plan, label, reference_ms):
     print(f"  stage completion stamps:")
     for s in sim.stamps_per_group[0]:
         print(f"    {s.name:10s} last output at cycle {s.last_out:,}")
+    schedule_s, values_s = sim.seconds
+    print(f"  schedule:  {schedule_s:.2f}s, its clock jumped {jumped:,} cycles")
+    print(f"  values:    {values_s:.2f}s")
     print(f"  ({wall:.1f}s wall, {sim.saturation_events} saturation events)")
     print()
 

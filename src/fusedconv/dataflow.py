@@ -34,18 +34,20 @@ stages that act step on it: the due ones, the one an element enters and
 those whose output leaves. A quiet stage's out flag and ready() cannot
 change (see stages.py), so handshakes read them as its last step left them,
 and an idle stage catches up through `skip`, in closed form, only when it
-steps, at a row snapshot and at the end. Fused VGG-7 at 28x28 makes 10,209
-stage steps (45,745 when each event cycle stepped all seven stages).
+steps, at a row snapshot and at the end.
 
-And between its top and bottom boundary rows the pipeline is row-periodic:
-every P source rows, P the group's strides multiplied, each stage repeats
-the same counter changes. At each source-row boundary in the rows where no
-stage's boundary clamp can act, the clock compares the state with the state
-P rows earlier; once it is that state translated by one period, the clock
-jumps whole periods at once (_fast_forward). Neither shortcut changes a
-cycle count, stamp or stall. A trace records the spans these clocks take:
-each stage's steps, its quiet skips and the periodic jumps, which together
-cover every cycle of the stage once.
+And above its bottom boundary rows the pipeline is row-periodic: every P
+source rows, P the group's strides multiplied, each stage repeats the same
+counter changes. At each source-row boundary up to the rows where a bottom
+clamp can act, the clock compares the state with the state P rows earlier;
+once it is that state translated by one period, and no line buffer's top
+clamp overrode its unclamped rule in between, the clock jumps whole
+periods at once (_fast_forward). Fused VGG-7 at 28x28 makes 7,281 stage
+steps and jumps two periods from source row 19 (10,209 steps without the
+jump, 45,745 when each event cycle stepped all seven stages). Neither
+shortcut changes a cycle count, stamp or stall. A trace records the spans
+these clocks take: each stage's steps, its quiet skips and the periodic
+jumps, which together cover every cycle of the stage once.
 """
 from __future__ import annotations
 
@@ -168,13 +170,19 @@ def _snapshot(cycle, stages, stamps):
 def _fast_forward(old, new, stages, stamps, periods, max_cycles):
     """Skip whole periods from snapshot `new`, given `old`, one period before
     it. Skips nothing unless each stage's state is its old state translated
-    by one period, with every delta its row_period fixes, and no boundary
-    clamp acts from `old` up to the landing state. Then each cycle's
-    transition commutes with the translation, so m more periods land on the
-    state translated m times. Every counter only grows, so the counters of
-    `old` and of the landing state bound every value a decision reads on
-    the way. The landing cycle stays within the watchdog's max_cycles.
-    Returns (m, cycles per period)."""
+    by one period, with every delta its row_period fixes. The rules each
+    decision reads the counters through commute with the translation, so m
+    more periods land on the state translated m times, except where a
+    boundary clamp acts. A bottom clamp acts past a row_period bound; every
+    counter only grows, so the landing state's counters bound m. The one
+    top clamp that decides anything, ready()'s, changes a transition only
+    where it admits an element the unclamped rule refuses. The override
+    count, whose fixed delta is 0, refuses a period with one; a period
+    without took the unclamped rules' decisions, as every later one does.
+    (_set_threshold's r_top feeds only the overwrite guard, which translate
+    recomputes.) A stage's fixed emitted delta is at least 1, so at `new`
+    each stage has set its first_out. The landing cycle stays within the
+    watchdog's max_cycles. Returns (m, cycles per period)."""
     (c0, snap0), (c1, snap1) = old, new
     dc = c1 - c0
     m = (max_cycles - c1) // dc
@@ -183,9 +191,7 @@ def _fast_forward(old, new, stages, stamps, periods, max_cycles):
         delta = tuple(b - a for a, b in zip(cnt0, cnt1))
         if rest0 != rest1 or any(f is not None and f != d for f, d in zip(fixed, delta)):
             return 0, dc
-        for i, lo, hi in bounds:
-            if cnt0[i] < lo:
-                return 0, dc
+        for i, hi in bounds:
             m = min(m, (hi - cnt1[i]) // delta[i])
         deltas.append(delta)
     if m > 0:
@@ -235,22 +241,20 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
 
     # row-periodic fast-forward: a period is as many source rows as the
     # group's strides multiply to; stage i takes period // S_i input rows of
-    # it, S_i the strides before it multiplied. Between the source rows
-    # lo and hi no stage's boundary clamp can act.
+    # it, S_i the strides before it multiplied. Up to source row hi no
+    # stage's bottom clamp can act.
     period = math.prod(layer.stride for layer in layers)
     width = in_dims.width
-    periods, lo, hi, rows = [], 0, in_dims.height - 1, period
+    periods, hi, rows = [], in_dims.height - 1, period
     for st, layer, n_out in zip(stages, layers, expected):
         fixed, bounds = st.row_period(rows)
-        _, r_lo, r_hi = bounds[0]
-        lo = max(lo, r_lo * (period // rows))
-        hi = min(hi, (r_hi + 1) * (period // rows) - 1)
+        hi = min(hi, (bounds[0][1] + 1) * (period // rows) - 1)
         rows //= layer.stride
         periods.append((fixed + (rows * st.out_dims.width, None),
-                        bounds + ((len(fixed), 1, n_out - 1),)))
-    # snapshot rows lo to hi - period, and only if they span three periods,
+                        bounds + ((len(fixed), n_out - 1),)))
+    # snapshot rows 1 to hi - period, and only if they span three periods,
     # so that a jump skips one at least
-    probe_at = -1 if hi - lo < 3 * period else max(lo, 1) * width
+    probe_at = -1 if hi - 1 < 3 * period else width
     last_probe = (hi - period) * width
     history = deque(maxlen=period + 1)
 

@@ -19,9 +19,10 @@ quiet cycle, because a line buffer's counters and the pool's drain
 position move only on cycles where quiet_for is 0 or an element arrives,
 and `out` only when an element completes or leaves. So an idle stage's
 handshakes are those of its last step. `row_period`, `state` and
-`translate` serve the row-periodic fast-forward: the per-period deltas and
-clamp-free bounds of the stage's counters, its counters with every other
-field relative to them, and the advance of those counters by whole periods.
+`translate` serve the row-periodic fast-forward: the per-period deltas of
+the stage's counters and the bounds past which a bottom clamp acts, its
+counters with every other field relative to them, and the advance of those
+counters by whole periods.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ class LineBuffer:
     arrived, and refuses an element that would overwrite a row slot still
     needed by an unemitted window. It keeps the input position twice, for
     speed: cycle() compares the count n_acc with the window thresholds, and
-    ready() reads the coordinate (_r_in, _c_in)."""
+    ready() reads the coordinate (_r_in, _c_in). `overrides` counts the
+    elements accepted that ready()'s unclamped rule would have refused."""
 
     def __init__(self, in_dims: Dims, spec: ConvSpec):
         self.h, self.w_in = in_dims.height, in_dims.width
@@ -65,6 +67,7 @@ class LineBuffer:
         self._r_in = 0
         self._c_in = 0
         self.widx = 0
+        self.overrides = 0
         self._set_threshold()
 
     def _set_threshold(self):
@@ -89,13 +92,16 @@ class LineBuffer:
 
     def ready(self) -> bool:
         """Accepting the next element may not overwrite a row slot still
-        needed by an unemitted window."""
+        needed by an unemitted window. The top clamp admits the first w rows
+        whatever the window: their slots hold no real row."""
         if self.n_acc >= self.n_elems:
             return False
-        r_d = self._r_in - self.w
-        if r_d < 0:
-            return True
-        rho = _last_needing(r_d, self.p, self.s, self.h_out, self.w)
+        return self._r_in < self.w or self._free()
+
+    def _free(self) -> bool:
+        """ready()'s unclamped rule: the next element's row slot, at input row
+        r - w, is needed by no unemitted window (padding rows included)."""
+        rho = _last_needing(self._r_in - self.w, self.p, self.s, self.h_out, self.w)
         if rho is None:
             return True
         gam = _last_needing(self._c_in, self.p, self.s, self.w_out, self.w)
@@ -105,8 +111,11 @@ class LineBuffer:
 
     def cycle(self, elem: bool, can_emit: bool) -> bool:
         """One clock: possibly emit the next window (decided on previous-cycle
-        fill state), then absorb the offered element. Returns whether a
+        fill state), then absorb the offered element, counting it in
+        overrides if only ready()'s top clamp admitted it. Returns whether a
         window was emitted."""
+        if elem and self._r_in < self.w and not self._free():
+            self.overrides += 1
         emitted = can_emit and self.n_acc >= self._threshold
         if emitted:
             if self.n_acc > self._overwritten:
@@ -255,27 +264,28 @@ class ConvStage:
 
     def row_period(self, rows: int):
         """Per-period deltas of state()'s counters when the stage takes `rows`
-        input rows a period (None where the run sets them), and (counter,
-        lowest, highest) values between which no boundary clamp is active:
-        the input row, first, then the window index."""
+        input rows a period (None where the run sets them; the override
+        count's is 0), and (counter, highest) values up to which no bottom
+        clamp acts: the input row, first, then the window index."""
         lb = self.lb
-        rho_lo, rho_hi = -(-lb.p // lb.s), (lb.h - lb.w + lb.p) // lb.s
-        return ((rows * lb.w_in, rows, rows // lb.s * lb.w_out, None, None, None),
-                ((1, lb.w, min(lb.h - 1, lb.h_out * lb.s - 1 + lb.w - lb.p)),
-                 (2, rho_lo * lb.w_out, (rho_hi + 1) * lb.w_out - 1)))
+        rho_hi = (lb.h - lb.w + lb.p) // lb.s
+        return ((rows * lb.w_in, rows, rows // lb.s * lb.w_out, None, None, None, 0),
+                ((1, min(lb.h - 1, lb.h_out * lb.s - 1 + lb.w - lb.p)),
+                 (2, (rho_hi + 1) * lb.w_out - 1)))
 
     def state(self):
         """(counters, rest): the counters a row-periodic stretch advances by a
         fixed amount per period, and every other field relative to them."""
         lb, e = self.lb, self.engine
         adv = e.adv
-        return ((lb.n_acc, lb._r_in, lb.widx, adv, e.scalars_emitted, self.out_stall),
+        return ((lb.n_acc, lb._r_in, lb.widx, adv, e.scalars_emitted, self.out_stall,
+                 lb.overrides),
                 (lb._c_in, self.out, e.cur_left, e.skid,
                  tuple((f - adv, c - adv) for f, c in e.emq)))
 
     def translate(self, m: int, delta):
         """Advance m periods: add m times delta to every counter of state()."""
-        n_acc, rows, wins, adv, scalars, stall = (m * d for d in delta)
+        n_acc, rows, wins, adv, scalars, stall, _ = (m * d for d in delta)
         lb, e = self.lb, self.engine
         lb.n_acc += n_acc
         lb._r_in += rows
@@ -356,7 +366,7 @@ class PoolStage:
     def row_period(self, rows: int):
         """As ConvStage.row_period; the only clamp is on the input row."""
         return ((rows, None),
-                ((0, 0, min(self.h_in, self.h_out * self.stride) - 1),))
+                ((0, min(self.h_in, self.h_out * self.stride) - 1),))
 
     def state(self):
         return ((self._r_in, self.out_stall),

@@ -12,6 +12,8 @@ conv_datapath, of the pool values and of simulate_plan check them.
 """
 
 import copy
+import math
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -23,7 +25,7 @@ from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, PoolSpec, 
 from fusedconv.dataflow import GroupResult, StageStamp, _build_stages, simulate_group
 from fusedconv.networks import VGG7_DEFAULT_DPAR, consecutive_convs, reduced_vgg_prefix_7, \
     vgg_prefix_7
-from fusedconv.stages import _FOREVER, ConvStage, PoolStage
+from fusedconv.stages import _FOREVER, ConvStage, LineBuffer, PoolStage
 
 
 def step_every_cycle(layers, in_dims, d_pars, layer_offset=0, until=None, watch=None):
@@ -226,12 +228,12 @@ def test_stalling_chain_matches_per_cycle_reference(d_par, stalls):
 @pytest.mark.parametrize("d_par, stalls", STALLING_CHAINS)
 def test_stalling_chain_fast_forwards_like_per_cycle_reference(d_par, stalls):
     # the schedule may fast-forward across the held rows too: the first
-    # chain jumps one period of 8192 cycles, the second none
+    # chain jumps two periods of 8192 cycles, the second one
     net = reduced_vgg_prefix_7()
     res, spans = assert_same_run(net.layers, net.input_dims, list(d_par))
     assert {k: v for k, v in res.stall_cycles.items() if v} == stalls
     jumped = sum(n for i, kind, _, n, _ in spans if kind == "periodic" and i == 0)
-    assert jumped == {(3, 1, 1, 1, 1): 8192, (3, 8, 8, 1, 16): 0}[d_par]
+    assert jumped == {(3, 1, 1, 1, 1): 16384, (3, 8, 8, 1, 16): 8192}[d_par]
 
 
 @st.composite
@@ -269,9 +271,16 @@ def tall_chains(draw):
 DRIFTING_PHASE = (
     NetworkSpec(Dims(20, 3, 1), (PoolSpec(2, 2), ConvSpec(1, 3), ConvSpec(1, 3))), [1, 1])
 
+# when its state first repeats, the deepest conv has taken one input row
+# and emitted nothing: the jump starts in that conv's top rows
+DEEP_STAGE_IN_TOP_ROWS = (
+    NetworkSpec(Dims(40, 7, 1), (ConvSpec(3, 2, 1, 1), PoolSpec(2, 2), ConvSpec(1, 4),
+                                 PoolSpec(2, 2), ConvSpec(3, 4, 1, 2))), [1, 1, 4])
+
 
 @settings(max_examples=40)
 @example(DRIFTING_PHASE)
+@example(DEEP_STAGE_IN_TOP_ROWS)
 @given(tall_chains())
 def test_row_periodic_jumps_match_per_cycle_reference(case):
     net, d_pars = case
@@ -341,8 +350,9 @@ def test_held_windows_skip_most_conv_steps(monkeypatch):
 
 def test_fused_vgg7_steps_only_the_stages_that_act(monkeypatch):
     # each of the seven stages keeps its own clock: a cycle on which one
-    # stage acts steps that stage alone (10,209 steps; 45,745 when every
-    # stage stepped on each such cycle)
+    # stage acts steps that stage alone (7,281 steps beside a jump of two
+    # periods; 10,209 without the jump, 45,745 when every stage stepped on
+    # each such cycle)
     net = vgg_prefix_7(input_hw=28)
     calls = []
     for cls in (ConvStage, PoolStage):
@@ -353,55 +363,112 @@ def test_fused_vgg7_steps_only_the_stages_that_act(monkeypatch):
     assert len(calls) <= 15_000
 
 
-@pytest.mark.parametrize("net, d_pars, steps, jumped", [
-    (consecutive_convs(1, input_hw=56), [3], 1_342, 179_200),
-    (vgg_prefix_7(input_hw=28), list(VGG7_DEFAULT_DPAR), 10_209, 0),
-    (NetworkSpec(Dims(16, 16, 16), (ConvSpec(3, 16, 1, 1, relu=False),)), [4], 479, 10_240),
-    (vgg_prefix_7(), list(VGG7_DEFAULT_DPAR), 81_916, 2_809_856)],
+def bottleneck_cycles_per_period(net, d_pars):
+    """A period's source elements times the largest work per source element
+    among the group's convs: k*g cycles per window, scaled by the conv's
+    output positions over the source's."""
+    din, dout = net.layer_input_dims(), net.layer_dims()
+    d_par = dict(zip(net.conv_indices(), d_pars))
+    src = net.input_dims.height * net.input_dims.width
+    period = math.prod(layer.stride for layer in net.layers) * net.input_dims.width
+    return max(Fraction(period * net.layers[i].filters * (din[i].depth // d)
+                        * dout[i].height * dout[i].width, src)
+               for i, d in d_par.items())
+
+
+@pytest.mark.parametrize("net, d_pars, steps, jumped, per_period", [
+    (consecutive_convs(1, input_hw=56), [3], 1_342, 179_200, 3_584),
+    (vgg_prefix_7(input_hw=28), list(VGG7_DEFAULT_DPAR), 7_281, 14_336, 7_168),
+    (NetworkSpec(Dims(16, 16, 16), (ConvSpec(3, 16, 1, 1, relu=False),)), [4], 479, 10_240,
+     1_024),
+    (vgg_prefix_7(), list(VGG7_DEFAULT_DPAR), 58_412, 2_924_544, 57_344)],
     ids=["conv1_1-56", "vgg7-28", "saturating", "vgg7-224"])
-def test_schedule_work_is_pinned(net, d_pars, steps, jumped):
+def test_schedule_work_is_pinned(net, d_pars, steps, jumped, per_period):
     # the stage steps the clocks take and the cycles they jump over are the
-    # schedule's cost; a change to a stage's state must keep both
+    # schedule's cost; a change to a stage's state must keep both. Every
+    # jumped period runs at the rate of the slowest conv, as the cycle time
+    # of a synchronous dataflow graph is that of its slowest cycle
     _, _, got_steps, jumps = counted_run(net.layers, net.input_dims, d_pars)
     assert (got_steps, sum(m * dc for m, dc in jumps)) == (steps, jumped)
+    assert {dc for _, dc in jumps} == {per_period} == {bottleneck_cycles_per_period(net, d_pars)}
 
 
 @pytest.mark.parametrize("kernel, stride, pad", [
     (1, 1, 0), (3, 1, 0), (3, 1, 1), (3, 2, 1), (3, 3, 2), (5, 2, 2), (1, 2, 0)])
 @pytest.mark.parametrize("height", [5, 6, 9, 12])
 def test_row_period_bounds_are_the_clamp_free_rows(kernel, stride, pad, height):
-    # the fast-forward relies on these bounds: every value between them, and
-    # none outside, leaves each boundary clamp a stage reads it through idle
+    # the fast-forward relies on these bounds: every value up to them, and
+    # none past them, leaves each bottom clamp a stage reads it through idle
     in_dims = Dims(height, 7, 1)
     spec = ConvSpec(kernel, 2, stride, pad)
     conv = ConvStage(spec, in_dims, 1)
     out = conv.out_dims
-    (_, lo, hi), (_, w_lo, w_hi) = conv.row_period(stride)[1]
+    (_, hi), (_, w_hi) = conv.row_period(stride)[1]
 
     def row_clamped(r):  # the ready check's, on the next row to arrive
-        return r >= height or r - kernel < 0 \
-            or (r - kernel + pad) // stride >= out.height
+        return r >= height or (r - kernel + pad) // stride >= out.height
 
     def window_clamped(widx):  # _set_threshold's, on the next window
-        rho = widx // out.width
-        return widx >= out.height * out.width or rho * stride - pad < 0 \
-            or rho * stride - pad + kernel - 1 > height - 1
+        return widx >= out.height * out.width \
+            or widx // out.width * stride - pad + kernel - 1 > height - 1
 
-    def assert_free_between(values, lo, hi):
-        if not values:  # a short input: no row escapes every clamp
-            assert lo > hi
-            return
-        assert values == list(range(values[0], values[-1] + 1))
-        assert (values[0], values[-1]) == (lo, hi)
+    def assert_free_up_to(values, clamped, hi):
+        assert [v for v in values if not clamped(v)] == [v for v in values if v <= hi]
 
-    assert_free_between([r for r in range(-2, height + 4) if not row_clamped(r)], lo, hi)
-    n = out.height * out.width
-    assert_free_between([i for i in range(n + out.width) if not window_clamped(i)],
-                        w_lo, w_hi)
+    assert_free_up_to(range(-2, height + 4), row_clamped, hi)
+    assert_free_up_to(range(out.height * out.width + out.width), window_clamped, w_hi)
 
     if stride > 1:
         pool = PoolStage(PoolSpec(min(kernel, stride), stride), in_dims)
-        (_, lo, hi), = pool.row_period(stride)[1]
+        (_, hi), = pool.row_period(stride)[1]
         h_out = pool.out_dims.height
-        assert_free_between([r for r in range(height + 4)
-                             if r < height and r // stride < h_out], lo, hi)
+        assert_free_up_to(range(height + 4), lambda r: r >= height or r // stride >= h_out, hi)
+
+
+# its second conv's top rows admit padding-row overwrites on the same
+# schedule one period after another, so its state repeats across them
+OVERRIDE_IN_PERIOD = (
+    NetworkSpec(Dims(13, 2, 3), (ConvSpec(3, 6, 1, 2), ConvSpec(7, 1, 1, 4))), [3, 2])
+
+
+@pytest.mark.parametrize("net, d_pars, overrides", [
+    (consecutive_convs(1, input_hw=16), [3], [15]),
+    (vgg_prefix_7(input_hw=28), list(VGG7_DEFAULT_DPAR), [27, 0, 0, 0, 0]),
+    (*OVERRIDE_IN_PERIOD, [4, 4]),
+    (NetworkSpec(Dims(9, 5, 2), (ConvSpec(5, 3, 2, 4), ConvSpec(3, 2, 1, 0))), [1, 3], [18, 0])])
+def test_override_count_is_the_unclamped_rule(net, d_pars, overrides, monkeypatch):
+    # a line buffer counts the elements it accepts while their row slot
+    # still holds a row, padding or real, that an unemitted window covers:
+    # only ready()'s top clamp lets such an element in, in the first rows
+    counts, cycle = {}, LineBuffer.cycle
+
+    def counted(lb, elem, can_emit):
+        x, y = lb._r_in - lb.w, lb._c_in
+        covered = ((rho * lb.s - lb.p, gam * lb.s - lb.p)
+                   for rho, gam in (divmod(i, lb.w_out) for i in range(lb.widx, lb.n_windows)))
+        counts[lb] = counts.get(lb, 0) + (elem and any(
+            top <= x < top + lb.w and left <= y < left + lb.w for top, left in covered))
+        return cycle(lb, elem, can_emit)
+
+    monkeypatch.setattr(LineBuffer, "cycle", counted)
+    *_, stages = step_every_cycle(net.layers, net.input_dims, d_pars)
+    lbs = [st.lb for st in stages if isinstance(st, ConvStage)]
+    assert [lb.overrides for lb in lbs] == [counts[lb] for lb in lbs] == overrides
+
+
+def test_a_period_with_an_override_is_not_jumped(monkeypatch):
+    # a jump from such a period would carry the top clamp into rows where
+    # the unclamped rule refuses: with the override count left out of the
+    # check, it jumps and lands on the wrong stalls
+    net, d_pars = OVERRIDE_IN_PERIOD
+    got, spans = assert_same_run(net.layers, net.input_dims, d_pars)
+    assert not any(kind == "periodic" for _, kind, *_ in spans)
+    row_period = ConvStage.row_period
+
+    def unchecked(self, rows):
+        fixed, bounds = row_period(self, rows)
+        return fixed[:-1] + (None,), bounds
+
+    monkeypatch.setattr(ConvStage, "row_period", unchecked)
+    _, _, _, jumps = counted_run(net.layers, net.input_dims, d_pars)
+    assert jumps and simulate_group(net.layers, net.input_dims, d_pars) != got
