@@ -9,14 +9,25 @@ row, and computes the values once per layer after the schedule, so the
 prints the seconds of its schedule and of its value walk, and the cycles
 the schedule's clock jumped over (from the spans of a traced run).
 
-Run: python demos/04_full_scale_timing.py [--seven-layer]
+With --saturating it times instead a 32x32x16 3x3 conv with 16 filters on
+data drawn over the whole int32 range, where nearly every value saturates and takes the checked
+reductions: the best of 7 calls, with its saturation events, of the engine's
+datapath at d_par 4 and 16, of the oracle's conv_layer alone, and of
+simulate_plan followed by run_network sharing one ConvPasses record.
+
+Run: python demos/04_full_scale_timing.py [--seven-layer | --saturating]
 """
 
 import sys
 import time
 
+import numpy as np
+
 from fusedconv import analyze, parse_plan, simulate_plan, time_ms
+from fusedconv.config import ConvSpec, Dims, NetworkSpec
+from fusedconv.dataflow import conv_datapath
 from fusedconv.datagen import generate_tensor, generate_weights
+from fusedconv.golden import ConvPasses, FilterBank, Tensor3D, conv_layer, run_network
 from fusedconv.networks import VGG7_DEFAULT_DPAR, consecutive_convs, vgg_prefix_7
 
 
@@ -46,7 +57,49 @@ def run(net, plan, label, reference_ms):
     print()
 
 
+def best_of(n, fn):
+    """fn()'s events and its fastest wall time over n calls."""
+    best = float("inf")
+    for _ in range(n):
+        t0 = time.perf_counter()
+        events = fn()
+        best = min(best, time.perf_counter() - t0)
+    return events, best
+
+
+def saturating():
+    # activations and weights drawn uniformly over the whole int32 range
+    net = NetworkSpec(Dims(32, 32, 16), (ConvSpec(3, 16, 1, 1, relu=False),))
+    spec = net.layers[0]
+    rng = np.random.default_rng(1)
+    full = np.iinfo(np.int32)
+    tensor = Tensor3D(net.input_dims, rng.integers(
+        full.min, full.max, (32, 32, 16), endpoint=True, dtype=np.int32))
+    bank = FilterBank(rng.integers(full.min, full.max, (16, 3, 3, 16), endpoint=True,
+                                   dtype=np.int32))
+
+    def simulate_and_check(d_par):
+        passes = ConvPasses()
+        sim = simulate_plan(net, tensor, [bank], parse_plan("0", net, str(d_par)),
+                            passes=passes)
+        return sim.saturation_events, run_network(net, tensor, [bank], passes)[1]
+
+    print("saturating 32x32x16 conv, 16 filters, full-range data (best of 7):")
+    for label, fn in (
+            ("conv_datapath d_par 4", lambda: conv_datapath(
+                tensor.data, bank, spec, 4, 16)[1]),
+            ("conv_datapath d_par 16", lambda: conv_datapath(
+                tensor.data, bank, spec, 16, 16)[1]),
+            ("conv_layer", lambda: conv_layer(tensor, bank, spec)[1]),
+            ("simulate_plan + run_network, d_par 4", lambda: simulate_and_check(4))):
+        events, seconds = best_of(7, fn)
+        print(f"  {label:38s} {seconds * 1e3:7.1f} ms, events {events}")
+
+
 def main():
+    if "--saturating" in sys.argv:
+        saturating()
+        return
     net = consecutive_convs(1)
     run(net, parse_plan("0", net, "3"), "conv1_1 alone", "26.764")
 

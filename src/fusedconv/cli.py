@@ -150,12 +150,11 @@ def _write_trace(fh, spans_per_group, sim):
 
 
 def cmd_simulate(args) -> int:
-    """Simulate the plan, then check its output against the oracle. Both
-    reduce the same conv product passes, so each layer's products are
-    computed once: the oracle reuses a pass the simulator kept only where
-    the layer's input values, filter bank, spec and frac_bits all match.
-    stderr gets the seconds of the simulator's schedule, of its value walk
-    and of the oracle, and how many passes the oracle reused."""
+    """Simulate the plan, then check its output against the oracle, which
+    takes each conv layer the simulator's value walk reduced in its order
+    where the layer's input values, filter bank, spec and frac_bits all
+    match. stderr gets the seconds of the simulator's schedule, of its value
+    walk and of the oracle, and how many oracle conv layers it took."""
     t0 = time.monotonic()
     net = _load_network(args.network)
     tensor = read_tensor(args.input)
@@ -204,7 +203,7 @@ def cmd_simulate(args) -> int:
     print(f"  output digest: {report['simulation']['output_digest']}")
     print(f"elapsed: {time.monotonic() - t0:.2f}s (schedule {sim.seconds[0]:.2f}s, "
           f"values {sim.seconds[1]:.2f}s, oracle {t_done - t_oracle:.2f}s, "
-          f"{passes.shared} of {len(net.conv_indices())} conv passes shared)",
+          f"{passes.shared} of {len(net.conv_indices())} oracle conv layers from the value walk)",
           file=sys.stderr)
     return 0
 

@@ -302,28 +302,26 @@ def parse_network(text: str) -> NetworkSpec:
             relu = entry.get("relu", False)
             if not isinstance(relu, bool):
                 raise ValidationError(f"{where}: 'relu' must be a boolean")
-            try:
-                layers.append(ConvSpec(
-                    kernel=_require_int(entry, "kernel", where, 1),
-                    filters=_require_int(entry, "filters", where, 1),
-                    stride=_require_int(entry, "stride", where, 1) if "stride" in entry else 1,
-                    pad=_require_int(entry, "pad", where, 0) if "pad" in entry else 0,
-                    relu=relu,
-                    declared_depth=_require_int(entry, "depth", where, 1)
-                    if "depth" in entry else None))
-            except ValidationError as e:
-                raise ValidationError(f"{where}: {e}") from None
+            cls, args = ConvSpec, dict(
+                kernel=_require_int(entry, "kernel", where, 1),
+                filters=_require_int(entry, "filters", where, 1),
+                stride=_require_int(entry, "stride", where, 1) if "stride" in entry else 1,
+                pad=_require_int(entry, "pad", where, 0) if "pad" in entry else 0,
+                relu=relu,
+                declared_depth=_require_int(entry, "depth", where, 1)
+                if "depth" in entry else None)
         elif kind == "maxpool":
             unknown = set(entry) - _POOL_KEYS
             if unknown:
                 raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
-            try:
-                layers.append(PoolSpec(window=_require_int(entry, "window", where, 1),
-                                       stride=_require_int(entry, "stride", where, 1)))
-            except ValidationError as e:
-                raise ValidationError(f"{where}: {e}") from None
+            cls, args = PoolSpec, dict(window=_require_int(entry, "window", where, 1),
+                                       stride=_require_int(entry, "stride", where, 1))
         else:
             raise ValidationError(f"{where}: 'type' must be 'conv' or 'maxpool', got {kind!r}")
+        try:  # the spec's own rules, which do not name the layer
+            layers.append(cls(**args))
+        except ValidationError as e:
+            raise ValidationError(f"{where}: {e}") from None
 
     return NetworkSpec(input_dims=dims, layers=tuple(layers), fmt=fmt)
 

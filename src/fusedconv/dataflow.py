@@ -21,8 +21,8 @@ layer's values once, through golden.walk_layers, the layer loop the oracle
 also runs. conv_datapath runs golden's product pass and reduces the values
 that may clamp in the engine's adder-tree order, counting saturation events;
 a pool layer's values are golden.maxpool_layer's. Given a golden.ConvPasses
-record, the datapath keeps each conv layer's product pass there, for the
-oracle's check of the same layer to reuse.
+record, it also reduces the same products in the oracle's order and keeps
+the oracle's layer there, for the oracle's check to take.
 
 Each stage keeps its own clock, as in conservative discrete-event
 simulation with one clock per process (Chandy and Misra, IEEE TSE 1979).
@@ -65,7 +65,7 @@ from .golden import ConvPasses, FilterBank, Tensor3D, check_inputs, conv_values,
     walk_layers
 from .stages import ConvStage, PoolStage
 
-_TREE_NODES = 1 << 16  # int64 leaves per adder-tree chunk (512 KiB)
+_TREE_NODES = 1 << 17  # int64 leaves per adder-tree chunk (1 MiB), a column per value
 
 
 @dataclass
@@ -98,6 +98,22 @@ class SimResult:
     seconds: tuple = field(compare=False, repr=False)
 
 
+def _tree(a: np.ndarray):
+    """A pairwise adder tree over a's leading axis, every node clamped and
+    counted; an unpaired last node passes a level as it would with a zero
+    pad, which never clamps an in-range node. Returns (the root, events)."""
+    events = 0
+    while len(a) > 1:
+        h = len(a) // 2
+        nxt = np.empty((len(a) - h,) + a.shape[1:], dtype=np.int64)
+        np.add(a[0:2 * h:2], a[1:2 * h:2], out=nxt[:h])
+        if len(a) % 2:
+            nxt[h] = a[-1]
+        events += fx_clamp_count(nxt[:h])
+        a = nxt
+    return a[0], events
+
+
 def conv_datapath(x: np.ndarray, bank: FilterBank, spec: ConvSpec, d_par: int,
                   frac_bits: int, passes: ConvPasses = None):
     """One conv layer's values, as the engine reduces each window. Returns
@@ -106,34 +122,24 @@ def conv_datapath(x: np.ndarray, bank: FilterBank, spec: ConvSpec, d_par: int,
     golden.conv_values runs the product pass and takes the plain sum wherever
     nothing can clamp. The values over its bound take the engine's order: per
     filter and window, a pairwise adder tree over each channel's w*w
-    products, one over the d_par channels of each serial depth group (both
-    zero padded to powers of two), then a running sum over the groups, with
-    every product, node and sum clamped and counted."""
+    products, one over the d_par channels of each serial depth group, then a
+    running sum over the groups, with every node and sum clamped and counted.
+    With `passes`, conv_values also keeps the oracle's layer there."""
     k, w, _, d = bank.data.shape
     g = d // d_par
-    tp = 1 << (w * w - 1).bit_length()
-    dpp = 1 << (d_par - 1).bit_length()
-    n = max(1, _TREE_NODES // (g * dpp * tp))
 
     def adder_tree(prod):
-        # taps laid out (g, dpp, tp): channel planes of a depth group outer,
-        # the w*w taps inner, so one pairwise tree over a group's dpp*tp taps
-        # is the tap tree followed by the plane tree
-        vals = np.empty(len(prod), dtype=np.int64)
+        vals = np.empty(prod.shape[1], dtype=np.int64)
+        n = max(1, _TREE_NODES // len(prod))
         events = 0
-        for i in range(0, len(prod), n):
-            part = prod[i:i + n]
-            tree = np.zeros((len(part), g, dpp, tp), dtype=np.int64)
-            tree[:, :, :d_par, :w * w] = (
-                part.reshape(-1, w * w, g, d_par).transpose(0, 2, 3, 1))
-            events += fx_clamp_count(tree)
-            a = tree.reshape(len(part), g, -1)
-            while a.shape[-1] > 1:
-                a = a[..., 0::2] + a[..., 1::2]
-                events += fx_clamp_count(a)
-            acc = a[:, 0, 0]
+        for i in range(0, len(vals), n):
+            # a value's taps (row, column, depth) split as (w*w, g, d_par)
+            chans, ev = _tree(prod[:, i:i + n].reshape(w * w, g, d_par, -1))
+            groups, ev2 = _tree(chans.swapaxes(0, 1))
+            events += ev + ev2
+            acc = groups[0]
             for j in range(1, g):
-                acc = acc + a[:, j, 0]
+                acc = acc + groups[j]
                 events += fx_clamp_count(acc)
             vals[i:i + n] = acc
         return vals, events
@@ -363,8 +369,8 @@ def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan
     are not simulated). Total cycles are the sum of group cycles. Values do
     not depend on group boundaries, so every layer's values then come from
     one golden.walk_layers over the network, each conv layer's from
-    conv_datapath at its d_par, with product passes kept in `passes`, if
-    given. Given a list as `trace`, appends each group's spans to it, as one
+    conv_datapath at its d_par, which keeps the oracle's layers in `passes`,
+    if given. Given a list as `trace`, appends each group's spans to it, as one
     list per group (see simulate_group)."""
     validate_plan(plan, net)
     check_inputs(net, input_t, weights)

@@ -10,26 +10,26 @@ Every running partial is bounded by the sum of absolute products, so where
 that bound is <= I32_MAX the plain sum is exact in any order and nothing
 saturates. A layer whose magnitudes pass fixedpoint.sum_is_exact needs no
 per-value bound at all. The values over the bound (saturating adds are not
-associative once they clamp) go to the caller's reduction: for the oracle, a
-saturating scan over the taps in sequential order, run across all of them at
-once, that clamps and counts every product and running sum. The plain pass
-runs in int32 where the layer's largest input and weight magnitudes pass
-fixedpoint.products_fit_int32, in int64 elsewhere; its values and flags are
-the same in both widths, and the flagged products are rebuilt in int64. A
-layer with fewer taps than filters (taps < k: conv1_1 has 27 and 64) sums
-tap-major, one tap at a time over a block of positions; any other layer
-window-major, a window's taps at once. Both orders give the same values and
-flags.
+associative once they clamp) have their products built once more, in int64
+groups of (taps, values), every product clamped and counted there, and go
+to the caller's reduction: for the oracle, a saturating scan over the taps
+in sequential order, run across all of them at once, that clamps and counts
+every running sum. The plain pass runs in int32 where the layer's largest
+input and weight magnitudes pass fixedpoint.products_fit_int32, in int64
+elsewhere; its values and flags are the same in both widths. A layer with
+fewer taps than filters (taps < k: conv1_1 has 27 and 64) sums tap-major,
+one tap at a time over a block of positions; any other layer window-major,
+a window's taps at once. Both orders give the same values and flags.
 
 walk_layers is the one layer loop that computes values: the oracle runs it
-with conv_layer, the simulator with its engine-order conv_datapath. So
-`simulate` reduces every conv layer twice, in the simulator's order and then
-in the oracle's, from the same input, filters, spec and frac_bits. A
-ConvPasses record that lives for that one command keeps each layer's output
-and flagged pairs, so the second reduction computes no plain sum again: it
-starts from a copy of that output and rebuilds only the flagged products. A
-pass is reused only when everything its values depend on matches, so a layer
-fed other values computes its own.
+with conv_layer, the simulator with its engine-order conv_datapath. In
+`simulate`, the simulator's value walk reduces each flagged group in both
+orders from one build and keeps the oracle's finished layer in a ConvPasses
+record that lives for that one command; the oracle's walk then takes that
+layer and computes nothing. Where nothing was flagged, the kept layer is the
+simulator's own output array. A layer is taken only when everything its
+values depend on matches, so a layer fed other values is computed by the
+oracle alone.
 """
 
 from __future__ import annotations
@@ -87,47 +87,44 @@ class FilterBank:
 
 
 def _sequential_sum(prod: np.ndarray):
-    """The oracle's order: each row of an (n, taps) int64 product array
-    becomes a saturating running sum over its taps, all rows at once, with
-    every product and partial clamped and counted. Returns (values, events)."""
-    events = fx_clamp_count(prod)
-    acc = np.zeros(len(prod), dtype=np.int64)
-    for tap in prod.T:
+    """The oracle's order: each column of a (taps, n) int64 array of clamped
+    products becomes a saturating running sum over its taps, all columns at
+    once, with every partial clamped and counted. Returns (values, events)."""
+    acc = np.zeros(prod.shape[1], dtype=np.int64)
+    events = 0
+    for tap in prod:
         acc += tap
         events += fx_clamp_count(acc)
     return acc, events
 
 
 class ConvPasses:
-    """The conv product passes of one command, kept so that a second
-    reduction of the same layer computes no plain sum again.
+    """The oracle's conv layers, reduced during the simulator's value walk
+    of one command, so that its check of the same layer computes nothing.
 
-    A pass is reused only on an exact match of everything its values depend
+    A layer is taken only on an exact match of everything its values depend
     on: equal input values, the same filter array object, the ConvSpec and
-    frac_bits. It holds its first caller's input and output arrays, not
-    copies, so neither may be written to afterwards. The output is already
-    reduced and ReLU'd, which a later caller may start from: it overwrites
-    every flagged value with its own reduction, and ReLU leaves the others
-    as they are. A kept pass serves one later match; `shared` counts those."""
+    frac_bits. A kept layer holds its input and output arrays, not copies
+    (where nothing was flagged, the simulator's own output), so neither may
+    be written to afterwards. It serves one match; `shared` counts those."""
 
     def __init__(self):
-        self._kept = []  # (x, filt, spec, frac_bits, output, flagged)
+        self._kept = []  # (x, filt, spec, frac_bits, output, events)
         self.shared = 0
 
     def find(self, x: np.ndarray, filt: np.ndarray, spec: ConvSpec, frac_bits: int):
-        """A copy of the matching kept pass's output and its flagged pairs,
-        or None."""
-        for i, (kx, kfilt, kspec, kbits, out, flagged) in enumerate(self._kept):
+        """The matching kept layer's (output, saturation events), or None."""
+        for i, (kx, kfilt, kspec, kbits, out, events) in enumerate(self._kept):
             if kfilt is filt and kspec == spec and kbits == frac_bits \
                     and np.array_equal(kx, x):
                 del self._kept[i]
                 self.shared += 1
-                return out.copy(), flagged
+                return out, events
         return None
 
     def keep(self, x: np.ndarray, filt: np.ndarray, spec: ConvSpec, frac_bits: int,
-             out: np.ndarray, flagged: list):
-        self._kept.append((x, filt, spec, frac_bits, out, flagged))
+             out: np.ndarray, events: int):
+        self._kept.append((x, filt, spec, frac_bits, out, events))
 
 
 def _window_major(filt: np.ndarray, frac_bits: int, exact: bool, n: int):
@@ -227,11 +224,12 @@ def conv_values(x: np.ndarray, filt: np.ndarray, spec: ConvSpec, frac_bits: int,
     """One conv layer's values from an (h, w, d) int32 input and a (k, w, w, d)
     int32 filter array. Returns ((h_out, w_out, k) int32, saturation events).
 
-    Every value takes the plain sum of _plain_pass, or the value of the
-    matching pass kept in `passes`; a pass not found there is kept. The
-    flagged (window, filter) pairs' products, (n, taps) int64 in row, column,
-    depth order, are then rebuilt in groups of about _GROUP and replaced by
-    reduce_over(prod) -> (values, events)."""
+    Every value takes the plain sum of _plain_pass. The flagged (window,
+    filter) pairs' products are then built once, in groups of at most _GROUP,
+    as (taps, n) int64 in row, column, depth order, and clamped and counted;
+    reduce_over(prod) -> (values, events of its sums) replaces their values.
+    Given `passes`, each group is also reduced in the oracle's order, and the
+    oracle's layer is kept there."""
     k, w, _, d = filt.shape
     s, p = spec.stride, spec.pad
     taps = w * w * d
@@ -239,33 +237,44 @@ def conv_values(x: np.ndarray, filt: np.ndarray, spec: ConvSpec, frac_bits: int,
     # windows[r, c] is the w x w x d patch feeding output position (r, c)
     windows = np.lib.stride_tricks.sliding_window_view(padded, (w, w, d))[::s, ::s, 0]
     flat = filt.reshape(k, taps)
-    kept = passes.find(x, filt, spec, frac_bits) if passes is not None else None
-    out, flagged = kept or _plain_pass(windows, flat, x, frac_bits)
-    events = 0
+    out, flagged = _plain_pass(windows, flat, x, frac_bits)
+    # the oracle's layer: a second array only where its values may differ
+    scan = passes is not None and bool(flagged)
+    oracle = out.copy() if scan else out
+    events = oracle_events = 0
     if flagged:
-        filt64 = flat.astype(np.int64)
+        # tap-major: windows_t[..., r, c] is window (r, c) as (w, w, d)
+        windows_t = windows.transpose(2, 3, 4, 0, 1)
+        filt_t = flat.T.astype(np.int64)
         r, c, f = (np.concatenate(a) for a in zip(*flagged))
         n = max(1, _GROUP // taps)
         for i in range(0, len(f), n):
             ri, ci, fi = r[i:i + n], c[i:i + n], f[i:i + n]
-            prod = filt64[fi]
-            prod *= windows[ri, ci].reshape(len(fi), taps)
+            prod = filt_t[:, fi]
+            prod *= windows_t[..., ri, ci].reshape(taps, len(fi))
             prod >>= frac_bits
+            clamped = fx_clamp_count(prod)
             vals, ev = reduce_over(prod)
             out[ri, ci, fi] = vals
-            events += ev
+            events += clamped + ev
+            if scan:
+                vals, ev = _sequential_sum(prod)
+                oracle[ri, ci, fi] = vals
+                oracle_events += clamped + ev
 
     if spec.relu:
         np.maximum(out, 0, out=out)
-    if passes is not None and kept is None:
-        passes.keep(x, filt, spec, frac_bits, out, flagged)
+        if scan:
+            np.maximum(oracle, 0, out=oracle)
+    if passes is not None:
+        passes.keep(x, filt, spec, frac_bits, oracle, oracle_events)
     return out, events
 
 
 def conv_layer(input_t: Tensor3D, filters: FilterBank, spec: ConvSpec,
                frac_bits: int = 16, passes: ConvPasses = None):
     """Fixed-point 3-D convolution. Returns (Tensor3D, saturation_events).
-    With `passes`, a matching product pass kept there is reused."""
+    With `passes`, a matching layer kept there is taken as it is."""
     if filters.kernel != spec.kernel or filters.k != spec.filters:
         raise ValidationError(
             f"filter bank ({filters.k}, {filters.kernel}) does not match "
@@ -273,8 +282,9 @@ def conv_layer(input_t: Tensor3D, filters: FilterBank, spec: ConvSpec,
     if filters.depth != input_t.dims.depth:
         raise ValidationError(
             f"filter depth {filters.depth} != input depth {input_t.dims.depth}")
-    out, events = conv_values(input_t.data, filters.data, spec, frac_bits,
-                              _sequential_sum, passes)
+    kept = passes and passes.find(input_t.data, filters.data, spec, frac_bits)
+    out, events = kept or conv_values(input_t.data, filters.data, spec, frac_bits,
+                                      _sequential_sum)
     return Tensor3D(output_dims(input_t.dims, spec), out), events
 
 
@@ -323,8 +333,8 @@ def walk_layers(net: NetworkSpec, input_t: Tensor3D, weights: list, conv):
 def run_network(net: NetworkSpec, input_t: Tensor3D, weights: list,
                 passes: ConvPasses = None):
     """The oracle: walk_layers with conv_layer. Returns (list of Tensor3D,
-    saturation_events). With `passes`, each conv layer reuses a matching
-    product pass kept there."""
+    saturation_events). With `passes`, each conv layer takes a matching
+    layer kept there."""
     check_inputs(net, input_t, weights)
     return walk_layers(net, input_t, weights, lambda t, bank, spec, _: conv_layer(
         t, bank, spec, net.fmt.frac_bits, passes))

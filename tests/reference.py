@@ -82,7 +82,8 @@ def conv_position_sequential(win, filt, frac_bits):
 
 def tree_sum(vals):
     """Pairwise saturating adder tree over vals zero padded to a power of
-    two. Returns (value, clip events)."""
+    two. Returns (value, clip events). The padding is kept on purpose: the
+    datapath passes an unpaired node through instead, which this checks."""
     level = vals + [0] * ((1 << (len(vals) - 1).bit_length()) - len(vals))
     events = 0
     while len(level) > 1:

@@ -11,9 +11,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fusedconv import cli, golden
+from fusedconv import cli, dataflow, golden
 from fusedconv.config import FusionPlan
 from fusedconv.dataflow import simulate_plan
 from fusedconv.golden import run_network
@@ -173,3 +174,68 @@ def test_no_value_is_computed_inside_a_schedule(tmp_path):
             while j >= 0:
                 assert tracer.name_id[j] != schedule
                 j = tracer.parent[j]
+
+
+def test_saturating_pass_builds_each_flagged_group_once(tmp_path, monkeypatch):
+    # every value of the saturating workload is flagged. The simulator's
+    # conv_values builds each group of flagged products once, clamps its
+    # products once, and hands that same array to the adder tree and to the
+    # oracle's scan; the oracle then takes the finished layer and calls
+    # conv_values no more
+    wl = workloads.WORKLOADS["saturating"]
+    wl.setup(str(tmp_path / "in"), 1)
+    clamped, reduced, oracle_calls = [], [], []
+    clamp, scan, values = golden.fx_clamp_count, golden._sequential_sum, golden.conv_values
+
+    def clamp_spy(a):
+        if a.ndim == 2:  # a group of products; a running sum is 1-D
+            clamped.append(a)
+        return clamp(a)
+
+    def scan_spy(prod):
+        reduced.append(("scan", prod))
+        return scan(prod)
+
+    def datapath_values(x, filt, spec, frac_bits, reduce_over, passes=None):
+        def tree_spy(prod):
+            reduced.append(("tree", prod))
+            return reduce_over(prod)
+        return values(x, filt, spec, frac_bits, tree_spy, passes)
+
+    monkeypatch.setattr(golden, "fx_clamp_count", clamp_spy)
+    monkeypatch.setattr(golden, "_sequential_sum", scan_spy)
+    monkeypatch.setattr(dataflow, "conv_values", datapath_values)
+    monkeypatch.setattr(golden, "conv_values",
+                        lambda *args: oracle_calls.append(args) or values(*args))
+    assert cli.main(wl.argv(str(tmp_path / "in"), str(tmp_path / "out"))) == 0
+
+    spec, d = wl.net.layers[0], wl.net.input_dims.depth
+    taps = spec.kernel ** 2 * d
+    values_per_group = golden._GROUP // taps
+    flagged = wl.net.layer_dims()[0].volume  # all 4,096 values
+    assert len(clamped) == -(-flagged // values_per_group)
+    assert sum(prod.shape[1] for prod in clamped) == flagged
+    assert all(prod.shape[0] == taps for prod in clamped)
+    assert [(kind, prod) for kind, prod in reduced] == \
+        [(kind, prod) for prod in clamped for kind in ("tree", "scan")]
+    assert oracle_calls == []
+
+
+def test_oracle_takes_the_simulators_arrays_where_nothing_is_flagged(tmp_path):
+    # vgg7-28's generated data flags no value, so the oracle's conv outputs
+    # are the simulator's arrays themselves, with no second copy
+    wl = workloads.WORKLOADS["vgg7-28"]
+    wl.setup(str(tmp_path / "in"), 1)
+    tracer = tracing.Tracer()
+    bindings = tracer.install(tracing.PROBES, keep_results=(
+        "golden.run_network", "dataflow.simulate_plan"))
+    try:
+        tracer.current_pass = 0
+        assert cli.main(wl.argv(str(tmp_path / "in"), str(tmp_path / "out"))) == 0
+    finally:
+        tracer.current_pass = None
+        tracer.uninstall(bindings)
+    sim = tracer.results["dataflow.simulate_plan"]
+    golden_outs, _ = tracer.results["golden.run_network"]
+    for i in wl.net.conv_indices():
+        assert np.shares_memory(golden_outs[i].data, sim.layer_outputs[i].data)

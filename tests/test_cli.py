@@ -175,7 +175,7 @@ def test_simulate_elapsed_line_splits_simulator_and_oracle(workdir, capsys):
                  "--input", str(workdir / "input.dclf"),
                  "--weights", str(workdir / "weights.bin"), "--plan", "0|1-2"]) == 0
     assert re.fullmatch(r"elapsed: \d+\.\d\ds \(schedule \d+\.\d\ds, values \d+\.\d\ds, "
-                        r"oracle \d+\.\d\ds, 2 of 2 conv passes shared\)\n",
+                        r"oracle \d+\.\d\ds, 2 of 2 oracle conv layers from the value walk\)\n",
                         capsys.readouterr().err)
 
 

@@ -39,6 +39,22 @@ def test_parse_rejects_inconsistent_declared_depth():
         parse_network(json.dumps(doc))
 
 
+@pytest.mark.parametrize("layer, message", [
+    ({"type": "conv", "kernel": 3, "filters": 0},
+     "layer 1: 'filters' must be >= 1, got 0"),
+    ({"type": "maxpool", "window": 2, "stride": "2"},
+     "layer 1: 'stride' must be an integer, got '2'"),
+    ({"type": "conv", "kernel": 3, "filters": 2, "pad": 3},
+     "layer 1: conv: pad must be in [0, kernel-1], got 3"),
+], ids=["conv-key", "pool-key", "conv-rule"])
+def test_parse_error_names_its_layer_once(layer, message):
+    doc = {"input": {"h": 5, "w": 5, "d": 3},
+           "layers": [{"type": "conv", "kernel": 3, "filters": 3, "pad": 1}, layer]}
+    with pytest.raises(ValidationError) as err:
+        parse_network(json.dumps(doc))
+    assert str(err.value) == message
+
+
 def test_parse_reports_syntax_position():
     with pytest.raises(ParseError, match=r"line \d+ column \d+"):
         parse_network('{"input": {"h": 5,,}}')

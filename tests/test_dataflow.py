@@ -229,13 +229,15 @@ def test_engine_bound_does_not_wrap_at_small_frac_bits(frac_bits):
 
 @st.composite
 def datapath_cases(draw):
-    """One conv layer: kernel 1 or 3, stride 1 or 2, any pad, depth 1-8, any
-    d_par divisor, and magnitudes from exact to fully saturating."""
-    kernel = draw(st.sampled_from([1, 3]))
+    """One conv layer: kernel 1, 3 or 5 (1, 9 or 25 adder-tree leaves per
+    channel), stride 1 or 2, any pad, depth 1-12 (a d_par of 3, 5, 6 or 7
+    among others: trees of odd and non-power-of-two width), any d_par
+    divisor, and magnitudes from exact to fully saturating."""
+    kernel = draw(st.sampled_from([1, 3, 5]))
     spec = ConvSpec(kernel, draw(st.integers(1, 3)), draw(st.integers(1, 2)),
                     draw(st.integers(0, kernel - 1)), draw(st.booleans()))
-    dims = Dims(draw(st.integers(kernel, 5)), draw(st.integers(kernel, 5)),
-                draw(st.integers(1, 8)))
+    side = st.integers(kernel, max(kernel, 5))
+    dims = Dims(draw(side), draw(side), draw(st.integers(1, 12)))
     d_par = draw(st.sampled_from([x for x in range(1, dims.depth + 1)
                                   if dims.depth % x == 0]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -262,6 +264,29 @@ def test_conv_datapath_matches_tree_reference_per_window(case):
             assert vals[r, c].tolist() == ref
             ref_events += ev
     assert events == ref_events
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 5, 7])
+@pytest.mark.parametrize("depth, d_par", [(3, 3), (5, 5), (12, 6), (7, 7), (12, 3)])
+def test_conv_datapath_passes_unpaired_nodes_through(kernel, depth, d_par):
+    # every tree here is odd or not a power of two wide at some level: 1, 9,
+    # 25 or 49 leaves per channel, 3 to 7 planes per depth group. On full-range data each value saturates; the reference pads
+    # each tree with zeros, the datapath passes the unpaired node through
+    rng = np.random.default_rng(kernel * 100 + depth * 10 + d_par)
+    full = np.iinfo(np.int32)
+    x = rng.integers(full.min, full.max, (kernel + 1, kernel + 1, depth),
+                     endpoint=True, dtype=np.int32)
+    filt = rng.integers(full.min, full.max, (2, kernel, kernel, depth),
+                        endpoint=True, dtype=np.int32)
+    spec = ConvSpec(kernel, 2, 1, 0, relu=False)
+    vals, events = conv_datapath(x, FilterBank(filt), spec, d_par, 16)
+    ref_events = 0
+    for r in range(2):
+        for c in range(2):
+            ref, ev = engine_reference(x[r:r + kernel, c:c + kernel], filt, d_par, False)
+            assert vals[r, c].tolist() == ref
+            ref_events += ev
+    assert events == ref_events > 0
 
 
 # --- pool stage --------------------------------------------------------------

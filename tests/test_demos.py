@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,12 +9,28 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name", ["01_pipeline_walkthrough.py", "02_cost_tables.py",
-                                  "03_fusion_tradeoff.py"])
-def test_demo_runs(name):
+def _run_demo(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env,
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name), *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", ["01_pipeline_walkthrough.py", "02_cost_tables.py",
+                                  "03_fusion_tradeoff.py"])
+def test_demo_runs(name):
+    _run_demo(name)
+
+
+def test_saturating_probe_runs():
+    # demo 04's --saturating case: the datapath at d_par 4 and the
+    # simulate-then-check pair count the same events, and so do the oracle
+    # alone and the oracle layer taken from the value walk
+    stdout = _run_demo("04_full_scale_timing.py", "--saturating")
+    events = dict(re.fullmatch(r"\s+(.+?)\s+[\d.]+ ms, events (.+)", line).groups()
+                  for line in stdout.splitlines()[1:])
+    assert events["simulate_plan + run_network, d_par 4"] == \
+        f"({events['conv_datapath d_par 4']}, {events['conv_layer']})"

@@ -206,8 +206,8 @@ def _scattered_saturating_input():
                                   ConvSpec(3, 2, 2, 0, relu=False)], ids=["pad1", "stride2"])
 @pytest.mark.parametrize("d_par", [1, 2])
 def test_conv_values_groups_span_batches(monkeypatch, spec, d_par):
-    # one window per plain-sum batch, two values per reduction group and per
-    # adder-tree chunk: the flagged values cross every boundary
+    # one window per plain-sum batch, two values (columns) per reduction
+    # group and per adder-tree chunk: the flagged values cross every boundary
     taps = 18
     monkeypatch.setattr(golden, "_BATCH", 2 * taps)
     monkeypatch.setattr(golden, "_GROUP", 2 * taps)
@@ -216,7 +216,8 @@ def test_conv_values_groups_span_batches(monkeypatch, spec, d_par):
 
     def spy(reduce):
         def wrapped(prod):
-            groups.append(len(prod))
+            assert prod.shape[0] == taps
+            groups.append(prod.shape[1])
             return reduce(prod)
         return wrapped
     monkeypatch.setattr(golden, "_sequential_sum", spy(golden._sequential_sum))
@@ -382,10 +383,17 @@ def test_both_loop_orders_match_references(tap_major, data):
         assert np.array_equal(out.data, ref)
         assert events == clips
         for d_par in (1, d):
-            vals, events = conv_datapath(t.data, bank, spec, d_par, frac_bits)
+            passes = ConvPasses()
+            vals, events = conv_datapath(t.data, bank, spec, d_par, frac_bits, passes)
             ref, ref_events = _engine_reference_layer(t, bank, spec, d_par, frac_bits)
             assert vals.tolist() == ref
             assert events == ref_events
+            # the oracle's layer, reduced from the datapath's products and
+            # taken with no product pass of its own
+            kept, kept_events = conv_layer(t, bank, spec, frac_bits, passes)
+            assert passes.shared == 1
+            assert kept.equals(out)
+            assert kept_events == clips
     assert (taps < bank.k) == tap_major
     assert spy.call_count == 3 * tap_major
 
@@ -462,6 +470,9 @@ def test_run_network_validates_bank_count(small_net, small_data):
 
 
 def test_conv_pass_reused_only_on_an_exact_match(small_net, small_data):
+    # the simulator's datapath keeps the oracle's layer; the oracle takes it
+    # only on an exact match, as it is: with nothing flagged, the very array
+    # the datapath returned
     tensor, banks = small_data
     spec = small_net.layers[0]
     bumped = tensor.data.copy()
@@ -470,9 +481,10 @@ def test_conv_pass_reused_only_on_an_exact_match(small_net, small_data):
                           (Tensor3D(tensor.dims, bumped), banks[0], 0),
                           (Tensor3D(tensor.dims, tensor.data.copy()), banks[0], 1)):
         passes = ConvPasses()
-        conv_layer(tensor, banks[0], spec, passes=passes)
+        sim, _ = conv_datapath(tensor.data, banks[0], spec, 3, 16, passes)
         got, _ = conv_layer(t, bank, spec, passes=passes)
         assert passes.shared == hits
+        assert (got.data is sim) == bool(hits)
         assert got.equals(conv_layer(t, bank, spec)[0])
 
 
