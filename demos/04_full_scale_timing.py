@@ -15,7 +15,13 @@ reductions: the best of 7 calls, with its saturation events, of the engine's
 datapath at d_par 4 and 16, of the oracle's conv_layer alone, and of
 simulate_plan followed by run_network sharing one ConvPasses record.
 
-Run: python demos/04_full_scale_timing.py [--seven-layer | --saturating]
+With --schedule it times dataflow.simulate_group alone, the best of 7 calls
+(3 at 224x224), on conv1_1 at 56x56, VGG-7 at 28x28, a 16x16x16 3x3 conv
+with 16 filters at d_par 4, and VGG-7 at 224x224, each fully fused. For each
+it prints the cycles, the stage steps the schedule's clocks take (counted
+from the spans of a traced run) and the milliseconds.
+
+Run: python demos/04_full_scale_timing.py [--seven-layer | --saturating | --schedule]
 """
 
 import sys
@@ -25,7 +31,7 @@ import numpy as np
 
 from fusedconv import analyze, parse_plan, simulate_plan, time_ms
 from fusedconv.config import ConvSpec, Dims, NetworkSpec
-from fusedconv.dataflow import conv_datapath
+from fusedconv.dataflow import conv_datapath, simulate_group
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.golden import ConvPasses, FilterBank, Tensor3D, conv_layer, run_network
 from fusedconv.networks import VGG7_DEFAULT_DPAR, consecutive_convs, vgg_prefix_7
@@ -96,9 +102,28 @@ def saturating():
         print(f"  {label:38s} {seconds * 1e3:7.1f} ms, events {events}")
 
 
+def schedule():
+    cases = [("conv1_1-56", consecutive_convs(1, input_hw=56), [3], 7),
+             ("vgg7-28", vgg_prefix_7(input_hw=28), list(VGG7_DEFAULT_DPAR), 7),
+             ("saturating", NetworkSpec(Dims(16, 16, 16), (ConvSpec(3, 16, 1, 1, relu=False),)),
+              [4], 7),
+             ("vgg7-224", vgg_prefix_7(), list(VGG7_DEFAULT_DPAR), 3)]
+    print("simulate_group alone (best of 7, of 3 at 224x224):")
+    for label, net, d_pars, n in cases:
+        spans = []
+        cycles = simulate_group(net.layers, net.input_dims, d_pars, spans).cycles
+        steps = sum(kind == "step" for _, kind, *_ in spans)
+        _, seconds = best_of(n, lambda: simulate_group(net.layers, net.input_dims, d_pars))
+        print(f"  {label:12s} {cycles:>11,} cycles {steps:>8,} stage steps "
+              f"{seconds * 1e3:9.1f} ms")
+
+
 def main():
     if "--saturating" in sys.argv:
         saturating()
+        return
+    if "--schedule" in sys.argv:
+        schedule()
         return
     net = consecutive_convs(1)
     run(net, parse_plan("0", net, "3"), "conv1_1 alone", "26.764")

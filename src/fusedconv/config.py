@@ -150,6 +150,11 @@ class NetworkSpec:
                     raise ValidationError(
                         f"layer {i}: declared input depth {layer.declared_depth} "
                         f"does not match derived depth {dims[-1].depth}")
+            if isinstance(layer, ConvSpec) and \
+                    4 * layer.filters * layer.kernel ** 2 * dims[-1].depth > sys.maxsize:
+                raise ValidationError(
+                    f"layer {i}: a {layer.filters}x{layer.kernel}x{layer.kernel}x"
+                    f"{dims[-1].depth} filter bank is more bytes than an array can hold")
             try:
                 dims.append(output_dims(dims[-1], layer))
             except GeometryError as e:

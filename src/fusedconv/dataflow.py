@@ -242,7 +242,7 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
 
     budget = n_src
     for st, n_out in zip(stages, expected):
-        budget += n_out * (st.engine.kg if isinstance(st, ConvStage) else 1)
+        budget += n_out * (st.kg if isinstance(st, ConvStage) else 1)
     max_cycles = 16 * budget + 100_000
 
     # row-periodic fast-forward: a period is as many source rows as the

@@ -14,6 +14,7 @@ from .config import FusionPlan, NetworkSpec, ValidationError, extend_plan_texts,
 from .costmodel import ResourceBudget
 
 ENUMERATION_LIMIT = 20
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class BudgetError(ValidationError):
@@ -97,7 +98,7 @@ def front_indices(dsp, traffic, text) -> list:
     d, t = dsp[order], traffic[order]
     first = np.r_[True, d[1:] != d[:-1]]  # the first point at each dsp
     least = t[first]
-    below = np.minimum.accumulate(np.r_[np.iinfo(np.int64).max, least[:-1]])
+    below = np.minimum.accumulate(np.r_[_INT64_MAX, least[:-1]])
     run = np.cumsum(first) - 1  # each point's dsp, as a rank
     keep = (t == least[run]) & (least < below)[run]
     # points equal in (dsp, traffic) are kept or dropped together, so only
@@ -153,24 +154,36 @@ def fold_partitions(net: NetworkSpec, fits: dict, budget: ResourceBudget,
     columns, DSP and buffer bits are the maximum over the groups, the
     estimate, traffic and group count the sum, and the plan text extends the
     prefix's by the group's. A partition is infeasible when its widest group
-    is over budget."""
+    is over budget. Raises ValidationError if a figure of some partition
+    would not fit its int64 column."""
     costmodel.check_bytes_per_value(bytes_per_value)
     if len(net.layers) > ENUMERATION_LIMIT:
         raise ValidationError(f"n_layers {len(net.layers)} exceeds enumeration bound "
                               f"{ENUMERATION_LIMIT}")
-    # per prefix of layers: rows dsp, buffer bits / estimate, traffic, groups
+    # per prefix of layers: rows dsp, buffer bits / estimate, traffic, groups;
+    # and, in Python ints, the largest estimate and traffic bytes of any of
+    # its partitions
     widest, total, texts = [np.zeros((2, 1), np.int64)], [np.zeros((3, 1), np.int64)], [[""]]
+    peak = [(0, 0)]
     for j in range(len(net.layers)):
-        level_widest, level_total, level_text = [], [], []
+        level_widest, level_total, level_text, level_peak = [], [], [], []
         for i in range(j + 1):
             c = fits[i, j][1]
+            est, values = c.bottleneck + c.fill_cycles, \
+                c.input_values + c.output_values + c.weight_values
+            level_peak.append((peak[i][0] + est, peak[i][1] + values * bytes_per_value))
+            for name, v in zip(("DSP", "buffer bits", "estimated cycles", "traffic bytes"),
+                               (c.dsp, c.buffer_bits) + level_peak[-1]):
+                if v > _INT64_MAX:
+                    raise ValidationError(f"dse: partitions through group {(i, j)} reach "
+                                          f"{v} {name}, past an int64 column")
             level_widest.append(np.maximum(widest[i], [[c.dsp], [c.buffer_bits]]))
-            level_total.append(total[i] + [[c.bottleneck + c.fill_cycles], [
-                c.input_values + c.output_values + c.weight_values], [1]])
+            level_total.append(total[i] + [[est], [values], [1]])
             level_text += extend_plan_texts(texts[i], (i, j))
         widest.append(np.hstack(level_widest))
         total.append(np.hstack(level_total))
         texts.append(level_text)
+        peak.append(tuple(map(max, zip(*level_peak))))
     (dsp, bits), (est, traffic, n_groups) = widest[-1], total[-1]
     return Partitions(fits, budget, (dsp, bits, est, traffic * bytes_per_value, n_groups),
                       texts[-1])

@@ -35,12 +35,6 @@ def vgg_prefix_7(input_hw: int = 224, filters=(64, 64, 128, 128, 256)) -> Networ
 VGG7_DEFAULT_DPAR = (3, 64, 64, 128, 64)
 
 
-def reduced_vgg_prefix_7() -> NetworkSpec:
-    """The 7-layer stack at 32x32 with filter counts 8/8/16/16/32, small
-    enough to sweep all 64 fusion partitions quickly."""
-    return vgg_prefix_7(input_hw=32, filters=(8, 8, 16, 16, 32))
-
-
 def consecutive_convs(n: int, filters: int = 64, input_hw: int = 224,
                       input_depth: int = 3) -> NetworkSpec:
     """n back-to-back 3x3/s1/p1 convolutions with a fixed filter count."""

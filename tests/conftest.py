@@ -9,7 +9,7 @@ from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, PoolSpec, 
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.fixedpoint import I32_MAX, I32_MIN
 from fusedconv.golden import FilterBank, Tensor3D
-from fusedconv.networks import small_test_network, reduced_vgg_prefix_7, vgg_prefix_7
+from fusedconv.networks import small_test_network, vgg_prefix_7
 
 # property tests run a fixed example sequence, so tier-1 stays deterministic
 settings.register_profile("tier1", derandomize=True, database=None,
@@ -31,6 +31,12 @@ def small_data(small_net):
 @pytest.fixture(scope="session")
 def vgg7():
     return vgg_prefix_7()
+
+
+def reduced_vgg_prefix_7() -> NetworkSpec:
+    """The 7-layer stack at 32x32 with filter counts 8/8/16/16/32, small
+    enough to sweep all 64 fusion partitions quickly."""
+    return vgg_prefix_7(input_hw=32, filters=(8, 8, 16, 16, 32))
 
 
 @pytest.fixture(scope="session")

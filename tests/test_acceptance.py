@@ -18,11 +18,10 @@ from fusedconv.dataflow import simulate_plan
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.dse import fit_groups, fold_partitions
 from fusedconv.golden import run_network
-from fusedconv.networks import (VGG7_DEFAULT_DPAR, consecutive_convs,
-                                reduced_vgg_prefix_7, small_test_network,
-                                vgg_prefix_7)
+from fusedconv.networks import VGG7_DEFAULT_DPAR, consecutive_convs, small_test_network, \
+    vgg_prefix_7
 
-from conftest import random_network, random_plan
+from conftest import random_network, random_plan, reduced_vgg_prefix_7
 from reference import bitmask_plans
 
 CONV1_1_STEADY = 3_211_264

@@ -399,6 +399,41 @@ def test_gen_dims_too_large_to_allocate_exit_2(tmp_path, capsys):
     assert not (tmp_path / "input.dclf").exists()
 
 
+def test_gen_filter_bank_too_large_to_allocate_exit_2(tmp_path, capsys):
+    # a 1x1x1 input and a 1x1 output, but 1024 filters of 2^31 - 1 squared
+    # taps: the bank's 4-byte encoding passes an array's intp size
+    (tmp_path / "n.json").write_text(json.dumps(
+        {"input": {"h": 1, "w": 1, "d": 1},
+         "layers": [{"type": "conv", "kernel": 2147483647, "filters": 1024,
+                     "pad": 1073741823}]}))
+    assert main(["gen", "--network", str(tmp_path / "n.json"), "--seed", "1",
+                 "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        "error: layer 0: a 1024x2147483647x2147483647x1 filter bank is more bytes "
+        "than an array can hold\n"))
+    assert not (tmp_path / "input.dclf").exists()
+
+
+@pytest.mark.parametrize("doc, bytes_per_value, message", [
+    # one group: 2^30 filters over 2^30 channels buffer about 2^65 bits
+    ({"input": {"h": 1, "w": 1, "d": 1 << 30},
+      "layers": [{"type": "conv", "kernel": 1, "filters": 1 << 30}]}, "4",
+     "partitions through group (0, 0) reach 36893488216138579968 buffer bits"),
+    # every group moves at most 2^61 bytes, but four singletons sum to 2^63
+    ({"input": {"h": 1 << 20, "w": 1 << 20, "d": 1 << 20},
+      "layers": [{"type": "maxpool", "window": 1, "stride": 1}] * 4}, "1",
+     "partitions through group (3, 3) reach 9223372036854775808 traffic bytes")])
+def test_dse_figure_past_int64_exit_2_and_write_nothing(tmp_path, capsys, doc,
+                                                       bytes_per_value, message):
+    (tmp_path / "n.json").write_text(json.dumps(doc))
+    assert main(["dse", "--network", str(tmp_path / "n.json"), "--bytes-per-value",
+                 bytes_per_value, "--out", str(tmp_path / "d")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: dse: {message}, past an int64 column\n")
+    assert not (tmp_path / "d").exists()
+
+
 INPUT_FILES = ("net.json", "input.dclf", "weights.bin")
 # per file: a well-formed header or document with oversized dimensions
 OVERSIZED_FILES = {

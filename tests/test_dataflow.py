@@ -9,7 +9,7 @@ from fusedconv.dataflow import conv_datapath, simulate_group, simulate_plan
 from fusedconv.costmodel import conv3d_latency
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.golden import ConvPasses, FilterBank, Tensor3D, run_network
-from fusedconv.stages import ConvEngine, ConvStage, LineBuffer, PoolStage, _last_needing
+from fusedconv.stages import ConvStage, PoolStage, _last_needing
 
 from conftest import EXACTNESS_EDGES, identity_bank, random_network, random_plan, \
     tensor_from_reals
@@ -20,15 +20,20 @@ from test_quiet_spans import step_every_cycle
 # --- line buffer -------------------------------------------------------------
 
 
-def feed_linebuffer(lb, n_elems):
-    """Stream one element per cycle with an always-ready consumer; return the
-    cycles on which windows were emitted."""
+def feed_linebuffer(in_dims, spec, n_elems):
+    """Stream one element per cycle into a one-filter conv stage at full
+    d_par, whose engine takes each window the cycle after it leaves the
+    line buffer, with an always-ready consumer; return the cycles on which
+    windows left the line buffer."""
+    stage = ConvStage(ConvSpec(spec.kernel, 1, spec.stride, spec.pad), in_dims, in_dims.depth)
     out = []
     idx = 0
     for cyc in range(1, n_elems + 65):
-        elem = idx < n_elems and lb.ready()
+        elem = idx < n_elems and stage.ready()
         idx += elem
-        if lb.cycle(elem, can_emit=True):
+        widx = stage.widx
+        stage.step(elem, stage.out)
+        if stage.widx > widx:
             out.append(cyc)
     return out
 
@@ -49,7 +54,7 @@ def datapath_windows(t, spec):
 def test_linebuffer_first_padded_window():
     t = generate_tensor(Dims(5, 5, 1), seed=4)
     spec = ConvSpec(3, 1, 1, 1)
-    cycles = feed_linebuffer(LineBuffer(t.dims, spec), 25)
+    cycles = feed_linebuffer(t.dims, spec, 25)
     assert len(cycles) == 25
     # data-complete once element (1,1) has arrived, emitted the cycle after
     assert cycles[0] == 8
@@ -68,7 +73,7 @@ def test_linebuffer_first_padded_window():
 def test_linebuffer_unpadded_window_count():
     t = generate_tensor(Dims(5, 5, 1), seed=6)
     spec = ConvSpec(3, 1, 1, 0)
-    assert len(feed_linebuffer(LineBuffer(t.dims, spec), 25)) == 9
+    assert len(feed_linebuffer(t.dims, spec, 25)) == 9
     # window contents match direct slices
     wins = datapath_windows(t, spec)
     for r in range(3):
@@ -78,7 +83,7 @@ def test_linebuffer_unpadded_window_count():
 
 def test_linebuffer_steady_state_one_window_per_cycle():
     t = generate_tensor(Dims(10, 8, 2), seed=8)
-    cycles = feed_linebuffer(LineBuffer(t.dims, ConvSpec(3, 1, 1, 1)), 80)
+    cycles = feed_linebuffer(t.dims, ConvSpec(3, 1, 1, 1), 80)
     assert len(cycles) == 80
     # after the fill latency a new window exists every cycle
     assert cycles == list(range(cycles[0], cycles[0] + 80))
@@ -87,7 +92,7 @@ def test_linebuffer_steady_state_one_window_per_cycle():
 def test_linebuffer_stride_two():
     t = generate_tensor(Dims(7, 7, 2), seed=10)
     spec = ConvSpec(3, 1, 2, 0)
-    assert len(feed_linebuffer(LineBuffer(t.dims, spec), 49)) == 9
+    assert len(feed_linebuffer(t.dims, spec, 49)) == 9
     wins = datapath_windows(t, spec)
     for r in range(3):
         for c in range(3):
@@ -95,9 +100,9 @@ def test_linebuffer_stride_two():
 
 
 def permissive_linebuffer_ready(self):
-    """LineBuffer.ready with >= for >: it also admits the element
+    """ConvStage.ready with >= for >: it also admits the element
     that overwrites the oldest element of the next window to emit."""
-    if self.n_acc >= self.n_elems:
+    if self._r_in >= self.h:
         return False
     r_d = self._r_in - self.w
     if r_d < 0:
@@ -110,7 +115,7 @@ def permissive_linebuffer_ready(self):
 
 
 def test_permissive_linebuffer_ready_trips_window_guard(monkeypatch, small_net):
-    monkeypatch.setattr(LineBuffer, "ready", permissive_linebuffer_ready)
+    monkeypatch.setattr(ConvStage, "ready", permissive_linebuffer_ready)
     with pytest.raises(InternalError, match="overwrote window 6 before emitting it"):
         simulate_group(small_net.layers, small_net.input_dims, [3, 3])
 
@@ -118,7 +123,7 @@ def test_permissive_linebuffer_ready_trips_window_guard(monkeypatch, small_net):
 def test_refusing_linebuffer_trips_the_cycle_budget(monkeypatch, small_net):
     # a line buffer that never accepts stalls the whole chain: the clock
     # jumps to the derived cycle budget and the loop gives up there
-    monkeypatch.setattr(LineBuffer, "ready", lambda self: False)
+    monkeypatch.setattr(ConvStage, "ready", lambda self: False)
     with pytest.raises(InternalError, match=r"no progress within \d+ cycles "
                                             r"\(collected 0/4\)"):
         simulate_group(small_net.layers, small_net.input_dims, [3, 3])
@@ -127,49 +132,58 @@ def test_refusing_linebuffer_trips_the_cycle_budget(monkeypatch, small_net):
 # --- conv engine -------------------------------------------------------------
 
 
-def _engine(k=1, w=3, d=3, d_par=None):
-    return ConvEngine(ConvSpec(w, k), d, d_par or d)
+def _one_window_stage(k=1, w=3, d=3, d_par=None):
+    """A conv stage over an input exactly one window in size."""
+    return ConvStage(ConvSpec(w, k), Dims(w, w, d), d_par or d)
+
+
+def taken_and_completed(stage):
+    """Stream the stage's input in, one element per cycle; return the
+    cycle its engine takes the window into its sweep and the cycle its
+    element completes."""
+    taken = None
+    for cyc in range(1, 500):
+        stage.step(stage.ready(), False)
+        if taken is None and stage.widx and not stage.skid:
+            taken = cyc
+        if stage.out:
+            return taken, cyc
 
 
 def test_engine_latency_63_for_w3_d3():
-    eng = _engine(k=1, w=3, d=3)
-    eng.latch()
-    emitted_at = None
-    for cyc in range(1, 200):
-        if eng.cycle(True):
-            emitted_at = cyc
-            break
-    # first issue happens on call 1; the scalar pops 63 cycles later
-    assert emitted_at == 64
-    assert eng.latency == 63
+    stage = _one_window_stage(k=1, w=3, d=3)
+    taken, completed = taken_and_completed(stage)
+    # the window is complete with its 9th element, leaves the line buffer
+    # on the next cycle and enters the sweep on the one after; its one
+    # filter's scalar pops 63 cycles after that first issue
+    assert (taken, completed) == (11, 11 + 63)
+    assert stage.latency == 63
 
 
 def test_engine_latency_45_for_w3_d1():
-    eng = _engine(k=1, w=3, d=3, d_par=1)
-    assert eng.latency == 45
-    eng.latch()
-    first = next(c for c in range(1, 300) if eng.cycle(True))
+    stage = _one_window_stage(k=1, w=3, d=3, d_par=1)
+    assert stage.latency == 45
+    taken, completed = taken_and_completed(stage)
     # issues for all 3 serial groups; the final group's scalar completes
-    # 45 cycles after its own issue (issue 3 -> cycle 48)
-    assert first == 3 + 45
+    # 45 cycles after its own issue, 2 cycles after the window was taken
+    assert completed == taken + 2 + 45
 
 
 def test_engine_latency_9_for_w1_d1():
-    assert _engine(k=2, w=1, d=1).latency == 9
+    assert _one_window_stage(k=2, w=1, d=1).latency == 9
 
 
 def test_engine_idle_without_windows_emits_nothing():
-    eng = _engine(k=2, w=3, d=2, d_par=2)
+    stage = _one_window_stage(k=2, w=3, d=2, d_par=2)
     for cyc in range(1, 1001):
-        assert not eng.cycle(True)
-    assert eng.scalars_emitted == 0
+        stage.step(False, False)
+        assert not stage.out
+    assert (stage.widx, stage.cur_left, stage.adv) == (0, 0, 1000) and not stage.emq
 
 
-def test_engine_skid_slot_holds_one_window():
-    eng = _engine()
-    eng.latch()
-    with pytest.raises(InternalError, match="skid slot occupied"):
-        eng.latch()
+def test_d_par_must_divide_depth_through_simulate_group(small_net):
+    with pytest.raises(ValidationError, match="depth 3 not divisible by d_par 2"):
+        simulate_group(small_net.layers, small_net.input_dims, [3, 2])
 
 
 def test_engine_window_value_matches_golden_reduction(small_net, small_data):
@@ -550,38 +564,37 @@ def test_determinism_identical_runs(small_net, small_data):
 
 def engine_events(net, d_pars):
     """Per conv stage of the fused net, its engine's latches, as (cycle,
-    window), and the cycles on which it emitted a scalar, read after every
-    cycle of the per-cycle reference loop: the window it sweeps is the last
-    one its line buffer emitted, or the one before while the skid slot holds
-    a window."""
+    window), and the cycles on which it completed an element, read after
+    every cycle of the per-cycle reference loop: the window it sweeps is the
+    last one its line buffer emitted, or the one before while the skid slot
+    holds a window; the windows out that are neither in the skid, nor in a
+    sweep whose final depth group has not started, nor queued, are
+    complete."""
     events = {}
 
     def watch(cycle, stages):
         for st in stages:
             if isinstance(st, ConvStage):
-                latches, emits = events.setdefault(st.name, ([], []))
-                e = st.engine
-                swept = st.lb.widx - e.skid - 1
+                latches, completions = events.setdefault(st.name, ([], []))
+                swept = st.widx - st.skid - 1
                 if swept != (latches[-1][1] if latches else -1):
                     latches.append((cycle, swept))
-                emits += [cycle] * (e.scalars_emitted - len(emits))
+                done = st.widx - st.skid - (st.cur_left >= st.k) - len(st.emq)
+                completions += [cycle] * (done - len(completions))
 
     step_every_cycle(net.layers, net.input_dims, d_pars, watch=watch)
     return events
 
 
-def assert_windows_held(latches, emits, k, g, latency):
-    """Latches come in raster order, at least k*g cycles apart, and the j-th
-    k scalars are window j's filters in order: with no downstream hold, one
-    a cycle from the cycle its final sweep's first issue leaves the
-    pipeline."""
+def assert_windows_held(latches, completions, k, g, latency):
+    """Latches come in raster order, at least k*g cycles apart, and window
+    j's element completes with no downstream hold when its last filter's
+    scalar leaves the pipeline: latency after its final sweep's last issue,
+    at its latch + (g - 1) * k + latency + k - 1."""
     assert [w for _, w in latches] == list(range(len(latches)))
     for (c0, _), (c1, _) in zip(latches, latches[1:]):
         assert c1 - c0 >= k * g
-    assert len(emits) == k * len(latches)
-    for (c, _), j in zip(latches, range(0, len(emits), k)):
-        first = c + (g - 1) * k + latency
-        assert emits[j:j + k] == list(range(first, first + k))
+    assert completions == [c + (g - 1) * k + latency + k - 1 for c, _ in latches]
 
 
 def test_window_hold_invariant_via_trace(small_net):
@@ -590,33 +603,33 @@ def test_window_hold_invariant_via_trace(small_net):
     for d_pars, kgs in [([1, 3], [9, 3]), ([3, 3], [3, 3])]:
         events = engine_events(small_net, d_pars)
         assert list(events) == ["l0.conv", "l1.conv"]
-        for (latches, emits), kg, d_par in zip(events.values(), kgs, d_pars):
+        for (latches, completions), kg, d_par in zip(events.values(), kgs, d_pars):
             assert len(latches) == 25
-            assert_windows_held(latches, emits, 3, kg // 3, conv3d_latency(3, d_par))
+            assert_windows_held(latches, completions, 3, kg // 3, conv3d_latency(3, d_par))
 
 
 def test_throughput_one_scalar_per_cycle():
     # single conv with no serial depth decomposition and no downstream
-    # stalls: after the first scalar every cycle emits one, spanning the
-    # whole output (well over one full row). Exercises k=1, where sustaining
-    # one window per cycle requires the same-cycle window handoff.
+    # stalls: after the first element one completes every k cycles, one
+    # scalar a cycle, spanning the whole output (well over one full row).
+    # Exercises k=1, where sustaining one window per cycle requires the
+    # same-cycle window handoff.
     for k, depth in [(1, 2), (2, 2), (3, 1)]:
         net = NetworkSpec(Dims(10, 10, depth), (ConvSpec(3, k, 1, 1),))
-        (latches, emits), = engine_events(net, [depth]).values()  # g = 1
-        assert len(emits) == 100 * k
-        assert emits == list(range(emits[0], emits[0] + len(emits)))
-        assert_windows_held(latches, emits, k, 1, conv3d_latency(3, depth))
+        (latches, completions), = engine_events(net, [depth]).values()  # g = 1
+        assert len(completions) == 100
+        assert completions == list(range(completions[0], completions[0] + 100 * k, k))
+        assert_windows_held(latches, completions, k, 1, conv3d_latency(3, depth))
 
 
 def test_serial_depth_groups_emit_in_final_sweep_only():
     # g = 2: one window is held k*g cycles and only the final group's pops
-    # carry scalars, so emissions come in bursts of k every k*g cycles
+    # carry scalars, so an element completes k - 1 cycles after its final
+    # sweep's first scalar, at most one every k*g cycles
     net = NetworkSpec(Dims(8, 8, 2), (ConvSpec(3, 2, 1, 1),))
-    (latches, emits), = engine_events(net, [1]).values()
-    assert len(emits) == 64 * 2
-    bursts = [emits[i + 1] - emits[i] for i in range(0, len(emits) - 1, 2)]
-    assert all(b == 1 for b in bursts)  # the k scalars of one window touch
-    assert_windows_held(latches, emits, 2, 2, conv3d_latency(3, 1))
+    (latches, completions), = engine_events(net, [1]).values()
+    assert len(completions) == 64
+    assert_windows_held(latches, completions, 2, 2, conv3d_latency(3, 1))
 
 
 def test_engine_issue_stalls_when_no_input():
@@ -626,7 +639,7 @@ def test_engine_issue_stalls_when_no_input():
     for cyc in range(1, 2000):
         stage.step(False, stage.out)
         assert not stage.out
-    assert stage.lb.widx == 0
+    assert stage.widx == 0
 
 
 def test_randomized_oracle_equivalence_sample():

@@ -6,8 +6,9 @@ import pytest
 from fusedconv.config import Dims
 from fusedconv.datagen import SeededGenerator, _scale_raw, generate_tensor, \
     generate_weights
-from fusedconv.networks import reduced_vgg_prefix_7, small_test_network
+from fusedconv.networks import small_test_network
 
+from conftest import reduced_vgg_prefix_7
 from reference import generate_tensor_scalar, generate_weights_scalar, scale_raw
 
 SEEDS = [0, 1, 2, 11, 0xDEADBEEF, (1 << 64) - 1, -5]

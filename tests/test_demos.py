@@ -34,3 +34,14 @@ def test_saturating_probe_runs():
                   for line in stdout.splitlines()[1:])
     assert events["simulate_plan + run_network, d_par 4"] == \
         f"({events['conv_datapath d_par 4']}, {events['conv_layer']})"
+
+
+def test_schedule_probe_prints_the_pinned_work():
+    # demo 04's --schedule case: the cycles, and the stage steps that
+    # test_quiet_spans.test_schedule_work_is_pinned pins, of each geometry
+    stdout = _run_demo("04_full_scale_timing.py", "--schedule")
+    rows = {m[1]: (m[2], m[3]) for m in (
+        re.fullmatch(r"\s+(\S+)\s+([\d,]+) cycles\s+([\d,]+) stage steps\s+[\d.]+ ms", line)
+        for line in stdout.splitlines()[1:])}
+    assert rows == {"conv1_1-56": ("200,827", "1,342"), "vgg7-28": ("65,410", "7,281"),
+                    "saturating": ("16,467", "479"), "vgg7-224": ("3,327,046", "58,412")}

@@ -23,9 +23,10 @@ from fusedconv import dataflow
 from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, PoolSpec, \
     output_dims, validate_plan
 from fusedconv.dataflow import GroupResult, StageStamp, _build_stages, simulate_group
-from fusedconv.networks import VGG7_DEFAULT_DPAR, consecutive_convs, reduced_vgg_prefix_7, \
-    vgg_prefix_7
-from fusedconv.stages import _FOREVER, ConvStage, LineBuffer, PoolStage
+from fusedconv.networks import VGG7_DEFAULT_DPAR, consecutive_convs, vgg_prefix_7
+from fusedconv.stages import _FOREVER, ConvStage, PoolStage
+
+from conftest import reduced_vgg_prefix_7
 
 
 def step_every_cycle(layers, in_dims, d_pars, layer_offset=0, until=None, watch=None):
@@ -73,8 +74,7 @@ def step_every_cycle(layers, in_dims, d_pars, layer_offset=0, until=None, watch=
 
 
 def engine_counters(stages):
-    return [(st.engine.adv, st.engine.cur_left, st.engine.skid,
-             st.engine.scalars_emitted, st.lb.widx)
+    return [(st.adv, st.cur_left, st.skid, tuple(st.emq), st.widx)
             for st in stages if isinstance(st, ConvStage)]
 
 
@@ -327,7 +327,6 @@ def test_conv1_1_fast_forwards_its_periodic_rows(monkeypatch):
     res = simulate_group(net.layers, net.input_dims, [3])
     assert res.cycles == 200_827
     assert len(calls) * 100 <= res.cycles
-    assert calls[0].engine.scalars_emitted == 56 * 56 * 64
     assert res.stamps[0].emitted == 56 * 56
 
 
@@ -345,7 +344,7 @@ def test_held_windows_skip_most_conv_steps(monkeypatch):
     res = simulate_group(net.layers, net.input_dims, [3])
     assert res.cycles == 16_467
     assert len(calls) * 8 <= res.cycles
-    assert calls[0].engine.scalars_emitted == 16 * 16 * 64
+    assert res.stamps[0].emitted == 16 * 16
 
 
 def test_fused_vgg7_steps_only_the_stages_that_act(monkeypatch):
@@ -437,23 +436,23 @@ OVERRIDE_IN_PERIOD = (
     (*OVERRIDE_IN_PERIOD, [4, 4]),
     (NetworkSpec(Dims(9, 5, 2), (ConvSpec(5, 3, 2, 4), ConvSpec(3, 2, 1, 0))), [1, 3], [18, 0])])
 def test_override_count_is_the_unclamped_rule(net, d_pars, overrides, monkeypatch):
-    # a line buffer counts the elements it accepts while their row slot
+    # a conv stage counts the elements it accepts while their row slot
     # still holds a row, padding or real, that an unemitted window covers:
     # only ready()'s top clamp lets such an element in, in the first rows
-    counts, cycle = {}, LineBuffer.cycle
+    counts, step = {}, ConvStage.step
 
-    def counted(lb, elem, can_emit):
-        x, y = lb._r_in - lb.w, lb._c_in
-        covered = ((rho * lb.s - lb.p, gam * lb.s - lb.p)
-                   for rho, gam in (divmod(i, lb.w_out) for i in range(lb.widx, lb.n_windows)))
-        counts[lb] = counts.get(lb, 0) + (elem and any(
-            top <= x < top + lb.w and left <= y < left + lb.w for top, left in covered))
-        return cycle(lb, elem, can_emit)
+    def counted(st, elem, out_consumed):
+        x, y = st._r_in - st.w, st._c_in
+        covered = ((rho * st.s - st.p, gam * st.s - st.p)
+                   for rho, gam in (divmod(i, st.w_out) for i in range(st.widx, st.n_windows)))
+        counts[st] = counts.get(st, 0) + (elem and any(
+            top <= x < top + st.w and left <= y < left + st.w for top, left in covered))
+        return step(st, elem, out_consumed)
 
-    monkeypatch.setattr(LineBuffer, "cycle", counted)
+    monkeypatch.setattr(ConvStage, "step", counted)
     *_, stages = step_every_cycle(net.layers, net.input_dims, d_pars)
-    lbs = [st.lb for st in stages if isinstance(st, ConvStage)]
-    assert [lb.overrides for lb in lbs] == [counts[lb] for lb in lbs] == overrides
+    convs = [st for st in stages if isinstance(st, ConvStage)]
+    assert [st.overrides for st in convs] == [counts[st] for st in convs] == overrides
 
 
 def test_a_period_with_an_override_is_not_jumped(monkeypatch):
