@@ -13,7 +13,9 @@ With --saturating it times instead a 32x32x16 3x3 conv with 16 filters on
 data drawn over the whole int32 range, where nearly every value saturates and takes the checked
 reductions: the best of 7 calls, with its saturation events, of the engine's
 datapath at d_par 4 and 16, of the oracle's conv_layer alone, and of
-simulate_plan followed by run_network sharing one ConvPasses record.
+simulate_plan followed by run_network, which share one list: the value walk
+appends the conv layer it also reduced in the oracle's order, and the oracle
+takes it from there.
 
 With --schedule it times dataflow.simulate_group alone, the best of 7 calls
 (3 at 224x224), on conv1_1 at 56x56, VGG-7 at 28x28, a 16x16x16 3x3 conv
@@ -33,7 +35,7 @@ from fusedconv import analyze, parse_plan, simulate_plan, time_ms
 from fusedconv.config import ConvSpec, Dims, NetworkSpec
 from fusedconv.dataflow import conv_datapath, simulate_group
 from fusedconv.datagen import generate_tensor, generate_weights
-from fusedconv.golden import ConvPasses, FilterBank, Tensor3D, conv_layer, run_network
+from fusedconv.golden import FilterBank, Tensor3D, conv_layer, run_network
 from fusedconv.networks import VGG7_DEFAULT_DPAR, consecutive_convs, vgg_prefix_7
 
 
@@ -85,10 +87,10 @@ def saturating():
                                    dtype=np.int32))
 
     def simulate_and_check(d_par):
-        passes = ConvPasses()
+        taken = []
         sim = simulate_plan(net, tensor, [bank], parse_plan("0", net, str(d_par)),
-                            passes=passes)
-        return sim.saturation_events, run_network(net, tensor, [bank], passes)[1]
+                            oracle=taken)
+        return sim.saturation_events, run_network(net, tensor, [bank], taken)[1]
 
     print("saturating 32x32x16 conv, 16 filters, full-range data (best of 7):")
     for label, fn in (

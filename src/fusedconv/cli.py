@@ -20,13 +20,13 @@ import sys
 import time
 
 from . import __version__, costmodel, dse
-from .config import (FusionPlan, InternalError, NetworkSpec, ParseError,
+from .config import (Dims, FusionPlan, InternalError, NetworkSpec, ParseError,
                      ValidationError, dpar_to_text, parse_network, parse_plan, plan_to_text)
 from .dataflow import simulate_plan
 from .datagen import generate_tensor, generate_weights
 from .fileio import (canonical_json, network_digest, read_tensor, read_weights,
                      tensor_digest, write_tensor, write_weights)
-from .golden import ConvPasses, run_network
+from .golden import check_inputs, run_network
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,29 +72,28 @@ def _dims_list(net: NetworkSpec):
 
 
 def cmd_gen(args) -> int:
-    out = _ensure_out(args.out)
+    banks = None
     if args.network:
         net = _load_network(args.network)
         tensor = generate_tensor(net.input_dims, args.seed)
         banks = generate_weights(net, args.seed + 1)
-        tpath = os.path.join(out, "input.dclf")
-        wpath = os.path.join(out, "weights.bin")
-        write_tensor(tpath, tensor)
-        write_weights(wpath, banks)
-        print(f"wrote {tpath} ({tensor.dims.height}x{tensor.dims.width}"
-              f"x{tensor.dims.depth}) and {wpath}")
     elif args.dims:
         try:
             h, w, d = (int(x) for x in args.dims.lower().split("x"))
         except ValueError:
             raise ParseError(f"--dims must be HxWxD, got {args.dims!r}") from None
-        from .config import Dims
         tensor = generate_tensor(Dims(h, w, d), args.seed)
-        tpath = os.path.join(out, "input.dclf")
-        write_tensor(tpath, tensor)
-        print(f"wrote {tpath} ({h}x{w}x{d})")
     else:
         raise ParseError("gen requires --network or --dims")
+    out = _ensure_out(args.out)  # only now, so that a refused run makes no directory
+    tpath = os.path.join(out, "input.dclf")
+    write_tensor(tpath, tensor)
+    wrote = f"{tpath} ({tensor.dims.height}x{tensor.dims.width}x{tensor.dims.depth})"
+    if banks is not None:
+        wpath = os.path.join(out, "weights.bin")
+        write_weights(wpath, banks)
+        wrote += f" and {wpath}"
+    print(f"wrote {wrote}")
     return 0
 
 
@@ -151,26 +150,26 @@ def _write_trace(fh, spans_per_group, sim):
 
 def cmd_simulate(args) -> int:
     """Simulate the plan, then check its output against the oracle, which
-    takes each conv layer the simulator's value walk reduced in its order
-    where the layer's input values, filter bank, spec and frac_bits all
-    match. stderr gets the seconds of the simulator's schedule, of its value
-    walk and of the oracle, and how many oracle conv layers it took."""
+    takes by position the conv layers the simulator's value walk also
+    reduced in its order. stderr gets the seconds of the schedule, of the
+    value walk and of the oracle, and how many oracle conv layers it took."""
     t0 = time.monotonic()
     net = _load_network(args.network)
     tensor = read_tensor(args.input)
     banks = read_weights(args.weights, net)
     plan = _plan_from_args(args, net)
+    check_inputs(net, tensor, banks)
 
-    # opened first, so that an unwritable path fails before any work
+    # opened before any work, but only once the inputs pass their checks
     trace_fh = open(args.trace, "w") if args.trace else contextlib.nullcontext()
     trace = [] if args.trace else None
-    passes = ConvPasses()
+    taken = []
     with trace_fh:
-        sim = simulate_plan(net, tensor, banks, plan, trace=trace, passes=passes)
+        sim = simulate_plan(net, tensor, banks, plan, trace=trace, oracle=taken)
         if args.trace:
             _write_trace(trace_fh, trace, sim)
     t_oracle = time.monotonic()
-    golden_outputs, golden_sat = run_network(net, tensor, banks, passes)
+    golden_outputs, golden_sat = run_network(net, tensor, banks, taken)
     t_done = time.monotonic()
     golden_match = sim.output.equals(golden_outputs[-1])
     if sim.saturation_events == golden_sat == 0 and not golden_match:
@@ -203,7 +202,7 @@ def cmd_simulate(args) -> int:
     print(f"  output digest: {report['simulation']['output_digest']}")
     print(f"elapsed: {time.monotonic() - t0:.2f}s (schedule {sim.seconds[0]:.2f}s, "
           f"values {sim.seconds[1]:.2f}s, oracle {t_done - t_oracle:.2f}s, "
-          f"{passes.shared} of {len(net.conv_indices())} oracle conv layers from the value walk)",
+          f"{len(taken)} of {len(net.conv_indices())} oracle conv layers from the value walk)",
           file=sys.stderr)
     return 0
 

@@ -20,9 +20,10 @@ boundaries: once every group's schedule has run, simulate_plan computes each
 layer's values once, through golden.walk_layers, the layer loop the oracle
 also runs. conv_datapath runs golden's product pass and reduces the values
 that may clamp in the engine's adder-tree order, counting saturation events;
-a pool layer's values are golden.maxpool_layer's. Given a golden.ConvPasses
-record, it also reduces the same products in the oracle's order and keeps
-the oracle's layer there, for the oracle's check to take.
+a pool layer's values are golden.maxpool_layer's. Given an `oracle` list,
+simulate_plan also reduces the same products in the oracle's order while
+the oracle's stream is still the walk's, and golden.run_network takes those
+layers by position.
 
 Each stage keeps its own clock, as in conservative discrete-event
 simulation with one clock per process (Chandy and Misra, IEEE TSE 1979).
@@ -61,7 +62,7 @@ import numpy as np
 from .config import ConvSpec, Dims, FusionPlan, InternalError, NetworkSpec, \
     ValidationError, output_dims, validate_plan
 from .fixedpoint import fx_clamp_count
-from .golden import ConvPasses, FilterBank, Tensor3D, check_inputs, conv_values, \
+from .golden import FilterBank, Tensor3D, check_inputs, conv_values, sequential_sum, \
     walk_layers
 from .stages import ConvStage, PoolStage
 
@@ -114,21 +115,13 @@ def _tree(a: np.ndarray):
     return a[0], events
 
 
-def conv_datapath(x: np.ndarray, bank: FilterBank, spec: ConvSpec, d_par: int,
-                  frac_bits: int, passes: ConvPasses = None):
-    """One conv layer's values, as the engine reduces each window. Returns
-    ((h_out, w_out, k) int32, saturation events).
-
-    golden.conv_values runs the product pass and takes the plain sum wherever
-    nothing can clamp. The values over its bound take the engine's order: per
-    filter and window, a pairwise adder tree over each channel's w*w
-    products, one over the d_par channels of each serial depth group, then a
-    running sum over the groups, with every node and sum clamped and counted.
-    With `passes`, conv_values also keeps the oracle's layer there."""
-    k, w, _, d = bank.data.shape
-    g = d // d_par
-
-    def adder_tree(prod):
+def adder_tree(w: int, g: int, d_par: int):
+    """The engine's order, as a golden.conv_values reduction, for w x w
+    kernels over g serial depth groups of d_par channels: per value, a
+    pairwise adder tree over each channel's w*w products, one over the d_par
+    channels of each group, then a running sum over the groups, with every
+    node and sum clamped and counted."""
+    def reduce(prod):
         vals = np.empty(prod.shape[1], dtype=np.int64)
         n = max(1, _TREE_NODES // len(prod))
         events = 0
@@ -143,8 +136,15 @@ def conv_datapath(x: np.ndarray, bank: FilterBank, spec: ConvSpec, d_par: int,
                 events += fx_clamp_count(acc)
             vals[i:i + n] = acc
         return vals, events
+    return reduce
 
-    return conv_values(x, bank.data, spec, frac_bits, adder_tree, passes)
+
+def conv_datapath(x: np.ndarray, bank: FilterBank, spec: ConvSpec, d_par: int,
+                  frac_bits: int):
+    """One conv layer's values in the engine's order (see adder_tree) where
+    they may clamp. Returns ((h_out, w_out, k) int32, saturation events)."""
+    tree = adder_tree(bank.kernel, bank.depth // d_par, d_par)
+    return conv_values(x, bank.data, spec, frac_bits, (tree,))[0]
 
 
 def _build_stages(layers, in_dims, d_pars, layer_offset):
@@ -164,12 +164,11 @@ def _build_stages(layers, in_dims, d_pars, layer_offset):
 
 def _snapshot(cycle, stages, stamps):
     """The schedule's state at the end of a cycle: per stage, state()'s
-    counters followed by the stamp's emitted count and last output cycle,
-    and the relative rest."""
+    counters followed by the stamp's emitted count, and the relative rest."""
     snap = []
     for st, stamp in zip(stages, stamps):
         counters, rest = st.state()
-        snap.append((counters + (stamp.emitted, stamp.last_out), rest))
+        snap.append((counters + (stamp.emitted,), rest))
     return cycle, snap
 
 
@@ -187,8 +186,11 @@ def _fast_forward(old, new, stages, stamps, periods, max_cycles):
     without took the unclamped rules' decisions, as every later one does.
     (_set_threshold's r_top feeds only the overwrite guard, which translate
     recomputes.) A stage's fixed emitted delta is at least 1, so at `new`
-    each stage has set its first_out. The landing cycle stays within the
-    watchdog's max_cycles. Returns (m, cycles per period)."""
+    each stage has set its first_out. Its bound keeps each landing emitted
+    count at most n_out - 1, so every stage emits again after the jump, and
+    that emission sets last_out, which is therefore not translated. The
+    landing cycle stays within the watchdog's max_cycles. Returns (m, cycles
+    per period)."""
     (c0, snap0), (c1, snap1) = old, new
     dc = c1 - c0
     m = (max_cycles - c1) // dc
@@ -202,9 +204,8 @@ def _fast_forward(old, new, stages, stamps, periods, max_cycles):
         deltas.append(delta)
     if m > 0:
         for st, stamp, delta in zip(stages, stamps, deltas):
-            st.translate(m, delta[:-2])
-            stamp.emitted += m * delta[-2]
-            stamp.last_out += m * delta[-1]
+            st.translate(m, delta[:-1])
+            stamp.emitted += m * delta[-1]
     return max(m, 0), dc
 
 
@@ -256,7 +257,7 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
         fixed, bounds = st.row_period(rows)
         hi = min(hi, (bounds[0][1] + 1) * (period // rows) - 1)
         rows //= layer.stride
-        periods.append((fixed + (rows * st.out_dims.width, None),
+        periods.append((fixed + (rows * st.out_dims.width,),
                         bounds + ((len(fixed), n_out - 1),)))
     # snapshot rows 1 to hi - period, and only if they span three periods,
     # so that a jump skips one at least
@@ -363,15 +364,17 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
 
 
 def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan,
-                  trace=None, passes: ConvPasses = None) -> SimResult:
+                  trace=None, oracle=None) -> SimResult:
     """Run the plan's group schedules in turn; each group boundary
     round-trips a full tensor (the traffic model charges it; transfer cycles
     are not simulated). Total cycles are the sum of group cycles. Values do
     not depend on group boundaries, so every layer's values then come from
-    one golden.walk_layers over the network, each conv layer's from
-    conv_datapath at its d_par, which keeps the oracle's layers in `passes`,
-    if given. Given a list as `trace`, appends each group's spans to it, as one
-    list per group (see simulate_group)."""
+    one golden.walk_layers over the network, each conv layer's reduced in
+    the engine's order at its d_par. Given a list as `trace`, appends each
+    group's spans to it, as one list per group (see simulate_group). Given a
+    list as `oracle`, also reduces each conv layer in the oracle's order
+    while the oracle's stream is still the walk's (no earlier conv layer's
+    orders gave two arrays), and appends its (values, events) there."""
     validate_plan(plan, net)
     check_inputs(net, input_t, weights)
     in_dims = net.layer_input_dims()
@@ -384,10 +387,17 @@ def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan
                                      layer_offset=a))
         if trace is not None:
             trace.append(spans)
+    shared = oracle is not None
 
     def datapath(t, bank, spec, i):
-        x, events = conv_datapath(t.data, bank, spec, plan.depth_parallel[i],
-                                  net.fmt.frac_bits, passes)
+        nonlocal shared
+        d_par = plan.depth_parallel[i]
+        tree = adder_tree(bank.kernel, bank.depth // d_par, d_par)
+        (x, events), *theirs = conv_values(t.data, bank.data, spec, net.fmt.frac_bits,
+                                           (tree, sequential_sum) if shared else (tree,))
+        if theirs:
+            oracle.append(theirs[0])
+            shared = theirs[0][0] is x
         return Tensor3D(output_dims(t.dims, spec), x), events
 
     t1 = time.monotonic()

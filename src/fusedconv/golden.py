@@ -12,24 +12,25 @@ saturates. A layer whose magnitudes pass fixedpoint.sum_is_exact needs no
 per-value bound at all. The values over the bound (saturating adds are not
 associative once they clamp) have their products built once more, in int64
 groups of (taps, values), every product clamped and counted there, and go
-to the caller's reduction: for the oracle, a saturating scan over the taps
-in sequential order, run across all of them at once, that clamps and counts
-every running sum. The plain pass runs in int32 where the layer's largest
-input and weight magnitudes pass fixedpoint.products_fit_int32, in int64
-elsewhere; its values and flags are the same in both widths. A layer with
-fewer taps than filters (taps < k: conv1_1 has 27 and 64) sums tap-major,
-one tap at a time over a block of positions; any other layer window-major,
-a window's taps at once. Both orders give the same values and flags.
+to each reduction order the caller gives. The oracle's, sequential_sum, is a
+saturating scan over the taps in sequential order, run across all of them at
+once, that clamps and counts every running sum. The plain pass runs in
+int32 where the layer's largest input and weight magnitudes pass
+fixedpoint.products_fit_int32, in int64 elsewhere; its values and flags are
+the same in both widths. A layer with fewer taps than filters (taps < k:
+conv1_1 has 27 and 64) sums tap-major, one tap at a time over a block of
+positions; any other layer window-major, a window's taps at once. Both loop
+orders give the same values and flags.
 
 walk_layers is the one layer loop that computes values: the oracle runs it
-with conv_layer, the simulator with its engine-order conv_datapath. In
-`simulate`, the simulator's value walk reduces each flagged group in both
-orders from one build and keeps the oracle's finished layer in a ConvPasses
-record that lives for that one command; the oracle's walk then takes that
-layer and computes nothing. Where nothing was flagged, the kept layer is the
-simulator's own output array. A layer is taken only when everything its
-values depend on matches, so a layer fed other values is computed by the
-oracle alone.
+with conv_layer, the simulator with the engine's adder tree. In `simulate`,
+the simulator's value walk also reduces each conv layer in the oracle's
+order, from the same build, while the oracle's stream is still its own
+(every earlier conv layer gave both orders one array), and run_network takes
+those layers by position, computing nothing for them. Pools are
+deterministic, so the oracle's input to each such layer is the walk's. The
+first layer whose orders give two arrays is still taken, as its input was
+shared; the oracle computes every later one alone.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class FilterBank:
         return self.data.shape[3]
 
 
-def _sequential_sum(prod: np.ndarray):
+def sequential_sum(prod: np.ndarray):
     """The oracle's order: each column of a (taps, n) int64 array of clamped
     products becomes a saturating running sum over its taps, all columns at
     once, with every partial clamped and counted. Returns (values, events)."""
@@ -96,35 +97,6 @@ def _sequential_sum(prod: np.ndarray):
         acc += tap
         events += fx_clamp_count(acc)
     return acc, events
-
-
-class ConvPasses:
-    """The oracle's conv layers, reduced during the simulator's value walk
-    of one command, so that its check of the same layer computes nothing.
-
-    A layer is taken only on an exact match of everything its values depend
-    on: equal input values, the same filter array object, the ConvSpec and
-    frac_bits. A kept layer holds its input and output arrays, not copies
-    (where nothing was flagged, the simulator's own output), so neither may
-    be written to afterwards. It serves one match; `shared` counts those."""
-
-    def __init__(self):
-        self._kept = []  # (x, filt, spec, frac_bits, output, events)
-        self.shared = 0
-
-    def find(self, x: np.ndarray, filt: np.ndarray, spec: ConvSpec, frac_bits: int):
-        """The matching kept layer's (output, saturation events), or None."""
-        for i, (kx, kfilt, kspec, kbits, out, events) in enumerate(self._kept):
-            if kfilt is filt and kspec == spec and kbits == frac_bits \
-                    and np.array_equal(kx, x):
-                del self._kept[i]
-                self.shared += 1
-                return out, events
-        return None
-
-    def keep(self, x: np.ndarray, filt: np.ndarray, spec: ConvSpec, frac_bits: int,
-             out: np.ndarray, events: int):
-        self._kept.append((x, filt, spec, frac_bits, out, events))
 
 
 def _window_major(filt: np.ndarray, frac_bits: int, exact: bool, n: int):
@@ -220,16 +192,17 @@ def _plain_pass(windows: np.ndarray, filt: np.ndarray, x: np.ndarray,
 
 
 def conv_values(x: np.ndarray, filt: np.ndarray, spec: ConvSpec, frac_bits: int,
-                reduce_over, passes: ConvPasses = None):
+                orders):
     """One conv layer's values from an (h, w, d) int32 input and a (k, w, w, d)
-    int32 filter array. Returns ((h_out, w_out, k) int32, saturation events).
+    int32 filter array, once per order in `orders`. Returns one ((h_out,
+    w_out, k) int32, saturation events) per order.
 
     Every value takes the plain sum of _plain_pass. The flagged (window,
     filter) pairs' products are then built once, in groups of at most _GROUP,
     as (taps, n) int64 in row, column, depth order, and clamped and counted;
-    reduce_over(prod) -> (values, events of its sums) replaces their values.
-    Given `passes`, each group is also reduced in the oracle's order, and the
-    oracle's layer is kept there."""
+    each order, reduce(prod) -> (values, events of its sums), replaces their
+    values in its own copy of the layer. Where nothing is flagged, every
+    order gets the one plain array."""
     k, w, _, d = filt.shape
     s, p = spec.stride, spec.pad
     taps = w * w * d
@@ -238,43 +211,34 @@ def conv_values(x: np.ndarray, filt: np.ndarray, spec: ConvSpec, frac_bits: int,
     windows = np.lib.stride_tricks.sliding_window_view(padded, (w, w, d))[::s, ::s, 0]
     flat = filt.reshape(k, taps)
     out, flagged = _plain_pass(windows, flat, x, frac_bits)
-    # the oracle's layer: a second array only where its values may differ
-    scan = passes is not None and bool(flagged)
-    oracle = out.copy() if scan else out
-    events = oracle_events = 0
-    if flagged:
-        # tap-major: windows_t[..., r, c] is window (r, c) as (w, w, d)
-        windows_t = windows.transpose(2, 3, 4, 0, 1)
-        filt_t = flat.T.astype(np.int64)
-        r, c, f = (np.concatenate(a) for a in zip(*flagged))
-        n = max(1, _GROUP // taps)
-        for i in range(0, len(f), n):
-            ri, ci, fi = r[i:i + n], c[i:i + n], f[i:i + n]
-            prod = filt_t[:, fi]
-            prod *= windows_t[..., ri, ci].reshape(taps, len(fi))
-            prod >>= frac_bits
-            clamped = fx_clamp_count(prod)
-            vals, ev = reduce_over(prod)
-            out[ri, ci, fi] = vals
-            events += clamped + ev
-            if scan:
-                vals, ev = _sequential_sum(prod)
-                oracle[ri, ci, fi] = vals
-                oracle_events += clamped + ev
-
     if spec.relu:
         np.maximum(out, 0, out=out)
-        if scan:
-            np.maximum(oracle, 0, out=oracle)
-    if passes is not None:
-        passes.keep(x, filt, spec, frac_bits, oracle, oracle_events)
-    return out, events
+    if not flagged:
+        return [(out, 0)] * len(orders)
+    outs = [out] + [out.copy() for _ in orders[1:]]
+    events = [0] * len(orders)
+    # tap-major: windows_t[..., r, c] is window (r, c) as (w, w, d)
+    windows_t = windows.transpose(2, 3, 4, 0, 1)
+    filt_t = flat.T.astype(np.int64)
+    r, c, f = (np.concatenate(a) for a in zip(*flagged))
+    n = max(1, _GROUP // taps)
+    for i in range(0, len(f), n):
+        ri, ci, fi = r[i:i + n], c[i:i + n], f[i:i + n]
+        prod = filt_t[:, fi]
+        prod *= windows_t[..., ri, ci].reshape(taps, len(fi))
+        prod >>= frac_bits
+        clamped = fx_clamp_count(prod)
+        for j, reduce in enumerate(orders):
+            vals, ev = reduce(prod)
+            outs[j][ri, ci, fi] = np.maximum(vals, 0) if spec.relu else vals
+            events[j] += clamped + ev
+    return list(zip(outs, events))
 
 
 def conv_layer(input_t: Tensor3D, filters: FilterBank, spec: ConvSpec,
-               frac_bits: int = 16, passes: ConvPasses = None):
+               frac_bits: int = 16, taken=None):
     """Fixed-point 3-D convolution. Returns (Tensor3D, saturation_events).
-    With `passes`, a matching layer kept there is taken as it is."""
+    Given `taken`, the layer's (values, events) already reduced, it wraps those."""
     if filters.kernel != spec.kernel or filters.k != spec.filters:
         raise ValidationError(
             f"filter bank ({filters.k}, {filters.kernel}) does not match "
@@ -282,9 +246,8 @@ def conv_layer(input_t: Tensor3D, filters: FilterBank, spec: ConvSpec,
     if filters.depth != input_t.dims.depth:
         raise ValidationError(
             f"filter depth {filters.depth} != input depth {input_t.dims.depth}")
-    kept = passes and passes.find(input_t.data, filters.data, spec, frac_bits)
-    out, events = kept or conv_values(input_t.data, filters.data, spec, frac_bits,
-                                      _sequential_sum)
+    out, events = taken or conv_values(input_t.data, filters.data, spec, frac_bits,
+                                       (sequential_sum,))[0]
     return Tensor3D(output_dims(input_t.dims, spec), out), events
 
 
@@ -330,11 +293,10 @@ def walk_layers(net: NetworkSpec, input_t: Tensor3D, weights: list, conv):
     return outputs, events
 
 
-def run_network(net: NetworkSpec, input_t: Tensor3D, weights: list,
-                passes: ConvPasses = None):
+def run_network(net: NetworkSpec, input_t: Tensor3D, weights: list, taken=()):
     """The oracle: walk_layers with conv_layer. Returns (list of Tensor3D,
-    saturation_events). With `passes`, each conv layer takes a matching
-    layer kept there."""
+    saturation_events). The i-th conv layer takes `taken[i]`, its (values,
+    events), if the list has one, and is computed otherwise."""
     check_inputs(net, input_t, weights)
-    return walk_layers(net, input_t, weights, lambda t, bank, spec, _: conv_layer(
-        t, bank, spec, net.fmt.frac_bits, passes))
+    return walk_layers(net, input_t, weights, lambda t, bank, spec, i: conv_layer(
+        t, bank, spec, net.fmt.frac_bits, taken[i] if i < len(taken) else None))

@@ -101,6 +101,21 @@ def identity_bank(depth: int, kernel: int = 3, frac_bits: int = 16) -> FilterBan
     return FilterBank(arr)
 
 
+def diverging_chain():
+    """A 9x8x4 input to two convs on full-range int32 data, whose saturating
+    first layer the adder tree (at d_par 4 or 1) and the sequential scan
+    reduce to different values. Returns (net, tensor, banks)."""
+    net = NetworkSpec(Dims(9, 8, 4), (ConvSpec(3, 8, 2, 1, relu=True),
+                                      ConvSpec(1, 4, 1, 0, relu=False)))
+    rng = np.random.default_rng(9)
+    full = np.iinfo(np.int32)
+    tensor = Tensor3D(net.input_dims, rng.integers(full.min, full.max, (9, 8, 4),
+                                                   dtype=np.int32))
+    banks = [FilterBank(rng.integers(full.min, full.max, shape, dtype=np.int32))
+             for shape in ((8, 3, 3, 4), (4, 1, 1, 8))]
+    return net, tensor, banks
+
+
 def tensor_from_reals(values, frac_bits: int = 16) -> Tensor3D:
     arr = np.asarray(values, dtype=np.float64)
     raw = np.round(arr * (1 << frac_bits)).astype(np.int64)

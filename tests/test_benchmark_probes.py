@@ -185,7 +185,7 @@ def test_saturating_pass_builds_each_flagged_group_once(tmp_path, monkeypatch):
     wl = workloads.WORKLOADS["saturating"]
     wl.setup(str(tmp_path / "in"), 1)
     clamped, reduced, oracle_calls = [], [], []
-    clamp, scan, values = golden.fx_clamp_count, golden._sequential_sum, golden.conv_values
+    clamp, scan, values = golden.fx_clamp_count, golden.sequential_sum, golden.conv_values
 
     def clamp_spy(a):
         if a.ndim == 2:  # a group of products; a running sum is 1-D
@@ -196,14 +196,16 @@ def test_saturating_pass_builds_each_flagged_group_once(tmp_path, monkeypatch):
         reduced.append(("scan", prod))
         return scan(prod)
 
-    def datapath_values(x, filt, spec, frac_bits, reduce_over, passes=None):
+    def datapath_values(x, filt, spec, frac_bits, orders):
+        tree, *rest = orders
+
         def tree_spy(prod):
             reduced.append(("tree", prod))
-            return reduce_over(prod)
-        return values(x, filt, spec, frac_bits, tree_spy, passes)
+            return tree(prod)
+        return values(x, filt, spec, frac_bits, (tree_spy, *rest))
 
     monkeypatch.setattr(golden, "fx_clamp_count", clamp_spy)
-    monkeypatch.setattr(golden, "_sequential_sum", scan_spy)
+    monkeypatch.setattr(dataflow, "sequential_sum", scan_spy)
     monkeypatch.setattr(dataflow, "conv_values", datapath_values)
     monkeypatch.setattr(golden, "conv_values",
                         lambda *args: oracle_calls.append(args) or values(*args))

@@ -241,6 +241,24 @@ def test_simulate_trace_to_a_missing_directory_exits_1(workdir, capsys):
     assert not (workdir / "sim").exists()
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["missing", "existing"])
+def test_refused_simulate_leaves_its_trace_path_as_it_was(workdir, capsys, existing):
+    # a 4x4x3 input to the small net's 5x5x3 is refused (exit 2) before the
+    # trace path is opened: a missing path stays missing, a trace keeps its bytes
+    trace = workdir / "t.json"
+    if existing:
+        trace.write_bytes(b"an earlier trace")
+    assert main(["gen", "--dims", "4x4x3", "--seed", "1", "--out", str(workdir / "small")]) == 0
+    assert main(["simulate", "--network", str(workdir / "net.json"),
+                 "--input", str(workdir / "small" / "input.dclf"),
+                 "--weights", str(workdir / "weights.bin"), "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err.startswith("error: input tensor dims ")
+    if existing:
+        assert trace.read_bytes() == b"an earlier trace"
+    else:
+        assert not trace.exists()
+
+
 def test_analyze_reference_numbers(tmp_path, capsys):
     from fusedconv.networks import vgg_prefix_7
     (tmp_path / "vgg.json").write_text(serialize_network(vgg_prefix_7()))
@@ -363,6 +381,21 @@ def test_gen_requires_seed_and_source(tmp_path, capsys):
     assert main(["gen", "--seed", "1"]) == 1
     assert main(["gen", "--seed", "1", "--dims", "nonsense"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--network", "net.json"], 2), (["--dims", "0x1x1"], 2), ([], 1)],
+    ids=["kernel-past-input", "zero-dims", "no-source"])
+def test_refused_gen_makes_no_output_directory(tmp_path, capsys, args, code):
+    # a 9x9 kernel over a 5x5 input, an empty tensor, neither --network nor
+    # --dims: each is refused before the output directory is made
+    (tmp_path / "net.json").write_text(json.dumps(
+        {"input": {"h": 5, "w": 5, "d": 3},
+         "layers": [{"type": "conv", "kernel": 9, "filters": 1}]}))
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    assert main(["gen", "--seed", "1", *args, "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 OVERSIZED = [(10 ** 30, 1, 1), (1 << 32, 1, 1), ((1 << 32) - 1, (1 << 32) - 1, 1)]

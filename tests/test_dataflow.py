@@ -8,11 +8,11 @@ from fusedconv.config import ConvSpec, Dims, FusionPlan, InternalError, NetworkS
 from fusedconv.dataflow import conv_datapath, simulate_group, simulate_plan
 from fusedconv.costmodel import conv3d_latency
 from fusedconv.datagen import generate_tensor, generate_weights
-from fusedconv.golden import ConvPasses, FilterBank, Tensor3D, run_network
+from fusedconv.golden import FilterBank, Tensor3D, run_network
 from fusedconv.stages import ConvStage, PoolStage, _last_needing
 
-from conftest import EXACTNESS_EDGES, identity_bank, random_network, random_plan, \
-    tensor_from_reals
+from conftest import EXACTNESS_EDGES, diverging_chain, identity_bank, random_network, \
+    random_plan, tensor_from_reals
 from reference import engine_reference
 from test_quiet_spans import step_every_cycle
 
@@ -500,10 +500,10 @@ def shared_pass_cases(draw):
 
 
 def _oracle_with_and_without_shared_passes(net, plan, tensor, banks):
-    passes = ConvPasses()
-    sim = simulate_plan(net, tensor, banks, plan, passes=passes)
+    taken = []
+    sim = simulate_plan(net, tensor, banks, plan, oracle=taken)
     sim_values = [t.data.copy() for t in sim.layer_outputs]
-    shared = run_network(net, tensor, banks, passes)
+    shared = run_network(net, tensor, banks, taken)
     alone = run_network(net, tensor, banks)
     assert shared[1] == alone[1]
     assert len(shared[0]) == len(alone[0])
@@ -522,7 +522,7 @@ def _oracle_with_and_without_shared_passes(net, plan, tensor, banks):
     if sim.saturation_events == alone[1] == 0:
         for a, b in zip(sim.layer_outputs, alone[0], strict=True):
             assert a.equals(b)
-    return sim, alone[0], passes.shared
+    return sim, alone[0], len(taken)
 
 
 @given(shared_pass_cases())
@@ -534,14 +534,7 @@ def test_shared_passes_after_a_diverging_layer_are_not_reused():
     # a saturating first layer on which the adder tree and the sequential
     # scan disagree: the second layer's inputs differ, so only one of the
     # two passes is shared
-    net = NetworkSpec(Dims(9, 8, 4), (ConvSpec(3, 8, 2, 1, relu=True),
-                                      ConvSpec(1, 4, 1, 0, relu=False)))
-    rng = np.random.default_rng(9)
-    full = np.iinfo(np.int32)
-    tensor = Tensor3D(net.input_dims, rng.integers(full.min, full.max, (9, 8, 4),
-                                                   dtype=np.int32))
-    banks = [FilterBank(rng.integers(full.min, full.max, shape, dtype=np.int32))
-             for shape in ((8, 3, 3, 4), (4, 1, 1, 8))]
+    net, tensor, banks = diverging_chain()
     sim, golden_outs, shared = _oracle_with_and_without_shared_passes(
         net, parse_plan("0-1", net, "4,8"), tensor, banks)
     assert not sim.layer_outputs[0].equals(golden_outs[0])

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fusedconv import dataflow, golden
-from fusedconv.config import ConvSpec, Dims, PoolSpec, ValidationError
-from fusedconv.dataflow import conv_datapath
+from fusedconv.config import ConvSpec, Dims, PoolSpec, ValidationError, parse_plan
+from fusedconv.dataflow import conv_datapath, simulate_plan
 from fusedconv.datagen import generate_tensor, generate_weights
-from fusedconv.golden import ConvPasses, FilterBank, Tensor3D, conv_layer, maxpool_layer, \
+from fusedconv.golden import FilterBank, Tensor3D, conv_layer, conv_values, maxpool_layer, \
     run_network
 
-from conftest import EXACTNESS_EDGES, identity_bank, tensor_from_reals
+from conftest import EXACTNESS_EDGES, diverging_chain, identity_bank, tensor_from_reals
 from reference import brute_force_conv, conv_position_sequential, engine_reference, \
     tensor_from_array
 
@@ -220,7 +220,7 @@ def test_conv_values_groups_span_batches(monkeypatch, spec, d_par):
             groups.append(prod.shape[1])
             return reduce(prod)
         return wrapped
-    monkeypatch.setattr(golden, "_sequential_sum", spy(golden._sequential_sum))
+    monkeypatch.setattr(golden, "sequential_sum", spy(golden.sequential_sum))
     t, bank = _scattered_saturating_input()
 
     out, events = conv_layer(t, bank, spec)
@@ -383,15 +383,16 @@ def test_both_loop_orders_match_references(tap_major, data):
         assert np.array_equal(out.data, ref)
         assert events == clips
         for d_par in (1, d):
-            passes = ConvPasses()
-            vals, events = conv_datapath(t.data, bank, spec, d_par, frac_bits, passes)
+            (vals, events), oracle = conv_values(
+                t.data, bank.data, spec, frac_bits,
+                (dataflow.adder_tree(bank.kernel, d // d_par, d_par), golden.sequential_sum))
             ref, ref_events = _engine_reference_layer(t, bank, spec, d_par, frac_bits)
             assert vals.tolist() == ref
             assert events == ref_events
             # the oracle's layer, reduced from the datapath's products and
             # taken with no product pass of its own
-            kept, kept_events = conv_layer(t, bank, spec, frac_bits, passes)
-            assert passes.shared == 1
+            kept, kept_events = conv_layer(t, bank, spec, frac_bits, taken=oracle)
+            assert kept.data is oracle[0]
             assert kept.equals(out)
             assert kept_events == clips
     assert (taps < bank.k) == tap_major
@@ -469,23 +470,35 @@ def test_run_network_validates_bank_count(small_net, small_data):
         run_network(small_net, tensor, banks[:1])
 
 
-def test_conv_pass_reused_only_on_an_exact_match(small_net, small_data):
-    # the simulator's datapath keeps the oracle's layer; the oracle takes it
-    # only on an exact match, as it is: with nothing flagged, the very array
-    # the datapath returned
+def test_oracle_takes_conv_layers_by_position(small_net, small_data, monkeypatch):
+    # run_network takes the i-th conv layer from the value walk's list and
+    # computes only the layers past it
+    computed = []
+    values = golden.conv_values
+    monkeypatch.setattr(golden, "conv_values",
+                        lambda *args: computed.append(args[2]) or values(*args))
     tensor, banks = small_data
-    spec = small_net.layers[0]
-    bumped = tensor.data.copy()
-    bumped[2, 3, 1] += 1
-    for t, bank, hits in ((tensor, FilterBank(banks[0].data.copy()), 0),
-                          (Tensor3D(tensor.dims, bumped), banks[0], 0),
-                          (Tensor3D(tensor.dims, tensor.data.copy()), banks[0], 1)):
-        passes = ConvPasses()
-        sim, _ = conv_datapath(tensor.data, banks[0], spec, 3, 16, passes)
-        got, _ = conv_layer(t, bank, spec, passes=passes)
-        assert passes.shared == hits
-        assert (got.data is sim) == bool(hits)
-        assert got.equals(conv_layer(t, bank, spec)[0])
+    # nothing flagged: every conv layer is taken, the walk's own array
+    oracle = []
+    sim = simulate_plan(small_net, tensor, banks, parse_plan("0-2", small_net, None),
+                        oracle=oracle)
+    outs, _ = run_network(small_net, tensor, banks, oracle)
+    assert len(oracle) == 2 and computed == []
+    for i in small_net.conv_indices():
+        assert np.shares_memory(outs[i].data, sim.layer_outputs[i].data)
+    # a shorter list: the oracle computes the rest
+    outs, _ = run_network(small_net, tensor, banks, oracle[:1])
+    assert computed == [small_net.layers[1]]
+    assert outs[0].data is oracle[0][0] and outs[1].data is not oracle[1][0]
+    assert outs[1].equals(sim.layer_outputs[1])
+    # the first layer whose orders give two arrays is the last one taken
+    computed.clear()
+    net, tensor, banks = diverging_chain()
+    oracle = []
+    sim = simulate_plan(net, tensor, banks, parse_plan("0-1", net, "4,8"), oracle=oracle)
+    outs, _ = run_network(net, tensor, banks, oracle)
+    assert len(oracle) == 1 and computed == [net.layers[1]]
+    assert outs[0].data is oracle[0][0] and not outs[0].equals(sim.layer_outputs[0])
 
 
 def test_conv_linear_over_unsaturating_inputs():
