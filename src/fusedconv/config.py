@@ -194,15 +194,6 @@ class FusionPlan:
     depth_parallel: tuple
 
 
-def check_pipeline_pool(layer: PoolSpec) -> None:
-    """The pipeline pool stage keeps one row of running maxima, which cannot
-    serve vertically overlapping windows, so it needs window <= stride."""
-    if layer.window > layer.stride:
-        raise ValidationError(
-            f"pipeline pool stage requires window <= stride, got "
-            f"{layer.window} > {layer.stride}")
-
-
 def validate_plan(plan: FusionPlan, net: NetworkSpec) -> FusionPlan:
     n = len(net.layers)
     expected = 0
@@ -222,8 +213,11 @@ def validate_plan(plan: FusionPlan, net: NetworkSpec) -> FusionPlan:
             f"plan: {len(plan.depth_parallel)} depth-parallel values for "
             f"{len(conv_idx)} conv layers")
     for layer in net.layers:
-        if isinstance(layer, PoolSpec):
-            check_pipeline_pool(layer)
+        # one row of running maxima cannot serve vertically overlapping windows
+        if isinstance(layer, PoolSpec) and layer.window > layer.stride:
+            raise ValidationError(
+                f"pipeline pool stage requires window <= stride, got "
+                f"{layer.window} > {layer.stride}")
     for dp, li in zip(plan.depth_parallel, conv_idx):
         depth = net._dims[li].depth
         if dp < 1 or dp > depth:

@@ -15,24 +15,26 @@ Cycle accounting is exact: a group's cycle count is the last cycle on which
 any of its stages emits, pipeline flush and a pool's discarded rows included.
 
 The schedule never reads a value, so simulate_group takes layer dims and
-d_par, not data. Values do not depend on the schedule or on group
+d_par, not data, and refuses them through config.validate_plan, as a plan of
+one fused group. Values do not depend on the schedule or on group
 boundaries: once every group's schedule has run, simulate_plan computes each
 layer's values once, through golden.walk_layers, the layer loop the oracle
-also runs. conv_datapath runs golden's product pass and reduces the values
-that may clamp in the engine's adder-tree order, counting saturation events;
-a pool layer's values are golden.maxpool_layer's. Given an `oracle` list,
-simulate_plan also reduces the same products in the oracle's order while
-the oracle's stream is still the walk's, and golden.run_network takes those
-layers by position.
+also runs. A conv layer's values come from golden.conv_values, which reduces
+the values that may clamp in adder_tree's order, the engine's, counting
+saturation events; a pool layer's are golden.maxpool_layer's. Given an
+`oracle` list, simulate_plan also reduces the same products in the oracle's
+order while the oracle's stream is still the walk's, and golden.run_network
+takes those layers by position.
 
-Each stage keeps its own clock, as in conservative discrete-event
-simulation with one clock per process (Chandy and Misra, IEEE TSE 1979).
-After each step a stage reports how many upcoming cycles it only moves
-counters (a conv engine holding a window for its k*g filter sweep), which
-sets the next cycle it acts on. An event cycle is the next one if an element
-can cross a stage boundary, else the first one a stage is due, and only the
-stages that act step on it: the due ones, the one an element enters and
-those whose output leaves. A quiet stage's out flag and ready() cannot
+Each stage keeps its own clock, as in conservative discrete-event simulation
+with one clock per process (Chandy and Misra, IEEE TSE 1979). After each
+step a stage reports how many upcoming cycles it only moves counters (a conv
+engine holding a window for its k*g filter sweep), which sets the next cycle
+it acts on, and counts its own emissions and blocked cycles; the clock
+stamps its first and final emission. An event cycle is the next one if an
+element can cross a stage boundary, else the first one a stage is due, and
+only the stages that act step on it: the due ones, the one an element enters
+and those whose output leaves. A quiet stage's out flag and ready() cannot
 change (see stages.py), so handshakes read them as its last step left them,
 and an idle stage catches up through `skip`, in closed form, only when it
 steps, at a row snapshot and at the end.
@@ -59,8 +61,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConvSpec, Dims, FusionPlan, InternalError, NetworkSpec, \
-    ValidationError, output_dims, validate_plan
+from .config import ConvSpec, Dims, FusionPlan, InternalError, NetworkSpec, output_dims, \
+    validate_plan
 from .fixedpoint import fx_clamp_count
 from .golden import FilterBank, Tensor3D, check_inputs, conv_values, sequential_sum, \
     walk_layers
@@ -71,6 +73,8 @@ _TREE_NODES = 1 << 17  # int64 leaves per adder-tree chunk (1 MiB), a column per
 
 @dataclass
 class StageStamp:
+    """A stage's emissions when its group ends: the cycles of its first and
+    final output and how many it emitted."""
     name: str
     first_out: int = 0
     last_out: int = 0
@@ -148,49 +152,35 @@ def conv_datapath(x: np.ndarray, bank: FilterBank, spec: ConvSpec, d_par: int,
 
 
 def _build_stages(layers, in_dims, d_pars, layer_offset):
-    stages = []
-    dims = in_dims
-    bi = 0
-    for off, layer in enumerate(layers):
-        name = f"l{layer_offset + off}"
+    stages, dims, d_pars = [], in_dims, iter(d_pars)
+    for i, layer in enumerate(layers, layer_offset):
         if isinstance(layer, ConvSpec):
-            stages.append(ConvStage(layer, dims, d_pars[bi], name=f"{name}.conv"))
-            bi += 1
+            stages.append(ConvStage(layer, dims, next(d_pars), name=f"l{i}.conv"))
         else:
-            stages.append(PoolStage(layer, dims, name=f"{name}.pool"))
+            stages.append(PoolStage(layer, dims, name=f"l{i}.pool"))
         dims = stages[-1].out_dims
     return stages
 
 
-def _snapshot(cycle, stages, stamps):
-    """The schedule's state at the end of a cycle: per stage, state()'s
-    counters followed by the stamp's emitted count, and the relative rest."""
-    snap = []
-    for st, stamp in zip(stages, stamps):
-        counters, rest = st.state()
-        snap.append((counters + (stamp.emitted,), rest))
-    return cycle, snap
-
-
-def _fast_forward(old, new, stages, stamps, periods, max_cycles):
+def _fast_forward(old, new, stages, periods, max_cycles):
     """Skip whole periods from snapshot `new`, given `old`, one period before
-    it. Skips nothing unless each stage's state is its old state translated
-    by one period, with every delta its row_period fixes. The rules each
-    decision reads the counters through commute with the translation, so m
-    more periods land on the state translated m times, except where a
-    boundary clamp acts. A bottom clamp acts past a row_period bound; every
-    counter only grows, so the landing state's counters bound m. The one
-    top clamp that decides anything, ready()'s, changes a transition only
-    where it admits an element the unclamped rule refuses. The override
-    count, whose fixed delta is 0, refuses a period with one; a period
-    without took the unclamped rules' decisions, as every later one does.
-    (_set_threshold's r_top feeds only the overwrite guard, which translate
-    recomputes.) A stage's fixed emitted delta is at least 1, so at `new`
-    each stage has set its first_out. Its bound keeps each landing emitted
-    count at most n_out - 1, so every stage emits again after the jump, and
-    that emission sets last_out, which is therefore not translated. The
-    landing cycle stays within the watchdog's max_cycles. Returns (m, cycles
-    per period)."""
+    it; a snapshot is a cycle and each stage's state() at its end. Skips
+    nothing unless each stage's state is its old state translated by one
+    period, with every delta its row_period fixes. The rules each decision
+    reads the counters through commute with the translation, so m more
+    periods land on the state translated m times, except where a boundary
+    clamp acts. A bottom clamp acts past a row_period bound; every counter
+    only grows, so the landing state's counters bound m. The one top clamp
+    that decides anything, ready()'s, changes a transition only where it
+    admits an element the unclamped rule refuses. The override count, whose
+    fixed delta is 0, refuses a period with one; a period without took the
+    unclamped rules' decisions, as every later one does. (_set_threshold's
+    r_top feeds only the overwrite guard, which translate recomputes.) A
+    stage's fixed emitted delta is at least 1, so at `new` it has made its
+    first emission, where the clock set first_out; the emitted bound, n_out
+    - 1, leaves its final one, where the clock sets last_out, to a stepped
+    cycle. The landing cycle stays within the watchdog's max_cycles. Returns
+    (m, cycles per period)."""
     (c0, snap0), (c1, snap1) = old, new
     dc = c1 - c0
     m = (max_cycles - c1) // dc
@@ -199,13 +189,13 @@ def _fast_forward(old, new, stages, stamps, periods, max_cycles):
         delta = tuple(b - a for a, b in zip(cnt0, cnt1))
         if rest0 != rest1 or any(f is not None and f != d for f, d in zip(fixed, delta)):
             return 0, dc
-        for i, hi in bounds:
-            m = min(m, (hi - cnt1[i]) // delta[i])
+        for c, d, hi in zip(cnt1, delta, bounds):
+            if hi is not None:
+                m = min(m, (hi - c) // d)
         deltas.append(delta)
     if m > 0:
-        for st, stamp, delta in zip(stages, stamps, deltas):
-            st.translate(m, delta[:-1])
-            stamp.emitted += m * delta[-1]
+        for st, delta in zip(stages, deltas):
+            st.translate(m, delta)
     return max(m, 0), dc
 
 
@@ -223,9 +213,9 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
     (stage index, kind, first cycle, cycles, periods): a 1-cycle "step", a
     "quiet" skip, and per stage a "periodic" jump over `periods` periods.
     Each stage's spans cover the schedule's cycles once, from 1 to the
-    group's count."""
-    if not layers:
-        raise ValidationError("fused group must contain at least one layer")
+    group's count. Raises ValidationError on a chain or d_pars that
+    config.validate_plan refuses as one fused group."""
+    validate_plan(FusionPlan(((0, len(layers) - 1),), d_pars), NetworkSpec(in_dims, layers))
     stages = _build_stages(layers, in_dims, d_pars, layer_offset)
     n_stages = len(stages)
 
@@ -235,7 +225,6 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
     expected = [st.out_dims.height * st.out_dims.width for st in stages]
     remaining = n_stages
 
-    stamps = [StageStamp(st.name) for st in stages]
     readys = [st.ready for st in stages]
     steps = [st.step for st in stages]
     quiet = [st.quiet_for for st in stages]
@@ -253,12 +242,10 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
     period = math.prod(layer.stride for layer in layers)
     width = in_dims.width
     periods, hi, rows = [], in_dims.height - 1, period
-    for st, layer, n_out in zip(stages, layers, expected):
-        fixed, bounds = st.row_period(rows)
-        hi = min(hi, (bounds[0][1] + 1) * (period // rows) - 1)
+    for st, layer in zip(stages, layers):
+        periods.append(st.row_period(rows))
+        hi = min(hi, (periods[-1][1][0] + 1) * (period // rows) - 1)
         rows //= layer.stride
-        periods.append((fixed + (rows * st.out_dims.width,),
-                        bounds + ((len(fixed), n_out - 1),)))
     # snapshot rows 1 to hi - period, and only if they span three periods,
     # so that a jump skips one at least
     probe_at = -1 if hi - 1 < 3 * period else width
@@ -306,7 +293,7 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
         if cycle > max_cycles:
             raise InternalError(
                 f"pipeline made no progress within {max_cycles} cycles "
-                f"(collected {stamps[-1].emitted}/{expected[-1]})")
+                f"(collected {stages[-1].emitted}/{expected[-1]})")
         src_idx += carried
 
         # step the stages that act: due, fed or drained, each first skipped
@@ -317,32 +304,27 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
                 n = cycle - 1 - clock[i]
                 if n:
                     skips[i](n)
-                st = stages[i]
-                if outs[i] and not c:
-                    st.out_stall += 1
                 steps[i](carried, c)
                 clock[i] = cycle
                 due[i] = cycle + 1 + quiet[i]()
                 rdys[i] = readys[i]()
+                st = stages[i]
                 outs[i] = st.out
                 if c:
-                    stamp = stamps[i]
-                    if stamp.emitted == 0:
-                        stamp.first_out = cycle
-                    stamp.last_out = cycle
-                    stamp.emitted += 1
-                    if stamp.emitted == expected[i]:
+                    if st.emitted == 1:
+                        st.first_out = cycle
+                    if st.emitted == expected[i]:
+                        st.last_out = cycle
                         remaining -= 1
             carried = c
 
         if src_idx == probe_at:
             # a source row is complete; only a carrying cycle gets here
             catch_up(cycle)
-            history.append(_snapshot(cycle, stages, stamps))
+            history.append((cycle, [st.state() for st in stages]))
             probe_at += width
             if len(history) > period:
-                m, dc = _fast_forward(history[0], history[-1], stages, stamps,
-                                      periods, max_cycles)
+                m, dc = _fast_forward(history[0], history[-1], stages, periods, max_cycles)
                 if m:
                     if trace is not None:
                         trace.extend((i, "periodic", cycle + 1, m * dc, m) for i in stage_range)
@@ -359,7 +341,7 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
     catch_up(cycle)
     return GroupResult(
         cycles=cycle,
-        stamps=stamps,
+        stamps=[StageStamp(st.name, st.first_out, st.last_out, st.emitted) for st in stages],
         stall_cycles={st.name: st.out_stall for st in stages})
 
 

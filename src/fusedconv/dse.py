@@ -33,8 +33,11 @@ def fit_groups(net: NetworkSpec, budget: ResourceBudget,
     network: k^2 * d_par DSP and h_out * w_out * filters * (depth / d_par)
     steady cycles. Halving conv k leaves the group max(2 * steady[k], the
     largest steady cycles): no other conv exceeds the largest, and doubling
-    the largest exceeds them all."""
+    the largest exceeds them all. Raises ValidationError past
+    ENUMERATION_LIMIT layers, before pricing any group."""
     n = len(net.layers)
+    if n > ENUMERATION_LIMIT:
+        raise ValidationError(f"n_layers {n} exceeds enumeration bound {ENUMERATION_LIMIT}")
     full = full_depth_parallel(net)
     validate_plan(FusionPlan(((0, n - 1),), full), net)
     conv_idx = net.conv_indices()
@@ -157,9 +160,6 @@ def fold_partitions(net: NetworkSpec, fits: dict, budget: ResourceBudget,
     is over budget. Raises ValidationError if a figure of some partition
     would not fit its int64 column."""
     costmodel.check_bytes_per_value(bytes_per_value)
-    if len(net.layers) > ENUMERATION_LIMIT:
-        raise ValidationError(f"n_layers {len(net.layers)} exceeds enumeration bound "
-                              f"{ENUMERATION_LIMIT}")
     # per prefix of layers: rows dsp, buffer bits / estimate, traffic, groups;
     # and, in Python ints, the largest estimate and traffic bytes of any of
     # its partitions

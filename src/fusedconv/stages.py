@@ -12,7 +12,11 @@ has not drained. Windows leave a line buffer in raster order through a
 one-slot skid, so the i-th window an engine sweeps is output position i,
 and widx counts the windows out.
 
-A stage counts no cycles; the clocks of dataflow.simulate_group do. Besides
+A stage keeps no clock; dataflow.simulate_group's clocks do, and stamp the
+cycles of its first and final emission (first_out, last_out). The stage
+counts its own emissions (emitted) and the cycles its output is held
+untaken (out_stall). It assumes its inputs pass config.validate_plan: a
+d_par divides its depth, and a pool window is at most its stride. Besides
 its single-cycle `step`, a stage exposes the two shortcuts the clocks take.
 `quiet_for` and `skip` cross cycles in which only counters move, in closed
 form, as long as no element arrives and the output is not taken. The
@@ -21,18 +25,16 @@ quiet cycle, because a line buffer's fields and the pool's drain position
 move only on cycles where quiet_for is 0 or an element arrives, and `out`
 only when an element completes or leaves. So an idle stage's handshakes are
 those of its last step. `row_period`, `state` and `translate` serve the
-row-periodic fast-forward: the per-period deltas of the stage's counters
-and the bounds past which a bottom clamp acts, its counters with every
-other field relative to them, and the advance of those counters by whole
-periods.
+row-periodic fast-forward: per counter, its per-period delta and the
+highest value a jump may land it on; the counters with every other field
+relative to them; and the advance of those counters by whole periods.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .config import ConvSpec, Dims, InternalError, PoolSpec, ValidationError, \
-    check_pipeline_pool, output_dims
+from .config import ConvSpec, Dims, InternalError, PoolSpec, output_dims
 from .costmodel import conv3d_latency
 
 _FOREVER = 1 << 62  # quiet_for of a stage that waits on another stage
@@ -70,13 +72,11 @@ class ConvStage:
     its last filter's scalar pops: emq queues those advances. The pipeline
     freezes only on the advance that would complete an element while `out`
     is occupied. The i-th window to leave the line buffer is output position
-    i, so its element carries dataflow.conv_datapath's values there,
-    computed once per layer after the schedule has run.
+    i, so its element carries the values dataflow.simulate_plan's walk
+    computes there, once per layer after the schedule has run.
     """
 
     def __init__(self, spec: ConvSpec, in_dims: Dims, d_par: int, name="conv"):
-        if in_dims.depth % d_par != 0:
-            raise ValidationError(f"depth {in_dims.depth} not divisible by d_par {d_par}")
         self.name = name
         self.out_dims = out = output_dims(in_dims, spec)
         self.h, self.w_in = in_dims.height, in_dims.width
@@ -95,7 +95,8 @@ class ConvStage:
         self.adv = 0
         self.emq = deque()  # per queued element, the advance it completes on
         self.out = False
-        self.out_stall = 0
+        self.emitted = self.out_stall = 0
+        self.first_out = self.last_out = 0
         self._set_threshold()
 
     def _set_threshold(self):
@@ -138,9 +139,14 @@ class ConvStage:
         skid's window and issues, unless frozen; then the line buffer emits
         the next window into the skid, decided on previous-cycle fill state,
         and absorbs the offered element, counting it in overrides if only
-        ready()'s top clamp admitted it."""
-        if out_consumed:
-            self.out = False
+        ready()'s top clamp admitted it. A held output counts as emitted
+        if taken, else as a blocked cycle."""
+        if self.out:
+            if out_consumed:
+                self.out = False
+                self.emitted += 1
+            else:
+                self.out_stall += 1
         emq, adv = self.emq, self.adv + 1
         completes = emq and emq[0] == adv
         if not (completes and self.out):
@@ -205,28 +211,32 @@ class ConvStage:
         self.cur_left -= min(n, self.cur_left)
 
     def row_period(self, rows: int):
-        """Per-period deltas of state()'s counters when the stage takes `rows`
-        input rows a period (None where the run sets them; the override
-        count's is 0), and (counter, highest) values up to which no bottom
-        clamp acts: the input row, first, then the window index."""
+        """Per counter of state(), when the stage takes `rows` input rows a
+        period: its per-period delta (None where the run sets it; the
+        override count's is 0), and the highest value a jump may land it on
+        (None: no bound). The input row's and the window index's are the
+        last values no bottom clamp acts on; the emitted count's, n_out - 1,
+        leaves the final emission to a stepped cycle."""
+        wins = rows // self.s * self.w_out
         rho_hi = (self.h - self.w + self.p) // self.s
-        return ((rows, rows // self.s * self.w_out, None, None, 0),
-                ((0, min(self.h - 1, self.h_out * self.s - 1 + self.w - self.p)),
-                 (1, (rho_hi + 1) * self.w_out - 1)))
+        return ((rows, wins, wins, None, None, 0),
+                (min(self.h - 1, self.h_out * self.s - 1 + self.w - self.p),
+                 (rho_hi + 1) * self.w_out - 1, self.n_windows - 1, None, None, None))
 
     def state(self):
         """(counters, rest): the counters a row-periodic stretch advances by a
         fixed amount per period, and every other field relative to them."""
         adv = self.adv
-        return ((self._r_in, self.widx, adv, self.out_stall, self.overrides),
+        return ((self._r_in, self.widx, self.emitted, adv, self.out_stall, self.overrides),
                 (self._c_in, self.out, self.cur_left, self.skid,
                  tuple(c - adv for c in self.emq)))
 
     def translate(self, m: int, delta):
         """Advance m periods: add m times delta to every counter of state()."""
-        rows, wins, adv, stall, _ = (m * d for d in delta)
+        rows, wins, emitted, adv, stall, _ = (m * d for d in delta)
         self._r_in += rows
         self.widx += wins
+        self.emitted += emitted
         self._set_threshold()
         self.adv += adv
         self.emq = deque(c + adv for c in self.emq)
@@ -239,11 +249,9 @@ class PoolStage:
     pooled row drains serially once its last input row completes. The stage
     keeps only its input coordinate and the next slot to drain (w_out: none);
     an element landing in a slot that has not drained is an invariant breach.
-    Requires window <= stride (a single physical row cannot serve
-    overlapping vertical windows)."""
+    Requires window <= stride, which config.validate_plan checks."""
 
     def __init__(self, spec: PoolSpec, in_dims: Dims, name="pool"):
-        check_pipeline_pool(spec)
         self.name = name
         self.out_dims = output_dims(in_dims, spec)
         self.h_in, self.w_in = in_dims.height, in_dims.width
@@ -254,7 +262,8 @@ class PoolStage:
         self._c_in = 0
         self.drain_pos = self.w_out
         self.out = False
-        self.out_stall = 0
+        self.emitted = self.out_stall = 0
+        self.first_out = self.last_out = 0
 
     def ready(self) -> bool:
         r, c = self._r_in, self._c_in
@@ -268,8 +277,12 @@ class PoolStage:
         return j < self.drain_pos
 
     def step(self, in_elem: bool, out_consumed: bool):
-        if out_consumed:
-            self.out = False
+        if self.out:
+            if out_consumed:
+                self.out = False
+                self.emitted += 1
+            else:
+                self.out_stall += 1
         if not self.out and self.drain_pos < self.w_out:
             self.out = True
             self.drain_pos += 1
@@ -301,14 +314,16 @@ class PoolStage:
 
     def row_period(self, rows: int):
         """As ConvStage.row_period; the only clamp is on the input row."""
-        return ((rows, None),
-                ((0, min(self.h_in, self.h_out * self.stride) - 1),))
+        return ((rows, rows // self.stride * self.w_out, None),
+                (min(self.h_in, self.h_out * self.stride) - 1, self.h_out * self.w_out - 1,
+                 None))
 
     def state(self):
-        return ((self._r_in, self.out_stall),
+        return ((self._r_in, self.emitted, self.out_stall),
                 (self._c_in, self.drain_pos, self.out))
 
     def translate(self, m: int, delta):
-        rows, stall = (m * d for d in delta)
+        rows, emitted, stall = (m * d for d in delta)
         self._r_in += rows
+        self.emitted += emitted
         self.out_stall += stall

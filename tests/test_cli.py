@@ -334,12 +334,19 @@ def test_dse_formats_each_plan_once(workdir, capsys, monkeypatch):
     assert sorted(groups) == [(a, b) for a in range(3) for b in range(a, 3)]
 
 
-def test_dse_refuses_more_layers_than_the_enumeration_bound(tmp_path, capsys):
+def test_dse_refuses_more_layers_than_the_enumeration_bound(tmp_path, capsys, monkeypatch):
+    # refused before any of the n(n+1)/2 groups is priced: at 400 layers,
+    # pricing them all first took 23 s
+    from fusedconv import costmodel
     from fusedconv.config import ConvSpec, Dims, NetworkSpec
-    net = NetworkSpec(Dims(4, 4, 2), (ConvSpec(1, 2),) * 21)
-    (tmp_path / "n.json").write_text(serialize_network(net))
-    assert main(["dse", "--network", str(tmp_path / "n.json")]) == 2
-    assert "n_layers 21 exceeds enumeration bound 20" in capsys.readouterr().err
+    priced = []
+    monkeypatch.setattr(costmodel, "group_cost", lambda *a, **k: priced.append(a))
+    for n_layers in (21, 400):
+        net = NetworkSpec(Dims(4, 4, 2), (ConvSpec(1, 2),) * n_layers)
+        (tmp_path / "n.json").write_text(serialize_network(net))
+        assert main(["dse", "--network", str(tmp_path / "n.json")]) == 2
+        assert f"n_layers {n_layers} exceeds enumeration bound 20" in capsys.readouterr().err
+    assert not priced
 
 
 @pytest.mark.parametrize("dsp_max, message", [

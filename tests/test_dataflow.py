@@ -182,8 +182,21 @@ def test_engine_idle_without_windows_emits_nothing():
 
 
 def test_d_par_must_divide_depth_through_simulate_group(small_net):
-    with pytest.raises(ValidationError, match="depth 3 not divisible by d_par 2"):
+    with pytest.raises(ValidationError, match="does not divide depth 3"):
         simulate_group(small_net.layers, small_net.input_dims, [3, 2])
+
+
+@pytest.mark.parametrize("layers, d_pars, message", [
+    (None, [0, 3], "depth-parallel 0 outside"),
+    (None, [3], "1 depth-parallel values for 2 conv layers"),
+    (None, [3, 3, 3], "3 depth-parallel values for 2 conv layers"),
+    ((), [], "at least one layer")])
+def test_simulate_group_refuses_what_validate_plan_refuses(small_net, layers, d_pars, message):
+    # the schedule takes its chain as a plan of one fused group: a chain or
+    # d_par list the plan check refuses never reaches a stage
+    layers = small_net.layers if layers is None else layers
+    with pytest.raises(ValidationError, match=message):
+        simulate_group(layers, small_net.input_dims, d_pars)
 
 
 def test_engine_window_value_matches_golden_reduction(small_net, small_data):
@@ -367,7 +380,7 @@ def test_pool_datapath_skips_uncovered_rows_and_columns():
 
 def test_pool_rejects_overlapping_windows():
     with pytest.raises(ValidationError, match="window <= stride"):
-        PoolStage(PoolSpec(3, 2), Dims(6, 6, 1))
+        simulate_group((PoolSpec(3, 2),), Dims(6, 6, 1), [])
 
 
 def permissive_pool_ready(self):

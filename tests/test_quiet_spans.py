@@ -35,13 +35,15 @@ def step_every_cycle(layers, in_dims, d_pars, layer_offset=0, until=None, watch=
     once, front to back, each passing its consumed token downstream. Runs
     to the end, or to cycle `until`, and calls watch(cycle, stages) after
     every cycle, if given. Returns the stamps, the stall cycles and the
-    stages."""
+    stages. It keeps its own stamps and stall counts, never the ones the
+    stages book themselves."""
     stages = _build_stages(layers, in_dims, d_pars, layer_offset)
     n_stages = len(stages)
     n_src = in_dims.height * in_dims.width
     src_idx = 0
     remaining = n_stages
     stamps = [StageStamp(st.name) for st in stages]
+    stalls = {st.name: 0 for st in stages}
     cycle = 0
     while remaining and cycle != until:
         cycle += 1
@@ -53,7 +55,7 @@ def step_every_cycle(layers, in_dims, d_pars, layer_offset=0, until=None, watch=
                 if ready_down:
                     consume[i] = True
                 else:
-                    st.out_stall += 1
+                    stalls[st.name] += 1
             ready_down = st.ready()
         carried = ready_down and src_idx < n_src
         src_idx += carried
@@ -70,7 +72,7 @@ def step_every_cycle(layers, in_dims, d_pars, layer_offset=0, until=None, watch=
                     remaining -= 1
         if watch:
             watch(cycle, stages)
-    return stamps, {st.name: st.out_stall for st in stages}, stages
+    return stamps, stalls, stages
 
 
 def engine_counters(stages):
@@ -402,7 +404,7 @@ def test_row_period_bounds_are_the_clamp_free_rows(kernel, stride, pad, height):
     spec = ConvSpec(kernel, 2, stride, pad)
     conv = ConvStage(spec, in_dims, 1)
     out = conv.out_dims
-    (_, hi), (_, w_hi) = conv.row_period(stride)[1]
+    hi, w_hi, *_ = conv.row_period(stride)[1]
 
     def row_clamped(r):  # the ready check's, on the next row to arrive
         return r >= height or (r - kernel + pad) // stride >= out.height
@@ -419,7 +421,7 @@ def test_row_period_bounds_are_the_clamp_free_rows(kernel, stride, pad, height):
 
     if stride > 1:
         pool = PoolStage(PoolSpec(min(kernel, stride), stride), in_dims)
-        (_, hi), = pool.row_period(stride)[1]
+        hi, *_ = pool.row_period(stride)[1]
         h_out = pool.out_dims.height
         assert_free_up_to(range(height + 4), lambda r: r >= height or r // stride >= h_out, hi)
 
