@@ -26,6 +26,18 @@ saturation events; a pool layer's are golden.maxpool_layer's. Given an
 order while the oracle's stream is still the walk's, and golden.run_network
 takes those layers by position.
 
+One element moves per handshake, so every event cycle of a group is a
+maximum of earlier event cycles plus constants: each stage's output cycles
+are running maxima of its arrival cycles, a max-plus recurrence (Baccelli,
+Cohen, Olsder and Quadrat, "Synchronization and Linearity", 1992).
+model_group computes them in numpy. It leaves out the refusals of every
+stage but the first, so its cycles are a floor; it certifies a group where
+none of them would bind at the modeled arrival cycles, and a certified model
+is the schedule, stamps included, with no stall. simulate_group returns a
+certified model and steps only a group the model cannot certify, one where a
+stage is held, through _stepped, whose clocks the next two paragraphs
+describe.
+
 Each stage keeps its own clock, as in conservative discrete-event simulation
 with one clock per process (Chandy and Misra, IEEE TSE 1979). After each
 step a stage reports how many upcoming cycles it only moves counters (a conv
@@ -45,12 +57,13 @@ counter changes. At each source-row boundary up to the rows where a bottom
 clamp can act, the clock compares the state with the state P rows earlier;
 once it is that state translated by one period, and no line buffer's top
 clamp overrode its unclamped rule in between, the clock jumps whole
-periods at once (_fast_forward). Fused VGG-7 at 28x28 makes 7,281 stage
-steps and jumps two periods from source row 19 (10,209 steps without the
-jump, 45,745 when each event cycle stepped all seven stages). Neither
-shortcut changes a cycle count, stamp or stall. A trace records the spans
-these clocks take: each stage's steps, its quiet skips and the periodic
-jumps, which together cover every cycle of the stage once.
+periods at once (_fast_forward). Stepped, fused VGG-7 at 28x28 makes 7,281
+stage steps and jumps two periods from source row 19 (10,209 steps without
+the jump, 45,745 when each event cycle stepped all seven stages); the model
+certifies it and takes none. No shortcut changes a cycle count, stamp or
+stall. A trace records the spans these clocks take: each stage's steps, its
+quiet skips and the periodic jumps, or one modeled span per stage of a
+certified group, which cover every cycle of the stage once.
 """
 from __future__ import annotations
 
@@ -83,10 +96,12 @@ class StageStamp:
 
 @dataclass
 class GroupResult:
-    """One group's schedule: its cycle count, stamps and stalls per stage."""
+    """One group's schedule: its cycle count, stamps and stalls per stage,
+    and whether the max-plus model gave it rather than stepping."""
     cycles: int
     stamps: list
     stall_cycles: dict
+    modeled: bool = field(default=False, compare=False)
 
 
 @dataclass
@@ -99,8 +114,10 @@ class SimResult:
     stamps_per_group: list
     stall_cycles: dict
     saturation_events: int
-    # wall seconds of the group schedules and of the value walk; not results
+    # wall seconds of the group schedules and of the value walk, and how
+    # many groups the max-plus model gave; not results
     seconds: tuple = field(compare=False, repr=False)
+    modeled: int = field(compare=False, repr=False)
 
 
 def _tree(a: np.ndarray):
@@ -199,6 +216,102 @@ def _fast_forward(old, new, stages, periods, max_cycles):
     return max(m, 0), dc
 
 
+def _last_covering(x, pad: int, stride: int, n_out: int, w: int):
+    """stages._last_needing over an array of coordinates; -1 where no window
+    covers one."""
+    idx = np.minimum((x + pad) // stride, n_out - 1)
+    return np.where(x <= idx * stride - pad + w - 1, idx, -1)
+
+
+def _timing(st):
+    """Stage st's max-plus map: from the arrival cycles of its input elements,
+    in raster order, to (the cycles its output elements leave it, the first
+    cycle on which ready() admits each input element, 0 where it always
+    does), for a stage whose output is never held."""
+    if isinstance(st, PoolStage):
+        n, s, win = st.w_out, st.stride, st.window
+        rows = np.arange(st.h_out) * n
+        # row rho drains from D = max(its trigger's arrival + 1, D' + n), D'
+        # the previous row's; an element of row rho + 1 lands in slot j once
+        # slot j of row rho has drained, on D + j
+        trigger = (np.arange(st.h_out) * s + win - 1) * st.w_in + (n - 1) * s + win - 1
+        r, c = np.arange(st.h_in), np.arange(st.w_in)
+        prev = np.where((r % s < win) & (r // s < st.h_out), r // s - 1, -1)
+        slot = np.where((c % s < win) & (c // s < n), c // s, -1)
+        gate = (prev >= 0)[:, None] & (slot >= 0)
+
+        def times(a):
+            drain = np.maximum.accumulate(a[trigger] + 1 - rows) + rows
+            release = np.where(gate, drain[prev][:, None] + slot + 1, 0)
+            return (drain[:, None] + np.arange(1, n + 1)).ravel(), release.ravel()
+        return times
+    # window j leaves the line buffer at S = max(A, T'), A its last element's
+    # arrival + 1 and T' the cycle the engine took window j - 1, and is
+    # taken at T = max(A + 1, T' + kg); its element leaves kg + latency later
+    kg = np.arange(st.n_windows) * st.kg
+    last = (np.minimum(np.arange(st.h_out) * st.s - st.p + st.w - 1, st.h - 1)[:, None]
+            * st.w_in + np.minimum(np.arange(st.w_out) * st.s - st.p + st.w - 1,
+                                   st.w_in - 1)).ravel()
+    # element (r, c) waits for the last window covering (r - w, c) to leave;
+    # the top clamp admits the first w rows
+    rho = _last_covering(np.arange(st.h) - st.w, st.p, st.s, st.h_out, st.w)
+    rho[:st.w] = -1
+    gam = _last_covering(np.arange(st.w_in), st.p, st.s, st.w_out, st.w)
+    gated = ((rho >= 0)[:, None] & (gam >= 0)).ravel()
+    gate = np.where(gated, (rho[:, None] * st.w_out + gam).ravel(), 0)
+
+    def times(a):
+        done = a[last] + 1
+        start = np.maximum.accumulate(done + 1 - kg) + kg
+        leave = np.maximum(done, np.concatenate(([0], start[:-1])))
+        return start + st.kg + st.latency, np.where(gated, leave[gate] + 1, 0)
+    return times
+
+
+def model_group(layers, in_dims: Dims, d_pars, layer_offset: int = 0):
+    """One fused group's schedule as a max-plus model (Baccelli, Cohen,
+    Olsder and Quadrat, "Synchronization and Linearity", 1992): each event
+    cycle is a maximum of earlier event cycles plus constants, so each
+    stage's output cycles are running maxima of its arrival cycles
+    (_timing), computed in numpy with no per-cycle loop. The first stage's
+    arrivals are the source's, which offers element e one cycle after it
+    took element e - 1 and waits while the stage refuses it: they are
+    iterated from e + 1 to the fixed point a = e + cummax(max(release - e,
+    1)), release the cycle from which the stage admits e, which depends on
+    earlier arrivals only. Every later stage takes its feeder's outputs as
+    they leave.
+
+    A floor: the model keeps every term of the schedule's maxima except
+    those a later stage's ready() adds, where it refuses an element, holds
+    its feeder's output and may freeze its engine. Dropping a term from a
+    maximum can only lower it, and every later event is a maximum over
+    earlier ones, so no modeled cycle exceeds the stepped schedule's.
+
+    Certified where the dropped terms never bind: every later stage's
+    arrivals are at or after its release cycles, so every output leaves the
+    cycle after it is ready and no stage is held. Then the model is the
+    schedule, cycle for cycle. Returns (GroupResult, with every stall 0,
+    certified)."""
+    stages = _build_stages(layers, in_dims, d_pars, layer_offset)
+    idx = np.arange(in_dims.height * in_dims.width)
+    first, arrive = _timing(stages[0]), idx + 1
+    while True:
+        out, release = first(arrive)
+        fixed = idx + np.maximum.accumulate(np.maximum(release - idx, 1))
+        if np.array_equal(fixed, arrive):
+            break
+        arrive = fixed
+    emits, certified = [out], True
+    for st in stages[1:]:
+        out, release = _timing(st)(emits[-1])
+        certified = certified and bool((emits[-1] >= release).all())
+        emits.append(out)
+    stamps = [StageStamp(st.name, int(e[0]), int(e[-1]), len(e))
+              for st, e in zip(stages, emits)]
+    return GroupResult(max(s.last_out for s in stamps), stamps,
+                       {st.name: 0 for st in stages}, modeled=True), certified
+
+
 def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
                    layer_offset: int = 0) -> GroupResult:
     """Run one fused group's schedule on an in_dims input: the input streams
@@ -209,13 +322,27 @@ def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
     stage where a pool discards trailing rows. Only presence tokens move, so
     no value is read or computed here.
 
-    Given a list as `trace`, appends the spans the schedule takes, each
-    (stage index, kind, first cycle, cycles, periods): a 1-cycle "step", a
-    "quiet" skip, and per stage a "periodic" jump over `periods` periods.
-    Each stage's spans cover the schedule's cycles once, from 1 to the
-    group's count. Raises ValidationError on a chain or d_pars that
-    config.validate_plan refuses as one fused group."""
+    Where model_group certifies the group, returns its result and steps
+    nothing; otherwise steps the schedule (_stepped). Given a list as
+    `trace`, appends the spans the schedule takes, each (stage index, kind,
+    first cycle, cycles, periods): per stage one "modeled" span of a
+    certified group, or those of _stepped. Each stage's spans cover the
+    schedule's cycles once, from 1 to the group's count. Raises
+    ValidationError on a chain or d_pars that config.validate_plan refuses
+    as one fused group."""
     validate_plan(FusionPlan(((0, len(layers) - 1),), d_pars), NetworkSpec(in_dims, layers))
+    res, certified = model_group(layers, in_dims, d_pars, layer_offset)
+    if not certified:
+        return _stepped(layers, in_dims, d_pars, trace, layer_offset)
+    if trace is not None:
+        trace.extend((i, "modeled", 1, res.cycles, 0) for i in range(len(layers)))
+    return res
+
+
+def _stepped(layers, in_dims: Dims, d_pars, trace=None, layer_offset: int = 0) -> GroupResult:
+    """simulate_group's schedule stepped by the stages' own clocks, for any
+    chain validate_plan admits. A trace gets a 1-cycle "step" span, a
+    "quiet" skip, and per stage a "periodic" jump over `periods` periods."""
     stages = _build_stages(layers, in_dims, d_pars, layer_offset)
     n_stages = len(stages)
 
@@ -393,4 +520,5 @@ def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan
         stamps_per_group=[g.stamps for g in groups],
         stall_cycles={name: n for g in groups for name, n in g.stall_cycles.items()},
         saturation_events=events,
-        seconds=(t1 - t0, time.monotonic() - t1))
+        seconds=(t1 - t0, time.monotonic() - t1),
+        modeled=sum(g.modeled for g in groups))

@@ -174,9 +174,16 @@ def test_simulate_elapsed_line_splits_simulator_and_oracle(workdir, capsys):
     assert main(["simulate", "--network", str(workdir / "net.json"),
                  "--input", str(workdir / "input.dclf"),
                  "--weights", str(workdir / "weights.bin"), "--plan", "0|1-2"]) == 0
-    assert re.fullmatch(r"elapsed: \d+\.\d\ds \(schedule \d+\.\d\ds, values \d+\.\d\ds, "
-                        r"oracle \d+\.\d\ds, 2 of 2 oracle conv layers from the value walk\)\n",
+    assert re.fullmatch(r"elapsed: \d+\.\d\ds \(schedule \d+\.\d\ds, 2 of 2 groups modeled, "
+                        r"values \d+\.\d\ds, oracle \d+\.\d\ds, "
+                        r"2 of 2 oracle conv layers from the value walk\)\n",
                         capsys.readouterr().err)
+    # a fast conv held by a slow one is stepped
+    assert main(["simulate", "--network", str(workdir / "net.json"),
+                 "--input", str(workdir / "input.dclf"),
+                 "--weights", str(workdir / "weights.bin"), "--plan", "0-1|2",
+                 "--dpar", "3,1"]) == 0
+    assert ", 1 of 2 groups modeled, " in capsys.readouterr().err
 
 
 def test_golden_elapsed_line_splits_oracle_and_write(workdir, capsys):
@@ -205,16 +212,17 @@ def _simulate_args(workdir, *extra):
             "--weights", str(workdir / "weights.bin"), "--plan", "0-1|2", *extra]
 
 
-def test_simulate_trace_is_chrome_json_with_a_track_per_stage(workdir):
+def _traced_span_kinds(workdir, *extra):
+    """Simulate plan 0-1|2 traced; assert each track's spans tile its
+    group's cycles, the second group's after the first's, and return each
+    stage's span kinds."""
     assert main(_simulate_args(workdir, "--trace", str(workdir / "t.json"),
-                               "--out", str(workdir / "sim"))) == 0
+                               "--out", str(workdir / "sim"), *extra)) == 0
     events = json.loads((workdir / "t.json").read_text())["traceEvents"]
     tracks = {e["tid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
     assert sorted(tracks.values()) == ["l0.conv", "l1.conv", "l2.pool"]
     report = json.loads((workdir / "sim" / "report.json").read_text())
     first, second = report["simulation"]["cycles_per_group"]
-    # each track's spans tile its group's cycles, the second group's
-    # after the first's
     for tid, name in tracks.items():
         end, stop = (first, first + second) if name == "l2.pool" else (0, first)
         for e in events:
@@ -222,6 +230,20 @@ def test_simulate_trace_is_chrome_json_with_a_track_per_stage(workdir):
                 assert e["ts"] == end and e["dur"] >= 1
                 end += e["dur"]
         assert end == stop
+    return {name: {e["name"] for e in events if e["ph"] == "X" and e["tid"] == tid}
+            for tid, name in tracks.items()}
+
+
+def test_simulate_trace_is_chrome_json_with_a_track_per_stage(workdir):
+    # the max-plus model certifies both groups: one modeled span per stage
+    assert _traced_span_kinds(workdir) == {"l0.conv": {"modeled"}, "l1.conv": {"modeled"},
+                                           "l2.pool": {"modeled"}}
+
+
+def test_simulate_trace_steps_a_group_the_model_cannot_certify(workdir):
+    # at d_par 3,1 the slow second conv holds the first: that group steps
+    assert _traced_span_kinds(workdir, "--dpar", "3,1") == {
+        "l0.conv": {"step", "quiet"}, "l1.conv": {"step", "quiet"}, "l2.pool": {"modeled"}}
 
 
 def test_simulate_trace_leaves_every_output_unchanged(workdir, capsys):

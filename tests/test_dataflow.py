@@ -115,9 +115,11 @@ def permissive_linebuffer_ready(self):
 
 
 def test_permissive_linebuffer_ready_trips_window_guard(monkeypatch, small_net):
+    # the guard is the stepped schedule's: the max-plus model reads no
+    # ready(), and certifies this group
     monkeypatch.setattr(ConvStage, "ready", permissive_linebuffer_ready)
     with pytest.raises(InternalError, match="overwrote window 6 before emitting it"):
-        simulate_group(small_net.layers, small_net.input_dims, [3, 3])
+        dataflow._stepped(small_net.layers, small_net.input_dims, [3, 3])
 
 
 def test_refusing_linebuffer_trips_the_cycle_budget(monkeypatch, small_net):
@@ -126,7 +128,7 @@ def test_refusing_linebuffer_trips_the_cycle_budget(monkeypatch, small_net):
     monkeypatch.setattr(ConvStage, "ready", lambda self: False)
     with pytest.raises(InternalError, match=r"no progress within \d+ cycles "
                                             r"\(collected 0/4\)"):
-        simulate_group(small_net.layers, small_net.input_dims, [3, 3])
+        dataflow._stepped(small_net.layers, small_net.input_dims, [3, 3])
 
 
 # --- conv engine -------------------------------------------------------------
@@ -402,7 +404,7 @@ def test_permissive_pool_ready_trips_drain_guard(monkeypatch, reduced7):
     # arrives, so a permissive pool lands an element on an undrained slot
     monkeypatch.setattr(PoolStage, "ready", permissive_pool_ready)
     with pytest.raises(InternalError, match="overwritten before it drained"):
-        simulate_group(reduced7.layers, reduced7.input_dims, [3, 8, 8, 1, 16])
+        dataflow._stepped(reduced7.layers, reduced7.input_dims, [3, 8, 8, 1, 16])
 
 
 # --- fused pipeline ----------------------------------------------------------

@@ -37,11 +37,15 @@ def test_saturating_probe_runs():
 
 
 def test_schedule_probe_prints_the_pinned_work():
-    # demo 04's --schedule case: the cycles, and the stage steps that
-    # test_quiet_spans.test_schedule_work_is_pinned pins, of each geometry
+    # demo 04's --schedule case: the cycles, the stage steps of the stepped
+    # schedule that test_quiet_spans.test_schedule_work_is_pinned pins, and
+    # the max-plus model's certificate, of each geometry
     stdout = _run_demo("04_full_scale_timing.py", "--schedule")
-    rows = {m[1]: (m[2], m[3]) for m in (
-        re.fullmatch(r"\s+(\S+)\s+([\d,]+) cycles\s+([\d,]+) stage steps\s+[\d.]+ ms", line)
+    rows = {m[1]: (m[2], m[3], m[4]) for m in (
+        re.fullmatch(r"\s+(\S+)\s+([\d,]+) cycles\s+([\d,]+) stage steps\s+[\d.]+ ms stepped"
+                     r"\s+[\d.]+ ms modeled, (certified|not certified)", line)
         for line in stdout.splitlines()[1:])}
-    assert rows == {"conv1_1-56": ("200,827", "1,342"), "vgg7-28": ("65,410", "7,281"),
-                    "saturating": ("16,467", "479"), "vgg7-224": ("3,327,046", "58,412")}
+    assert rows == {"conv1_1-56": ("200,827", "1,342", "certified"),
+                    "vgg7-28": ("65,410", "7,281", "certified"),
+                    "saturating": ("16,467", "479", "certified"),
+                    "vgg7-224": ("3,327,046", "58,412", "certified")}

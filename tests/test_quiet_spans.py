@@ -4,9 +4,12 @@
 spans were skipped, row-periodic stretches fast-forwarded and each stage
 given its own clock: it calls every stage's `step` on every cycle. It drives
 the same stage classes, so any difference in cycles, stamps or stalls comes
-from the jumps of the clocks. A traced run takes the same steps and jumps as
-an untraced one and records them as spans, which must cover each stage's
-cycles once. The schedule takes dims, not data:
+from the jumps of the clocks (dataflow._stepped) or from the max-plus model
+(dataflow.model_group), which simulate_group returns where it certifies a
+group. The model must never exceed the schedule, and must equal it where it
+certifies. A traced run takes the same steps and jumps as an untraced one
+and records them as spans, which must cover each stage's cycles once. The
+schedule takes dims, not data:
 values come after it, from golden.walk_layers, and the tests of
 conv_datapath, of the pool values and of simulate_plan check them.
 """
@@ -22,7 +25,8 @@ from hypothesis import example, given, settings, strategies as st
 from fusedconv import dataflow
 from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, PoolSpec, \
     output_dims, validate_plan
-from fusedconv.dataflow import GroupResult, StageStamp, _build_stages, simulate_group
+from fusedconv.dataflow import GroupResult, StageStamp, _build_stages, _stepped, model_group, \
+    simulate_group
 from fusedconv.networks import VGG7_DEFAULT_DPAR, consecutive_convs, vgg_prefix_7
 from fusedconv.stages import _FOREVER, ConvStage, PoolStage
 
@@ -81,7 +85,8 @@ def engine_counters(stages):
 
 
 def counted_run(layers, in_dims, d_pars, layer_offset=0, trace=None):
-    """simulate_group, counting its stage steps and keeping its jumps.
+    """The stepped schedule, _stepped, counting its stage steps and keeping
+    its jumps.
     Returns the result, the stages, the step count and each jump's
     (periods, cycles per period)."""
     built, steps, jumps = [], [], []
@@ -101,18 +106,20 @@ def counted_run(layers, in_dims, d_pars, layer_offset=0, trace=None):
 
     with mock.patch.object(dataflow, "_build_stages", build), \
             mock.patch.object(dataflow, "_fast_forward", jump):
-        res = simulate_group(layers, in_dims, d_pars, trace, layer_offset=layer_offset)
+        res = _stepped(layers, in_dims, d_pars, trace, layer_offset=layer_offset)
     return res, built, len(steps), jumps
 
 
 def assert_spans_tile(spans, n_stages, cycles):
-    """In the order recorded, each stage's spans cover cycles 1..cycles once."""
+    """In the order recorded, each stage's spans cover cycles 1..cycles once:
+    one modeled span, or steps, quiet skips and periodic jumps."""
     for i in range(n_stages):
         end = 0
         for _, kind, first, n, m in (s for s in spans if s[0] == i):
             assert first == end + 1 and n >= 1
             assert (kind, n, m) == ("step", 1, 0) or (kind == "quiet" and m == 0) \
-                or (kind == "periodic" and m >= 1 and n % m == 0)
+                or (kind == "periodic" and m >= 1 and n % m == 0) \
+                or (kind, first, n, m) == ("modeled", 1, cycles, 0)
             end += n
         assert end == cycles
 
@@ -135,13 +142,27 @@ def assert_traced_like_untraced(layers, in_dims, d_pars, layer_offset=0):
 
 
 def assert_same_run(layers, in_dims, d_pars, layer_offset=0):
-    """Run simulate_group traced and untraced, and the reference loop;
-    assert every schedule observable, and the engines' closed-form
-    counters, agree. Returns the traced result and its spans."""
+    """Run the stepped schedule traced and untraced, simulate_group, the
+    max-plus model and the reference loop. Assert every schedule observable
+    of the first two, and the engines' closed-form counters, agree with the
+    reference; that the model's cycles are a floor, and that where it
+    certifies the group it is the reference and simulate_group steps
+    nothing. Returns the stepped traced result and its spans."""
     got, spans, built = assert_traced_like_untraced(layers, in_dims, d_pars, layer_offset)
     stamps, stalls, want_stages = step_every_cycle(layers, in_dims, d_pars, layer_offset)
     assert engine_counters(built) == engine_counters(want_stages)
-    assert got == GroupResult(max(s.last_out for s in stamps), stamps, stalls)
+    want = GroupResult(max(s.last_out for s in stamps), stamps, stalls)
+    assert got == want
+    modeled, certified = model_group(layers, in_dims, d_pars, layer_offset)
+    assert modeled.cycles <= want.cycles
+    dispatched = []
+    assert simulate_group(layers, in_dims, d_pars, dispatched, layer_offset) == want
+    assert_spans_tile(dispatched, len(built), want.cycles)
+    if certified:
+        assert modeled == want and not any(stalls.values())
+        assert {kind for _, kind, *_ in dispatched} == {"modeled"}
+    else:
+        assert dispatched == spans
     return got, spans
 
 
@@ -221,10 +242,13 @@ STALLING_CHAINS = [
 
 @pytest.mark.parametrize("d_par, stalls", STALLING_CHAINS)
 def test_stalling_chain_matches_per_cycle_reference(d_par, stalls):
-    # a fast stage feeding a slow one is held for most of the run
+    # a fast stage feeding a slow one is held for most of the run: the
+    # max-plus model cannot certify the chain, and it is stepped
     net = reduced_vgg_prefix_7()
     res, _ = assert_same_run(net.layers, net.input_dims, list(d_par))
     assert {k: v for k, v in res.stall_cycles.items() if v} == stalls
+    assert not model_group(net.layers, net.input_dims, list(d_par))[1]
+    assert simulate_group(net.layers, net.input_dims, list(d_par)) == res
 
 
 @pytest.mark.parametrize("d_par, stalls", STALLING_CHAINS)
@@ -266,6 +290,51 @@ def tall_chains(draw):
                                     if din[li].depth % x == 0]))
               for li in net.conv_indices()]
     return net, d_pars
+
+
+@st.composite
+def certificate_chains(draw):
+    """Fused chains at the edges of the max-plus model's certificate: a 5x5
+    conv on a narrow input, whose line buffer refuses the source; a pool
+    fed by the source, which refuses it until a slot drains; and a fast
+    conv feeding a pool that a slower conv after it holds. Up to two more
+    convs follow, at any d_par divisor."""
+    kind = draw(st.sampled_from(["narrow", "pool first", "held by a pool"]))
+    width = draw(st.integers(2, 6) if kind == "narrow" else st.integers(4, 10))
+    dims = Dims(draw(st.integers(6, 24)), width, draw(st.integers(1, 4)))
+    if kind == "narrow":
+        layers = [ConvSpec(5, draw(st.integers(1, 4)), draw(st.sampled_from([1, 2])),
+                           draw(st.integers(max(0, (6 - width) // 2), 4)))]
+    elif kind == "pool first":
+        layers = [PoolSpec(*draw(st.sampled_from([(2, 2), (3, 3), (2, 3)])))]
+    else:
+        kernel = draw(st.sampled_from([1, 3]))
+        layers = [ConvSpec(kernel, draw(st.integers(1, 2)), 1, kernel // 2), PoolSpec(2, 2)]
+    cur = dims
+    for spec in layers:
+        cur = output_dims(cur, spec)
+    for _ in range(draw(st.integers(kind != "narrow", 2))):
+        kernel = draw(st.sampled_from([1, 3, 5]))
+        spec = ConvSpec(kernel, draw(st.integers(1, 8)), 1, draw(st.integers(0, kernel - 1)))
+        try:
+            cur = output_dims(cur, spec)
+        except Exception:
+            break
+        layers.append(spec)
+    net = NetworkSpec(dims, tuple(layers))
+    din = net.layer_input_dims()
+    return net, [draw(st.sampled_from([x for x in range(din[li].depth, 0, -1)
+                                       if din[li].depth % x == 0]))
+                 for li in net.conv_indices()]
+
+
+@settings(max_examples=60)
+@given(certificate_chains())
+def test_certificate_holds_exactly_or_the_group_is_stepped(case):
+    # assert_same_run: a certified draw is the per-cycle reference, stalls
+    # and stamps included, and an uncertified one runs the stepped path
+    net, d_pars = case
+    assert_same_run(net.layers, net.input_dims, d_pars)
 
 
 # its engines' counters advance as the geometry says over a period before
@@ -326,7 +395,7 @@ def test_conv1_1_fast_forwards_its_periodic_rows(monkeypatch):
         return step(self, *args)
 
     monkeypatch.setattr(ConvStage, "step", counted)
-    res = simulate_group(net.layers, net.input_dims, [3])
+    res = _stepped(net.layers, net.input_dims, [3])
     assert res.cycles == 200_827
     assert len(calls) * 100 <= res.cycles
     assert res.stamps[0].emitted == 56 * 56
@@ -343,7 +412,7 @@ def test_held_windows_skip_most_conv_steps(monkeypatch):
         return step(self, *args)
 
     monkeypatch.setattr(ConvStage, "step", counted)
-    res = simulate_group(net.layers, net.input_dims, [3])
+    res = _stepped(net.layers, net.input_dims, [3])
     assert res.cycles == 16_467
     assert len(calls) * 8 <= res.cycles
     assert res.stamps[0].emitted == 16 * 16
@@ -359,7 +428,7 @@ def test_fused_vgg7_steps_only_the_stages_that_act(monkeypatch):
     for cls in (ConvStage, PoolStage):
         monkeypatch.setattr(cls, "step", lambda self, *args, step=cls.step:
                             calls.append(self) or step(self, *args))
-    res = simulate_group(net.layers, net.input_dims, list(VGG7_DEFAULT_DPAR))
+    res = _stepped(net.layers, net.input_dims, list(VGG7_DEFAULT_DPAR))
     assert res.cycles == 65_410
     assert len(calls) <= 15_000
 
@@ -377,21 +446,76 @@ def bottleneck_cycles_per_period(net, d_pars):
                for i, d in d_par.items())
 
 
-@pytest.mark.parametrize("net, d_pars, steps, jumped, per_period", [
-    (consecutive_convs(1, input_hw=56), [3], 1_342, 179_200, 3_584),
-    (vgg_prefix_7(input_hw=28), list(VGG7_DEFAULT_DPAR), 7_281, 14_336, 7_168),
-    (NetworkSpec(Dims(16, 16, 16), (ConvSpec(3, 16, 1, 1, relu=False),)), [4], 479, 10_240,
-     1_024),
-    (vgg_prefix_7(), list(VGG7_DEFAULT_DPAR), 58_412, 2_924_544, 57_344)],
-    ids=["conv1_1-56", "vgg7-28", "saturating", "vgg7-224"])
-def test_schedule_work_is_pinned(net, d_pars, steps, jumped, per_period):
-    # the stage steps the clocks take and the cycles they jump over are the
-    # schedule's cost; a change to a stage's state must keep both. Every
-    # jumped period runs at the rate of the slowest conv, as the cycle time
-    # of a synchronous dataflow graph is that of its slowest cycle
+# the four geometries demo 04's --schedule times, fully fused, with cycles
+PINNED_GEOMETRIES = {
+    "conv1_1-56": (consecutive_convs(1, input_hw=56), [3], 200_827),
+    "vgg7-28": (vgg_prefix_7(input_hw=28), list(VGG7_DEFAULT_DPAR), 65_410),
+    "saturating": (NetworkSpec(Dims(16, 16, 16), (ConvSpec(3, 16, 1, 1, relu=False),)), [4],
+                   16_467),
+    "vgg7-224": (vgg_prefix_7(), list(VGG7_DEFAULT_DPAR), 3_327_046)}
+
+
+@pytest.mark.parametrize("name, steps, jumped, per_period", [
+    ("conv1_1-56", 1_342, 179_200, 3_584), ("vgg7-28", 7_281, 14_336, 7_168),
+    ("saturating", 479, 10_240, 1_024), ("vgg7-224", 58_412, 2_924_544, 57_344)],
+    ids=list(PINNED_GEOMETRIES))
+def test_schedule_work_is_pinned(name, steps, jumped, per_period):
+    # the stage steps the stepped schedule's clocks take and the cycles
+    # they jump over are its cost; a change to a stage's state must keep
+    # both. Every jumped period runs at the rate of the slowest conv, as the
+    # cycle time of a synchronous dataflow graph is that of its slowest cycle
+    net, d_pars, _ = PINNED_GEOMETRIES[name]
     _, _, got_steps, jumps = counted_run(net.layers, net.input_dims, d_pars)
     assert (got_steps, sum(m * dc for m, dc in jumps)) == (steps, jumped)
     assert {dc for _, dc in jumps} == {per_period} == {bottleneck_cycles_per_period(net, d_pars)}
+
+
+@pytest.mark.parametrize("net, d_pars, cycles", [
+    *PINNED_GEOMETRIES.values(), (consecutive_convs(1), [3], 3_211_555)],
+    ids=[*PINNED_GEOMETRIES, "conv1_1-224"])
+def test_certified_groups_take_no_stage_step(net, d_pars, cycles, monkeypatch):
+    # the max-plus model certifies these stall-free groups: simulate_group
+    # returns its result, steps no stage and traces one span per stage
+    calls = []
+    for cls in (ConvStage, PoolStage):
+        for method in ("step", "skip"):
+            monkeypatch.setattr(cls, method, lambda self, *args: calls.append(self))
+    spans = []
+    res = simulate_group(net.layers, net.input_dims, d_pars, spans)
+    assert (res.cycles, len(calls), res.modeled) == (cycles, 0, True)
+    assert not any(res.stall_cycles.values())
+    assert spans == [(i, "modeled", 1, cycles, 0) for i in range(len(net.layers))]
+
+
+def vgg7_28_groups():
+    """The 28 groups of the 64 partitions of VGG-7 at 28x28, at
+    VGG7_DEFAULT_DPAR: {(a, b): (layers, in_dims, d_pars)}."""
+    net = vgg_prefix_7(input_hw=28)
+    dpar_of = dict(zip(net.conv_indices(), VGG7_DEFAULT_DPAR))
+    return {(a, b): (net.layers[a:b + 1], net.layer_input_dims()[a],
+                     [dpar_of[i] for i in range(a, b + 1) if i in dpar_of])
+            for a in range(7) for b in range(a, 7)}
+
+
+@pytest.mark.parametrize("group, layers, in_dims, d_pars", [
+    *((None, net.layers, net.input_dims, d_pars)
+      for net, d_pars, _ in PINNED_GEOMETRIES.values()),
+    *((group, *case) for group, case in vgg7_28_groups().items())],
+    ids=[*PINNED_GEOMETRIES, *(f"vgg7-28-{a}-{b}" for a, b in vgg7_28_groups())])
+def test_model_is_the_stepped_schedule_where_nothing_is_held(group, layers, in_dims, d_pars):
+    # the model's cycles are the stepped schedule's on the pinned
+    # geometries and the 28 groups of VGG-7's partitions. Where a stage is
+    # held (here the groups from a pool to a conv, the conv holding the
+    # pool) the model is not certified and the held stage's last output
+    # comes later than modeled; every other stamp is exact
+    offset = group[0] if group else 0
+    modeled, certified = model_group(layers, in_dims, d_pars, offset)
+    stepped = _stepped(layers, in_dims, d_pars, layer_offset=offset)
+    held = {name for name, n in stepped.stall_cycles.items() if n}
+    assert modeled.cycles == stepped.cycles
+    assert certified == (not held) == (group not in {(2, 3), (2, 4), (2, 5), (2, 6), (5, 6)})
+    assert [s for s in modeled.stamps if s.name not in held] == \
+        [s for s in stepped.stamps if s.name not in held]
 
 
 @pytest.mark.parametrize("kernel, stride, pad", [
@@ -472,4 +596,4 @@ def test_a_period_with_an_override_is_not_jumped(monkeypatch):
 
     monkeypatch.setattr(ConvStage, "row_period", unchecked)
     _, _, _, jumps = counted_run(net.layers, net.input_dims, d_pars)
-    assert jumps and simulate_group(net.layers, net.input_dims, d_pars) != got
+    assert jumps and _stepped(net.layers, net.input_dims, d_pars) != got
