@@ -39,6 +39,15 @@ def reduced_vgg_prefix_7() -> NetworkSpec:
     return vgg_prefix_7(input_hw=32, filters=(8, 8, 16, 16, 32))
 
 
+def vgg16_stack(n_layers: int = 18) -> NetworkSpec:
+    """The first n_layers of VGG-16's 18-layer conv/pool stack at 224x224."""
+    layers = []
+    for filters, n_conv in ((64, 2), (128, 2), (256, 3), (512, 3), (512, 3)):
+        layers += [ConvSpec(3, filters, 1, 1, relu=True)] * n_conv
+        layers.append(PoolSpec(2, 2))
+    return NetworkSpec(Dims(224, 224, 3), tuple(layers[:n_layers]))
+
+
 @pytest.fixture(scope="session")
 def reduced7():
     return reduced_vgg_prefix_7()

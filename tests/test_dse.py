@@ -13,6 +13,7 @@ from fusedconv.dse import (BudgetError, assign_depth_parallelism, budget_reason,
                            fit_groups, fold_partitions, front_indices, nested_chain)
 from fusedconv.networks import vgg_prefix_7
 
+from conftest import vgg16_stack
 from reference import bitmask_plans, quadratic_front, reference_assignment, \
     reference_sweep
 
@@ -270,15 +271,6 @@ def dse_cases(draw):
     fused = costmodel.group_cost((0, len(net.layers) - 1), full_depth_parallel(net), net)
     cap = min(3600, fused.dsp) if draw(st.integers(0, 3)) < 3 else 3600
     return net, draw(st.integers(1, max(1, cap)))
-
-
-def vgg16_stack(n_layers):
-    """The first n_layers of VGG-16's 18-layer conv/pool stack at 224x224."""
-    layers = []
-    for filters, n_conv in ((64, 2), (128, 2), (256, 3), (512, 3), (512, 3)):
-        layers += [ConvSpec(3, filters, 1, 1, relu=True)] * n_conv
-        layers.append(PoolSpec(2, 2))
-    return NetworkSpec(Dims(224, 224, 3), tuple(layers[:n_layers]))
 
 
 @pytest.mark.parametrize("dsp_max,n_infeasible", [(3600, 0), (288, 0), (50, 74)])
