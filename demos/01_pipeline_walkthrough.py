@@ -1,12 +1,14 @@
 """Walk the smallest end-to-end example: a 5x5x3 input through two fused
 3x3 convolutions and a 2x2/2 max pool, comparing the cycle-driven pipeline
-against the layer-by-layer reference bit for bit, then showing a schedule the
-max-plus model gives and one it cannot certify, which is stepped.
+against the layer-by-layer reference bit for bit, then showing the schedule
+the max-plus model gives where no stage is held, in one pass, and where one
+is, in a few.
 
 Run: python demos/01_pipeline_walkthrough.py
 """
 
 from fusedconv import parse_plan, run_network, simulate_plan, time_ms
+from fusedconv.dataflow import model_group
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.networks import small_test_network
 
@@ -43,33 +45,24 @@ def main():
     trace = []
     sim = simulate_plan(net, tensor, banks, parse_plan("0-2", net), trace=trace)
     spans, = trace  # one list of spans per group, here one group
-    print("the fused run's schedule comes from the max-plus model, which certifies")
-    print("that no stage is ever held: no stage steps, and each has one modeled span")
-    for (_, kind, first, n, _), stamp in zip(spans, sim.stamps_per_group[0]):
+    print("the fused run's schedule comes from the max-plus model: no stage is ever")
+    print("held, so its first pass is the schedule, and each stage has one modeled span")
+    for (_, kind, first, n), stamp in zip(spans, sim.stamps_per_group[0]):
         print(f"    {stamp.name}: {kind} cycles {first}..{first + n - 1}, "
               f"last output at cycle {stamp.last_out}")
     print(f"the group's count, {sim.cycles_per_group[0]}, is its last cycle: the pool's last"
           " output comes earlier, and the convs still flush the row it discards.")
     print()
 
-    trace = []
-    sim = simulate_plan(net, tensor, banks, parse_plan("0-2", net, "3,1"), trace=trace)
-    spans, = trace
+    plan = parse_plan("0-2", net, "3,1")
+    sim = simulate_plan(net, tensor, banks, plan)
+    _, passes = model_group(net.layers, net.input_dims, plan.depth_parallel)
     print("at d_par 3,1 the second conv holds each window 9 cycles and holds up the")
-    print(f"first: the model cannot certify that, so the schedule steps ({len(spans)} spans),")
-    print("per stage 1-cycle steps and the quiet stretches its clock skips in closed form:")
-    for i, stamp in enumerate(sim.stamps_per_group[0]):
-        mine = [s for s in spans if s[0] == i]
-        quiet = [n for _, kind, _, n, _ in mine if kind == "quiet"]
-        print(f"    {stamp.name}: {len(mine) - len(quiet)} steps, {len(quiet)} quiet "
-              f"spans over {sum(quiet)} cycles, to cycle {mine[-1][2] + mine[-1][3] - 1}; "
+    print("first, whose engine freezes while its output waits: the model settles after")
+    print(f"{passes} passes, each a floor on the schedule, the last the schedule itself:")
+    for stamp in sim.stamps_per_group[0]:
+        print(f"    {stamp.name}: outputs at cycles {stamp.first_out}..{stamp.last_out}, "
               f"{sim.stall_cycles[stamp.name]} stall cycles")
-    conv = [s for s in spans if s[0] == 0]
-    at = next(j for j, s in enumerate(conv) if s[1] == "quiet")
-    print("l0.conv around its first quiet span, while the engine sweeps a window:")
-    for _, kind, first, n, _ in conv[at - 2:at + 4]:
-        print(f"    cycles {first:3d}..{first + n - 1:3d}  {kind}")
-
 
 if __name__ == "__main__":
     main()

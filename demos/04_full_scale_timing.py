@@ -2,14 +2,10 @@
 224x224x3 input, 64 filters, 3 channels in parallel. The line buffer turns
 the serial stream into one window per cycle, the engine holds each window for
 the 64-filter sweep, so the layer is pinned at 224*224*64 steady cycles plus
-a small fill. No stage is ever held, so the max-plus model certifies the
-group and gives its ~3.2M cycles in milliseconds; a group it cannot certify
-is stepped, its clock jumping across the quiet cycles of each sweep and
-fast-forwarding whole rows once the pipeline repeats itself row after row.
-The values are computed once per layer after the schedule. Each run prints
-the seconds of its schedule and of its value walk, and which path the
-schedule took: modeled, or stepped with the cycles its clock jumped over
-(from the spans of a traced run).
+a small fill. The max-plus model gives its ~3.2M cycles in milliseconds: no
+stage is ever held, so its first pass is the schedule. The values are
+computed once per layer after the schedule. Each run prints the seconds of
+its schedule and of its value walk.
 
 With --saturating it times instead a 32x32x16 3x3 conv with 16 filters on
 data drawn over the whole int32 range, where nearly every value saturates and takes the checked
@@ -20,12 +16,11 @@ appends the conv layer it also reduced in the oracle's order, and the oracle
 takes it from there.
 
 With --schedule it times each schedule alone on conv1_1 at 56x56, VGG-7 at
-28x28, a 16x16x16 3x3 conv with 16 filters at d_par 4, and VGG-7 at
-224x224, each fully fused. For each it prints the cycles, the stage steps
-the stepped schedule's clocks take (counted from the spans of a traced run)
-and its milliseconds, the best of 7 calls (3 at 224x224), then the
-milliseconds of dataflow.model_group, the best of 7, and whether the model
-certified the group, in which case simulate_group steps nothing.
+28x28, a 16x16x16 3x3 conv with 16 filters at d_par 4 and VGG-7 at 224x224,
+each fully fused, and on VGG-7's group 2-6 at 28x28, whose pool the conv
+after it holds. For each it prints the cycles, the passes dataflow.model_group
+took to settle (one where no stage is held) and its milliseconds, the best of
+7 calls.
 
 Run: python demos/04_full_scale_timing.py [--seven-layer | --saturating | --schedule]
 """
@@ -37,7 +32,7 @@ import numpy as np
 
 from fusedconv import analyze, parse_plan, simulate_plan, time_ms
 from fusedconv.config import ConvSpec, Dims, NetworkSpec
-from fusedconv.dataflow import _stepped, conv_datapath, model_group
+from fusedconv.dataflow import conv_datapath, model_group
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.golden import FilterBank, Tensor3D, conv_layer, run_network
 from fusedconv.networks import VGG7_DEFAULT_DPAR, consecutive_convs, vgg_prefix_7
@@ -46,16 +41,9 @@ from fusedconv.networks import VGG7_DEFAULT_DPAR, consecutive_convs, vgg_prefix_
 def run(net, plan, label, reference_ms):
     tensor = generate_tensor(net.input_dims, seed=1)
     banks = generate_weights(net, seed=2)
-    spans = []
     t0 = time.monotonic()
-    sim = simulate_plan(net, tensor, banks, plan, trace=spans)
+    sim = simulate_plan(net, tensor, banks, plan)
     wall = time.monotonic() - t0
-    # each stage's spans cover its group's cycles once: count stage 0's jumps
-    kinds = {kind for group in spans for _, kind, *_ in group}
-    jumped = sum(n for group in spans for i, kind, _, n, _ in group
-                 if i == 0 and kind == "periodic")
-    path = "modeled, no stage stepped" if kinds == {"modeled"} else \
-        f"stepped, its clock jumped {jumped:,} cycles"
     est = analyze(plan, net).total_estimated_cycles
     print(f"{label}:")
     print(f"  simulated: {sim.end_to_end_cycles:,} cycles "
@@ -66,7 +54,7 @@ def run(net, plan, label, reference_ms):
     for s in sim.stamps_per_group[0]:
         print(f"    {s.name:10s} last output at cycle {s.last_out:,}")
     schedule_s, values_s = sim.seconds
-    print(f"  schedule:  {schedule_s:.2f}s, {path}")
+    print(f"  schedule:  {schedule_s:.2f}s")
     print(f"  values:    {values_s:.2f}s")
     print(f"  ({wall:.1f}s wall, {sim.saturation_events} saturation events)")
     print()
@@ -112,22 +100,19 @@ def saturating():
 
 
 def schedule():
-    cases = [("conv1_1-56", consecutive_convs(1, input_hw=56), [3], 7),
-             ("vgg7-28", vgg_prefix_7(input_hw=28), list(VGG7_DEFAULT_DPAR), 7),
-             ("saturating", NetworkSpec(Dims(16, 16, 16), (ConvSpec(3, 16, 1, 1, relu=False),)),
-              [4], 7),
-             ("vgg7-224", vgg_prefix_7(), list(VGG7_DEFAULT_DPAR), 3)]
-    print("each schedule alone, stepped (best of 7, of 3 at 224x224) and modeled (best of 7):")
-    for label, net, d_pars, n in cases:
-        spans = []
-        cycles = _stepped(net.layers, net.input_dims, d_pars, spans).cycles
-        steps = sum(kind == "step" for _, kind, *_ in spans)
-        _, stepped = best_of(n, lambda: _stepped(net.layers, net.input_dims, d_pars))
-        (_, certified), modeled = best_of(
-            7, lambda: model_group(net.layers, net.input_dims, d_pars))
-        print(f"  {label:12s} {cycles:>11,} cycles {steps:>8,} stage steps "
-              f"{stepped * 1e3:9.1f} ms stepped {modeled * 1e3:7.2f} ms modeled, "
-              f"{'certified' if certified else 'not certified'}")
+    vgg7_28 = vgg_prefix_7(input_hw=28)
+    cases = [("conv1_1-56", consecutive_convs(1, input_hw=56).layers, Dims(56, 56, 3), [3], 0),
+             ("vgg7-28", vgg7_28.layers, vgg7_28.input_dims, list(VGG7_DEFAULT_DPAR), 0),
+             ("saturating", (ConvSpec(3, 16, 1, 1, relu=False),), Dims(16, 16, 16), [4], 0),
+             ("vgg7-224", vgg_prefix_7().layers, Dims(224, 224, 3), list(VGG7_DEFAULT_DPAR), 0),
+             ("vgg7-28-2-6", vgg7_28.layers[2:], vgg7_28.layer_input_dims()[2],
+              list(VGG7_DEFAULT_DPAR[2:]), 2)]
+    print("each schedule alone, modeled (best of 7):")
+    for label, layers, in_dims, d_pars, offset in cases:
+        (res, passes), modeled = best_of(
+            7, lambda: model_group(layers, in_dims, d_pars, offset))
+        print(f"  {label:12s} {res.cycles:>11,} cycles {passes:>3} passes "
+              f"{modeled * 1e3:7.2f} ms modeled")
 
 
 def main():

@@ -141,8 +141,8 @@ def _write_trace(fh, spans_per_group, sim):
         events += [{"name": "thread_name", "ph": "M", "pid": 1, "tid": tid + i,
                     "args": {"name": s.name}} for i, s in enumerate(stamps)]
         events += [{"name": kind, "ph": "X", "pid": 1, "tid": tid + i,
-                    "ts": offset + first - 1, "dur": n, "args": {"periods": m} if m else {}}
-                   for i, kind, first, n, m in spans]
+                    "ts": offset + first - 1, "dur": n, "args": {}}
+                   for i, kind, first, n in spans]
         tid += len(stamps)
         offset += cycles
     json.dump({"traceEvents": events, "otherData": {"time_unit": "cycle"}}, fh)
@@ -151,9 +151,8 @@ def _write_trace(fh, spans_per_group, sim):
 def cmd_simulate(args) -> int:
     """Simulate the plan, then check its output against the oracle, which
     takes by position the conv layers the simulator's value walk also
-    reduced in its order. stderr gets the seconds of the schedule, how many
-    groups the max-plus model gave, the seconds of the value walk and of the
-    oracle, and how many oracle conv layers it took."""
+    reduced in its order. stderr gets the seconds of the schedule, of the
+    value walk and of the oracle, and how many oracle conv layers it took."""
     t0 = time.monotonic()
     net = _load_network(args.network)
     tensor = read_tensor(args.input)
@@ -202,7 +201,6 @@ def cmd_simulate(args) -> int:
     print(f"  golden match: {golden_match}  saturation events: {sim.saturation_events}")
     print(f"  output digest: {report['simulation']['output_digest']}")
     print(f"elapsed: {time.monotonic() - t0:.2f}s (schedule {sim.seconds[0]:.2f}s, "
-          f"{sim.modeled} of {len(plan.groups)} groups modeled, "
           f"values {sim.seconds[1]:.2f}s, oracle {t_done - t_oracle:.2f}s, "
           f"{len(taken)} of {len(net.conv_indices())} oracle conv layers from the value walk)",
           file=sys.stderr)

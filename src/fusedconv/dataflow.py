@@ -1,18 +1,27 @@
-"""Cycle-driven simulation of the fused line-buffer pipeline.
+"""Cycle-level schedule and values of the fused line-buffer pipeline.
 
-One fused group is a chain of stages (see stages.py):
+One fused group is a chain of stages:
 
-    input stream -> [line buffer -> conv engine -> assembler] per conv layer
+    input stream -> [line buffer -> conv engine -> output register] per conv layer
                  -> [pool row buffer] per pool layer -> collector
 
-Transfer decisions for a cycle are taken from previous-cycle state (ready
-ripples from the sink upstream, data moves downstream), so evaluation order
-cannot change results. Ripple within a stage is combinational, which is
-what sustains one window per cycle when a conv layer has a single filter and
-no depth decomposition.
+Elements are depth-concatenated positions (all channel values of one spatial
+location), and every stage passes at most one element per cycle under a
+ready/valid handshake. A conv stage's line buffer holds w rows of its input
+and lets a window out, into a one-slot skid, once its last real element has
+arrived; the engine holds each window for its k*g filter sweep (k filters,
+g serial depth groups of d_par channels), and its element completes
+conv3d_latency cycles after the final group's sweep starts. A pool stage
+keeps one row of running maxima and drains a pooled row, one element a
+cycle, once its last window is complete. A stage whose output register is
+still full when the next element is due is held: its engine freezes, or its
+pooled row waits.
 
 Cycle accounting is exact: a group's cycle count is the last cycle on which
 any of its stages emits, pipeline flush and a pool's discarded rows included.
+model_group computes the schedule as a max-plus model in numpy, with no
+per-cycle loop; its docstring gives the recurrences and why they are the
+schedule.
 
 The schedule never reads a value, so simulate_group takes layer dims and
 d_par, not data, and refuses them through config.validate_plan, as a plan of
@@ -25,63 +34,24 @@ saturation events; a pool layer's are golden.maxpool_layer's. Given an
 `oracle` list, simulate_plan also reduces the same products in the oracle's
 order while the oracle's stream is still the walk's, and golden.run_network
 takes those layers by position.
-
-One element moves per handshake, so every event cycle of a group is a
-maximum of earlier event cycles plus constants: each stage's output cycles
-are running maxima of its arrival cycles, a max-plus recurrence (Baccelli,
-Cohen, Olsder and Quadrat, "Synchronization and Linearity", 1992).
-model_group computes them in numpy. It leaves out the refusals of every
-stage but the first, so its cycles are a floor; it certifies a group where
-none of them would bind at the modeled arrival cycles, and a certified model
-is the schedule, stamps included, with no stall. simulate_group returns a
-certified model and steps only a group the model cannot certify, one where a
-stage is held, through _stepped, whose clocks the next two paragraphs
-describe.
-
-Each stage keeps its own clock, as in conservative discrete-event simulation
-with one clock per process (Chandy and Misra, IEEE TSE 1979). After each
-step a stage reports how many upcoming cycles it only moves counters (a conv
-engine holding a window for its k*g filter sweep), which sets the next cycle
-it acts on, and counts its own emissions and blocked cycles; the clock
-stamps its first and final emission. An event cycle is the next one if an
-element can cross a stage boundary, else the first one a stage is due, and
-only the stages that act step on it: the due ones, the one an element enters
-and those whose output leaves. A quiet stage's out flag and ready() cannot
-change (see stages.py), so handshakes read them as its last step left them,
-and an idle stage catches up through `skip`, in closed form, only when it
-steps, at a row snapshot and at the end.
-
-And above its bottom boundary rows the pipeline is row-periodic: every P
-source rows, P the group's strides multiplied, each stage repeats the same
-counter changes. At each source-row boundary up to the rows where a bottom
-clamp can act, the clock compares the state with the state P rows earlier;
-once it is that state translated by one period, and no line buffer's top
-clamp overrode its unclamped rule in between, the clock jumps whole
-periods at once (_fast_forward). Stepped, fused VGG-7 at 28x28 makes 7,281
-stage steps and jumps two periods from source row 19 (10,209 steps without
-the jump, 45,745 when each event cycle stepped all seven stages); the model
-certifies it and takes none. No shortcut changes a cycle count, stamp or
-stall. A trace records the spans these clocks take: each stage's steps, its
-quiet skips and the periodic jumps, or one modeled span per stage of a
-certified group, which cover every cycle of the stage once.
 """
 from __future__ import annotations
 
-import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import ConvSpec, Dims, FusionPlan, InternalError, NetworkSpec, output_dims, \
-    validate_plan
+from .config import ConvSpec, Dims, FusionPlan, InternalError, NetworkSpec, PoolSpec, \
+    output_dims, validate_plan
+from .costmodel import conv3d_latency
 from .fixedpoint import fx_clamp_count
 from .golden import FilterBank, Tensor3D, check_inputs, conv_values, sequential_sum, \
     walk_layers
-from .stages import ConvStage, PoolStage
 
 _TREE_NODES = 1 << 17  # int64 leaves per adder-tree chunk (1 MiB), a column per value
+_NEVER = 1 << 62  # past every cycle a schedule reaches
 
 
 @dataclass
@@ -96,12 +66,10 @@ class StageStamp:
 
 @dataclass
 class GroupResult:
-    """One group's schedule: its cycle count, stamps and stalls per stage,
-    and whether the max-plus model gave it rather than stepping."""
+    """One group's schedule: its cycle count, and stamps and stalls per stage."""
     cycles: int
     stamps: list
     stall_cycles: dict
-    modeled: bool = field(default=False, compare=False)
 
 
 @dataclass
@@ -114,10 +82,8 @@ class SimResult:
     stamps_per_group: list
     stall_cycles: dict
     saturation_events: int
-    # wall seconds of the group schedules and of the value walk, and how
-    # many groups the max-plus model gave; not results
+    # wall seconds of the group schedules and of the value walk; not results
     seconds: tuple = field(compare=False, repr=False)
-    modeled: int = field(compare=False, repr=False)
 
 
 def _tree(a: np.ndarray):
@@ -168,308 +134,318 @@ def conv_datapath(x: np.ndarray, bank: FilterBank, spec: ConvSpec, d_par: int,
     return conv_values(x, bank.data, spec, frac_bits, (tree,))[0]
 
 
+def _gate(rows, cols, width):
+    """A stage's admission rule per input element (r, c), in raster order:
+    the output (rows[r], cols[c]) of a raster of `width` columns whose
+    leaving admits it, or none where either is -1. Returns (the output's
+    index, whether there is one)."""
+    return (((np.maximum(rows, 0) * width)[:, None] + np.maximum(cols, 0)).ravel(),
+            ((rows >= 0)[:, None] & (cols >= 0)).ravel())
+
+
+def _release(at, gate):
+    """The cycle from which a stage admits each input element: one past
+    at[i], i the output its gate names, or 0 where none does."""
+    index, gated = gate
+    release = at[index]
+    release += 1
+    release *= gated
+    return release
+
+
+def _offered(release, e, carry=1):
+    """The cycles elements e arrive from the source, which offers each one
+    cycle after it took the one before and waits while it is refused:
+    a = e + cummax(max(release - e, carry)), carry a[e[0] - 1] - (e[0] - 1),
+    1 before the first element."""
+    a = release - e
+    np.maximum(a, carry, out=a)
+    np.maximum.accumulate(a, out=a)
+    a += e
+    return a
+
+
+def _drain(opened, rn, first, n, taken):
+    """Whole pooled rows of n elements, row i's first at index first[i]: a
+    row's drain opens on `opened` (its trigger's arrival + 1), an element is
+    put out once its row is open and the element before it has been taken,
+    and is taken one cycle after, once the next stage admits it (rn; None:
+    always). `taken` is the cycle the element before the first row's was
+    taken, 0 for none. Returns (taken, put) per element."""
+    if rn is None:
+        put = first + np.maximum.accumulate(np.maximum(opened - first, taken - first[0]))
+        put = (put[:, None] + np.arange(n)).ravel()
+        return put + 1, put
+    e = np.arange(first[0], first[-1] + n)
+    at = np.zeros(len(e), dtype=np.int64)
+    at[::n] = opened
+    out = e + np.maximum.accumulate(np.maximum(np.maximum(at + 1, rn) - e, taken + 1 - e[0]))
+    return out, np.maximum(at, np.concatenate(([taken], out[:-1])))
+
+
+def _settled(run, rn):
+    """Whether admissions rn leave a pass's outputs as they are:
+    max(ready, rn) == out, which is rn <= out where out is ready."""
+    if run.out is run.ready:
+        return bool((rn <= run.out).all())
+    return np.array_equal(np.maximum(run.ready, rn), run.out)
+
+
+def _same_lag(new, old):
+    if new is None or old is None:
+        return new is old
+    return all(np.array_equal(x, y) for x, y in zip(new, old))
+
+
+class _Pass(NamedTuple):
+    """One pass of one stage's max-plus map: the cycles its outputs are taken
+    (out) and the cycles they would be were the next stage always ready
+    (ready, out itself where no admission was given); the cycle from which
+    it admits each input element (release); its conv engine's completions
+    in engine cycles with their freeze lags, None where it never froze
+    (lag); and its stall cycles."""
+    out: np.ndarray
+    ready: np.ndarray
+    release: np.ndarray
+    lag: tuple | None
+    stall: int
+
+
+class _Conv:
+    """A conv layer's line buffer, conv engine and output register as
+    running maxima (see model_group)."""
+
+    def __init__(self, spec: ConvSpec, dims: Dims, d_par: int, name: str):
+        out = self.out_dims = output_dims(dims, spec)
+        h, w_in, w, s, p = dims.height, dims.width, spec.kernel, spec.stride, spec.pad
+        self.name, self.n_in, self.n_out = name, h * w_in, out.height * out.width
+        self.kg = spec.filters * (dims.depth // d_par)
+        self.work = self.n_out * self.kg  # the engine's busy cycles
+        # engine cycles from a window's take to its element's completion
+        self.fill = self.kg + conv3d_latency(w, d_par) - 1
+        self.jkg = np.arange(self.n_out) * self.kg
+        # window j is complete with its last real element, in raster order
+        self.last = (np.minimum(np.arange(out.height) * s - p + w - 1, h - 1)[:, None] * w_in
+                     + np.minimum(np.arange(out.width) * s - p + w - 1, w_in - 1)).ravel()
+        # element (r, c) waits for the last window covering (r - w, c) to
+        # leave; the top clamp admits the first w rows
+        rho = _last_covering(np.arange(h) - w, p, s, out.height, w)
+        rho[:w] = -1
+        gam = _last_covering(np.arange(w_in), p, s, out.width, w)
+        self.gate = _gate(rho, gam, out.width)
+
+    def times(self, a, rn, lag) -> _Pass:
+        """The stage's pass on arrivals a, given the next stage's admissions
+        rn (None: always) and its freeze lags from the last pass (lag). The
+        lags and the takes they delay depend on each other, so they are
+        iterated here to their fixed point."""
+        done = a[self.last]
+        done += 1
+        while True:
+            if lag is None:
+                start = done - self.jkg
+                start += 1
+            else:
+                # the first engine cycle on or after real cycle done + 1
+                chat, z = lag
+                k = np.searchsorted(chat + z, done + 1, "right")
+                start = np.minimum(done + 1 - np.concatenate(([0], z))[k],
+                                   np.concatenate((chat, [_NEVER]))[k])
+                start -= self.jkg
+            np.maximum.accumulate(start, out=start)
+            start += self.jkg
+            if rn is None:
+                break
+            chat = start + self.fill
+            z = np.zeros(self.n_out, dtype=np.int64)
+            np.maximum.accumulate(np.maximum(rn[:-1] - chat[1:], 0), out=z[1:])
+            fixed = (chat, z) if z[-1] else None
+            if _same_lag(fixed, lag):
+                break
+            lag = fixed
+        ready, took = start + (self.fill + 1), start
+        if lag is not None:
+            ready += z
+            took = start + np.concatenate(([0], z))[np.searchsorted(chat, start, "right")]
+        leave = np.empty_like(done)
+        leave[0] = 0
+        leave[1:] = took[:-1]
+        np.maximum(leave, done, out=leave)
+        release = _release(leave, self.gate)
+        if rn is None:
+            return _Pass(ready, ready, release, None, 0)
+        out = np.maximum(ready, rn)
+        return _Pass(out, ready, release, lag, int((out - ready).sum()))
+
+    def fed(self, rn, lag) -> _Pass:
+        """times() on the source's arrivals, iterated to their fixed point
+        from e + 1: each iterate is a floor, and rises. An element waits
+        only on a window whose last element is in an earlier row, so each
+        iterate settles at least one more row."""
+        e = np.arange(self.n_in)
+        a = e + 1
+        while True:
+            run = self.times(a, rn, lag)
+            fixed = _offered(run.release, e)
+            if np.array_equal(fixed, a):
+                return run
+            a = fixed
+
+
+class _Pool:
+    """A pool layer's row buffer as running maxima (see model_group)."""
+
+    def __init__(self, spec: PoolSpec, dims: Dims, name: str):
+        out = self.out_dims = output_dims(dims, spec)
+        h, w_in, s, win = dims.height, dims.width, spec.stride, spec.window
+        n = self.w_out = out.width
+        self.name, self.n_in, self.n_out = name, h * w_in, out.height * n
+        self.work = self.n_out
+        self.h_out, self.block = out.height, s * w_in
+        self.first = np.arange(out.height) * n
+        # row rho's drain opens once the last element of its last window,
+        # its trigger, has arrived; an element of row rho + 1 lands in
+        # slot j once slot j of row rho is put out
+        self.trigger = np.arange(out.height) * self.block \
+            + ((win - 1) * w_in + (n - 1) * s + win - 1)
+        (rows, r), (cols, c) = np.divmod(np.arange(h), s), np.divmod(np.arange(w_in), s)
+        self.gate = _gate(np.where((r < win) & (rows < out.height), rows - 1, -1),
+                          np.where((c < win) & (cols < n), cols, -1), n)
+
+    def _pass(self, out, put, rn):
+        release = _release(put, self.gate)
+        if rn is None:
+            return _Pass(out, out, release, None, 0)
+        return _Pass(out, put + 1, release, None, int((out - put - 1).sum()))
+
+    def times(self, a, rn, lag) -> _Pass:
+        return self._pass(*_drain(a[self.trigger] + 1, rn, self.first, self.w_out, 0), rn)
+
+    def fed(self, rn, lag) -> _Pass:
+        """times() on the source's arrivals, a pooled row at a time: the
+        input rows of pooled row rho + 1 wait only on row rho's puts, and
+        row rho's trigger is among its own input rows."""
+        a, out, put = (np.zeros(m, dtype=np.int64) for m in (self.n_in, self.n_out, self.n_out))
+        n, carry = self.w_out, 1
+        for rho in range(self.h_out + 1):
+            lo = min(rho * self.block, self.n_in)
+            hi = self.n_in if rho == self.h_out else min(lo + self.block, self.n_in)
+            if hi > lo:
+                gate = tuple(g[lo:hi] for g in self.gate)
+                a[lo:hi] = _offered(_release(put, gate), np.arange(lo, hi), carry)
+                carry = a[hi - 1] - (hi - 1)
+            if rho < self.h_out:
+                o = slice(rho * n, rho * n + n)
+                out[o], put[o] = _drain(a[self.trigger[rho:rho + 1]] + 1,
+                                        None if rn is None else rn[o], self.first[rho:rho + 1],
+                                        n, out[o.start - 1] if rho else 0)
+        return self._pass(out, put, rn)
+
+
 def _build_stages(layers, in_dims, d_pars, layer_offset):
-    stages, dims, d_pars = [], in_dims, iter(d_pars)
+    dims, d_pars = in_dims, iter(d_pars)
     for i, layer in enumerate(layers, layer_offset):
         if isinstance(layer, ConvSpec):
-            stages.append(ConvStage(layer, dims, next(d_pars), name=f"l{i}.conv"))
+            st = _Conv(layer, dims, next(d_pars), f"l{i}.conv")
         else:
-            stages.append(PoolStage(layer, dims, name=f"l{i}.pool"))
-        dims = stages[-1].out_dims
-    return stages
-
-
-def _fast_forward(old, new, stages, periods, max_cycles):
-    """Skip whole periods from snapshot `new`, given `old`, one period before
-    it; a snapshot is a cycle and each stage's state() at its end. Skips
-    nothing unless each stage's state is its old state translated by one
-    period, with every delta its row_period fixes. The rules each decision
-    reads the counters through commute with the translation, so m more
-    periods land on the state translated m times, except where a boundary
-    clamp acts. A bottom clamp acts past a row_period bound; every counter
-    only grows, so the landing state's counters bound m. The one top clamp
-    that decides anything, ready()'s, changes a transition only where it
-    admits an element the unclamped rule refuses. The override count, whose
-    fixed delta is 0, refuses a period with one; a period without took the
-    unclamped rules' decisions, as every later one does. (_set_threshold's
-    r_top feeds only the overwrite guard, which translate recomputes.) A
-    stage's fixed emitted delta is at least 1, so at `new` it has made its
-    first emission, where the clock set first_out; the emitted bound, n_out
-    - 1, leaves its final one, where the clock sets last_out, to a stepped
-    cycle. The landing cycle stays within the watchdog's max_cycles. Returns
-    (m, cycles per period)."""
-    (c0, snap0), (c1, snap1) = old, new
-    dc = c1 - c0
-    m = (max_cycles - c1) // dc
-    deltas = []
-    for (cnt0, rest0), (cnt1, rest1), (fixed, bounds) in zip(snap0, snap1, periods):
-        delta = tuple(b - a for a, b in zip(cnt0, cnt1))
-        if rest0 != rest1 or any(f is not None and f != d for f, d in zip(fixed, delta)):
-            return 0, dc
-        for c, d, hi in zip(cnt1, delta, bounds):
-            if hi is not None:
-                m = min(m, (hi - c) // d)
-        deltas.append(delta)
-    if m > 0:
-        for st, delta in zip(stages, deltas):
-            st.translate(m, delta)
-    return max(m, 0), dc
+            st = _Pool(layer, dims, f"l{i}.pool")
+        dims = st.out_dims
+        yield st
 
 
 def _last_covering(x, pad: int, stride: int, n_out: int, w: int):
-    """stages._last_needing over an array of coordinates; -1 where no window
-    covers one."""
+    """Index of the last output row/column whose window covers each
+    coordinate of x, or -1 where no window covers it."""
     idx = np.minimum((x + pad) // stride, n_out - 1)
     return np.where(x <= idx * stride - pad + w - 1, idx, -1)
 
 
-def _timing(st):
-    """Stage st's max-plus map: from the arrival cycles of its input elements,
-    in raster order, to (the cycles its output elements leave it, the first
-    cycle on which ready() admits each input element, 0 where it always
-    does), for a stage whose output is never held."""
-    if isinstance(st, PoolStage):
-        n, s, win = st.w_out, st.stride, st.window
-        rows = np.arange(st.h_out) * n
-        # row rho drains from D = max(its trigger's arrival + 1, D' + n), D'
-        # the previous row's; an element of row rho + 1 lands in slot j once
-        # slot j of row rho has drained, on D + j
-        trigger = (np.arange(st.h_out) * s + win - 1) * st.w_in + (n - 1) * s + win - 1
-        r, c = np.arange(st.h_in), np.arange(st.w_in)
-        prev = np.where((r % s < win) & (r // s < st.h_out), r // s - 1, -1)
-        slot = np.where((c % s < win) & (c // s < n), c // s, -1)
-        gate = (prev >= 0)[:, None] & (slot >= 0)
-
-        def times(a):
-            drain = np.maximum.accumulate(a[trigger] + 1 - rows) + rows
-            release = np.where(gate, drain[prev][:, None] + slot + 1, 0)
-            return (drain[:, None] + np.arange(1, n + 1)).ravel(), release.ravel()
-        return times
-    # window j leaves the line buffer at S = max(A, T'), A its last element's
-    # arrival + 1 and T' the cycle the engine took window j - 1, and is
-    # taken at T = max(A + 1, T' + kg); its element leaves kg + latency later
-    kg = np.arange(st.n_windows) * st.kg
-    last = (np.minimum(np.arange(st.h_out) * st.s - st.p + st.w - 1, st.h - 1)[:, None]
-            * st.w_in + np.minimum(np.arange(st.w_out) * st.s - st.p + st.w - 1,
-                                   st.w_in - 1)).ravel()
-    # element (r, c) waits for the last window covering (r - w, c) to leave;
-    # the top clamp admits the first w rows
-    rho = _last_covering(np.arange(st.h) - st.w, st.p, st.s, st.h_out, st.w)
-    rho[:st.w] = -1
-    gam = _last_covering(np.arange(st.w_in), st.p, st.s, st.w_out, st.w)
-    gated = ((rho >= 0)[:, None] & (gam >= 0)).ravel()
-    gate = np.where(gated, (rho[:, None] * st.w_out + gam).ravel(), 0)
-
-    def times(a):
-        done = a[last] + 1
-        start = np.maximum.accumulate(done + 1 - kg) + kg
-        leave = np.maximum(done, np.concatenate(([0], start[:-1])))
-        return start + st.kg + st.latency, np.where(gated, leave[gate] + 1, 0)
-    return times
-
-
 def model_group(layers, in_dims: Dims, d_pars, layer_offset: int = 0):
     """One fused group's schedule as a max-plus model (Baccelli, Cohen,
-    Olsder and Quadrat, "Synchronization and Linearity", 1992): each event
-    cycle is a maximum of earlier event cycles plus constants, so each
-    stage's output cycles are running maxima of its arrival cycles
-    (_timing), computed in numpy with no per-cycle loop. The first stage's
-    arrivals are the source's, which offers element e one cycle after it
-    took element e - 1 and waits while the stage refuses it: they are
-    iterated from e + 1 to the fixed point a = e + cummax(max(release - e,
-    1)), release the cycle from which the stage admits e, which depends on
-    earlier arrivals only. Every later stage takes its feeder's outputs as
-    they leave.
+    Olsder and Quadrat, "Synchronization and Linearity", 1992). One element
+    crosses a stage boundary per handshake, so every event cycle is a
+    maximum of earlier event cycles plus constants, and each stage's output
+    cycles are running maxima of its arrival cycles, computed in numpy with
+    no per-cycle loop. Returns (GroupResult, passes).
 
-    A floor: the model keeps every term of the schedule's maxima except
-    those a later stage's ready() adds, where it refuses an element, holds
-    its feeder's output and may freeze its engine. Dropping a term from a
-    maximum can only lower it, and every later event is a maximum over
-    earlier ones, so no modeled cycle exceeds the stepped schedule's.
+    The source offers element e (raster order, from 0) one cycle after it
+    took element e - 1, from cycle e + 1, and waits while the first stage
+    refuses it. A conv's window j leaves its line buffer at S_j = max(A_j,
+    T_{j-1}), A_j its last element's arrival + 1 and T_{j-1} the cycle the
+    engine took window j - 1. The engine takes window j once its sweep of
+    the one before, k*g engine cycles, is over and at least one cycle after
+    A_j, and completes its element kg + latency - 1 engine cycles later. An
+    engine cycle is a cycle on which the engine is not frozen: it freezes
+    while a completion is due and its output register still holds the
+    element before, so the lag Z of completion j is the running maximum of
+    (the cycle the next stage admits element j - 1) - (completion j in
+    engine cycles). The element is put out at C_j, completion j plus its
+    lag, and taken at X_j = max(C_j + 1, the cycle the next stage admits
+    it), after C_j + 1 - X_j stall cycles. A pool's row drains, one pooled
+    element at a time, from its trigger's arrival + 1: element e is put out
+    at P_e = max(its row's opening, X_{e-1}) and taken at max(P_e + 1, the
+    next stage's admission). An input element is admitted one cycle after
+    the window or pooled element it waits for has left its slot (_release).
 
-    Certified where the dropped terms never bind: every later stage's
-    arrivals are at or after its release cycles, so every output leaves the
-    cycle after it is ready and no stage is held. Then the model is the
-    schedule, cycle for cycle. Returns (GroupResult, with every stall 0,
-    certified)."""
-    stages = _build_stages(layers, in_dims, d_pars, layer_offset)
-    idx = np.arange(in_dims.height * in_dims.width)
-    first, arrive = _timing(stages[0]), idx + 1
+    Every quantity is a maximum over earlier ones, and the admissions of
+    each stage depend on arrivals at that stage, so the model is a fixed
+    point: pass after pass recomputes every stage front to back from the
+    previous pass's admissions and freeze lags, and stops when a pass would
+    change nothing. The first pass assumes that no later stage refuses an
+    element and that no engine freezes; dropping those terms from a maximum
+    can only lower it, so it is a floor, and each pass, a maximum over
+    floors, is a floor too and rises. A pass that changes nothing is
+    therefore the schedule itself, cycle for cycle, its stamps and stalls
+    included. Where no stage is held the first pass already is: every
+    stage's arrivals fall at or after the cycles its next stage admits them.
+    Within each pass the source-fed stage's arrivals are iterated to their
+    fixed point too (fed). Raises InternalError where a pass runs past the
+    cycle budget of a stuck pipeline: 16 times the cycles its stages are
+    busy (one per input element, k*g per conv output and one per pooled
+    output) plus 100,000."""
+    rns, lags, passes, stages = [None] * len(layers), [None] * len(layers), 0, None
     while True:
-        out, release = first(arrive)
-        fixed = idx + np.maximum.accumulate(np.maximum(release - idx, 1))
-        if np.array_equal(fixed, arrive):
+        passes += 1
+        # the first pass builds each stage as it goes and keeps none: most
+        # groups settle there, and every stage's arrays alive at once cost
+        # more than building them twice where they do not
+        runs, names, work = [], [], in_dims.height * in_dims.width
+        for st, rn, lag in zip(stages or _build_stages(layers, in_dims, d_pars, layer_offset),
+                               rns, lags):
+            runs.append(st.times(runs[-1].out, rn, lag) if runs else st.fed(rn, lag))
+            names.append(st.name)
+            work += st.work
+        if max(run.out[-1] for run in runs) > 16 * work + 100_000:
+            raise InternalError(f"schedule did not settle within {16 * work + 100_000} cycles")
+        next_rns = [run.release for run in runs[1:]] + [None]
+        if all(_settled(run, rn) for run, rn in zip(runs, next_rns[:-1])):
             break
-        arrive = fixed
-    emits, certified = [out], True
-    for st in stages[1:]:
-        out, release = _timing(st)(emits[-1])
-        certified = certified and bool((emits[-1] >= release).all())
-        emits.append(out)
-    stamps = [StageStamp(st.name, int(e[0]), int(e[-1]), len(e))
-              for st, e in zip(stages, emits)]
+        rns, lags = next_rns, [run.lag for run in runs]
+        stages = stages or list(_build_stages(layers, in_dims, d_pars, layer_offset))
+    stamps = [StageStamp(st, int(run.out[0]), int(run.out[-1]), len(run.out))
+              for st, run in zip(names, runs)]
     return GroupResult(max(s.last_out for s in stamps), stamps,
-                       {st.name: 0 for st in stages}, modeled=True), certified
+                       {st: run.stall for st, run in zip(names, runs)}), passes
 
 
 def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
                    layer_offset: int = 0) -> GroupResult:
-    """Run one fused group's schedule on an in_dims input: the input streams
-    one element per cycle while the chain accepts, then flush cycles run
-    until every stage has emitted its complete output (trailing rows a pool
-    discards still flow through). The group's cycle count is the last of
-    these cycles: the last stage's last output, or a later one of an earlier
-    stage where a pool discards trailing rows. Only presence tokens move, so
-    no value is read or computed here.
-
-    Where model_group certifies the group, returns its result and steps
-    nothing; otherwise steps the schedule (_stepped). Given a list as
-    `trace`, appends the spans the schedule takes, each (stage index, kind,
-    first cycle, cycles, periods): per stage one "modeled" span of a
-    certified group, or those of _stepped. Each stage's spans cover the
-    schedule's cycles once, from 1 to the group's count. Raises
+    """One fused group's schedule on an in_dims input (model_group): the
+    input streams one element per cycle while the chain accepts, then flush
+    cycles run until every stage has emitted its complete output (trailing
+    rows a pool discards still flow through). The group's cycle count is the
+    last of these cycles: the last stage's last output, or a later one of
+    an earlier stage where a pool discards trailing rows. Only presence
+    tokens move, so no value is read or computed here. Given a list as
+    `trace`, appends one span per stage, (stage index, "modeled", first
+    cycle, cycles), covering its cycles from 1 to the group's count. Raises
     ValidationError on a chain or d_pars that config.validate_plan refuses
     as one fused group."""
     validate_plan(FusionPlan(((0, len(layers) - 1),), d_pars), NetworkSpec(in_dims, layers))
-    res, certified = model_group(layers, in_dims, d_pars, layer_offset)
-    if not certified:
-        return _stepped(layers, in_dims, d_pars, trace, layer_offset)
+    res, _ = model_group(layers, in_dims, d_pars, layer_offset)
     if trace is not None:
-        trace.extend((i, "modeled", 1, res.cycles, 0) for i in range(len(layers)))
+        trace.extend((i, "modeled", 1, res.cycles) for i in range(len(layers)))
     return res
-
-
-def _stepped(layers, in_dims: Dims, d_pars, trace=None, layer_offset: int = 0) -> GroupResult:
-    """simulate_group's schedule stepped by the stages' own clocks, for any
-    chain validate_plan admits. A trace gets a 1-cycle "step" span, a
-    "quiet" skip, and per stage a "periodic" jump over `periods` periods."""
-    stages = _build_stages(layers, in_dims, d_pars, layer_offset)
-    n_stages = len(stages)
-
-    n_src = in_dims.height * in_dims.width
-    src_idx = 0
-
-    expected = [st.out_dims.height * st.out_dims.width for st in stages]
-    remaining = n_stages
-
-    readys = [st.ready for st in stages]
-    steps = [st.step for st in stages]
-    quiet = [st.quiet_for for st in stages]
-    skips = [st.skip for st in stages]
-
-    budget = n_src
-    for st, n_out in zip(stages, expected):
-        budget += n_out * (st.kg if isinstance(st, ConvStage) else 1)
-    max_cycles = 16 * budget + 100_000
-
-    # row-periodic fast-forward: a period is as many source rows as the
-    # group's strides multiply to; stage i takes period // S_i input rows of
-    # it, S_i the strides before it multiplied. Up to source row hi no
-    # stage's bottom clamp can act.
-    period = math.prod(layer.stride for layer in layers)
-    width = in_dims.width
-    periods, hi, rows = [], in_dims.height - 1, period
-    for st, layer in zip(stages, layers):
-        periods.append(st.row_period(rows))
-        hi = min(hi, (periods[-1][1][0] + 1) * (period // rows) - 1)
-        rows //= layer.stride
-    # snapshot rows 1 to hi - period, and only if they span three periods,
-    # so that a jump skips one at least
-    probe_at = -1 if hi - 1 < 3 * period else width
-    last_probe = (hi - period) * width
-    history = deque(maxlen=period + 1)
-
-    # per stage: the cycle it has run to, the next cycle it acts on its own,
-    # and its out flag and ready() there, which hold while it stays quiet
-    clock = [0] * n_stages
-    due = [1 + q() for q in quiet]
-    outs = [False] * n_stages
-    rdys = [r() for r in readys]
-    consume = [False] * n_stages
-    stage_range = range(n_stages)
-    cycle = 0
-
-    def catch_up(to):  # skip every stage that lags to cycle `to`
-        for i in stage_range:
-            if clock[i] < to:
-                skips[i](to - clock[i])
-                clock[i] = to
-
-    if trace is not None:
-        def spans(i, step, skip):
-            def traced_step(in_elem, out_consumed):
-                trace.append((i, "step", cycle, 1, 0))
-                step(in_elem, out_consumed)
-
-            def traced_skip(n):
-                trace.append((i, "quiet", clock[i] + 1, n, 0))
-                skip(n)
-            return traced_step, traced_skip
-        steps, skips = zip(*(spans(i, *f) for i, f in enumerate(zip(steps, skips))))
-
-    while remaining:
-        # transfers are decided from the state at the end of `cycle`; with
-        # none, the next event is the first cycle on which a stage is due,
-        # past the budget when none is, so that a stuck pipeline trips it
-        ready_down = True
-        for i in range(n_stages - 1, -1, -1):
-            consume[i] = outs[i] and ready_down
-            ready_down = rdys[i]
-        carried = ready_down and src_idx < n_src
-        cycle = cycle + 1 if carried or True in consume else min(due)
-        if cycle > max_cycles:
-            raise InternalError(
-                f"pipeline made no progress within {max_cycles} cycles "
-                f"(collected {stages[-1].emitted}/{expected[-1]})")
-        src_idx += carried
-
-        # step the stages that act: due, fed or drained, each first skipped
-        # across the quiet cycles since it last ran
-        for i in stage_range:
-            c = consume[i]
-            if carried or c or due[i] == cycle:
-                n = cycle - 1 - clock[i]
-                if n:
-                    skips[i](n)
-                steps[i](carried, c)
-                clock[i] = cycle
-                due[i] = cycle + 1 + quiet[i]()
-                rdys[i] = readys[i]()
-                st = stages[i]
-                outs[i] = st.out
-                if c:
-                    if st.emitted == 1:
-                        st.first_out = cycle
-                    if st.emitted == expected[i]:
-                        st.last_out = cycle
-                        remaining -= 1
-            carried = c
-
-        if src_idx == probe_at:
-            # a source row is complete; only a carrying cycle gets here
-            catch_up(cycle)
-            history.append((cycle, [st.state() for st in stages]))
-            probe_at += width
-            if len(history) > period:
-                m, dc = _fast_forward(history[0], history[-1], stages, periods, max_cycles)
-                if m:
-                    if trace is not None:
-                        trace.extend((i, "periodic", cycle + 1, m * dc, m) for i in stage_range)
-                    cycle += m * dc
-                    src_idx += m * period * width
-                    probe_at = -1
-                    for i in stage_range:
-                        clock[i] = cycle
-                        due[i] = cycle + 1 + quiet[i]()
-                        rdys[i] = readys[i]()
-            if probe_at > last_probe:
-                probe_at = -1
-
-    catch_up(cycle)
-    return GroupResult(
-        cycles=cycle,
-        stamps=[StageStamp(st.name, st.first_out, st.last_out, st.emitted) for st in stages],
-        stall_cycles={st.name: st.out_stall for st in stages})
 
 
 def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan,
@@ -520,5 +496,4 @@ def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan
         stamps_per_group=[g.stamps for g in groups],
         stall_cycles={name: n for g in groups for name, n in g.stall_cycles.items()},
         saturation_events=events,
-        seconds=(t1 - t0, time.monotonic() - t1),
-        modeled=sum(g.modeled for g in groups))
+        seconds=(t1 - t0, time.monotonic() - t1))

@@ -4,17 +4,25 @@ Each is a scalar loop over the public fixed-point primitives, written for
 clarity, not speed: the oracle's sequential order (`brute_force_conv`,
 `conv_position_sequential`) and the conv engine's adder-tree order
 (`engine_reference`); the test data drawn one SplitMix64 step at a time
-(`generate_tensor_scalar`, `generate_weights_scalar`); and the design-space
+(`generate_tensor_scalar`, `generate_weights_scalar`); the design-space
 exploration plan by plan, which the fold's columns are checked against: every
 partition in cut bitmask order (`bitmask_plans`), the plan-level halving loop
 (`reference_assignment`), each partition priced by `analyze`
-(`reference_sweep`) and the front compared pair by pair (`quadratic_front`).
+(`reference_sweep`) and the front compared pair by pair (`quadratic_front`);
+and a fused group's schedule stepped one cycle at a time (`ConvStage`,
+`PoolStage`, `step_every_cycle`), which dataflow.model_group is checked
+against.
 """
+
+from collections import deque
 
 import numpy as np
 
 from fusedconv import costmodel
-from fusedconv.config import Dims, FusionPlan, full_depth_parallel, validate_plan
+from fusedconv.config import ConvSpec, Dims, FusionPlan, InternalError, full_depth_parallel, \
+    output_dims, validate_plan
+from fusedconv.costmodel import conv3d_latency
+from fusedconv.dataflow import StageStamp
 from fusedconv.datagen import SeededGenerator
 from fusedconv.dse import BudgetError
 from fusedconv.fixedpoint import I32_MAX, I32_MIN, fx_add_sat, fx_mul
@@ -231,3 +239,262 @@ def quadratic_front(dsp, traffic, text):
     points = range(len(dsp))
     front = [p for p in points if not any(dominates(q, p) for q in points)]
     return sorted(front, key=lambda p: (dsp[p], traffic[p], text[p]))
+
+
+# --- a fused group's schedule, one cycle at a time ---------------------------
+#
+# Elements are depth-concatenated positions (all channel values of one spatial
+# location). Every stage advances at most one element per cycle under a
+# ready/valid handshake and carries presence tokens, not values: a conv layer
+# is one ConvStage (its line buffer, conv engine and output register), a pool
+# layer one PoolStage. Two guards raise InternalError where a stage would lose
+# data: a conv stage emitting a window whose oldest real element was
+# overwritten, and a pool element landing in a row slot that has not drained.
+
+
+def _last_needing(x: int, pad: int, stride: int, n_out: int, w: int):
+    """Index of the last output row/column whose window covers coordinate x,
+    or None if no window covers it."""
+    idx = (x + pad) // stride
+    if idx >= n_out:
+        idx = n_out - 1
+    if x > idx * stride - pad + w - 1:
+        return None
+    return idx
+
+
+class ConvStage:
+    """One conv layer's unit, element in, depth-k element out: a line buffer
+    of w rows of padded width, a conv engine and an output-assembly register
+    (`out`), kept as counters.
+
+    The line buffer is its input coordinate (_r_in, _c_in) and widx, the
+    next raster window to leave it. A window leaves, into a one-slot skid,
+    when all of its real (non synthesized-padding) elements have arrived and
+    the skid is empty; an element is refused while its row slot still holds
+    a row an unemitted window needs.
+
+    The engine takes the skid's window when its sweep of the previous one
+    ends and holds it for k*g cycles: one issue a cycle, filters swept per
+    serial depth group, groups outermost, into an abstract pipeline of depth
+    conv3d_latency that advances (adv) once a cycle. Partial sums across the
+    groups combine in a per-filter accumulator row, so only the final
+    group's k scalars leave, and a window's element completes on the advance
+    its last filter's scalar pops: emq queues those advances. The pipeline
+    freezes only on the advance that would complete an element while `out`
+    is occupied.
+    """
+
+    def __init__(self, spec: ConvSpec, in_dims: Dims, d_par: int, name="conv"):
+        self.name = name
+        self.out_dims = out = output_dims(in_dims, spec)
+        self.h, self.w_in = in_dims.height, in_dims.width
+        self.w, self.s, self.p = spec.kernel, spec.stride, spec.pad
+        self.h_out, self.w_out = out.height, out.width
+        self.n_windows = out.height * out.width
+        self.k = spec.filters
+        self.kg = self.k * (in_dims.depth // d_par)
+        self.latency = conv3d_latency(spec.kernel, d_par)
+        self._r_in = 0
+        self._c_in = 0
+        self.widx = 0
+        self.skid = False   # a window waits in the skid slot
+        self.cur_left = 0   # issues left in the held window's sweep
+        self.adv = 0
+        self.emq = deque()  # per queued element, the advance it completes on
+        self.out = False
+        self._set_threshold()
+
+    def _set_threshold(self):
+        """Input position (r * w_in + c) at which the next raster window is
+        complete (one past the last element once every window is out), and
+        the position past which that window has lost data: its oldest real
+        element, at (r_top, c_lo), shares a row slot with element
+        (r_top + w, c_lo), the first of its elements to be overwritten."""
+        if self.widx >= self.n_windows:
+            self._threshold = self.h * self.w_in + 1
+            return
+        rho, gam = divmod(self.widx, self.w_out)
+        r_last = min(rho * self.s - self.p + self.w - 1, self.h - 1)
+        c_last = min(gam * self.s - self.p + self.w - 1, self.w_in - 1)
+        self._threshold = r_last * self.w_in + c_last + 1
+        r_top = max(0, rho * self.s - self.p)
+        self._overwritten = (r_top + self.w) * self.w_in + max(0, gam * self.s - self.p)
+
+    def ready(self) -> bool:
+        """Accepting the next element may not overwrite a row slot still
+        needed by an unemitted window. The top clamp admits the first w rows
+        whatever the window: their slots hold no real row."""
+        if self._r_in >= self.h:
+            return False
+        return self._r_in < self.w or self._free()
+
+    def _free(self) -> bool:
+        """ready()'s unclamped rule: the next element's row slot, at input row
+        r - w, is needed by no unemitted window (padding rows included)."""
+        rho = _last_needing(self._r_in - self.w, self.p, self.s, self.h_out, self.w)
+        if rho is None:
+            return True
+        gam = _last_needing(self._c_in, self.p, self.s, self.w_out, self.w)
+        if gam is None:
+            return True
+        return self.widx > rho * self.w_out + gam
+
+    def step(self, in_elem: bool, out_consumed: bool):
+        """One clock. The engine advances, completes an element, takes the
+        skid's window and issues, unless frozen; then the line buffer emits
+        the next window into the skid, decided on previous-cycle fill state,
+        and absorbs the offered element."""
+        if out_consumed:
+            self.out = False
+        emq, adv = self.emq, self.adv + 1
+        completes = emq and emq[0] == adv
+        if not (completes and self.out):
+            self.adv = adv
+            if completes:
+                emq.popleft()
+                self.out = True
+            left = self.cur_left
+            if not left and self.skid:
+                self.skid = False
+                left = self.kg
+            if left:
+                if left == self.k:  # the final depth group's sweep starts
+                    emq.append(adv + self.latency + self.k - 1)
+                self.cur_left = left - 1
+        r, c = self._r_in, self._c_in
+        pos = r * self.w_in + c
+        if not self.skid and pos >= self._threshold:
+            if pos > self._overwritten:
+                raise InternalError(
+                    f"line buffer overwrote window {self.widx} before emitting it")
+            self.skid = True
+            self.widx += 1
+            self._set_threshold()
+        if in_elem:
+            if c + 1 == self.w_in:
+                self._c_in = 0
+                self._r_in = r + 1
+            else:
+                self._c_in = c + 1
+
+
+class PoolStage:
+    """One row of running maxima, updated in raster order: the first element
+    landing in a slot opens it, later covered elements fold into it; the
+    pooled row drains serially once its last input row completes. The stage
+    keeps only its input coordinate and the next slot to drain (w_out: none);
+    an element landing in a slot that has not drained is an invariant breach.
+    Requires window <= stride, which config.validate_plan checks."""
+
+    def __init__(self, spec, in_dims: Dims, name="pool"):
+        self.name = name
+        self.out_dims = output_dims(in_dims, spec)
+        self.h_in, self.w_in = in_dims.height, in_dims.width
+        self.window = spec.window
+        self.stride = spec.stride
+        self.h_out, self.w_out = self.out_dims.height, self.out_dims.width
+        self._r_in = 0
+        self._c_in = 0
+        self.drain_pos = self.w_out
+        self.out = False
+
+    def ready(self) -> bool:
+        r, c = self._r_in, self._c_in
+        if r == self.h_in:
+            return False
+        if r // self.stride >= self.h_out or r % self.stride >= self.window:
+            return True
+        j = c // self.stride
+        if j >= self.w_out or c % self.stride >= self.window:
+            return True
+        return j < self.drain_pos
+
+    def step(self, in_elem: bool, out_consumed: bool):
+        if out_consumed:
+            self.out = False
+        if not self.out and self.drain_pos < self.w_out:
+            self.out = True
+            self.drain_pos += 1
+        if not in_elem:
+            return
+        r, c = self._r_in, self._c_in
+        if c + 1 == self.w_in:
+            self._c_in = 0
+            self._r_in = r + 1
+        else:
+            self._c_in = c + 1
+        r_out, rp = divmod(r, self.stride)
+        c_out, cp = divmod(c, self.stride)
+        if r_out < self.h_out and rp < self.window \
+                and c_out < self.w_out and cp < self.window:
+            if c_out >= self.drain_pos:
+                raise InternalError(
+                    f"pool slot {c_out} overwritten before it drained")
+            if rp == self.window - 1 and cp == self.window - 1 \
+                    and c_out == self.w_out - 1:
+                self.drain_pos = 0
+
+
+def build_stages(layers, in_dims, d_pars, layer_offset=0):
+    """One reference stage per layer, named as the model names them."""
+    stages, dims, d_pars = [], in_dims, iter(d_pars)
+    for i, layer in enumerate(layers, layer_offset):
+        if isinstance(layer, ConvSpec):
+            stages.append(ConvStage(layer, dims, next(d_pars), name=f"l{i}.conv"))
+        else:
+            stages.append(PoolStage(layer, dims, name=f"l{i}.pool"))
+        dims = stages[-1].out_dims
+    return stages
+
+
+def step_every_cycle(layers, in_dims, d_pars, layer_offset=0, watch=None):
+    """Reference schedule loop: transfers for a cycle are decided from the
+    previous cycle's state (ready ripples upstream), then every stage steps
+    once, front to back, each passing its consumed token downstream. Calls
+    watch(cycle, stages) after every cycle, if given. Raises InternalError
+    past the model's cycle budget, 16 times the group's work plus 100,000
+    cycles. Returns the stamps and the stall cycles."""
+    stages = build_stages(layers, in_dims, d_pars, layer_offset)
+    n_stages = len(stages)
+    n_src = in_dims.height * in_dims.width
+    expected = [st.out_dims.height * st.out_dims.width for st in stages]
+    max_cycles = 16 * (n_src + sum(n * (st.kg if isinstance(st, ConvStage) else 1)
+                                   for st, n in zip(stages, expected))) + 100_000
+    src_idx = 0
+    remaining = n_stages
+    stamps = [StageStamp(st.name) for st in stages]
+    stalls = {st.name: 0 for st in stages}
+    cycle = 0
+    while remaining:
+        cycle += 1
+        if cycle > max_cycles:
+            raise InternalError(
+                f"pipeline made no progress within {max_cycles} cycles "
+                f"(collected {stamps[-1].emitted}/{expected[-1]})")
+        consume = [False] * n_stages
+        ready_down = True
+        for i in range(n_stages - 1, -1, -1):
+            st = stages[i]
+            if st.out:
+                if ready_down:
+                    consume[i] = True
+                else:
+                    stalls[st.name] += 1
+            ready_down = st.ready()
+        carried = ready_down and src_idx < n_src
+        src_idx += carried
+        for i, st in enumerate(stages):
+            st.step(carried, consume[i])
+            carried = consume[i]
+            if carried:
+                stamp = stamps[i]
+                if stamp.emitted == 0:
+                    stamp.first_out = cycle
+                stamp.last_out = cycle
+                stamp.emitted += 1
+                if stamp.emitted == expected[i]:
+                    remaining -= 1
+        if watch:
+            watch(cycle, stages)
+    return stamps, stalls

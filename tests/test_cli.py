@@ -6,12 +6,13 @@ import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fusedconv import golden
+from fusedconv import dataflow, golden
 from fusedconv.cli import main
-from fusedconv.config import serialize_network
+from fusedconv.config import InternalError, serialize_network
 from fusedconv.datagen import SeededGenerator
 from fusedconv.fileio import read_tensor, write_weights
 from fusedconv.networks import small_test_network
@@ -174,16 +175,24 @@ def test_simulate_elapsed_line_splits_simulator_and_oracle(workdir, capsys):
     assert main(["simulate", "--network", str(workdir / "net.json"),
                  "--input", str(workdir / "input.dclf"),
                  "--weights", str(workdir / "weights.bin"), "--plan", "0|1-2"]) == 0
-    assert re.fullmatch(r"elapsed: \d+\.\d\ds \(schedule \d+\.\d\ds, 2 of 2 groups modeled, "
+    assert re.fullmatch(r"elapsed: \d+\.\d\ds \(schedule \d+\.\d\ds, "
                         r"values \d+\.\d\ds, oracle \d+\.\d\ds, "
                         r"2 of 2 oracle conv layers from the value walk\)\n",
                         capsys.readouterr().err)
-    # a fast conv held by a slow one is stepped
+
+
+def test_schedule_that_never_admits_exits_3(workdir, monkeypatch, capsys):
+    # a release rule that refuses every element forever: the model's passes
+    # run past the cycle budget, 16 * 179 + 100,000, and simulate reports an
+    # internal error
+    monkeypatch.setattr(dataflow, "_release", lambda at, gate: np.full(len(gate[0]), 1 << 62))
+    net = small_test_network()
+    with pytest.raises(InternalError, match=r"did not settle within 102864 cycles"):
+        dataflow.simulate_group(net.layers, net.input_dims, [3, 3])
     assert main(["simulate", "--network", str(workdir / "net.json"),
                  "--input", str(workdir / "input.dclf"),
-                 "--weights", str(workdir / "weights.bin"), "--plan", "0-1|2",
-                 "--dpar", "3,1"]) == 0
-    assert ", 1 of 2 groups modeled, " in capsys.readouterr().err
+                 "--weights", str(workdir / "weights.bin")]) == 3
+    assert "did not settle" in capsys.readouterr().err
 
 
 def test_golden_elapsed_line_splits_oracle_and_write(workdir, capsys):
@@ -235,15 +244,16 @@ def _traced_span_kinds(workdir, *extra):
 
 
 def test_simulate_trace_is_chrome_json_with_a_track_per_stage(workdir):
-    # the max-plus model certifies both groups: one modeled span per stage
+    # no stage of either group is held: one pass, one modeled span per stage
     assert _traced_span_kinds(workdir) == {"l0.conv": {"modeled"}, "l1.conv": {"modeled"},
                                            "l2.pool": {"modeled"}}
 
 
 def test_simulate_trace_steps_a_group_the_model_cannot_certify(workdir):
-    # at d_par 3,1 the slow second conv holds the first: that group steps
+    # at d_par 3,1 the slow second conv holds the first: that group takes
+    # more than one pass of the model, and still traces one span per stage
     assert _traced_span_kinds(workdir, "--dpar", "3,1") == {
-        "l0.conv": {"step", "quiet"}, "l1.conv": {"step", "quiet"}, "l2.pool": {"modeled"}}
+        "l0.conv": {"modeled"}, "l1.conv": {"modeled"}, "l2.pool": {"modeled"}}
 
 
 def test_simulate_trace_leaves_every_output_unchanged(workdir, capsys):

@@ -206,6 +206,6 @@ def test_schedule_cycles_between_floor_and_estimate_on_vgg7_28():
 
 
 def test_schedule_cycles_between_floor_and_estimate_on_vgg7_224():
-    # full scale: the row-periodic fast-forward makes all 28 groups' schedules
-    # take seconds, not a minute
+    # full scale: the max-plus model gives each of the 28 groups' schedules
+    # in milliseconds
     assert _plans_over_estimate(224) == ESTIMATE_EXCEEDED_224

@@ -9,12 +9,10 @@ from fusedconv.dataflow import conv_datapath, simulate_group, simulate_plan
 from fusedconv.costmodel import conv3d_latency
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.golden import FilterBank, Tensor3D, run_network
-from fusedconv.stages import ConvStage, PoolStage, _last_needing
 
 from conftest import EXACTNESS_EDGES, diverging_chain, identity_bank, random_network, \
     random_plan, tensor_from_reals
-from reference import engine_reference
-from test_quiet_spans import step_every_cycle
+from reference import ConvStage, PoolStage, _last_needing, engine_reference, step_every_cycle
 
 
 # --- line buffer -------------------------------------------------------------
@@ -115,20 +113,20 @@ def permissive_linebuffer_ready(self):
 
 
 def test_permissive_linebuffer_ready_trips_window_guard(monkeypatch, small_net):
-    # the guard is the stepped schedule's: the max-plus model reads no
-    # ready(), and certifies this group
+    # the guard is the reference stage's: the max-plus model reads no
+    # ready()
     monkeypatch.setattr(ConvStage, "ready", permissive_linebuffer_ready)
     with pytest.raises(InternalError, match="overwrote window 6 before emitting it"):
-        dataflow._stepped(small_net.layers, small_net.input_dims, [3, 3])
+        step_every_cycle(small_net.layers, small_net.input_dims, [3, 3])
 
 
 def test_refusing_linebuffer_trips_the_cycle_budget(monkeypatch, small_net):
-    # a line buffer that never accepts stalls the whole chain: the clock
-    # jumps to the derived cycle budget and the loop gives up there
+    # a line buffer that never accepts stalls the whole chain: the reference
+    # loop gives up at the derived cycle budget
     monkeypatch.setattr(ConvStage, "ready", lambda self: False)
     with pytest.raises(InternalError, match=r"no progress within \d+ cycles "
                                             r"\(collected 0/4\)"):
-        dataflow._stepped(small_net.layers, small_net.input_dims, [3, 3])
+        step_every_cycle(small_net.layers, small_net.input_dims, [3, 3])
 
 
 # --- conv engine -------------------------------------------------------------
@@ -404,7 +402,7 @@ def test_permissive_pool_ready_trips_drain_guard(monkeypatch, reduced7):
     # arrives, so a permissive pool lands an element on an undrained slot
     monkeypatch.setattr(PoolStage, "ready", permissive_pool_ready)
     with pytest.raises(InternalError, match="overwritten before it drained"):
-        dataflow._stepped(reduced7.layers, reduced7.input_dims, [3, 8, 8, 1, 16])
+        step_every_cycle(reduced7.layers, reduced7.input_dims, [3, 8, 8, 1, 16])
 
 
 # --- fused pipeline ----------------------------------------------------------

@@ -37,15 +37,12 @@ def test_saturating_probe_runs():
 
 
 def test_schedule_probe_prints_the_pinned_work():
-    # demo 04's --schedule case: the cycles, the stage steps of the stepped
-    # schedule that test_quiet_spans.test_schedule_work_is_pinned pins, and
-    # the max-plus model's certificate, of each geometry
+    # demo 04's --schedule case: the cycles of each geometry and the passes
+    # the max-plus model takes, one where no stage is held
     stdout = _run_demo("04_full_scale_timing.py", "--schedule")
-    rows = {m[1]: (m[2], m[3], m[4]) for m in (
-        re.fullmatch(r"\s+(\S+)\s+([\d,]+) cycles\s+([\d,]+) stage steps\s+[\d.]+ ms stepped"
-                     r"\s+[\d.]+ ms modeled, (certified|not certified)", line)
+    rows = {m[1]: (m[2], m[3]) for m in (
+        re.fullmatch(r"\s+(\S+)\s+([\d,]+) cycles\s+(\d+) passes\s+[\d.]+ ms modeled", line)
         for line in stdout.splitlines()[1:])}
-    assert rows == {"conv1_1-56": ("200,827", "1,342", "certified"),
-                    "vgg7-28": ("65,410", "7,281", "certified"),
-                    "saturating": ("16,467", "479", "certified"),
-                    "vgg7-224": ("3,327,046", "58,412", "certified")}
+    assert rows == {"conv1_1-56": ("200,827", "1"), "vgg7-28": ("65,410", "1"),
+                    "saturating": ("16,467", "1"), "vgg7-224": ("3,327,046", "1"),
+                    "vgg7-28-2-6": ("34,735", "2")}

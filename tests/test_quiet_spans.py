@@ -1,169 +1,47 @@
-"""simulate_group against a clock that steps every single cycle.
+"""simulate_group, the max-plus model, against a clock that steps every
+single cycle.
 
-`step_every_cycle` is the simulator's schedule loop as it was before quiet
-spans were skipped, row-periodic stretches fast-forwarded and each stage
-given its own clock: it calls every stage's `step` on every cycle. It drives
-the same stage classes, so any difference in cycles, stamps or stalls comes
-from the jumps of the clocks (dataflow._stepped) or from the max-plus model
-(dataflow.model_group), which simulate_group returns where it certifies a
-group. The model must never exceed the schedule, and must equal it where it
-certifies. A traced run takes the same steps and jumps as an untraced one
-and records them as spans, which must cover each stage's cycles once. The
-schedule takes dims, not data:
-values come after it, from golden.walk_layers, and the tests of
-conv_datapath, of the pool values and of simulate_plan check them.
+reference.step_every_cycle calls every reference stage's `step` on every
+cycle: the per-cycle schedule, coded stage by stage, that model_group is
+checked against. The model must equal it in cycles, stamps and stalls on
+every chain config.validate_plan admits, held stages included, and settle in
+its first pass exactly where no stage is held. A traced group records one
+modeled span per stage, which covers the stage's cycles once. The schedule
+takes dims, not data: values come after it, from golden.walk_layers, and the
+tests of conv_datapath, of the pool values and of simulate_plan check them.
 """
-
-import copy
-import math
-from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fusedconv import dataflow
 from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, PoolSpec, \
     output_dims, validate_plan
-from fusedconv.dataflow import GroupResult, StageStamp, _build_stages, _stepped, model_group, \
-    simulate_group
+from fusedconv.dataflow import GroupResult, model_group, simulate_group
 from fusedconv.networks import VGG7_DEFAULT_DPAR, consecutive_convs, vgg_prefix_7
-from fusedconv.stages import _FOREVER, ConvStage, PoolStage
 
 from conftest import reduced_vgg_prefix_7
-
-
-def step_every_cycle(layers, in_dims, d_pars, layer_offset=0, until=None, watch=None):
-    """Reference schedule loop: transfers for a cycle are decided from the
-    previous cycle's state (ready ripples upstream), then every stage steps
-    once, front to back, each passing its consumed token downstream. Runs
-    to the end, or to cycle `until`, and calls watch(cycle, stages) after
-    every cycle, if given. Returns the stamps, the stall cycles and the
-    stages. It keeps its own stamps and stall counts, never the ones the
-    stages book themselves."""
-    stages = _build_stages(layers, in_dims, d_pars, layer_offset)
-    n_stages = len(stages)
-    n_src = in_dims.height * in_dims.width
-    src_idx = 0
-    remaining = n_stages
-    stamps = [StageStamp(st.name) for st in stages]
-    stalls = {st.name: 0 for st in stages}
-    cycle = 0
-    while remaining and cycle != until:
-        cycle += 1
-        consume = [False] * n_stages
-        ready_down = True
-        for i in range(n_stages - 1, -1, -1):
-            st = stages[i]
-            if st.out:
-                if ready_down:
-                    consume[i] = True
-                else:
-                    stalls[st.name] += 1
-            ready_down = st.ready()
-        carried = ready_down and src_idx < n_src
-        src_idx += carried
-        for i, st in enumerate(stages):
-            st.step(carried, consume[i])
-            carried = consume[i]
-            if carried:
-                stamp = stamps[i]
-                if stamp.emitted == 0:
-                    stamp.first_out = cycle
-                stamp.last_out = cycle
-                stamp.emitted += 1
-                if stamp.emitted == st.out_dims.height * st.out_dims.width:
-                    remaining -= 1
-        if watch:
-            watch(cycle, stages)
-    return stamps, stalls, stages
-
-
-def engine_counters(stages):
-    return [(st.adv, st.cur_left, st.skid, tuple(st.emq), st.widx)
-            for st in stages if isinstance(st, ConvStage)]
-
-
-def counted_run(layers, in_dims, d_pars, layer_offset=0, trace=None):
-    """The stepped schedule, _stepped, counting its stage steps and keeping
-    its jumps.
-    Returns the result, the stages, the step count and each jump's
-    (periods, cycles per period)."""
-    built, steps, jumps = [], [], []
-    fast_forward = dataflow._fast_forward
-
-    def build(*args):
-        built.extend(_build_stages(*args))
-        for st in built:
-            st.step = lambda *a, step=st.step: steps.append(1) or step(*a)
-        return built
-
-    def jump(*args):
-        m, dc = fast_forward(*args)
-        if m:
-            jumps.append((m, dc))
-        return m, dc
-
-    with mock.patch.object(dataflow, "_build_stages", build), \
-            mock.patch.object(dataflow, "_fast_forward", jump):
-        res = _stepped(layers, in_dims, d_pars, trace, layer_offset=layer_offset)
-    return res, built, len(steps), jumps
+from reference import step_every_cycle
 
 
 def assert_spans_tile(spans, n_stages, cycles):
-    """In the order recorded, each stage's spans cover cycles 1..cycles once:
-    one modeled span, or steps, quiet skips and periodic jumps."""
-    for i in range(n_stages):
-        end = 0
-        for _, kind, first, n, m in (s for s in spans if s[0] == i):
-            assert first == end + 1 and n >= 1
-            assert (kind, n, m) == ("step", 1, 0) or (kind == "quiet" and m == 0) \
-                or (kind == "periodic" and m >= 1 and n % m == 0) \
-                or (kind, first, n, m) == ("modeled", 1, cycles, 0)
-            end += n
-        assert end == cycles
-
-
-def assert_traced_like_untraced(layers, in_dims, d_pars, layer_offset=0):
-    """A traced run takes an untraced run's steps and jumps, to the same
-    result, and its spans tile every stage's cycles. Returns the traced
-    result, its spans and its stages."""
-    spans = []
-    got, built, steps, jumps = counted_run(layers, in_dims, d_pars, layer_offset, spans)
-    untraced, _, untraced_steps, untraced_jumps = counted_run(
-        layers, in_dims, d_pars, layer_offset)
-    assert got == untraced
-    assert (steps, jumps) == (untraced_steps, untraced_jumps)
-    assert steps == sum(kind == "step" for _, kind, *_ in spans)
-    assert [(m, n // m) for _, kind, _, n, m in spans if kind == "periodic"] == \
-        [jump for jump in jumps for _ in built]
-    assert_spans_tile(spans, len(built), got.cycles)
-    return got, spans, built
+    """Each stage has one modeled span, covering cycles 1..cycles."""
+    assert spans == [(i, "modeled", 1, cycles) for i in range(n_stages)]
 
 
 def assert_same_run(layers, in_dims, d_pars, layer_offset=0):
-    """Run the stepped schedule traced and untraced, simulate_group, the
-    max-plus model and the reference loop. Assert every schedule observable
-    of the first two, and the engines' closed-form counters, agree with the
-    reference; that the model's cycles are a floor, and that where it
-    certifies the group it is the reference and simulate_group steps
-    nothing. Returns the stepped traced result and its spans."""
-    got, spans, built = assert_traced_like_untraced(layers, in_dims, d_pars, layer_offset)
-    stamps, stalls, want_stages = step_every_cycle(layers, in_dims, d_pars, layer_offset)
-    assert engine_counters(built) == engine_counters(want_stages)
+    """Assert simulate_group, traced, gives the per-cycle reference's cycles,
+    stamps and stalls, and that the model settles in its first pass exactly
+    where the reference holds no stage. Returns the result and the model's
+    passes."""
+    stamps, stalls = step_every_cycle(layers, in_dims, d_pars, layer_offset)
     want = GroupResult(max(s.last_out for s in stamps), stamps, stalls)
+    spans = []
+    assert simulate_group(layers, in_dims, d_pars, spans, layer_offset) == want
+    assert_spans_tile(spans, len(layers), want.cycles)
+    got, passes = model_group(layers, in_dims, d_pars, layer_offset)
     assert got == want
-    modeled, certified = model_group(layers, in_dims, d_pars, layer_offset)
-    assert modeled.cycles <= want.cycles
-    dispatched = []
-    assert simulate_group(layers, in_dims, d_pars, dispatched, layer_offset) == want
-    assert_spans_tile(dispatched, len(built), want.cycles)
-    if certified:
-        assert modeled == want and not any(stalls.values())
-        assert {kind for _, kind, *_ in dispatched} == {"modeled"}
-    else:
-        assert dispatched == spans
-    return got, spans
+    assert (passes == 1) == (not any(stalls.values()))
+    return got, passes
 
 
 @st.composite
@@ -218,20 +96,12 @@ def test_simulate_group_matches_per_cycle_reference(case):
                         layer_offset=a)
 
 
-def test_traced_conv1_1_jumps_like_the_reference():
-    # conv1_1 at 56x56 fast-forwards its periodic rows with a trace too
-    net = consecutive_convs(1, input_hw=56)
-    res, spans = assert_same_run(net.layers, net.input_dims, [3])
-    assert any(kind == "periodic" for _, kind, *_ in spans)
-    assert_spans_tile(spans, 1, res.cycles)
-
-
 def test_traced_fused_vgg7_tiles_every_stage():
     net = vgg_prefix_7(input_hw=28)
-    res, spans, _ = assert_traced_like_untraced(net.layers, net.input_dims,
-                                                list(VGG7_DEFAULT_DPAR))
+    spans = []
+    res = simulate_group(net.layers, net.input_dims, list(VGG7_DEFAULT_DPAR), spans)
+    assert res.cycles == 65_410
     assert_spans_tile(spans, 7, 65_410)
-    assert {i for i, *_ in spans} == set(range(7))
 
 
 STALLING_CHAINS = [
@@ -242,24 +112,13 @@ STALLING_CHAINS = [
 
 @pytest.mark.parametrize("d_par, stalls", STALLING_CHAINS)
 def test_stalling_chain_matches_per_cycle_reference(d_par, stalls):
-    # a fast stage feeding a slow one is held for most of the run: the
-    # max-plus model cannot certify the chain, and it is stepped
+    # a fast stage feeding a slow one is held for most of the run: its
+    # engine freezes, or its pooled row waits, and the model takes more
+    # than one pass
     net = reduced_vgg_prefix_7()
-    res, _ = assert_same_run(net.layers, net.input_dims, list(d_par))
+    res, passes = assert_same_run(net.layers, net.input_dims, list(d_par))
     assert {k: v for k, v in res.stall_cycles.items() if v} == stalls
-    assert not model_group(net.layers, net.input_dims, list(d_par))[1]
-    assert simulate_group(net.layers, net.input_dims, list(d_par)) == res
-
-
-@pytest.mark.parametrize("d_par, stalls", STALLING_CHAINS)
-def test_stalling_chain_fast_forwards_like_per_cycle_reference(d_par, stalls):
-    # the schedule may fast-forward across the held rows too: the first
-    # chain jumps two periods of 8192 cycles, the second one
-    net = reduced_vgg_prefix_7()
-    res, spans = assert_same_run(net.layers, net.input_dims, list(d_par))
-    assert {k: v for k, v in res.stall_cycles.items() if v} == stalls
-    jumped = sum(n for i, kind, _, n, _ in spans if kind == "periodic" and i == 0)
-    assert jumped == {(3, 1, 1, 1, 1): 16384, (3, 8, 8, 1, 16): 8192}[d_par]
+    assert passes > 1
 
 
 @st.composite
@@ -331,119 +190,44 @@ def certificate_chains(draw):
 @settings(max_examples=60)
 @given(certificate_chains())
 def test_certificate_holds_exactly_or_the_group_is_stepped(case):
-    # assert_same_run: a certified draw is the per-cycle reference, stalls
-    # and stamps included, and an uncertified one runs the stepped path
+    # the model is the per-cycle reference on every draw, stalls and stamps
+    # included, and certifies its first pass where no stage is held
     net, d_pars = case
     assert_same_run(net.layers, net.input_dims, d_pars)
 
 
-# its engines' counters advance as the geometry says over a period before
-# their phase within a window settles: a jump must wait for that too
+# a source-fed pool ahead of two 1x1 convs, on a 3-wide input
 DRIFTING_PHASE = (
     NetworkSpec(Dims(20, 3, 1), (PoolSpec(2, 2), ConvSpec(1, 3), ConvSpec(1, 3))), [1, 1])
 
-# when its state first repeats, the deepest conv has taken one input row
-# and emitted nothing: the jump starts in that conv's top rows
+# five stages over 40 rows, the deepest a 3x3 conv with padding 2
 DEEP_STAGE_IN_TOP_ROWS = (
     NetworkSpec(Dims(40, 7, 1), (ConvSpec(3, 2, 1, 1), PoolSpec(2, 2), ConvSpec(1, 4),
                                  PoolSpec(2, 2), ConvSpec(3, 4, 1, 2))), [1, 1, 4])
+
+# line buffers whose top clamp admits elements onto rows, padding or real,
+# that a window not yet out still covers: the first, in its second conv's
+# top rows, on the same schedule one row after another
+TOP_CLAMP_OVERRIDES = [
+    (NetworkSpec(Dims(13, 2, 3), (ConvSpec(3, 6, 1, 2), ConvSpec(7, 1, 1, 4))), [3, 2]),
+    (NetworkSpec(Dims(9, 5, 2), (ConvSpec(5, 3, 2, 4), ConvSpec(3, 2, 1, 0))), [1, 3])]
 
 
 @settings(max_examples=40)
 @example(DRIFTING_PHASE)
 @example(DEEP_STAGE_IN_TOP_ROWS)
+@example(TOP_CLAMP_OVERRIDES[0])
+@example(TOP_CLAMP_OVERRIDES[1])
 @given(tall_chains())
-def test_row_periodic_jumps_match_per_cycle_reference(case):
+def test_tall_chains_match_per_cycle_reference(case):
     net, d_pars = case
     assert_same_run(net.layers, net.input_dims, d_pars)
 
 
-@settings(max_examples=40)
-@example(DRIFTING_PHASE, 500, 300)
-@given(tall_chains(), st.integers(0, 1000), st.integers(0, 300))
-def test_quiet_stage_keeps_its_ready_and_out(case, permille, cap):
-    # the schedule reads an idle stage's ready() and out flag as its last
-    # step left them, and its next event from quiet_for() taken there: at a
-    # random cycle of the run, n <= quiet_for() quiet cycles, skipped or
-    # stepped, move neither and count the quiet span down by n
-    net, d_pars = case
-    total = simulate_group(net.layers, net.input_dims, d_pars).cycles
-    *_, stages = step_every_cycle(net.layers, net.input_dims, d_pars,
-                                  until=total * permille // 1000)
-    for skipped in stages:
-        q = skipped.quiet_for()
-        n = min(q, cap)
-        stepped = copy.deepcopy(skipped)
-        before = (skipped.ready(), skipped.out)
-        skipped.skip(n)
-        for _ in range(n):
-            stepped.step(False, False)
-        assert (skipped.ready(), skipped.out) == before == (stepped.ready(), stepped.out)
-        assert skipped.quiet_for() == stepped.quiet_for() == \
-            (q if q == _FOREVER else q - n)
-
-
-def test_conv1_1_fast_forwards_its_periodic_rows(monkeypatch):
-    # conv1_1 at 56x56 repeats with a period of one row from row 3 on: with
-    # the stretch fast-forwarded, the stage steps on far fewer cycles than
-    # its 3136 windows' quiet spans alone allow (about 12,500 steps)
+def test_traced_conv1_1_matches_the_reference():
     net = consecutive_convs(1, input_hw=56)
-    step, calls = ConvStage.step, []
-
-    def counted(self, *args):
-        calls.append(self)
-        return step(self, *args)
-
-    monkeypatch.setattr(ConvStage, "step", counted)
-    res = _stepped(net.layers, net.input_dims, [3])
-    assert res.cycles == 200_827
-    assert len(calls) * 100 <= res.cycles
-    assert res.stamps[0].emitted == 56 * 56
-
-
-def test_held_windows_skip_most_conv_steps(monkeypatch):
-    # a 64-filter conv holds each window for 64 cycles: only the cycles on
-    # which something moves may run the stage's step
-    net = consecutive_convs(1, input_hw=16)
-    step, calls = ConvStage.step, []
-
-    def counted(self, *args):
-        calls.append(self)
-        return step(self, *args)
-
-    monkeypatch.setattr(ConvStage, "step", counted)
-    res = _stepped(net.layers, net.input_dims, [3])
-    assert res.cycles == 16_467
-    assert len(calls) * 8 <= res.cycles
-    assert res.stamps[0].emitted == 16 * 16
-
-
-def test_fused_vgg7_steps_only_the_stages_that_act(monkeypatch):
-    # each of the seven stages keeps its own clock: a cycle on which one
-    # stage acts steps that stage alone (7,281 steps beside a jump of two
-    # periods; 10,209 without the jump, 45,745 when every stage stepped on
-    # each such cycle)
-    net = vgg_prefix_7(input_hw=28)
-    calls = []
-    for cls in (ConvStage, PoolStage):
-        monkeypatch.setattr(cls, "step", lambda self, *args, step=cls.step:
-                            calls.append(self) or step(self, *args))
-    res = _stepped(net.layers, net.input_dims, list(VGG7_DEFAULT_DPAR))
-    assert res.cycles == 65_410
-    assert len(calls) <= 15_000
-
-
-def bottleneck_cycles_per_period(net, d_pars):
-    """A period's source elements times the largest work per source element
-    among the group's convs: k*g cycles per window, scaled by the conv's
-    output positions over the source's."""
-    din, dout = net.layer_input_dims(), net.layer_dims()
-    d_par = dict(zip(net.conv_indices(), d_pars))
-    src = net.input_dims.height * net.input_dims.width
-    period = math.prod(layer.stride for layer in net.layers) * net.input_dims.width
-    return max(Fraction(period * net.layers[i].filters * (din[i].depth // d)
-                        * dout[i].height * dout[i].width, src)
-               for i, d in d_par.items())
+    res, passes = assert_same_run(net.layers, net.input_dims, [3])
+    assert (res.cycles, passes) == (200_827, 1)
 
 
 # the four geometries demo 04's --schedule times, fully fused, with cycles
@@ -455,36 +239,17 @@ PINNED_GEOMETRIES = {
     "vgg7-224": (vgg_prefix_7(), list(VGG7_DEFAULT_DPAR), 3_327_046)}
 
 
-@pytest.mark.parametrize("name, steps, jumped, per_period", [
-    ("conv1_1-56", 1_342, 179_200, 3_584), ("vgg7-28", 7_281, 14_336, 7_168),
-    ("saturating", 479, 10_240, 1_024), ("vgg7-224", 58_412, 2_924_544, 57_344)],
-    ids=list(PINNED_GEOMETRIES))
-def test_schedule_work_is_pinned(name, steps, jumped, per_period):
-    # the stage steps the stepped schedule's clocks take and the cycles
-    # they jump over are its cost; a change to a stage's state must keep
-    # both. Every jumped period runs at the rate of the slowest conv, as the
-    # cycle time of a synchronous dataflow graph is that of its slowest cycle
-    net, d_pars, _ = PINNED_GEOMETRIES[name]
-    _, _, got_steps, jumps = counted_run(net.layers, net.input_dims, d_pars)
-    assert (got_steps, sum(m * dc for m, dc in jumps)) == (steps, jumped)
-    assert {dc for _, dc in jumps} == {per_period} == {bottleneck_cycles_per_period(net, d_pars)}
-
-
 @pytest.mark.parametrize("net, d_pars, cycles", [
     *PINNED_GEOMETRIES.values(), (consecutive_convs(1), [3], 3_211_555)],
     ids=[*PINNED_GEOMETRIES, "conv1_1-224"])
-def test_certified_groups_take_no_stage_step(net, d_pars, cycles, monkeypatch):
-    # the max-plus model certifies these stall-free groups: simulate_group
-    # returns its result, steps no stage and traces one span per stage
-    calls = []
-    for cls in (ConvStage, PoolStage):
-        for method in ("step", "skip"):
-            monkeypatch.setattr(cls, method, lambda self, *args: calls.append(self))
+def test_certified_groups_take_no_stage_step(net, d_pars, cycles):
+    # no stage of these groups is held: the model's first pass is the
+    # schedule, with no stall, and each stage traces one span
     spans = []
     res = simulate_group(net.layers, net.input_dims, d_pars, spans)
-    assert (res.cycles, len(calls), res.modeled) == (cycles, 0, True)
-    assert not any(res.stall_cycles.values())
-    assert spans == [(i, "modeled", 1, cycles, 0) for i in range(len(net.layers))]
+    assert model_group(net.layers, net.input_dims, d_pars) == (res, 1)
+    assert res.cycles == cycles and not any(res.stall_cycles.values())
+    assert_spans_tile(spans, len(net.layers), cycles)
 
 
 def vgg7_28_groups():
@@ -497,103 +262,35 @@ def vgg7_28_groups():
             for a in range(7) for b in range(a, 7)}
 
 
-@pytest.mark.parametrize("group, layers, in_dims, d_pars", [
-    *((None, net.layers, net.input_dims, d_pars)
-      for net, d_pars, _ in PINNED_GEOMETRIES.values()),
-    *((group, *case) for group, case in vgg7_28_groups().items())],
+# cycles per VGG-7 group at 28x28, as the stepped schedule gave them, and
+# where a stage is held (a pool, by the conv after it), that stage's stalls
+# and last output
+VGG7_28_SCHEDULES = {
+    (0, 0): 50_271, (0, 1): 52_292, (0, 2): 52_307, (0, 3): 55_980, (0, 4): 58_138,
+    (0, 5): 58_146, (0, 6): 65_410, (1, 1): 50_307, (1, 2): 50_322, (1, 3): 53_995,
+    (1, 4): 56_153, (1, 5): 56_161, (1, 6): 63_425, (2, 2): 812, (2, 3): 25_305,
+    (2, 4): 27_463, (2, 5): 27_471, (2, 6): 34_735, (3, 3): 25_205, (3, 4): 27_363,
+    (3, 5): 27_371, (3, 6): 34_635, (4, 4): 25_214, (4, 5): 25_222, (4, 6): 32_486,
+    (5, 5): 210, (5, 6): 25_249, (6, 6): 25_198}
+VGG7_28_HELD = {**{(2, b): ("l2.pool", 20_686, 21_368) for b in range(3, 7)},
+                (5, 6): ("l5.pool", 16_768, 16_960)}
+
+
+@pytest.mark.parametrize("group, layers, in_dims, d_pars, cycles", [
+    *((None, net.layers, net.input_dims, d_pars, cycles)
+      for net, d_pars, cycles in PINNED_GEOMETRIES.values()),
+    *((group, *case, VGG7_28_SCHEDULES[group]) for group, case in vgg7_28_groups().items())],
     ids=[*PINNED_GEOMETRIES, *(f"vgg7-28-{a}-{b}" for a, b in vgg7_28_groups())])
-def test_model_is_the_stepped_schedule_where_nothing_is_held(group, layers, in_dims, d_pars):
-    # the model's cycles are the stepped schedule's on the pinned
-    # geometries and the 28 groups of VGG-7's partitions. Where a stage is
-    # held (here the groups from a pool to a conv, the conv holding the
-    # pool) the model is not certified and the held stage's last output
-    # comes later than modeled; every other stamp is exact
-    offset = group[0] if group else 0
-    modeled, certified = model_group(layers, in_dims, d_pars, offset)
-    stepped = _stepped(layers, in_dims, d_pars, layer_offset=offset)
-    held = {name for name, n in stepped.stall_cycles.items() if n}
-    assert modeled.cycles == stepped.cycles
-    assert certified == (not held) == (group not in {(2, 3), (2, 4), (2, 5), (2, 6), (5, 6)})
-    assert [s for s in modeled.stamps if s.name not in held] == \
-        [s for s in stepped.stamps if s.name not in held]
-
-
-@pytest.mark.parametrize("kernel, stride, pad", [
-    (1, 1, 0), (3, 1, 0), (3, 1, 1), (3, 2, 1), (3, 3, 2), (5, 2, 2), (1, 2, 0)])
-@pytest.mark.parametrize("height", [5, 6, 9, 12])
-def test_row_period_bounds_are_the_clamp_free_rows(kernel, stride, pad, height):
-    # the fast-forward relies on these bounds: every value up to them, and
-    # none past them, leaves each bottom clamp a stage reads it through idle
-    in_dims = Dims(height, 7, 1)
-    spec = ConvSpec(kernel, 2, stride, pad)
-    conv = ConvStage(spec, in_dims, 1)
-    out = conv.out_dims
-    hi, w_hi, *_ = conv.row_period(stride)[1]
-
-    def row_clamped(r):  # the ready check's, on the next row to arrive
-        return r >= height or (r - kernel + pad) // stride >= out.height
-
-    def window_clamped(widx):  # _set_threshold's, on the next window
-        return widx >= out.height * out.width \
-            or widx // out.width * stride - pad + kernel - 1 > height - 1
-
-    def assert_free_up_to(values, clamped, hi):
-        assert [v for v in values if not clamped(v)] == [v for v in values if v <= hi]
-
-    assert_free_up_to(range(-2, height + 4), row_clamped, hi)
-    assert_free_up_to(range(out.height * out.width + out.width), window_clamped, w_hi)
-
-    if stride > 1:
-        pool = PoolStage(PoolSpec(min(kernel, stride), stride), in_dims)
-        hi, *_ = pool.row_period(stride)[1]
-        h_out = pool.out_dims.height
-        assert_free_up_to(range(height + 4), lambda r: r >= height or r // stride >= h_out, hi)
-
-
-# its second conv's top rows admit padding-row overwrites on the same
-# schedule one period after another, so its state repeats across them
-OVERRIDE_IN_PERIOD = (
-    NetworkSpec(Dims(13, 2, 3), (ConvSpec(3, 6, 1, 2), ConvSpec(7, 1, 1, 4))), [3, 2])
-
-
-@pytest.mark.parametrize("net, d_pars, overrides", [
-    (consecutive_convs(1, input_hw=16), [3], [15]),
-    (vgg_prefix_7(input_hw=28), list(VGG7_DEFAULT_DPAR), [27, 0, 0, 0, 0]),
-    (*OVERRIDE_IN_PERIOD, [4, 4]),
-    (NetworkSpec(Dims(9, 5, 2), (ConvSpec(5, 3, 2, 4), ConvSpec(3, 2, 1, 0))), [1, 3], [18, 0])])
-def test_override_count_is_the_unclamped_rule(net, d_pars, overrides, monkeypatch):
-    # a conv stage counts the elements it accepts while their row slot
-    # still holds a row, padding or real, that an unemitted window covers:
-    # only ready()'s top clamp lets such an element in, in the first rows
-    counts, step = {}, ConvStage.step
-
-    def counted(st, elem, out_consumed):
-        x, y = st._r_in - st.w, st._c_in
-        covered = ((rho * st.s - st.p, gam * st.s - st.p)
-                   for rho, gam in (divmod(i, st.w_out) for i in range(st.widx, st.n_windows)))
-        counts[st] = counts.get(st, 0) + (elem and any(
-            top <= x < top + st.w and left <= y < left + st.w for top, left in covered))
-        return step(st, elem, out_consumed)
-
-    monkeypatch.setattr(ConvStage, "step", counted)
-    *_, stages = step_every_cycle(net.layers, net.input_dims, d_pars)
-    convs = [st for st in stages if isinstance(st, ConvStage)]
-    assert [st.overrides for st in convs] == [counts[st] for st in convs] == overrides
-
-
-def test_a_period_with_an_override_is_not_jumped(monkeypatch):
-    # a jump from such a period would carry the top clamp into rows where
-    # the unclamped rule refuses: with the override count left out of the
-    # check, it jumps and lands on the wrong stalls
-    net, d_pars = OVERRIDE_IN_PERIOD
-    got, spans = assert_same_run(net.layers, net.input_dims, d_pars)
-    assert not any(kind == "periodic" for _, kind, *_ in spans)
-    row_period = ConvStage.row_period
-
-    def unchecked(self, rows):
-        fixed, bounds = row_period(self, rows)
-        return fixed[:-1] + (None,), bounds
-
-    monkeypatch.setattr(ConvStage, "row_period", unchecked)
-    _, _, _, jumps = counted_run(net.layers, net.input_dims, d_pars)
-    assert jumps and _stepped(net.layers, net.input_dims, d_pars) != got
+def test_model_is_the_stepped_schedule_where_nothing_is_held(group, layers, in_dims, d_pars,
+                                                             cycles):
+    # the cycles on the pinned geometries and the 28 groups of VGG-7's
+    # partitions, and the held stage's stalls and last output where a pool
+    # is held; the model settles in its first pass exactly where nothing is
+    # held
+    res, passes = model_group(layers, in_dims, d_pars, group[0] if group else 0)
+    held = {s.name: (n, s.last_out) for s, n in zip(res.stamps, res.stall_cycles.values())
+            if n}
+    name, *want = VGG7_28_HELD.get(group, (None,))
+    assert res.cycles == cycles
+    assert held == ({name: tuple(want)} if name else {})
+    assert (passes == 1) == (not name)
