@@ -121,6 +121,18 @@ def test_stalling_chain_matches_per_cycle_reference(d_par, stalls):
     assert passes > 1
 
 
+@pytest.mark.parametrize("d_par, stalls", STALLING_CHAINS)
+def test_stalling_chain_fast_forwards_like_per_cycle_reference(d_par, stalls):
+    # the model crosses the held rows in whole passes, with no per-cycle
+    # loop, to the reference's cycles and stalls: the first chain settles
+    # in two passes, the second in five
+    net = reduced_vgg_prefix_7()
+    res, passes = model_group(net.layers, net.input_dims, list(d_par))
+    assert {k: v for k, v in res.stall_cycles.items() if v} == stalls
+    assert (res.cycles, passes) == {(3, 1, 1, 1, 1): (86_837, 2),
+                                    (3, 8, 8, 1, 16): (68_271, 5)}[d_par]
+
+
 @st.composite
 def tall_chains(draw):
     """A fused conv/pool chain over up to 40 rows, narrow enough for the
@@ -219,12 +231,14 @@ TOP_CLAMP_OVERRIDES = [
 @example(TOP_CLAMP_OVERRIDES[0])
 @example(TOP_CLAMP_OVERRIDES[1])
 @given(tall_chains())
-def test_tall_chains_match_per_cycle_reference(case):
+def test_row_periodic_jumps_match_per_cycle_reference(case):
+    # tall chains run over many row periods, held stages included
     net, d_pars = case
     assert_same_run(net.layers, net.input_dims, d_pars)
 
 
-def test_traced_conv1_1_matches_the_reference():
+def test_traced_conv1_1_jumps_like_the_reference():
+    # conv1_1 at 56x56, traced, settles in the model's first pass
     net = consecutive_convs(1, input_hw=56)
     res, passes = assert_same_run(net.layers, net.input_dims, [3])
     assert (res.cycles, passes) == (200_827, 1)
