@@ -17,10 +17,13 @@ saturating scan over the taps in sequential order, run across all of them at
 once, that clamps and counts every running sum. The plain pass runs in
 int32 where the layer's largest input and weight magnitudes pass
 fixedpoint.products_fit_int32, in int64 elsewhere; its values and flags are
-the same in both widths. A layer with fewer taps than filters (taps < k:
-conv1_1 has 27 and 64) sums tap-major, one tap at a time over a block of
-positions; any other layer window-major, a window's taps at once. Both loop
-orders give the same values and flags.
+the same in both widths. numpy runs a broadcast multiply whose inner loop
+has at most np.getbufsize() // 3 elements through its buffered iterator,
+about 3.5 times slower. A layer with fewer taps than filters (taps < k:
+conv1_1 has 27 and 64) or with more output positions than that sums
+tap-major, one tap at a time over blocks of whole output rows, each but the
+last past that size; any other layer window-major, a window's taps at once.
+Both loop orders give the same values and flags.
 
 walk_layers is the one layer loop that computes values: the oracle runs it
 with conv_layer, the simulator with the engine's adder tree. In `simulate`,
@@ -42,7 +45,9 @@ import numpy as np
 from .config import ConvSpec, Dims, NetworkSpec, PoolSpec, ValidationError, output_dims
 from .fixedpoint import I32_MAX, fx_clamp_count, products_fit_int32, sum_is_exact
 
-_BATCH = 1 << 16  # elements per plain-pass buffer (256 KiB in int32, 512 in int64)
+# elements per plain-pass work buffer: a window-major block's products, a
+# tap-major accumulator or window copy (256 KiB in int32, 512 in int64)
+_BATCH = 1 << 16
 _GROUP = 1 << 21  # int64 products per group handed to a reduction
 
 
@@ -100,69 +105,82 @@ def sequential_sum(prod: np.ndarray):
 
 
 def _window_major(filt: np.ndarray, frac_bits: int, exact: bool, n: int):
-    """The sums of blocks of up to n positions, window-major: each window's
-    (k, taps) products at once, summed over the taps, the innermost axis."""
+    """Each block of up to n positions summed window-major into `out`: each
+    window's (k, taps) products at once, summed over the taps, the innermost
+    axis. Returns its flags, or None."""
     k, taps = filt.shape
     buf = np.empty(n * k * taps, dtype=filt.dtype)
 
-    def block(win):
+    def block(win, out):
         nr, nc = win.shape[:2]
         prod = buf[:nr * nc * k * taps].reshape(nr, nc, k, taps)
         np.multiply(win.reshape(nr, nc, 1, taps), filt, out=prod)
         prod >>= frac_bits
+        prod.sum(axis=-1, dtype=filt.dtype, out=out)
         # a float64 sum cannot wrap, and is exact while it stays <= I32_MAX
-        return (prod.sum(axis=-1, dtype=filt.dtype),
-                None if exact else np.abs(prod).sum(axis=-1, dtype=np.float64))
+        return None if exact else np.abs(prod).sum(axis=-1, dtype=np.float64) > I32_MAX
     return block
 
 
 def _tap_major(filt: np.ndarray, frac_bits: int, exact: bool, n: int):
-    """The sums of blocks of up to n positions, tap-major: one tap at a time
-    into a (k, positions) accumulator, so that the inner loop runs over the
-    block's positions, not over a window's taps."""
+    """Each block of up to n positions summed tap-major into `out`, c =
+    _BATCH // n (at least 1) filters at a time: one tap at a time into a (c,
+    positions) accumulator, so that the inner loop runs over the block's
+    positions, from copies of up to c taps of a kernel row. Returns its
+    flags, or None."""
     k, taps = filt.shape
-    acc, tmp = np.empty((2, n * k), dtype=filt.dtype)
-    abs_sum = None if exact else np.empty(n * k, dtype=np.float64)
-    win_t = np.empty(n * taps, dtype=np.int32)
+    c = max(1, _BATCH // n)  # rows of n elements in a _BATCH
+    acc, tmp = np.empty((2, min(k, c) * n), dtype=filt.dtype)
+    abs_sum = None if exact else np.empty(min(k, c) * n, dtype=np.float64)
+    flags = None if exact else np.empty(n * k, dtype=bool)
+    win_t = np.empty(min(taps, c) * n, dtype=np.int32)
 
-    def block(win):
-        nr, nc = win.shape[:2]
-        m = nr * nc
-        # the block's windows, tap-major in one copy: (taps, positions)
-        wt = win_t[:taps * m].reshape(win.shape[2:] + (nr, nc))
-        np.copyto(wt, win.transpose(2, 3, 4, 0, 1))
-        wt = wt.reshape(taps, m)
-        a, prod = acc[:k * m].reshape(k, m), tmp[:k * m].reshape(k, m)
-        a.fill(0)
-        if not exact:
-            s = abs_sum[:k * m].reshape(k, m)
-            s.fill(0)
-        for t in range(taps):
-            np.multiply(filt[:, t, None], wt[t], out=prod)
-            prod >>= frac_bits
-            a += prod
+    def block(win, out):
+        nr, nc, w = win.shape[:3]
+        m, wd = nr * nc, taps // w
+        row_taps = win.reshape(nr, nc, w, wd)  # a view: a kernel row's taps are contiguous
+        mask = None if exact else flags[:m * k].reshape(nr, nc, k)
+        for f0 in range(0, k, c):
+            f = filt[f0:f0 + c]
+            a, prod = acc[:len(f) * m].reshape(-1, m), tmp[:len(f) * m].reshape(-1, m)
+            a.fill(0)
             if not exact:
-                s += np.abs(prod, out=prod)
-        return (a.reshape(k, nr, nc).transpose(1, 2, 0),
-                None if exact else s.reshape(k, nr, nc).transpose(1, 2, 0))
+                s = abs_sum[:len(f) * m].reshape(-1, m)
+                s.fill(0)
+            for i in range(w):
+                for q in range(0, wd, c):
+                    wt = win_t[:min(wd - q, c) * m].reshape(-1, nr, nc)
+                    np.copyto(wt, row_taps[:, :, i, q:q + len(wt)].transpose(2, 0, 1))
+                    for t, row in enumerate(wt.reshape(-1, m), i * wd + q):
+                        np.multiply(f[:, t, None], row, out=prod)
+                        prod >>= frac_bits
+                        a += prod
+                        if not exact:
+                            s += np.abs(prod, out=prod)
+            out[..., f0:f0 + c] = a.reshape(-1, nr, nc).transpose(1, 2, 0)
+            if not exact:
+                np.greater(s.reshape(-1, nr, nc).transpose(1, 2, 0), I32_MAX,
+                           out=mask[..., f0:f0 + c])
+        return mask
     return block
 
 
 def _plain_pass(windows: np.ndarray, filt: np.ndarray, x: np.ndarray,
                 frac_bits: int):
-    """Every value's plain sum, windows in raster order in blocks of about
-    _BATCH products (_BATCH values in tap-major order), and, unless the layer
-    passes sum_is_exact, a list of per-block (rows, columns, filters) of the
-    pairs whose float64 sum of absolute products passes I32_MAX. `filt` is
-    the (k, taps) int32 filter array; the products, shifts and sums run in
-    int32 where products_fit_int32 holds, in int64 elsewhere.
+    """Every value's plain sum, windows in raster order in blocks, and, unless
+    the layer passes sum_is_exact, a list of per-block (rows, columns,
+    filters) of the pairs whose float64 sum of absolute products passes
+    I32_MAX. `filt` is the (k, taps) int32 filter array; the products, shifts
+    and sums run in int32 where products_fit_int32 holds, in int64 elsewhere.
 
-    A layer with fewer taps than filters (taps < k) sums tap-major, one tap
-    at a time over each block's positions; any other layer window-major, all
-    of a window's taps at once. Neither order changes a value, a flag or
-    the flags' order: an unflagged sum is exact in any order, and the
-    float64 sum of absolute products passes I32_MAX in either order exactly
-    when the true sum does."""
+    A layer with fewer taps than filters (taps < k) or more positions than
+    np.getbufsize() // 3 sums tap-major, in blocks of whole output rows, each
+    but the last of more positions than that, so that each per-tap multiply
+    runs numpy's unbuffered loop; any other layer window-major, in blocks of
+    about _BATCH products. Neither order changes a value, a flag or the
+    flags' order: an unflagged sum is exact in any order, and the float64
+    sum of absolute products passes I32_MAX in either order exactly when the
+    true sum does."""
     oh, ow = windows.shape[:2]
     k, taps = filt.shape
     max_x = max(int(x.max()), -int(x.min()))
@@ -173,19 +191,22 @@ def _plain_pass(windows: np.ndarray, filt: np.ndarray, x: np.ndarray,
     filt = filt.astype(dtype, copy=False)  # the int32 pass multiplies by the view
     out = np.empty((oh, ow, k), dtype=np.int32)
     flagged = []
-    per_pos = k if taps < k else k * taps  # the largest buffer's elements per position
-    cols = min(ow, max(1, _BATCH // per_pos))
-    rows = max(1, _BATCH // (ow * per_pos))
-    sums = (_tap_major if taps < k else _window_major)(
-        filt, frac_bits, exact, min(rows, oh) * cols)
+    cutoff = np.getbufsize() // 3
+    if taps < k or oh * ow > cutoff:
+        # the rows spread evenly over as many blocks past the cutoff as fit
+        rows = -(-oh // max(1, oh // (cutoff // ow + 1)))
+        cols, order = ow, _tap_major
+    else:
+        cols = min(ow, max(1, _BATCH // (k * taps)))
+        rows, order = max(1, _BATCH // (ow * k * taps)), _window_major
+    sums = order(filt, frac_bits, exact, min(rows, oh) * cols)
     for r0 in range(0, oh, rows):
         for c0 in range(0, ow, cols):
-            win = windows[r0:r0 + rows, c0:c0 + cols]
-            nr, nc = win.shape[:2]
-            vals, abs_sums = sums(win)
-            out[r0:r0 + nr, c0:c0 + nc] = vals  # a flagged value may wrap: it is overwritten
-            if not exact:
-                r, c, f = np.nonzero(abs_sums > I32_MAX)
+            # a flagged value may wrap: it is overwritten
+            flags = sums(windows[r0:r0 + rows, c0:c0 + cols],
+                         out[r0:r0 + rows, c0:c0 + cols])
+            if flags is not None:
+                r, c, f = np.nonzero(flags)
                 if len(f):
                     flagged.append((r + r0, c + c0, f))
     return out, flagged

@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fusedconv import cli, dataflow, golden
+from fusedconv import cli, dataflow, datagen, golden
 from fusedconv.config import FusionPlan
 from fusedconv.dataflow import simulate_plan
 from fusedconv.golden import run_network
+from fusedconv.networks import consecutive_convs
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -122,16 +123,9 @@ def test_which_workloads_run_the_product_pass_in_int32(tmp_path, monkeypatch, na
     assert decisions == [int32] * len(wl.net.conv_indices())
 
 
-@pytest.mark.parametrize("name, layers", [("conv1_1-56", [0]), ("vgg7-28", [0]),
-                                          ("saturating", [])],
-                         ids=["conv1_1-56", "vgg7-28", "saturating"])
-def test_which_workloads_run_the_tap_major_loop(tmp_path, monkeypatch, name, layers):
-    # a layer with fewer taps than filters sums tap-major: conv1_1, 27 taps
-    # against 64 filters, and of VGG-7 that first layer alone; the saturating
-    # layer has 144 taps against 16 filters. The oracle reuses the
-    # simulator's passes, so each such layer runs the loop once.
-    wl = workloads.WORKLOADS[name]
-    wl.setup(str(tmp_path / "in"), 1)
+def _tap_major_shapes(monkeypatch):
+    """The (k, taps) filter shape of each layer that runs the tap-major loop,
+    appended as it runs."""
     shapes = []
     tap_major = golden._tap_major
 
@@ -139,10 +133,41 @@ def test_which_workloads_run_the_tap_major_loop(tmp_path, monkeypatch, name, lay
         shapes.append(filt.shape)
         return tap_major(filt, *args)
     monkeypatch.setattr(golden, "_tap_major", spy)
+    return shapes
+
+
+def _shapes_of(net, layers):
+    in_dims = net.layer_input_dims()
+    return [(net.layers[i].filters, net.layers[i].kernel ** 2 * in_dims[i].depth)
+            for i in layers]
+
+
+@pytest.mark.parametrize("name, layers", [("conv1_1-56", [0]), ("vgg7-28", [0]),
+                                          ("saturating", [])],
+                         ids=["conv1_1-56", "vgg7-28", "saturating"])
+def test_which_workloads_run_the_tap_major_loop(tmp_path, monkeypatch, name, layers):
+    # a layer with fewer taps than filters sums tap-major: conv1_1, 27 taps
+    # against 64 filters, and of VGG-7 that first layer alone; the saturating
+    # layer has 144 taps against 16 filters. No layer of these has more than
+    # np.getbufsize() // 3 positions (2,730 at numpy's default) but conv1_1
+    # at 56x56. The oracle reuses the simulator's passes, so each such layer
+    # runs the loop once.
+    wl = workloads.WORKLOADS[name]
+    wl.setup(str(tmp_path / "in"), 1)
+    shapes = _tap_major_shapes(monkeypatch)
     assert cli.main(wl.argv(str(tmp_path / "in"), str(tmp_path / "out"))) == 0
-    in_dims = wl.net.layer_input_dims()
-    assert shapes == [(wl.net.layers[i].filters,
-                       wl.net.layers[i].kernel ** 2 * in_dims[i].depth) for i in layers]
+    assert shapes == _shapes_of(wl.net, layers)
+
+
+def test_a_layer_past_the_cutoff_sums_tap_major(monkeypatch):
+    # two 3x3 convs of 64 filters at 56x56: 3,136 positions each, over
+    # np.getbufsize() // 3, so the second one, 576 taps against 64 filters,
+    # sums tap-major as well
+    net = consecutive_convs(2, input_hw=56)
+    shapes = _tap_major_shapes(monkeypatch)
+    run_network(net, datagen.generate_tensor(net.input_dims, 1),
+                datagen.generate_weights(net, 2))
+    assert shapes == _shapes_of(net, [0, 1])
 
 
 def test_no_value_is_computed_inside_a_schedule(tmp_path):

@@ -1,3 +1,5 @@
+import contextlib
+import itertools
 import random
 from unittest import mock
 
@@ -12,6 +14,7 @@ from fusedconv.dataflow import conv_datapath, simulate_plan
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.golden import FilterBank, Tensor3D, conv_layer, conv_values, maxpool_layer, \
     run_network
+from fusedconv.networks import vgg_prefix_7
 
 from conftest import EXACTNESS_EDGES, diverging_chain, identity_bank, tensor_from_reals
 from reference import brute_force_conv, conv_position_sequential, engine_reference, \
@@ -370,36 +373,42 @@ def loop_order_cases(draw, tap_major):
     return tensor_from_array(x), FilterBank(weights), spec, frac_bits
 
 
+def _assert_matches_references(t, bank, spec, frac_bits):
+    """conv_layer against the loop nest, and conv_values in the engine's
+    order at d_par 1 and d against the engine reference, with the oracle's
+    layer reduced from the same build and taken with no product pass."""
+    d = t.dims.depth
+    out, events = conv_layer(t, bank, spec, frac_bits)
+    ref, clips = brute_force_conv(t, bank, spec, frac_bits)
+    assert np.array_equal(out.data, ref)
+    assert events == clips
+    for d_par in (1, d):
+        (vals, events), oracle = conv_values(
+            t.data, bank.data, spec, frac_bits,
+            (dataflow.adder_tree(bank.kernel, d // d_par, d_par), golden.sequential_sum))
+        ref, ref_events = _engine_reference_layer(t, bank, spec, d_par, frac_bits)
+        assert vals.tolist() == ref
+        assert events == ref_events
+        kept, kept_events = conv_layer(t, bank, spec, frac_bits, taken=oracle)
+        assert kept.data is oracle[0]
+        assert kept.equals(out)
+        assert kept_events == clips
+
+
 @pytest.mark.parametrize("tap_major", [True, False], ids=["tap-major", "window-major"])
 @settings(max_examples=20)
 @given(data=st.data())
 def test_both_loop_orders_match_references(tap_major, data):
     t, bank, spec, frac_bits = data.draw(loop_order_cases(tap_major))
-    d = t.dims.depth
-    taps = bank.kernel ** 2 * d
+    taps = bank.kernel ** 2 * t.dims.depth
     with mock.patch.object(golden, "_tap_major", wraps=golden._tap_major) as spy:
-        out, events = conv_layer(t, bank, spec, frac_bits)
-        ref, clips = brute_force_conv(t, bank, spec, frac_bits)
-        assert np.array_equal(out.data, ref)
-        assert events == clips
-        for d_par in (1, d):
-            (vals, events), oracle = conv_values(
-                t.data, bank.data, spec, frac_bits,
-                (dataflow.adder_tree(bank.kernel, d // d_par, d_par), golden.sequential_sum))
-            ref, ref_events = _engine_reference_layer(t, bank, spec, d_par, frac_bits)
-            assert vals.tolist() == ref
-            assert events == ref_events
-            # the oracle's layer, reduced from the datapath's products and
-            # taken with no product pass of its own
-            kept, kept_events = conv_layer(t, bank, spec, frac_bits, taken=oracle)
-            assert kept.data is oracle[0]
-            assert kept.equals(out)
-            assert kept_events == clips
+        _assert_matches_references(t, bank, spec, frac_bits)
+    # at most 9 positions, under np.getbufsize() // 3: the order follows taps < k
     assert (taps < bank.k) == tap_major
     assert spy.call_count == 3 * tap_major
 
-    # either order on the same layer: the same plain sums, wrapped ones
-    # included, and the same flagged (r, c, f) in the same order
+    # either order on the same layer and blocks: the same plain sums, wrapped
+    # ones included, and the same flagged (r, c, f) in the same order
     p, s = spec.pad, spec.stride
     windows = np.lib.stride_tricks.sliding_window_view(
         np.pad(t.data, ((p, p), (p, p), (0, 0))), bank.data.shape[1:])[::s, ::s, 0]
@@ -411,6 +420,133 @@ def test_both_loop_orders_match_references(tap_major, data):
                 windows, bank.data.reshape(bank.k, taps), t.data, frac_bits)
         passes.append((plain.tolist(), [np.concatenate(a).tolist() for a in zip(*flagged)]))
     assert passes[0] == passes[1]
+
+
+@contextlib.contextmanager
+def _bufsize(size):
+    """numpy's ufunc buffer size, which sets the tap-major cutoff, for the
+    block only."""
+    old = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+# (largest input, largest weight magnitude, frac_bits) of the four kinds of
+# layer: int32 and exact, int32 with flagged values (exact where taps is 1),
+# int64 and exact, int64 with flagged and clamping values
+_WIDTH_CASES = [(1 << 15, 1 << 15, 16), (46340, 46340, 0),
+                (1 << 20, 1 << 12, 16), (1 << 31, 1 << 31, 16)]
+
+
+@st.composite
+def chunked_cases(draw):
+    """A conv layer of at most 6x6 outputs, 1-8 filters and 1-4 channels of
+    one of the _WIDTH_CASES, with a numpy buffer size of 16, 32 or 48 (a
+    tap-major cutoff of 5, 10 or 16 positions) and a _BATCH of 1-64."""
+    kernel = draw(st.sampled_from([1, 3]))
+    pad = draw(st.integers(0, kernel - 1))
+    h = draw(st.integers(max(1, kernel - 2 * pad), 6))
+    w = draw(st.integers(max(1, kernel - 2 * pad), 6))
+    d = draw(st.integers(1, 4))
+    spec = ConvSpec(kernel, draw(st.integers(1, 8)), draw(st.sampled_from([1, 2])), pad,
+                    draw(st.booleans()))
+    mx, mw, frac_bits = draw(st.sampled_from(_WIDTH_CASES))
+    x = _bounded_array(draw, (h, w, d), mx)
+    weights = _bounded_array(draw, (spec.filters, kernel, kernel, d), mw)
+    return (tensor_from_array(x), FilterBank(weights), spec, frac_bits,
+            draw(st.sampled_from([16, 32, 48])), draw(st.integers(1, 64)))
+
+
+def test_tap_major_chunks_match_references():
+    # a small buffer size and _BATCH split tiny layers into several row
+    # blocks, filter chunks that need not divide k and window copies of part
+    # of a kernel row; the examples as a whole must reach each of them in
+    # both widths, on exact and on flagged layers
+    seen = set()
+    tap_major = golden._tap_major
+
+    def spy(filt, frac_bits, exact, n):
+        block = tap_major(filt, frac_bits, exact, n)
+        k, taps = filt.shape
+        c = max(1, golden._BATCH // n)
+        seen.add(filt.dtype.name)
+        if exact:
+            seen.add("exact")
+        if k % c:
+            seen.add("filter chunks")
+        calls = itertools.count()
+
+        def wrapped(win, out):
+            if next(calls):
+                seen.add("row blocks")
+            if c < taps // win.shape[2]:
+                seen.add("window copies")
+            flags = block(win, out)
+            if flags is not None and flags.any():
+                seen.add("flagged")
+            return flags
+        return wrapped
+
+    @settings(max_examples=80)
+    @given(chunked_cases())
+    def check(case):
+        t, bank, spec, frac_bits, bufsize, batch = case
+        with _bufsize(bufsize), mock.patch.object(golden, "_BATCH", batch), \
+                mock.patch.object(golden, "_tap_major", spy):
+            _assert_matches_references(t, bank, spec, frac_bits)
+    check()
+    assert seen == {"int32", "int64", "exact", "flagged", "row blocks", "filter chunks",
+                    "window copies"}
+
+
+def _work_buffers(block):
+    """The arrays a block function keeps between its calls, by name, but the
+    filters."""
+    cells = zip(block.__code__.co_freevars, block.__closure__)
+    return {name: cell.cell_contents for name, cell in cells
+            if name != "filt" and isinstance(cell.cell_contents, np.ndarray)}
+
+
+_VGG7 = vgg_prefix_7()
+_VGG7_IN = _VGG7.layer_input_dims()
+
+
+@pytest.mark.parametrize("in_dims, spec", [
+    (Dims(56, 56, 3), ConvSpec(3, 64, 1, 1, relu=True)),
+    (Dims(224, 224, 3), ConvSpec(3, 64, 1, 1, relu=True)),
+    *((_VGG7_IN[i], _VGG7.layers[i]) for i in (1, 3, 4, 6))],
+    ids=["conv1_1-56", "conv1_1-224", "vgg7-l1", "vgg7-l3", "vgg7-l4", "vgg7-l6"])
+def test_full_size_layers_sum_tap_major_past_the_cutoff(monkeypatch, in_dims, spec):
+    # each block is whole output rows and every block but the last has more
+    # positions than np.getbufsize() // 3, so that each per-tap multiply runs
+    # numpy's unbuffered loop; the accumulators, their float64 twin and the
+    # window copy keep to _BATCH elements, the flags to one per block value.
+    # The blocks only record their shapes: nothing is summed.
+    x = np.zeros((in_dims.height, in_dims.width, in_dims.depth), dtype=np.int32)
+    x[0, 0, 0] = I32_MAX  # past the layer bound: every work buffer is made
+    taps = spec.kernel ** 2 * in_dims.depth
+    filt = np.full((spec.filters, taps), 1 << 16, dtype=np.int32)
+    made, blocks = [], []
+    tap_major = golden._tap_major
+
+    def spy(*args):
+        made.append(_work_buffers(tap_major(*args)))
+        return lambda win, out: blocks.append(win.shape[:2])
+    monkeypatch.setattr(golden, "_tap_major", spy)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(x, ((1, 1), (1, 1), (0, 0))), (3, 3, in_dims.depth))[:, :, 0]
+    golden._plain_pass(windows, filt, x, 16)
+
+    oh, ow = windows.shape[:2]
+    rows = [r for r, c in blocks if c == ow]
+    assert len(made) == 1 and len(rows) == len(blocks) and sum(rows) == oh
+    assert all(r * ow > np.getbufsize() // 3 for r in rows[:-1])
+    buffers = made[0]
+    assert buffers.keys() == {"acc", "tmp", "abs_sum", "flags", "win_t"}
+    assert buffers.pop("flags").size == max(rows) * ow * spec.filters
+    assert all(b.size <= golden._BATCH for b in buffers.values())
 
 
 def test_maxpool_examples():
