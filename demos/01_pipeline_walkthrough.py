@@ -8,7 +8,7 @@ Run: python demos/01_pipeline_walkthrough.py
 """
 
 from fusedconv import parse_plan, run_network, simulate_plan, time_ms
-from fusedconv.dataflow import model_group
+from fusedconv.dataflow import simulate_group
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.networks import small_test_network
 
@@ -42,21 +42,20 @@ def main():
           "plan finishes first while producing identical tensors.")
     print()
 
-    trace = []
-    sim = simulate_plan(net, tensor, banks, parse_plan("0-2", net), trace=trace)
-    spans, = trace  # one list of spans per group, here one group
+    sim = simulate_plan(net, tensor, banks, parse_plan("0-2", net))
+    cycles = sim.cycles_per_group[0]
     print("the fused run's schedule comes from the max-plus model: no stage is ever")
     print("held, so its first pass is the schedule, and each stage has one modeled span")
-    for (_, kind, first, n), stamp in zip(spans, sim.stamps_per_group[0]):
-        print(f"    {stamp.name}: {kind} cycles {first}..{first + n - 1}, "
+    for stamp in sim.stamps_per_group[0]:
+        print(f"    {stamp.name}: modeled cycles 1..{cycles}, "
               f"last output at cycle {stamp.last_out}")
-    print(f"the group's count, {sim.cycles_per_group[0]}, is its last cycle: the pool's last"
+    print(f"the group's count, {cycles}, is its last cycle: the pool's last"
           " output comes earlier, and the convs still flush the row it discards.")
     print()
 
     plan = parse_plan("0-2", net, "3,1")
     sim = simulate_plan(net, tensor, banks, plan)
-    _, passes = model_group(net.layers, net.input_dims, plan.depth_parallel)
+    passes = simulate_group(net.layers, net.input_dims, plan.depth_parallel).passes
     print("at d_par 3,1 the second conv holds each window 9 cycles and holds up the")
     print("first, whose engine freezes while its output waits: the model settles after")
     print(f"{passes} passes, each a floor on the schedule, the last the schedule itself:")

@@ -18,9 +18,9 @@ takes it from there.
 With --schedule it times each schedule alone on conv1_1 at 56x56, VGG-7 at
 28x28, a 16x16x16 3x3 conv with 16 filters at d_par 4 and VGG-7 at 224x224,
 each fully fused, and on VGG-7's group 2-6 at 28x28, whose pool the conv
-after it holds. For each it prints the cycles, the passes dataflow.model_group
-took to settle (one where no stage is held) and its milliseconds, the best of
-7 calls.
+after it holds. For each it prints the cycles, the passes
+dataflow.simulate_group took to settle (one where no stage is held) and its
+milliseconds, the best of 7 calls.
 
 Run: python demos/04_full_scale_timing.py [--seven-layer | --saturating | --schedule]
 """
@@ -32,7 +32,7 @@ import numpy as np
 
 from fusedconv import analyze, parse_plan, simulate_plan, time_ms
 from fusedconv.config import ConvSpec, Dims, NetworkSpec
-from fusedconv.dataflow import conv_datapath, model_group
+from fusedconv.dataflow import conv_datapath, simulate_group
 from fusedconv.datagen import generate_tensor, generate_weights
 from fusedconv.golden import FilterBank, Tensor3D, conv_layer, run_network
 from fusedconv.networks import VGG7_DEFAULT_DPAR, consecutive_convs, vgg_prefix_7
@@ -109,9 +109,8 @@ def schedule():
               list(VGG7_DEFAULT_DPAR[2:]), 2)]
     print("each schedule alone, modeled (best of 7):")
     for label, layers, in_dims, d_pars, offset in cases:
-        (res, passes), modeled = best_of(
-            7, lambda: model_group(layers, in_dims, d_pars, offset))
-        print(f"  {label:12s} {res.cycles:>11,} cycles {passes:>3} passes "
+        res, modeled = best_of(7, lambda: simulate_group(layers, in_dims, d_pars, offset))
+        print(f"  {label:12s} {res.cycles:>11,} cycles {res.passes:>3} passes "
               f"{modeled * 1e3:7.2f} ms modeled")
 
 

@@ -131,18 +131,17 @@ def _stamps_dict(sim):
             for stamps in sim.stamps_per_group]
 
 
-def _write_trace(fh, spans_per_group, sim):
+def _write_trace(fh, sim):
     """The schedule's spans as Chrome trace-event JSON: one track per stage,
     `ts` and `dur` in cycles, cycle c spanning [c - 1, c), each group after
-    the cycles of the groups before it."""
+    the cycles of the groups before it. Each stage has one `modeled` span,
+    over its group's cycles."""
     events, tid, offset = [], 0, 0
-    for spans, stamps, cycles in zip(spans_per_group, sim.stamps_per_group,
-                                     sim.cycles_per_group):
+    for stamps, cycles in zip(sim.stamps_per_group, sim.cycles_per_group):
         events += [{"name": "thread_name", "ph": "M", "pid": 1, "tid": tid + i,
                     "args": {"name": s.name}} for i, s in enumerate(stamps)]
-        events += [{"name": kind, "ph": "X", "pid": 1, "tid": tid + i,
-                    "ts": offset + first - 1, "dur": n, "args": {}}
-                   for i, kind, first, n in spans]
+        events += [{"name": "modeled", "ph": "X", "pid": 1, "tid": tid + i,
+                    "ts": offset, "dur": cycles, "args": {}} for i in range(len(stamps))]
         tid += len(stamps)
         offset += cycles
     json.dump({"traceEvents": events, "otherData": {"time_unit": "cycle"}}, fh)
@@ -162,21 +161,20 @@ def cmd_simulate(args) -> int:
 
     # opened before any work, but only once the inputs pass their checks
     trace_fh = open(args.trace, "w") if args.trace else contextlib.nullcontext()
-    trace = [] if args.trace else None
     taken = []
     with trace_fh:
-        sim = simulate_plan(net, tensor, banks, plan, trace=trace, oracle=taken)
+        sim = simulate_plan(net, tensor, banks, plan, oracle=taken)
         if args.trace:
-            _write_trace(trace_fh, trace, sim)
+            _write_trace(trace_fh, sim)
     t_oracle = time.monotonic()
     golden_outputs, golden_sat = run_network(net, tensor, banks, taken)
     t_done = time.monotonic()
-    golden_match = sim.output.equals(golden_outputs[-1])
+    golden_match = sim.layer_outputs[-1].equals(golden_outputs[-1])
     if sim.saturation_events == golden_sat == 0 and not golden_match:
         raise InternalError("zero saturation events but simulator output "
                             "differs from the layer-by-layer reference")
 
-    digests = [tensor_digest(t) for t in sim.layer_outputs]  # the last is sim.output's
+    digests = [tensor_digest(t) for t in sim.layer_outputs]
     ms = costmodel.time_ms(sim.end_to_end_cycles, args.freq_mhz)
     cost = costmodel.analyze(plan, net, args.bytes_per_value, args.freq_mhz,
                              args.reread_weights_per_depth_group)
@@ -193,7 +191,7 @@ def cmd_simulate(args) -> int:
         "layer_output_digests": digests})
     if args.out:
         out = _ensure_out(args.out)
-        write_tensor(os.path.join(out, "final.dclf"), sim.output)
+        write_tensor(os.path.join(out, "final.dclf"), sim.layer_outputs[-1])
         _write_report(out, "report.json", report)
     print(f"simulate: plan {plan_to_text(plan)} dpar {dpar_to_text(plan)}")
     print(f"  end-to-end cycles: {sim.end_to_end_cycles} "

@@ -19,7 +19,7 @@ pooled row waits.
 
 Cycle accounting is exact: a group's cycle count is the last cycle on which
 any of its stages emits, pipeline flush and a pool's discarded rows included.
-model_group computes the schedule as a max-plus model in numpy, with no
+simulate_group computes the schedule as a max-plus model in numpy, with no
 per-cycle loop; its docstring gives the recurrences and why they are the
 schedule.
 
@@ -70,12 +70,13 @@ class GroupResult:
     cycles: int
     stamps: list
     stall_cycles: dict
+    # passes the model took to settle on the schedule; not a result
+    passes: int = field(compare=False, repr=False)
 
 
 @dataclass
 class SimResult:
     """Functional outputs plus exact cycle accounting for a whole plan."""
-    output: Tensor3D
     layer_outputs: list
     cycles_per_group: list
     end_to_end_cycles: int
@@ -213,10 +214,9 @@ class _Pass(NamedTuple):
 
 class _Conv:
     """A conv layer's line buffer, conv engine and output register as
-    running maxima (see model_group)."""
+    running maxima (see simulate_group)."""
 
-    def __init__(self, spec: ConvSpec, dims: Dims, d_par: int, name: str):
-        out = self.out_dims = output_dims(dims, spec)
+    def __init__(self, spec: ConvSpec, dims: Dims, out: Dims, d_par: int, name: str):
         h, w_in, w, s, p = dims.height, dims.width, spec.kernel, spec.stride, spec.pad
         self.name, self.n_in, self.n_out = name, h * w_in, out.height * out.width
         self.kg = spec.filters * (dims.depth // d_par)
@@ -293,10 +293,9 @@ class _Conv:
 
 
 class _Pool:
-    """A pool layer's row buffer as running maxima (see model_group)."""
+    """A pool layer's row buffer as running maxima (see simulate_group)."""
 
-    def __init__(self, spec: PoolSpec, dims: Dims, name: str):
-        out = self.out_dims = output_dims(dims, spec)
+    def __init__(self, spec: PoolSpec, dims: Dims, out: Dims, name: str):
         h, w_in, s, win = dims.height, dims.width, spec.stride, spec.window
         n = self.w_out = out.width
         self.name, self.n_in, self.n_out = name, h * w_in, out.height * n
@@ -342,15 +341,14 @@ class _Pool:
         return self._pass(out, put, rn)
 
 
-def _build_stages(layers, in_dims, d_pars, layer_offset):
-    dims, d_pars = in_dims, iter(d_pars)
-    for i, layer in enumerate(layers, layer_offset):
+def _build_stages(net: NetworkSpec, d_pars, layer_offset):
+    d_pars = iter(d_pars)
+    for i, (layer, dims, out) in enumerate(zip(net.layers, net.layer_input_dims(),
+                                               net.layer_dims()), layer_offset):
         if isinstance(layer, ConvSpec):
-            st = _Conv(layer, dims, next(d_pars), f"l{i}.conv")
+            yield _Conv(layer, dims, out, next(d_pars), f"l{i}.conv")
         else:
-            st = _Pool(layer, dims, f"l{i}.pool")
-        dims = st.out_dims
-        yield st
+            yield _Pool(layer, dims, out, f"l{i}.pool")
 
 
 def _last_covering(x, pad: int, stride: int, n_out: int, w: int):
@@ -360,13 +358,21 @@ def _last_covering(x, pad: int, stride: int, n_out: int, w: int):
     return np.where(x <= idx * stride - pad + w - 1, idx, -1)
 
 
-def model_group(layers, in_dims: Dims, d_pars, layer_offset: int = 0):
-    """One fused group's schedule as a max-plus model (Baccelli, Cohen,
-    Olsder and Quadrat, "Synchronization and Linearity", 1992). One element
-    crosses a stage boundary per handshake, so every event cycle is a
-    maximum of earlier event cycles plus constants, and each stage's output
-    cycles are running maxima of its arrival cycles, computed in numpy with
-    no per-cycle loop. Returns (GroupResult, passes).
+def simulate_group(layers, in_dims: Dims, d_pars, layer_offset: int = 0) -> GroupResult:
+    """One fused group's schedule on an in_dims input: the input streams one
+    element per cycle while the chain accepts, then flush cycles run until
+    every stage has emitted its complete output (trailing rows a pool
+    discards still flow through). The group's cycle count is the last of
+    these cycles: the last stage's last output, or a later one of an earlier
+    stage where a pool discards trailing rows. Only presence tokens move, so
+    no value is read or computed here. Raises ValidationError on a chain or
+    d_pars that config.validate_plan refuses as one fused group.
+
+    The schedule is a max-plus model (Baccelli, Cohen, Olsder and Quadrat,
+    "Synchronization and Linearity", 1992). One element crosses a stage
+    boundary per handshake, so every event cycle is a maximum of earlier
+    event cycles plus constants, and each stage's output cycles are running
+    maxima of its arrival cycles, computed in numpy with no per-cycle loop.
 
     The source offers element e (raster order, from 0) one cycle after it
     took element e - 1, from cycle e + 1, and waits while the first stage
@@ -399,10 +405,12 @@ def model_group(layers, in_dims: Dims, d_pars, layer_offset: int = 0):
     included. Where no stage is held the first pass already is: every
     stage's arrivals fall at or after the cycles its next stage admits them.
     Within each pass the source-fed stage's arrivals are iterated to their
-    fixed point too (fed). Raises InternalError where a pass runs past the
-    cycle budget of a stuck pipeline: 16 times the cycles its stages are
-    busy (one per input element, k*g per conv output and one per pooled
-    output) plus 100,000."""
+    fixed point too (fed). The result's `passes` counts the passes. Raises
+    InternalError where a pass runs past the cycle budget of a stuck
+    pipeline: 16 times the cycles its stages are busy (one per input
+    element, k*g per conv output and one per pooled output) plus 100,000."""
+    net = NetworkSpec(in_dims, layers)
+    validate_plan(FusionPlan(((0, len(layers) - 1),), d_pars), net)
     rns, lags, passes, stages = [None] * len(layers), [None] * len(layers), 0, None
     while True:
         passes += 1
@@ -410,8 +418,7 @@ def model_group(layers, in_dims: Dims, d_pars, layer_offset: int = 0):
         # groups settle there, and every stage's arrays alive at once cost
         # more than building them twice where they do not
         runs, names, work = [], [], in_dims.height * in_dims.width
-        for st, rn, lag in zip(stages or _build_stages(layers, in_dims, d_pars, layer_offset),
-                               rns, lags):
+        for st, rn, lag in zip(stages or _build_stages(net, d_pars, layer_offset), rns, lags):
             runs.append(st.times(runs[-1].out, rn, lag) if runs else st.fed(rn, lag))
             names.append(st.name)
             work += st.work
@@ -421,57 +428,31 @@ def model_group(layers, in_dims: Dims, d_pars, layer_offset: int = 0):
         if all(_settled(run, rn) for run, rn in zip(runs, next_rns[:-1])):
             break
         rns, lags = next_rns, [run.lag for run in runs]
-        stages = stages or list(_build_stages(layers, in_dims, d_pars, layer_offset))
+        stages = stages or list(_build_stages(net, d_pars, layer_offset))
     stamps = [StageStamp(st, int(run.out[0]), int(run.out[-1]), len(run.out))
               for st, run in zip(names, runs)]
     return GroupResult(max(s.last_out for s in stamps), stamps,
-                       {st: run.stall for st, run in zip(names, runs)}), passes
-
-
-def simulate_group(layers, in_dims: Dims, d_pars, trace=None,
-                   layer_offset: int = 0) -> GroupResult:
-    """One fused group's schedule on an in_dims input (model_group): the
-    input streams one element per cycle while the chain accepts, then flush
-    cycles run until every stage has emitted its complete output (trailing
-    rows a pool discards still flow through). The group's cycle count is the
-    last of these cycles: the last stage's last output, or a later one of
-    an earlier stage where a pool discards trailing rows. Only presence
-    tokens move, so no value is read or computed here. Given a list as
-    `trace`, appends one span per stage, (stage index, "modeled", first
-    cycle, cycles), covering its cycles from 1 to the group's count. Raises
-    ValidationError on a chain or d_pars that config.validate_plan refuses
-    as one fused group."""
-    validate_plan(FusionPlan(((0, len(layers) - 1),), d_pars), NetworkSpec(in_dims, layers))
-    res, _ = model_group(layers, in_dims, d_pars, layer_offset)
-    if trace is not None:
-        trace.extend((i, "modeled", 1, res.cycles) for i in range(len(layers)))
-    return res
+                       {st: run.stall for st, run in zip(names, runs)}, passes)
 
 
 def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan,
-                  trace=None, oracle=None) -> SimResult:
+                  oracle=None) -> SimResult:
     """Run the plan's group schedules in turn; each group boundary
     round-trips a full tensor (the traffic model charges it; transfer cycles
     are not simulated). Total cycles are the sum of group cycles. Values do
     not depend on group boundaries, so every layer's values then come from
     one golden.walk_layers over the network, each conv layer's reduced in
-    the engine's order at its d_par. Given a list as `trace`, appends each
-    group's spans to it, as one list per group (see simulate_group). Given a
-    list as `oracle`, also reduces each conv layer in the oracle's order
-    while the oracle's stream is still the walk's (no earlier conv layer's
-    orders gave two arrays), and appends its (values, events) there."""
+    the engine's order at its d_par. Given a list as `oracle`, also reduces
+    each conv layer in the oracle's order while the oracle's stream is still
+    the walk's (no earlier conv layer's orders gave two arrays), and appends
+    its (values, events) there."""
     validate_plan(plan, net)
     check_inputs(net, input_t, weights)
     in_dims = net.layer_input_dims()
     t0 = time.monotonic()
-    groups = []
-    for a, b in plan.groups:
-        spans = None if trace is None else []
-        groups.append(simulate_group(net.layers[a:b + 1], in_dims[a],
-                                     plan.depth_parallel[net.conv_slice((a, b))], spans,
-                                     layer_offset=a))
-        if trace is not None:
-            trace.append(spans)
+    groups = [simulate_group(net.layers[a:b + 1], in_dims[a],
+                             plan.depth_parallel[net.conv_slice((a, b))], layer_offset=a)
+              for a, b in plan.groups]
     shared = oracle is not None
 
     def datapath(t, bank, spec, i):
@@ -489,7 +470,6 @@ def simulate_plan(net: NetworkSpec, input_t: Tensor3D, weights, plan: FusionPlan
     layer_outputs, events = walk_layers(net, input_t, weights, datapath)
     cycles_per_group = [g.cycles for g in groups]
     return SimResult(
-        output=layer_outputs[-1],
         layer_outputs=layer_outputs,
         cycles_per_group=cycles_per_group,
         end_to_end_cycles=sum(cycles_per_group),

@@ -10,7 +10,7 @@ partition in cut bitmask order (`bitmask_plans`), the plan-level halving loop
 (`reference_assignment`), each partition priced by `analyze`
 (`reference_sweep`) and the front compared pair by pair (`quadratic_front`);
 and a fused group's schedule stepped one cycle at a time (`ConvStage`,
-`PoolStage`, `step_every_cycle`), which dataflow.model_group is checked
+`PoolStage`, `step_every_cycle`), which dataflow.simulate_group is checked
 against.
 """
 

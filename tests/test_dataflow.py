@@ -337,7 +337,7 @@ def drive_pool(pool, n_elems, cycles=400):
 def simulated_pool(t, spec):
     """A pool layer's values as simulate_plan produces them."""
     net = NetworkSpec(t.dims, (spec,))
-    return simulate_plan(net, t, [], parse_plan("0", net)).output.data
+    return simulate_plan(net, t, [], parse_plan("0", net)).layer_outputs[-1].data
 
 
 def test_pool_single_window_max():
@@ -412,7 +412,7 @@ def test_simulate_group_matches_golden(small_net, small_data):
     tensor, banks = small_data
     outs, _ = run_network(small_net, tensor, banks)
     sim = simulate_plan(small_net, tensor, banks, parse_plan("0-2", small_net))
-    assert sim.output.equals(outs[-1])
+    assert sim.layer_outputs[-1].equals(outs[-1])
     for got, want in zip(sim.layer_outputs, outs, strict=True):
         assert got.equals(want)
     res = simulate_group(small_net.layers, small_net.input_dims, [3, 3])
@@ -471,7 +471,7 @@ def test_simulate_plan_fusion_preserves_semantics(small_net, small_data):
     tensor, banks = small_data
     fused = simulate_plan(small_net, tensor, banks, parse_plan("0-2", small_net))
     split = simulate_plan(small_net, tensor, banks, parse_plan("0|1|2", small_net))
-    assert fused.output.equals(split.output)
+    assert fused.layer_outputs[-1].equals(split.layer_outputs[-1])
     for a, b in zip(fused.layer_outputs, split.layer_outputs):
         assert a.equals(b)
     assert fused.end_to_end_cycles < split.end_to_end_cycles
@@ -557,13 +557,11 @@ def test_shared_passes_after_a_diverging_layer_are_not_reused():
 def test_determinism_identical_runs(small_net, small_data):
     tensor, banks = small_data
     plan = parse_plan("0-1|2", small_net, "1,3")
-    tr1, tr2 = [], []
-    r1 = simulate_plan(small_net, tensor, banks, plan, trace=tr1)
-    r2 = simulate_plan(small_net, tensor, banks, plan, trace=tr2)
+    r1 = simulate_plan(small_net, tensor, banks, plan)
+    r2 = simulate_plan(small_net, tensor, banks, plan)
     assert r1.end_to_end_cycles == r2.end_to_end_cycles
     assert r1.cycles_per_group == r2.cycles_per_group
-    assert r1.output.equals(r2.output)
-    assert len(tr1) == 2 and tr1 == tr2
+    assert r1.layer_outputs[-1].equals(r2.layer_outputs[-1])
     assert [(s.name, s.first_out, s.last_out) for g in r1.stamps_per_group for s in g] \
         == [(s.name, s.first_out, s.last_out) for g in r2.stamps_per_group for s in g]
 
@@ -667,4 +665,4 @@ def test_identity_network_streams_through():
     net = NetworkSpec(Dims(6, 6, 2), (ConvSpec(3, 2, 1, 1),))
     tensor = generate_tensor(net.input_dims, 71)
     sim = simulate_plan(net, tensor, [identity_bank(2)], parse_plan("0", net))
-    assert sim.output.equals(tensor)
+    assert sim.layer_outputs[-1].equals(tensor)

@@ -2,11 +2,10 @@
 single cycle.
 
 reference.step_every_cycle calls every reference stage's `step` on every
-cycle: the per-cycle schedule, coded stage by stage, that model_group is
+cycle: the per-cycle schedule, coded stage by stage, that simulate_group is
 checked against. The model must equal it in cycles, stamps and stalls on
 every chain config.validate_plan admits, held stages included, and settle in
-its first pass exactly where no stage is held. A traced group records one
-modeled span per stage, which covers the stage's cycles once. The schedule
+its first pass exactly where no stage is held. The schedule
 takes dims, not data: values come after it, from golden.walk_layers, and the
 tests of conv_datapath, of the pool values and of simulate_plan check them.
 """
@@ -16,32 +15,25 @@ from hypothesis import example, given, settings, strategies as st
 
 from fusedconv.config import ConvSpec, Dims, FusionPlan, NetworkSpec, PoolSpec, \
     output_dims, validate_plan
-from fusedconv.dataflow import GroupResult, model_group, simulate_group
+from fusedconv.dataflow import GroupResult, simulate_group
 from fusedconv.networks import VGG7_DEFAULT_DPAR, consecutive_convs, vgg_prefix_7
 
 from conftest import reduced_vgg_prefix_7
 from reference import step_every_cycle
 
 
-def assert_spans_tile(spans, n_stages, cycles):
-    """Each stage has one modeled span, covering cycles 1..cycles."""
-    assert spans == [(i, "modeled", 1, cycles) for i in range(n_stages)]
-
-
 def assert_same_run(layers, in_dims, d_pars, layer_offset=0):
-    """Assert simulate_group, traced, gives the per-cycle reference's cycles,
-    stamps and stalls, and that the model settles in its first pass exactly
-    where the reference holds no stage. Returns the result and the model's
+    """Assert simulate_group gives the per-cycle reference's cycles, stamps
+    and stalls, and that the model settles in its first pass exactly where
+    the reference holds no stage. Returns the result and the model's
     passes."""
     stamps, stalls = step_every_cycle(layers, in_dims, d_pars, layer_offset)
-    want = GroupResult(max(s.last_out for s in stamps), stamps, stalls)
-    spans = []
-    assert simulate_group(layers, in_dims, d_pars, spans, layer_offset) == want
-    assert_spans_tile(spans, len(layers), want.cycles)
-    got, passes = model_group(layers, in_dims, d_pars, layer_offset)
+    # the reference steps cycles and takes no passes
+    want = GroupResult(max(s.last_out for s in stamps), stamps, stalls, passes=None)
+    got = simulate_group(layers, in_dims, d_pars, layer_offset)
     assert got == want
-    assert (passes == 1) == (not any(stalls.values()))
-    return got, passes
+    assert (got.passes == 1) == (not any(stalls.values()))
+    return got, got.passes
 
 
 @st.composite
@@ -97,11 +89,11 @@ def test_simulate_group_matches_per_cycle_reference(case):
 
 
 def test_traced_fused_vgg7_tiles_every_stage():
+    # --trace gives each stage one span over its group's cycles, checked on
+    # the trace file itself (tests/test_cli.py, tests/test_trace_digests.py)
     net = vgg_prefix_7(input_hw=28)
-    spans = []
-    res = simulate_group(net.layers, net.input_dims, list(VGG7_DEFAULT_DPAR), spans)
+    res = simulate_group(net.layers, net.input_dims, list(VGG7_DEFAULT_DPAR))
     assert res.cycles == 65_410
-    assert_spans_tile(spans, 7, 65_410)
 
 
 STALLING_CHAINS = [
@@ -127,9 +119,9 @@ def test_stalling_chain_fast_forwards_like_per_cycle_reference(d_par, stalls):
     # loop, to the reference's cycles and stalls: the first chain settles
     # in two passes, the second in five
     net = reduced_vgg_prefix_7()
-    res, passes = model_group(net.layers, net.input_dims, list(d_par))
+    res = simulate_group(net.layers, net.input_dims, list(d_par))
     assert {k: v for k, v in res.stall_cycles.items() if v} == stalls
-    assert (res.cycles, passes) == {(3, 1, 1, 1, 1): (86_837, 2),
+    assert (res.cycles, res.passes) == {(3, 1, 1, 1, 1): (86_837, 2),
                                     (3, 8, 8, 1, 16): (68_271, 5)}[d_par]
 
 
@@ -238,7 +230,7 @@ def test_row_periodic_jumps_match_per_cycle_reference(case):
 
 
 def test_traced_conv1_1_jumps_like_the_reference():
-    # conv1_1 at 56x56, traced, settles in the model's first pass
+    # conv1_1 at 56x56 settles in the model's first pass
     net = consecutive_convs(1, input_hw=56)
     res, passes = assert_same_run(net.layers, net.input_dims, [3])
     assert (res.cycles, passes) == (200_827, 1)
@@ -258,12 +250,10 @@ PINNED_GEOMETRIES = {
     ids=[*PINNED_GEOMETRIES, "conv1_1-224"])
 def test_certified_groups_take_no_stage_step(net, d_pars, cycles):
     # no stage of these groups is held: the model's first pass is the
-    # schedule, with no stall, and each stage traces one span
-    spans = []
-    res = simulate_group(net.layers, net.input_dims, d_pars, spans)
-    assert model_group(net.layers, net.input_dims, d_pars) == (res, 1)
+    # schedule, with no stall
+    res = simulate_group(net.layers, net.input_dims, d_pars)
+    assert res.passes == 1
     assert res.cycles == cycles and not any(res.stall_cycles.values())
-    assert_spans_tile(spans, len(net.layers), cycles)
 
 
 def vgg7_28_groups():
@@ -301,10 +291,10 @@ def test_model_is_the_stepped_schedule_where_nothing_is_held(group, layers, in_d
     # partitions, and the held stage's stalls and last output where a pool
     # is held; the model settles in its first pass exactly where nothing is
     # held
-    res, passes = model_group(layers, in_dims, d_pars, group[0] if group else 0)
+    res = simulate_group(layers, in_dims, d_pars, group[0] if group else 0)
     held = {s.name: (n, s.last_out) for s, n in zip(res.stamps, res.stall_cycles.values())
             if n}
     name, *want = VGG7_28_HELD.get(group, (None,))
     assert res.cycles == cycles
     assert held == ({name: tuple(want)} if name else {})
-    assert (passes == 1) == (not name)
+    assert (res.passes == 1) == (not name)
