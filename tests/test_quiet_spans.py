@@ -25,15 +25,14 @@ from reference import step_every_cycle
 def assert_same_run(layers, in_dims, d_pars, layer_offset=0):
     """Assert simulate_group gives the per-cycle reference's cycles, stamps
     and stalls, and that the model settles in its first pass exactly where
-    the reference holds no stage. Returns the result and the model's
-    passes."""
+    the reference holds no stage. Returns the result."""
     stamps, stalls = step_every_cycle(layers, in_dims, d_pars, layer_offset)
     # the reference steps cycles and takes no passes
     want = GroupResult(max(s.last_out for s in stamps), stamps, stalls, passes=None)
     got = simulate_group(layers, in_dims, d_pars, layer_offset)
     assert got == want
     assert (got.passes == 1) == (not any(stalls.values()))
-    return got, got.passes
+    return got
 
 
 @st.composite
@@ -108,9 +107,9 @@ def test_stalling_chain_matches_per_cycle_reference(d_par, stalls):
     # engine freezes, or its pooled row waits, and the model takes more
     # than one pass
     net = reduced_vgg_prefix_7()
-    res, passes = assert_same_run(net.layers, net.input_dims, list(d_par))
+    res = assert_same_run(net.layers, net.input_dims, list(d_par))
     assert {k: v for k, v in res.stall_cycles.items() if v} == stalls
-    assert passes > 1
+    assert res.passes > 1
 
 
 @pytest.mark.parametrize("d_par, stalls", STALLING_CHAINS)
@@ -232,8 +231,8 @@ def test_row_periodic_jumps_match_per_cycle_reference(case):
 def test_traced_conv1_1_jumps_like_the_reference():
     # conv1_1 at 56x56 settles in the model's first pass
     net = consecutive_convs(1, input_hw=56)
-    res, passes = assert_same_run(net.layers, net.input_dims, [3])
-    assert (res.cycles, passes) == (200_827, 1)
+    res = assert_same_run(net.layers, net.input_dims, [3])
+    assert (res.cycles, res.passes) == (200_827, 1)
 
 
 # the four geometries demo 04's --schedule times, fully fused, with cycles
